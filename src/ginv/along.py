@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 
 from .classical import group_inverse
-from .equations import Certificate, InverseResult, SYSTEMS, system_residuals
+from .equations import SYSTEMS, InverseResult, certify, system_residuals
 from .errors import PreconditionFailed, RouteDisagreement, ShapeMismatch, ToleranceWarning
 from .matrix import (
     DEFAULT_TOL,
@@ -67,7 +67,6 @@ def inverse_along(
         return InverseResult(False, reason="d is not below dad in the L-preorder")
     b = d @ x
     exact = a.domain.exact
-    bound = 0.0 if exact else tol.residual_rel_tol
     yd = y @ d
     if exact:
         if b != yd:
@@ -82,34 +81,22 @@ def inverse_along(
         )
         if norm_fro(b - yd) > allowed:
             raise RouteDisagreement("d x and y d disagree for the inverse along d")
-    residuals = system_residuals(SYSTEMS["along"], {"a": a, "d": d, "x": b}, tol)
-    residuals["x_leq_L_d"] = 0.0 if solve_left(d, b, tol) is not None else float("inf")
-    residuals["x_leq_R_d"] = 0.0 if solve_right(d, b, tol) is not None else float("inf")
-    ok = all(v <= bound for v in residuals.values())
-    warn: list[str] = []
+    cert = certify("along", {"a": a, "d": d, "x": b}, tol, route="solve")
+    cert.witnesses = {"x": x, "y": y}
     if not exact and condition_number(dad, tol) > _KAPPA_DEGRADED:
         # small residuals do not imply small value error at this conditioning
-        warn.append("dad is ill-conditioned; value accuracy degraded")
-    if not ok:
+        cert.warnings.append("dad is ill-conditioned; value accuracy degraded")
+    if not cert.ok:
         if exact:
-            raise RouteDisagreement(f"inverse-along certificate failed: {residuals}")
+            raise RouteDisagreement(f"inverse-along certificate failed: {cert.residuals}")
         # squared conditioning of dad can push residuals past the base
         # tolerance; within two extra orders the value is still accepted
         # (downstream users re-verify their own defining equations)
-        if all(v <= 100.0 * tol.residual_rel_tol for v in residuals.values()):
-            ok = True
-            warn.append("residuals accepted within conditioning slack")
+        if all(v <= 100.0 * tol.residual_rel_tol for v in cert.residuals.values()):
+            cert.ok = True
+            cert.warnings.append("residuals accepted within conditioning slack")
         else:
-            warn.append("residuals exceed conditioning slack")
-    cert = Certificate(
-        kind="along",
-        route="solve",
-        residuals=residuals,
-        tolerance=bound,
-        ok=ok,
-        witnesses={"x": x, "y": y},
-        warnings=warn,
-    )
+            cert.warnings.append("residuals exceed conditioning slack")
     return InverseResult(True, value=b, certificate=cert)
 
 
@@ -186,13 +173,9 @@ def bc_inverse(
     if not (rank(cab, tol) == rank(b, tol) == rank(c, tol)):
         return None
     y = b @ inner_inverse(cab, tol) @ c
-    residuals = system_residuals(SYSTEMS["bc"], {"a": a, "b": b, "c": c, "x": y}, tol)
-    residuals["x_leq_R_b"] = 0.0 if solve_right(b, y, tol) is not None else float("inf")
-    residuals["b_leq_R_x"] = 0.0 if solve_right(y, b, tol) is not None else float("inf")
-    residuals["x_leq_L_c"] = 0.0 if solve_left(c, y, tol) is not None else float("inf")
-    residuals["c_leq_L_x"] = 0.0 if solve_left(y, c, tol) is not None else float("inf")
+    residuals = certify("bc", {"a": a, "b": b, "c": c, "x": y}, tol).residuals
     bound = 0.0 if a.domain.exact else 100.0 * tol.residual_rel_tol
-    if any(v > bound for v in residuals.values()):
+    if not all(v <= bound for v in residuals.values()):
         if a.domain.exact:
             raise RouteDisagreement(f"(b,c)-inverse certificate failed: {residuals}")
         warnings.warn(

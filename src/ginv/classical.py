@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .equations import core_ep_system, drazin_system, SYSTEMS, system_residuals
+from .equations import (
+    SYSTEMS,
+    assert_system,
+    core_ep_system,
+    drazin_system,
+    index_cap,
+    system_residuals,
+)
 from .errors import RouteDisagreement, ShapeMismatch
 from .matrix import (
     DEFAULT_TOL,
@@ -35,16 +42,6 @@ def _require_square(a: StarMatrix):
         raise ShapeMismatch("this inverse is defined for square matrices only")
 
 
-def _assert_exact_system(system, env, tol, what):
-    # invariant guard on constructed inverses; float gets conditioning slack
-    exact = env["a"].domain.exact
-    res = system_residuals(system, env, tol)
-    bound = 0.0 if exact else 100.0 * tol.residual_rel_tol
-    bad = [n for n, v in res.items() if v > bound]
-    if bad:
-        raise RouteDisagreement(f"{what}: equations {bad} fail: {res}")
-
-
 def group_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix | None:
     """Group inverse via a = a^2 x = y a^2; None when a is not group invertible."""
     _require_square(a)
@@ -56,16 +53,8 @@ def group_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Star
     if y is None:
         return None
     g = y @ a @ x
-    _assert_exact_system(SYSTEMS["group"], {"a": a, "x": g}, tol, "group inverse")
+    assert_system(SYSTEMS["group"], {"a": a, "x": g}, tol, "group inverse")
     return g
-
-
-def _index_cap(a: StarMatrix) -> int:
-    cap = max(1, a.rows)
-    if a.domain.kind == "integer_mod":
-        # power chains over Z/nZ can stabilize later than the dimension
-        cap = max(cap, a.rows * a.domain.modulus.bit_length())
-    return cap
 
 
 def drazin_index(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
@@ -80,7 +69,7 @@ def drazin_index(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
             p = p @ a
             k += 1
         return max(1, a.rows)
-    cap = _index_cap(a)
+    cap = index_cap(a)
     for k in range(1, cap + 1):
         p = a.pow(k)
         p2 = p @ a
@@ -97,7 +86,7 @@ def drazin_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Ind
     if g is None:
         raise RouteDisagreement(f"a^{n} lost group invertibility at the found index")
     value = a.pow(n - 1) @ g
-    _assert_exact_system(drazin_system(n), {"a": a, "x": value}, tol, "Drazin inverse")
+    assert_system(drazin_system(n), {"a": a, "x": value}, tol, "Drazin inverse")
     return IndexedInverse(value, n)
 
 
@@ -111,7 +100,7 @@ def core_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarM
     if t is None:
         return None
     x = g @ a @ t
-    _assert_exact_system(SYSTEMS["core5"], {"a": a, "x": x}, tol, "core inverse")
+    assert_system(SYSTEMS["core5"], {"a": a, "x": x}, tol, "core inverse")
     return x
 
 
@@ -133,7 +122,7 @@ def dual_core_inverse(
     if t is None:
         return None
     x = t @ a @ g
-    _assert_exact_system(SYSTEMS["dual-core5"], {"a": a, "x": x}, tol, "dual-core inverse")
+    assert_system(SYSTEMS["dual-core5"], {"a": a, "x": x}, tol, "dual-core inverse")
     return x
 
 
@@ -152,7 +141,7 @@ def core_ep_inverse(
     if t is None:
         return None
     x = dz.value @ a.pow(m) @ t
-    _assert_exact_system(core_ep_system(m), {"a": a, "x": x}, tol, "pseudo-core inverse")
+    assert_system(core_ep_system(m), {"a": a, "x": x}, tol, "pseudo-core inverse")
     if m > 1:
         # minimality: the same x must fail the exponent-(m-1) equation
         res = system_residuals(core_ep_system(m - 1), {"a": a, "x": x}, tol)

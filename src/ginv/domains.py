@@ -9,9 +9,17 @@ tolerances).
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 from .errors import DomainMismatch, NotInvertible
+
+
+def _fraction_from_json(obj, what: str) -> Fraction:
+    try:
+        return Fraction(obj)
+    except ZeroDivisionError:
+        raise DomainMismatch(f"bad {what} scalar {obj!r}: zero denominator") from None
 
 
 def _is_prime(n: int) -> bool:
@@ -231,7 +239,7 @@ class RationalDomain(ScalarDomain):
         if isinstance(obj, bool):
             raise DomainMismatch(f"bad rational scalar {obj!r}")
         if isinstance(obj, (int, str)):
-            return Fraction(obj)
+            return _fraction_from_json(obj, "rational")
         raise DomainMismatch(f"bad rational scalar {obj!r}")
 
 
@@ -268,10 +276,13 @@ class GaussianRationalDomain(ScalarDomain):
         return {"re": str(a.re), "im": str(a.im)}
 
     def scalar_from_json(self, obj):
+        what = "gaussian rational"
         if isinstance(obj, dict):
-            return GaussianRational(Fraction(str(obj["re"])), Fraction(str(obj["im"])))
+            return GaussianRational(
+                _fraction_from_json(str(obj["re"]), what), _fraction_from_json(str(obj["im"]), what)
+            )
         if isinstance(obj, (int, str)):
-            return GaussianRational(Fraction(obj))
+            return GaussianRational(_fraction_from_json(obj, what))
         raise DomainMismatch(f"bad gaussian rational scalar {obj!r}")
 
 
@@ -397,10 +408,14 @@ class ComplexFloatDomain(ScalarDomain):
 
     def scalar_from_json(self, obj):
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return complex(float(obj[0]), float(obj[1]))
-        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-            return complex(obj)
-        raise DomainMismatch(f"bad complex scalar {obj!r}")
+            z = complex(float(obj[0]), float(obj[1]))
+        elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+            z = complex(obj)
+        else:
+            raise DomainMismatch(f"bad complex scalar {obj!r}")
+        if not cmath.isfinite(z):
+            raise DomainMismatch(f"bad complex scalar {obj!r}: parts must be finite")
+        return z
 
 
 RATIONAL = RationalDomain()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import RouteDisagreement
 from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
@@ -214,6 +215,29 @@ def system_residuals(
     return out
 
 
+def assert_system(
+    system: tuple[Equation, ...], env: dict[str, StarMatrix], tol: ToleranceThresholds, what: str
+):
+    """Invariant guard on a constructed inverse; float gets conditioning slack.
+
+    A NaN residual fails the guard: the test is `not v <= bound`.
+    """
+    res = system_residuals(system, env, tol)
+    bound = 0.0 if env["a"].domain.exact else 100.0 * tol.residual_rel_tol
+    bad = [n for n, v in res.items() if not v <= bound]
+    if bad:
+        raise RouteDisagreement(f"{what}: equations {bad} fail with residuals {res}")
+
+
+def index_cap(a: StarMatrix) -> int:
+    """Largest Drazin / pseudo-core index searched for a."""
+    cap = max(1, a.rows)
+    if a.domain.kind == "integer_mod":
+        # power chains over Z/nZ can stabilize later than the dimension
+        cap = max(cap, a.rows * a.domain.modulus.bit_length())
+    return cap
+
+
 def _bool_residual(ok: bool) -> float:
     return 0.0 if ok else math.inf
 
@@ -240,10 +264,7 @@ def certify(
     residuals: dict[str, float] = {}
     if kind in ("drazin", "core-ep"):
         builder = drazin_system if kind == "drazin" else core_ep_system
-        cap = max(1, a.rows)
-        if a.domain.kind == "integer_mod":
-            cap = max(cap, a.rows * a.domain.modulus.bit_length())
-        candidates = [index] if index is not None else list(range(1, cap + 1))
+        candidates = [index] if index is not None else list(range(1, index_cap(a) + 1))
         best = None
         for k in candidates:
             res = system_residuals(builder(k), env, tol)
@@ -256,19 +277,8 @@ def certify(
         cert_index = k
     else:
         cert_index = index
-        base = {
-            "one": "one",
-            "one3": "one3",
-            "one4": "one4",
-            "mp": "mp",
-            "group": "group",
-            "core": "core",
-            "dual-core": "dual-core",
-            "w-core": "w-core-full",
-            "dual-v-core": "dual-v-core-full",
-            "along": "along",
-            "bc": "bc",
-        }[kind]
+        # w-core kinds also report the derived equations E4-E5 / F4-F5
+        base = {"w-core": "w-core-full", "dual-v-core": "dual-v-core-full"}.get(kind, kind)
         residuals = system_residuals(SYSTEMS[base], env, tol)
         if kind == "along":
             d, x = env["d"], env["x"]

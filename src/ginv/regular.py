@@ -10,7 +10,7 @@ fail (isotropic columns), which the solve decides honestly.
 
 from __future__ import annotations
 
-from .equations import SYSTEMS, system_residuals
+from .equations import SYSTEMS, assert_system, system_residuals
 from .errors import PreconditionFailed, RouteDisagreement, UnsupportedDomain
 from .matrix import (
     DEFAULT_TOL,
@@ -22,19 +22,6 @@ from .matrix import (
     solve_left,
     solve_right,
 )
-
-_PENROSE = {"P1": "axa=a", "P2": "xax=x", "P3": "(ax)*=ax", "P4": "(xa)*=xa"}
-
-
-def _assert_system(kind: str, env, tol, what: str):
-    # invariant guard on constructed inverses; float gets conditioning slack
-    exact = env["a"].domain.exact
-    res = system_residuals(SYSTEMS[kind], env, tol)
-    bound = 0.0 if exact else 100.0 * tol.residual_rel_tol
-    bad = [n for n, v in res.items() if v > bound]
-    if bad:
-        raise RouteDisagreement(f"{what}: equations {bad} fail with residuals {res}")
-
 
 def inner_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix:
     """Deterministic inner inverse a^- with a a^- a = a (always exists over a field)."""
@@ -53,7 +40,7 @@ def inner_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Star
     if g_right is None or f_left is None:
         raise RouteDisagreement("full-rank factors lost one-sided invertibility")
     x = g_right @ f_left
-    _assert_system("one", {"a": a, "x": x}, tol, "inner inverse")
+    assert_system(SYSTEMS["one"], {"a": a, "x": x}, tol, "inner inverse")
     return x
 
 
@@ -65,7 +52,7 @@ def one_three_inverse(
     if x is None:
         return None
     out = x.adjoint()
-    _assert_system("one3", {"a": a, "x": out}, tol, "{1,3}-inverse")
+    assert_system(SYSTEMS["one3"], {"a": a, "x": out}, tol, "{1,3}-inverse")
     return out
 
 
@@ -77,7 +64,7 @@ def one_four_inverse(
     if y is None:
         return None
     out = y.adjoint()
-    _assert_system("one4", {"a": a, "x": out}, tol, "{1,4}-inverse")
+    assert_system(SYSTEMS["one4"], {"a": a, "x": out}, tol, "{1,4}-inverse")
     return out
 
 
@@ -85,13 +72,13 @@ def mp_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMat
     """Moore-Penrose inverse: SVD in float, ideal-criterion solve in exact domains."""
     if a.domain.kind == "complex_float":
         x = pinv(a, tol)
-        _assert_system("mp", {"a": a, "x": x}, tol, "MP inverse (SVD)")
+        assert_system(SYSTEMS["mp"], {"a": a, "x": x}, tol, "MP inverse (SVD)")
         return x
     y = solve_left(a @ a.adjoint() @ a, a, tol)
     if y is None:
         return None
     x = (y @ a).adjoint()
-    _assert_system("mp", {"a": a, "x": x}, tol, "MP inverse (solve route)")
+    assert_system(SYSTEMS["mp"], {"a": a, "x": x}, tol, "MP inverse (solve route)")
     return x
 
 
@@ -115,7 +102,7 @@ def mp_via_unit(
     if u_inv is None:
         return None
     x = (u_inv @ a).adjoint()
-    _assert_system("mp", {"a": a, "x": x}, tol, "MP inverse (unit route)")
+    assert_system(SYSTEMS["mp"], {"a": a, "x": x}, tol, "MP inverse (unit route)")
     return x
 
 

@@ -12,6 +12,13 @@ and wx is a {1,2,3}-inverse of a.  Routes implemented:
   as_along         inverse of aw along a a*  (needs a MP-invertible)
   as_bc            (a, a*)-inverse of aw
 
+The dual v-core inverse of (a, v) is the star of the w-core inverse of
+(a*, v*), so its routes are w-core-form routes run on (a*, v*): mary_14,
+dual_core_of_va, rank_formula and section3_unit are the stars of mary_13,
+core_of_aw, rank_formula and section3_unit, and group_va / group_av are the
+stars of (aw)^# a a^{(1,3)} and a (wa)^# a^{(1,3)}.  The value is certified
+against the dual equations on the original (a, v).
+
 All successful routes must agree; disagreement is an internal fault, never
 a normal result.  In ComplexFloat the rank criterion alone decides
 existence and algebraic-route hiccups at borderline rank become warnings.
@@ -22,11 +29,12 @@ inverse can be missing), so the algebraic path is authoritative there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 from .along import bc_inverse, inverse_along
-from .classical import core_ep_inverse, core_inverse, dual_core_inverse, group_inverse
+from .classical import core_ep_inverse, core_inverse, group_inverse
 from .equations import InverseResult, certify
-from .errors import PreconditionFailed, RouteDisagreement, ShapeMismatch
+from .errors import PreconditionFailed, RouteDisagreement, ShapeMismatch, UnsupportedDomain
 from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
@@ -38,12 +46,7 @@ from .matrix import (
     solve_left,
     solve_right,
 )
-from .regular import (
-    canonical_one_four,
-    canonical_one_three,
-    inner_inverse,
-    mp_inverse,
-)
+from .regular import inner_inverse, mp_inverse, one_three_inverse
 
 W_CORE_ROUTES = (
     "mary_13",
@@ -77,10 +80,6 @@ def _check_pair(a: StarMatrix, w: StarMatrix):
         raise ShapeMismatch("inputs must share a domain")
 
 
-def _bound(a: StarMatrix, tol: ToleranceThresholds) -> float:
-    return 0.0 if a.domain.exact else tol.residual_rel_tol
-
-
 def _value_bound(a: StarMatrix, tol: ToleranceThresholds) -> float:
     # comparisons between independently computed route values accumulate the
     # squared conditioning of product words (e.g. aa* (aw) aa*): allow two
@@ -88,110 +87,178 @@ def _value_bound(a: StarMatrix, tol: ToleranceThresholds) -> float:
     return 0.0 if a.domain.exact else 100.0 * tol.residual_rel_tol
 
 
-class _RouteOutcome:
-    __slots__ = ("value", "witnesses", "reason", "degraded")
-
-    def __init__(self, value=None, witnesses=None, reason=None, degraded=False):
-        self.value = value
-        self.witnesses = witnesses or {}
-        self.reason = reason
-        self.degraded = degraded  # float: built through an ill-conditioned solve
+class _RouteOutcome(NamedTuple):
+    value: StarMatrix | None = None
+    witnesses: dict = {}
+    reason: str | None = None
+    degraded: bool = False  # float: built through an ill-conditioned solve
 
 
-def _route_mary_13(a, w, tol):
-    along = inverse_along(w, a, tol)
+# the intermediates routes share, each a deterministic function of
+# (a, w, tol): computing one once costs the routes' cross-check no independence
+_SHARED: dict[str, Callable] = {
+    "a_star": lambda c: c.a.adjoint(),
+    "aw": lambda c: c.a @ c.w,
+    "awa": lambda c: c.aw @ c.a,
+    "aa_star": lambda c: c.a @ c.a_star,
+    "rank_ok": lambda c: rank(c.a, c.tol) == rank(c.awa, c.tol),
+    "mp": lambda c: mp_inverse(c.a, c.tol),
+    # canonical {1,3}-inverse: the MP inverse when it exists
+    "one_three": lambda c: c.mp if c.mp is not None else one_three_inverse(c.a, c.tol),
+    "w_along_a": lambda c: inverse_along(c.w, c.a, c.tol),
+    "core_aw": lambda c: core_inverse(c.aw, c.tol),
+    "a_inner": lambda c: inner_inverse(c.a, c.tol),
+}
+
+
+class _Context:
+    """One (a, w, tol); each _SHARED intermediate is computed on first use
+    and then kept.  Keyword arguments seed values already known."""
+
+    def __init__(self, a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds, **known):
+        self.a, self.w, self.tol = a, w, tol
+        self.exact = a.domain.exact
+        self.definite = a.domain.kind in _DEFINITE_KINDS
+        self.outcomes: dict[str, _RouteOutcome | None] = {}
+        self.__dict__.update((k, v) for k, v in known.items() if v is not None)
+
+    def __getattr__(self, name):
+        if name not in _SHARED:
+            raise AttributeError(name)
+        value = _SHARED[name](self)
+        setattr(self, name, value)
+        return value
+
+    def route(self, name: str) -> _RouteOutcome | None:
+        """The outcome of one w-core-form route; None when inapplicable."""
+        if name not in self.outcomes:
+            self.outcomes[name] = _ROUTES[name](self)
+        return self.outcomes[name]
+
+
+def _missing(c: _Context) -> str | None:
+    """Why a has no w-core inverse, or None when it has one.
+
+    The rank criterion decides in float and Mary's criterion (w invertible
+    along a, a {1,3}-invertible) in exact domains; over definite exact
+    domains both apply and must agree.
+    """
+    if not c.exact:
+        return None if c.rank_ok else "rank(A) != rank(AWA)"
+    reason = None
+    if not c.w_along_a.exists:
+        reason = "w is not invertible along a"
+    elif c.one_three is None:
+        reason = "a has no {1,3}-inverse"
+    if c.definite and c.rank_ok != (reason is None):
+        raise RouteDisagreement("rank criterion and algebraic criterion disagree on existence")
+    return reason
+
+
+def _route_mary_13(c):
+    along = c.w_along_a
     if not along.exists:
         return _RouteOutcome(reason="w is not invertible along a")
-    x13 = canonical_one_three(a, tol)
-    if x13 is None:
+    if c.one_three is None:
         return _RouteOutcome(reason="a has no {1,3}-inverse")
-    degraded = bool(along.certificate and along.certificate.warnings)
     return _RouteOutcome(
-        along.value @ x13,
-        {"w_along_a": along.value, "one_three": x13},
-        degraded=degraded,
+        along.value @ c.one_three,
+        {"w_along_a": along.value, "one_three": c.one_three},
+        degraded=bool(along.certificate.warnings),
     )
 
 
-def _route_core_of_aw(a, w, tol):
-    aw = a @ w
-    if solve_right(aw, a, tol) is None:
+def _route_core_of_aw(c):
+    if solve_right(c.aw, c.a, c.tol) is None:
         return _RouteOutcome(reason="a is not in awS")
-    core = core_inverse(aw, tol)
-    if core is None:
+    if c.core_aw is None:
         return _RouteOutcome(reason="aw has no core inverse")
-    return _RouteOutcome(core)
+    return _RouteOutcome(c.core_aw)
 
 
-def _route_projection_unit(a, w, tol):
-    aw = a @ w
-    core = core_inverse(aw, tol)
-    if core is None:
+def _route_projection_unit(c):
+    a, aw = c.a, c.aw
+    if c.core_aw is None:
         return _RouteOutcome(reason="aw has no core inverse")
     ident = StarMatrix.identity(a.rows, a.domain)
-    p = ident - aw @ core
-    bound = _bound(a, tol)
-    if not is_projection(p, tol):
-        if a.domain.exact:
+    p = ident - aw @ c.core_aw
+    if not is_projection(p, c.tol):
+        if c.exact:
             raise RouteDisagreement("1 - (aw)(aw)_core is not a projection")
         return _RouteOutcome(reason="projection construction lost precision")
+    bound = 0.0 if c.exact else c.tol.residual_rel_tol
     if rel_diff(p @ a, StarMatrix.zeros(a.rows, a.cols, a.domain)) > bound:
         return _RouteOutcome(reason="projection criterion fails: pa != 0")
     u = p + aw
-    u_inv = inverse(u, tol)
+    u_inv = inverse(u, c.tol)
     if u_inv is None:
         return _RouteOutcome(reason="p + aw is not invertible")
     return _RouteOutcome(u_inv @ (ident - p), {"projection": p, "unit": u})
 
 
-def _route_rank_formula(a, w, tol):
-    if a.domain.kind not in _DEFINITE_KINDS:
+def _route_rank_formula(c):
+    if not c.definite:
         return None  # inapplicable
-    awa = a @ w @ a
-    if rank(a, tol) != rank(awa, tol):
+    if not c.rank_ok:
         return _RouteOutcome(reason="rank(A) != rank(AWA)")
-    mp_awa = mp_inverse(awa, tol)
-    mp_a = mp_inverse(a, tol)
-    if mp_awa is None or mp_a is None:
+    mp_awa = mp_inverse(c.awa, c.tol)
+    if mp_awa is None or c.mp is None:
         raise RouteDisagreement("MP inverse missing over a definite domain")
-    return _RouteOutcome(a @ mp_awa @ a @ mp_a)
+    return _RouteOutcome(c.a @ mp_awa @ c.a @ c.mp)
 
 
-def _route_section3_unit(a, w, tol, a_inner=None):
-    if a.domain.kind not in _DEFINITE_KINDS:
+def _route_section3_unit(c):
+    if not c.definite:
         return None  # unit criterion characterizes the intersection only
-    if a_inner is None:
-        a_inner = inner_inverse(a, tol)
-    ident = StarMatrix.identity(a.rows, a.domain)
-    t = a @ a.adjoint() @ a @ w + ident - a @ a_inner
-    t_inv = inverse(t, tol)
+    ident = StarMatrix.identity(c.a.rows, c.a.domain)
+    t = c.aa_star @ c.a @ c.w + ident - c.a @ c.a_inner
+    t_inv = inverse(t, c.tol)
     if t_inv is None:
         return _RouteOutcome(reason="a a* a w + 1 - a a^- is not invertible")
-    return _RouteOutcome(t_inv @ a @ a.adjoint(), {"section3_unit": t})
+    return _RouteOutcome(t_inv @ c.aa_star, {"section3_unit": t})
 
 
-def _route_as_along(a, w, tol):
-    if mp_inverse(a, tol) is None:
+def _route_as_along(c):
+    if c.mp is None:
         return None  # hypothesis a in S^dagger unmet
-    res = inverse_along(a @ w, a @ a.adjoint(), tol)
+    res = inverse_along(c.aw, c.aa_star, c.tol)
     if not res.exists:
         return _RouteOutcome(reason="aw is not invertible along aa*")
-    if res.certificate is not None and not res.certificate.ok:
+    if not res.certificate.ok:
         return _RouteOutcome(reason="inverse along aa* lost precision")
-    degraded = bool(res.certificate and res.certificate.warnings)
-    return _RouteOutcome(res.value, degraded=degraded)
+    return _RouteOutcome(res.value, degraded=bool(res.certificate.warnings))
 
 
-def _route_as_bc(a, w, tol):
-    if a.domain.kind == "integer_mod":
+def _route_as_bc(c):
+    if c.a.domain.kind == "integer_mod":
         return None  # needs rank machinery
-    y = bc_inverse(a @ w, a, a.adjoint(), tol)
+    y = bc_inverse(c.aw, c.a, c.a_star, c.tol)
     if y is None:
         return _RouteOutcome(reason="aw is not (a, a*)-invertible")
     return _RouteOutcome(y)
 
 
-_W_ROUTE_FUNCS = {
+def _route_group_aw(c):
+    # (aw)^# a a^{(1,3)}: the star of the dual's group_va
+    if c.one_three is None:
+        return _RouteOutcome(reason="a has no {1,3}-inverse")
+    g = group_inverse(c.aw, c.tol)
+    if g is None:
+        return _RouteOutcome(reason="aw has no group inverse")
+    return _RouteOutcome(g @ c.a @ c.one_three)
+
+
+def _route_group_wa(c):
+    # a (wa)^# a^{(1,3)}: the star of the dual's group_av
+    if c.one_three is None:
+        return _RouteOutcome(reason="a has no {1,3}-inverse")
+    g = group_inverse(c.w @ c.a, c.tol)
+    if g is None:
+        return _RouteOutcome(reason="wa has no group inverse")
+    return _RouteOutcome(c.a @ g @ c.one_three)
+
+
+_ROUTES: dict[str, Callable[[_Context], _RouteOutcome | None]] = {
     "mary_13": _route_mary_13,
     "core_of_aw": _route_core_of_aw,
     "projection_unit": _route_projection_unit,
@@ -199,25 +266,139 @@ _W_ROUTE_FUNCS = {
     "section3_unit": _route_section3_unit,
     "as_along": _route_as_along,
     "as_bc": _route_as_bc,
+    # run by the dual v-core only
+    "group_aw": _route_group_aw,
+    "group_wa": _route_group_wa,
 }
+
+
+@dataclass(frozen=True)
+class _Form:
+    """One public inverse as w-core-form routes over a context.
+
+    With `star`, the context holds (a*, w*) and values, witnesses and
+    wording are mapped back to the original operands.
+    """
+
+    kind: str  # certificate kind
+    letter: str  # name of the second operand
+    routes: dict[str, str]  # public route name -> w-core-form route
+    star: bool = False
+    wording: dict[str, str] = dc_field(default_factory=dict)
+    witnesses: dict[str, str] = dc_field(default_factory=dict)
+
+
+_W_FORM = _Form("w-core", "w", {name: name for name in W_CORE_ROUTES})
+
+_DUAL_FORM = _Form(
+    "dual-v-core",
+    "v",
+    {
+        "mary_14": "mary_13",
+        "dual_core_of_va": "core_of_aw",
+        "group_va": "group_aw",
+        "group_av": "group_wa",
+        "rank_formula": "rank_formula",
+        "section3_unit": "section3_unit",
+    },
+    star=True,
+    wording={
+        "w is not invertible along a": "v is not invertible along a",
+        "a has no {1,3}-inverse": "a has no {1,4}-inverse",
+        "rank(A) != rank(AWA)": "rank(A) != rank(AVA)",
+        "a is not in awS": "a is not in Sva",
+        "aw has no core inverse": "va has no dual-core inverse",
+        "aw has no group inverse": "va has no group inverse",
+        "wa has no group inverse": "av has no group inverse",
+        "a a* a w + 1 - a a^- is not invertible": "v a a* a + 1 - a^- a is not invertible",
+    },
+    witnesses={
+        "w_along_a": "v_along_a",
+        "one_three": "one_four",
+        "section3_unit": "section3_unit_dual",
+    },
+)
+
+
+def _solve(
+    form: _Form, a: StarMatrix, w: StarMatrix, route: str, ctx: _Context
+) -> InverseResult:
+    """Run one route or all of them, cross-check, and certify on (a, w)."""
+    if route != "all" and route not in form.routes:
+        raise PreconditionFailed(f"unknown {form.kind} route {route!r}")
+    exact, tol = ctx.exact, ctx.tol
+
+    def say(reason):
+        return form.wording.get(reason, reason)
+
+    def certified(x, witnesses, label, warnings=()):
+        if form.star:
+            x = x.adjoint()
+            witnesses = {form.witnesses[k]: m.adjoint() for k, m in witnesses.items()}
+        cert = certify(form.kind, {"a": a, form.letter: w, "x": x}, tol, route=label)
+        cert.witnesses.update(witnesses)
+        cert.warnings.extend(warnings)
+        return x, cert
+
+    if route != "all":
+        # float existence is the rank criterion's call even for single routes;
+        # unit-style routes cannot tell singular from condition 1/eps
+        if not exact and not ctx.rank_ok:
+            return InverseResult(False, reason=say("rank(A) != rank(AWA)"))
+        out = ctx.route(form.routes[route])
+        if out is None:
+            return InverseResult(False, reason=f"route {route} not applicable here")
+        if out.value is None:
+            return InverseResult(False, reason=say(out.reason))
+        x, cert = certified(out.value, out.witnesses, route)
+        return InverseResult(cert.ok, value=x, certificate=cert)
+
+    reason = _missing(ctx)
+    if reason is not None:
+        return InverseResult(False, reason=say(reason))
+    values: dict[str, StarMatrix] = {}
+    degraded: dict[str, StarMatrix] = {}
+    witnesses: dict = {}
+    warnings: list[str] = []
+    for name, base in form.routes.items():
+        out = ctx.route(base)
+        if out is None:
+            continue
+        if out.value is None:
+            reason = say(out.reason)
+            if exact:
+                raise RouteDisagreement(f"route {name} failed while others exist: {reason}")
+            warnings.append(f"route {name} failed near tolerance: {reason}")
+            continue
+        witnesses.update(out.witnesses)
+        if out.degraded:
+            # value built through an ill-conditioned solve: keep it out of
+            # the agreement set, the remaining routes carry the answer
+            warnings.append(f"route {name} degraded by conditioning; excluded")
+            degraded[name] = out.value
+            continue
+        values[name] = out.value
+    if not values:
+        if not degraded:
+            raise RouteDisagreement("existence asserted but every route failed")
+        values = dict(list(degraded.items())[:1])
+        warnings.append("all routes degraded; using the first value unchecked")
+    (first_name, first), *others = values.items()
+    for other, value in others:
+        if rel_diff(first, value) > _value_bound(a, tol):
+            raise RouteDisagreement(
+                f"routes {first_name} and {other} disagree on the {form.kind} inverse"
+            )
+    x, cert = certified(first, witnesses, "all", warnings)
+    if exact and not cert.ok:
+        raise RouteDisagreement(f"exact {form.kind} value failed its defining equations")
+    return InverseResult(True, value=x, certificate=cert)
 
 
 def w_core_exists(a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> bool:
     """Existence test; rank path and algebraic path must agree where both apply."""
     _check_pair(a, w)
-    algebraic = None
-    if a.domain.exact:
-        algebraic = (
-            inverse_along(w, a, tol).exists and canonical_one_three(a, tol) is not None
-        )
-    if a.domain.kind in _DEFINITE_KINDS:
-        by_rank = rank(a, tol) == rank(a @ w @ a, tol)
-        if algebraic is not None and by_rank != algebraic:
-            raise RouteDisagreement(
-                "rank criterion and algebraic criterion disagree on existence"
-            )
-        return by_rank
-    return bool(algebraic)
+    return _missing(_Context(a, w, tol)) is None
 
 
 def w_core(
@@ -229,84 +410,22 @@ def w_core(
 ) -> InverseResult:
     """The w-core inverse of a, certified against its defining equations."""
     _check_pair(a, w)
-    if route != "all" and route not in W_CORE_ROUTES:
-        raise PreconditionFailed(f"unknown w-core route {route!r}")
-    exact = a.domain.exact
+    return _solve(_W_FORM, a, w, route, _Context(a, w, tol, a_inner=a_inner))
 
-    def run(name):
-        fn = _W_ROUTE_FUNCS[name]
-        if name == "section3_unit":
-            return fn(a, w, tol, a_inner)
-        return fn(a, w, tol)
 
-    if route != "all":
-        # float existence is the rank criterion's call even for single routes;
-        # unit-style routes cannot tell singular from condition 1/eps
-        if not exact and rank(a, tol) != rank(a @ w @ a, tol):
-            return InverseResult(False, reason="rank(A) != rank(AWA)")
-        out = run(route)
-        if out is None:
-            return InverseResult(False, reason=f"route {route} not applicable here")
-        if out.value is None:
-            return InverseResult(False, reason=out.reason)
-        cert = certify("w-core", {"a": a, "w": w, "x": out.value}, tol, route=route)
-        cert.witnesses.update(out.witnesses)
-        return InverseResult(cert.ok, value=out.value, certificate=cert)
+def dual_v_core(
+    a: StarMatrix,
+    v: StarMatrix,
+    route: str = "all",
+    tol: ToleranceThresholds = DEFAULT_TOL,
+) -> InverseResult:
+    """The dual v-core inverse of a: y with y^2 v a = y, a v a y = a, (yva)* = yva.
 
-    # existence first: rank criterion in float, Mary criterion in exact domains
-    if not exact:
-        if rank(a, tol) != rank(a @ w @ a, tol):
-            return InverseResult(False, reason="rank(A) != rank(AWA)")
-    else:
-        if not inverse_along(w, a, tol).exists:
-            return InverseResult(False, reason="w is not invertible along a")
-        if canonical_one_three(a, tol) is None:
-            return InverseResult(False, reason="a has no {1,3}-inverse")
-        if a.domain.kind in _DEFINITE_KINDS and rank(a, tol) != rank(a @ w @ a, tol):
-            raise RouteDisagreement("algebraic existence but rank criterion fails")
-
-    values: dict[str, StarMatrix] = {}
-    degraded: dict[str, StarMatrix] = {}
-    witnesses: dict = {}
-    warnings: list[str] = []
-    for name in W_CORE_ROUTES:
-        out = run(name)
-        if out is None:
-            continue
-        if out.value is None:
-            if exact:
-                raise RouteDisagreement(f"route {name} failed while others exist: {out.reason}")
-            warnings.append(f"route {name} failed near tolerance: {out.reason}")
-            continue
-        if out.degraded:
-            # value built through an ill-conditioned solve: keep it out of
-            # the agreement set, the remaining routes carry the answer
-            warnings.append(f"route {name} degraded by conditioning; excluded")
-            degraded[name] = out.value
-            witnesses.update(out.witnesses)
-            continue
-        values[name] = out.value
-        witnesses.update(out.witnesses)
-    if not values:
-        if degraded:
-            values = dict(list(degraded.items())[:1])
-            warnings.append("all routes degraded; using the first value unchecked")
-        else:
-            raise RouteDisagreement("existence asserted but every route failed")
-    names = list(values)
-    bound = _value_bound(a, tol)
-    first = values[names[0]]
-    for other in names[1:]:
-        if rel_diff(first, values[other]) > bound:
-            raise RouteDisagreement(
-                f"routes {names[0]} and {other} disagree on the w-core inverse"
-            )
-    cert = certify("w-core", {"a": a, "w": w, "x": first}, tol, route="all")
-    cert.witnesses.update(witnesses)
-    cert.warnings.extend(warnings)
-    if exact and not cert.ok:
-        raise RouteDisagreement("exact w-core value failed its defining equations")
-    return InverseResult(True, value=first, certificate=cert)
+    Computed as ((a*)_{v*})*, the star of a w-core inverse, by the w-core
+    routes run on (a*, v*); the certificate is taken on (a, v).
+    """
+    _check_pair(a, v)
+    return _solve(_DUAL_FORM, a, v, route, _Context(a.adjoint(), v.adjoint(), tol, a_star=a))
 
 
 def w_core_via_projection(
@@ -321,15 +440,16 @@ def wcore_as_along(
 ) -> StarMatrix | None:
     """Inverse of aw along aa*; equals the w-core inverse when a is MP-invertible."""
     _check_pair(a, w)
-    if mp_inverse(a, tol) is None:
+    ctx = _Context(a, w, tol)
+    out = ctx.route("as_along")
+    if out is None:
         raise PreconditionFailed("theorem hypothesis: a must be MP-invertible")
-    res = inverse_along(a @ w, a @ a.adjoint(), tol)
-    if not res.exists:
+    if out.value is None:
         return None
-    ref = w_core(a, w, tol=tol)
-    if not ref.exists or rel_diff(res.value, ref.value) > _value_bound(a, tol):
+    ref = _solve(_W_FORM, a, w, "all", ctx)
+    if not ref.exists or rel_diff(out.value, ref.value) > _value_bound(a, tol):
         raise RouteDisagreement("(aw)^{||aa*} disagrees with the w-core inverse")
-    return res.value
+    return out.value
 
 
 def wcore_as_bc(
@@ -337,175 +457,20 @@ def wcore_as_bc(
 ) -> StarMatrix | None:
     """(a, a*)-inverse of aw; equals the w-core inverse when either exists."""
     _check_pair(a, w)
-    y = bc_inverse(a @ w, a, a.adjoint(), tol)
-    if y is None:
-        ref = w_core(a, w, tol=tol)
-        if ref.exists:
-            if a.domain.exact:
-                raise RouteDisagreement(
-                    "w-core exists but the (a, a*)-inverse of aw does not"
-                )
-            return None  # float borderline; the route=all path warns instead
-        return None
-    ref = w_core(a, w, tol=tol)
-    if not ref.exists or rel_diff(y, ref.value) > _value_bound(a, tol):
+    ctx = _Context(a, w, tol)
+    out = ctx.route("as_bc")
+    if out is None:
+        raise UnsupportedDomain(f"rank is not defined over {a.domain!r}")
+    ref = _solve(_W_FORM, a, w, "all", ctx)
+    if out.value is None:
+        if ref.exists and ctx.exact:
+            raise RouteDisagreement("w-core exists but the (a, a*)-inverse of aw does not")
+        return None  # float borderline; the route=all path warns instead
+    if not ref.exists or rel_diff(out.value, ref.value) > _value_bound(a, tol):
         raise RouteDisagreement("(a, a*)-inverse of aw disagrees with the w-core inverse")
-    return y
+    return out.value
 
 
-# ---------------------------------------------------------------------------
-# dual v-core
-
-
-def _d_route_mary_14(a, v, tol):
-    along = inverse_along(v, a, tol)
-    if not along.exists:
-        return _RouteOutcome(reason="v is not invertible along a")
-    x14 = canonical_one_four(a, tol)
-    if x14 is None:
-        return _RouteOutcome(reason="a has no {1,4}-inverse")
-    degraded = bool(along.certificate and along.certificate.warnings)
-    return _RouteOutcome(
-        x14 @ along.value, {"v_along_a": along.value, "one_four": x14}, degraded=degraded
-    )
-
-
-def _d_route_dual_core_of_va(a, v, tol):
-    va = v @ a
-    if solve_left(va, a, tol) is None:
-        return _RouteOutcome(reason="a is not in Sva")
-    dc = dual_core_inverse(va, tol)
-    if dc is None:
-        return _RouteOutcome(reason="va has no dual-core inverse")
-    return _RouteOutcome(dc)
-
-
-def _d_route_group_va(a, v, tol):
-    x14 = canonical_one_four(a, tol)
-    if x14 is None:
-        return _RouteOutcome(reason="a has no {1,4}-inverse")
-    g = group_inverse(v @ a, tol)
-    if g is None:
-        return _RouteOutcome(reason="va has no group inverse")
-    return _RouteOutcome(x14 @ a @ g)
-
-
-def _d_route_group_av(a, v, tol):
-    x14 = canonical_one_four(a, tol)
-    if x14 is None:
-        return _RouteOutcome(reason="a has no {1,4}-inverse")
-    g = group_inverse(a @ v, tol)
-    if g is None:
-        return _RouteOutcome(reason="av has no group inverse")
-    return _RouteOutcome(x14 @ g @ a)
-
-
-def _d_route_rank_formula(a, v, tol):
-    if a.domain.kind not in _DEFINITE_KINDS:
-        return None
-    ava = a @ v @ a
-    if rank(a, tol) != rank(ava, tol):
-        return _RouteOutcome(reason="rank(A) != rank(AVA)")
-    mp_ava = mp_inverse(ava, tol)
-    mp_a = mp_inverse(a, tol)
-    return _RouteOutcome(mp_a @ a @ mp_ava @ a)
-
-
-def _d_route_section3_unit(a, v, tol):
-    if a.domain.kind not in _DEFINITE_KINDS:
-        return None
-    a_inner = inner_inverse(a, tol)
-    ident = StarMatrix.identity(a.rows, a.domain)
-    s = v @ a @ a.adjoint() @ a + ident - a_inner @ a
-    s_inv = inverse(s, tol)
-    if s_inv is None:
-        return _RouteOutcome(reason="v a a* a + 1 - a^- a is not invertible")
-    return _RouteOutcome(a.adjoint() @ a @ s_inv, {"section3_unit_dual": s})
-
-
-_D_ROUTE_FUNCS = {
-    "mary_14": _d_route_mary_14,
-    "dual_core_of_va": _d_route_dual_core_of_va,
-    "group_va": _d_route_group_va,
-    "group_av": _d_route_group_av,
-    "rank_formula": _d_route_rank_formula,
-    "section3_unit": _d_route_section3_unit,
-}
-
-
-def dual_v_core(
-    a: StarMatrix,
-    v: StarMatrix,
-    route: str = "all",
-    tol: ToleranceThresholds = DEFAULT_TOL,
-) -> InverseResult:
-    """The dual v-core inverse of a: y with y^2 v a = y, a v a y = a, (yva)* = yva."""
-    _check_pair(a, v)
-    if route != "all" and route not in DUAL_V_CORE_ROUTES:
-        raise PreconditionFailed(f"unknown dual-v-core route {route!r}")
-    exact = a.domain.exact
-
-    if route != "all":
-        if not exact and rank(a, tol) != rank(a @ v @ a, tol):
-            return InverseResult(False, reason="rank(A) != rank(AVA)")
-        out = _D_ROUTE_FUNCS[route](a, v, tol)
-        if out is None:
-            return InverseResult(False, reason=f"route {route} not applicable here")
-        if out.value is None:
-            return InverseResult(False, reason=out.reason)
-        cert = certify("dual-v-core", {"a": a, "v": v, "x": out.value}, tol, route=route)
-        cert.witnesses.update(out.witnesses)
-        return InverseResult(cert.ok, value=out.value, certificate=cert)
-
-    if not exact:
-        if rank(a, tol) != rank(a @ v @ a, tol):
-            return InverseResult(False, reason="rank(A) != rank(AVA)")
-    else:
-        if not inverse_along(v, a, tol).exists:
-            return InverseResult(False, reason="v is not invertible along a")
-        if canonical_one_four(a, tol) is None:
-            return InverseResult(False, reason="a has no {1,4}-inverse")
-
-    values: dict[str, StarMatrix] = {}
-    degraded: dict[str, StarMatrix] = {}
-    witnesses: dict = {}
-    warnings: list[str] = []
-    for name in DUAL_V_CORE_ROUTES:
-        out = _D_ROUTE_FUNCS[name](a, v, tol)
-        if out is None:
-            continue
-        if out.value is None:
-            if exact:
-                raise RouteDisagreement(f"route {name} failed while others exist: {out.reason}")
-            warnings.append(f"route {name} failed near tolerance: {out.reason}")
-            continue
-        if out.degraded:
-            warnings.append(f"route {name} degraded by conditioning; excluded")
-            degraded[name] = out.value
-            witnesses.update(out.witnesses)
-            continue
-        values[name] = out.value
-        witnesses.update(out.witnesses)
-    if not values:
-        if degraded:
-            values = dict(list(degraded.items())[:1])
-            warnings.append("all routes degraded; using the first value unchecked")
-        else:
-            raise RouteDisagreement("existence asserted but every dual route failed")
-    names = list(values)
-    bound = _value_bound(a, tol)
-    first = values[names[0]]
-    for other in names[1:]:
-        if rel_diff(first, values[other]) > bound:
-            raise RouteDisagreement(
-                f"dual routes {names[0]} and {other} disagree on the value"
-            )
-    cert = certify("dual-v-core", {"a": a, "v": v, "x": first}, tol, route="all")
-    cert.witnesses.update(witnesses)
-    cert.warnings.extend(warnings)
-    if exact and not cert.ok:
-        raise RouteDisagreement("exact dual v-core value failed its defining equations")
-    return InverseResult(True, value=first, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +608,11 @@ def section3_units(
     hypothesis = inverse_along(v, a, tol).exists
 
     report = UnitReport(hypothesis_met=hypothesis)
-    report.exists_w_core = w_core_exists(a, w, tol)
-    report.exists_dual_v_core = dual_v_core(a, v, tol=tol).exists
-    report.exists_dual_w_core = dual_v_core(a, w, tol=tol).exists
+    ref_w, ref_v = w_core(a, w, tol=tol), dual_v_core(a, v, tol=tol)
+    ref_dw = dual_v_core(a, w, tol=tol)
+    report.exists_w_core = ref_w.exists
+    report.exists_dual_v_core = ref_v.exists
+    report.exists_dual_w_core = ref_dw.exists
 
     units: dict[str, StarMatrix] = {
         "u_wv": a @ w @ a @ v @ a @ astar + ident - aa_in,
@@ -689,9 +656,7 @@ def section3_units(
         middle = (u_inv @ a @ w @ a @ v @ a).adjoint()
         val_w = a @ v @ a @ astar @ a @ s_inv @ middle
         val_v = middle @ a @ w @ a @ astar @ a @ t_inv
-        ref_w = w_core(a, w, tol=tol).value
-        ref_v = dual_v_core(a, v, tol=tol).value
-        if rel_diff(val_w, ref_w) > bound or rel_diff(val_v, ref_v) > bound:
+        if rel_diff(val_w, ref_w.value) > bound or rel_diff(val_v, ref_v.value) > bound:
             raise RouteDisagreement("joint unit formulas disagree with direct values")
         report.values["w_core_wv"] = val_w
         report.values["dual_v_core_wv"] = val_v
@@ -699,9 +664,7 @@ def section3_units(
         t_inv, s_inv = inverses["t_w"], inverses["s_w"]
         val_w = t_inv @ a @ astar
         val_dw = astar @ a @ s_inv
-        ref_w = w_core(a, w, tol=tol).value
-        ref_dw = dual_v_core(a, w, tol=tol).value
-        if rel_diff(val_w, ref_w) > bound or rel_diff(val_dw, ref_dw) > bound:
+        if rel_diff(val_w, ref_w.value) > bound or rel_diff(val_dw, ref_dw.value) > bound:
             raise RouteDisagreement("single-w unit formulas disagree with direct values")
         report.values["w_core_w"] = val_w
         report.values["dual_w_core_w"] = val_dw

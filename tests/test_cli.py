@@ -226,3 +226,21 @@ def test_complex_float_cli(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     value = matrix_from_json(result["value"])
     assert abs(value.data[0][0] - 1) < 1e-9 and abs(value.data[1][1]) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "domain, data",
+    [
+        ("rational", [["1/0"]]),
+        ("gaussian_rational", [[{"re": "1", "im": "1/0"}]]),
+        ("complex_float", [[[float("inf"), 0.0]]]),
+        ("complex_float", [[[0.0, float("nan")]]]),
+    ],
+)
+def test_bad_scalar_exits_one_without_traceback(tmp_path, capsys, domain, data):
+    a = write_matrix(tmp_path / "bad.json", data, domain={"kind": domain})
+    assert run(["compute", "--kind", "mp", "--a", a]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err

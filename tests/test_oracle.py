@@ -10,6 +10,7 @@ from ginv import (
     TooLarge,
     UnknownTheorem,
     core_ep_inverse,
+    dual_v_core,
     enumerate_ring,
     green_relations,
     group_inverse,
@@ -175,6 +176,22 @@ def test_oracle_supremacy_wcore_gf2():
             sols = ring.wcore_solutions(a, w)
             assert len(sols) <= 1
             res = w_core(mats[a], mats[w])
+            assert res.exists == bool(sols)
+            if sols:
+                assert enc[res.value] == sols[0]
+
+
+def test_oracle_supremacy_dual_vcore_gf2():
+    # the dual engine runs w-core routes on (a*, v*); the scan solves the
+    # dual equations directly, so it checks existence and value independently
+    ring = enumerate_ring("mat:2:gf2")
+    mats = _gf2_matrices(ring)
+    enc = {m: i for i, m in enumerate(mats)}
+    for a in range(16):
+        for v in range(16):
+            sols = ring.dual_vcore_solutions(a, v)
+            assert len(sols) <= 1
+            res = dual_v_core(mats[a], mats[v])
             assert res.exists == bool(sols)
             if sols:
                 assert enc[res.value] == sols[0]

@@ -28,10 +28,10 @@ from ginv import (
     wcore_as_bc,
 )
 from ginv.domains import GAUSSIAN_RATIONAL, GaussianRational, integer_mod
-from ginv.matrix import left_nullspace, rel_diff, right_nullspace
-from ginv.wcore import W_CORE_ROUTES
+from ginv.matrix import inverse, left_nullspace, rel_diff, right_nullspace
+from ginv.wcore import DUAL_V_CORE_ROUTES, W_CORE_ROUTES
 
-from conftest import assert_w_core_equations, cm, gm, lists, mul_lists, qm, zm
+from conftest import assert_w_core_equations, cm, fm, gm, lists, mul_lists, qm, zm
 
 EX1_VALUE = [[1, 0], [0, 0]]
 
@@ -333,3 +333,38 @@ def test_integer_mod_scalar_wcore():
 def test_shape_validation():
     with pytest.raises(Exception):
         w_core(gm([[1, 2]]), gm([[1], [2]]))
+
+
+def test_dual_routes_on_star_of_example(nilp2_g, w_ex1_g):
+    # every dual route alone on (a*, w*) gives the adjoint of the example value
+    a, v = nilp2_g.adjoint(), w_ex1_g.adjoint()
+    for route in DUAL_V_CORE_ROUTES:
+        res = dual_v_core(a, v, route=route)
+        assert res.exists and res.value == gm(EX1_VALUE).adjoint(), route
+        assert res.certificate.route == route
+        assert all(r == 0.0 for r in res.certificate.residuals.values()), route
+
+
+def test_dual_existence_reasons():
+    i2 = StarMatrix.identity(2, GAUSSIAN_RATIONAL)
+    res = dual_v_core(gm([[0, 1], [0, 0]]), i2)
+    assert not res.exists and res.reason == "v is not invertible along a"
+    # over GF(2) with the transpose, a a* = 0: no {1,4}-inverse, yet a v a = a
+    a, v = fm([[1, 1], [0, 0]], p=2), fm([[1, 0], [0, 0]], p=2)
+    assert inverse_along(v, a).exists
+    res = dual_v_core(a, v)
+    assert not res.exists and res.reason == "a has no {1,4}-inverse"
+    res = dual_v_core(cm([[0, 1], [0, 0]]), cm([[1, 0], [0, 1]]))
+    assert not res.exists and res.reason == "rank(A) != rank(AVA)"
+
+
+def test_dual_witnesses_keep_dual_keys(nilp2_g, w_ex1_g):
+    a, v = nilp2_g.adjoint(), w_ex1_g.adjoint()
+    res = dual_v_core(a, v)
+    wit = res.certificate.witnesses
+    assert wit["v_along_a"] == inverse_along(v, a).value
+    assert wit["one_four"] == mp_inverse(a)
+    # y = a* a s^{-1} with s = v a a* a + 1 - a^- a
+    s = wit["section3_unit_dual"]
+    assert a.adjoint() @ a @ inverse(s) == res.value
+    assert not {"w_along_a", "one_three", "section3_unit"} & set(wit)
