@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .along import bc_inverse, inverse_along
 from .classical import (
     core_ep_inverse,
@@ -265,11 +267,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_check(args)
+        # stderr carries one line; the NaN-safe guards and certificates
+        # already judge non-finite float values, so numpy stays quiet
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "compute":
+                return _cmd_compute(args)
+            if args.command == "verify":
+                return _cmd_verify(args)
+            return _cmd_check(args)
     except RouteDisagreement as exc:
         print(f"ginv: internal invariant violation: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,8 @@ Gaussian elimination with first-nonzero-column / first-nonzero-row pivoting,
 so factorizations and particular solutions are reproducible.  ComplexFloat
 decisions (rank, solvability, projection tests) all go through SVD with
 ToleranceThresholds; Gaussian-elimination rank is never used in float.
+ComplexFloat matrices hold one read-only complex128 array, so their sums,
+products, adjoints and norms are numpy calls, not scalar loops.
 Z/nZ with composite n is supported for small systems via exhaustive solving
 (division is only by units there, so elimination is unavailable).
 """
@@ -40,9 +42,21 @@ DEFAULT_TOL = ToleranceThresholds()
 
 
 class StarMatrix:
-    """Immutable rectangular matrix over a ScalarDomain."""
+    """Immutable rectangular matrix over a ScalarDomain.
+
+    Exact domains store `data` as a tuple of row-tuples of scalars.  A
+    ComplexFloat matrix is built as the private subclass `_ComplexMatrix`,
+    whose `data` is a read-only C-contiguous complex128 array; indexing it
+    still yields `complex` scalars (np.complex128 subclasses complex).
+    """
 
     __slots__ = ("rows", "cols", "domain", "data")
+
+    def __new__(cls, rows=None, cols=None, data=None, domain=None):
+        # the kernel is chosen once, here, from the domain
+        if cls is StarMatrix and domain is not None and domain.kind == "complex_float":
+            cls = _ComplexMatrix
+        return object.__new__(cls)
 
     def __init__(self, rows, cols, data, domain):
         # data: tuple of row-tuples of already-coerced scalars
@@ -83,35 +97,22 @@ class StarMatrix:
         if self.domain != other.domain:
             raise DomainMismatch(f"{self.domain!r} vs {other.domain!r}")
 
+    def _check_same_shape(self, other: "StarMatrix", op: str):
+        self._check_domain(other)
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"{self.shape} {op} {other.shape}")
+
     def __add__(self, other):
         if not isinstance(other, StarMatrix):
             return NotImplemented
-        self._check_domain(other)
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} + {other.shape}")
-        add = self.domain.add
-        data = tuple(
-            tuple(add(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)
-        )
-        return StarMatrix(self.rows, self.cols, data, self.domain)
+        self._check_same_shape(other, "+")
+        return self._add(other)
 
     def __sub__(self, other):
         if not isinstance(other, StarMatrix):
             return NotImplemented
-        self._check_domain(other)
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} - {other.shape}")
-        sub = self.domain.sub
-        data = tuple(
-            tuple(sub(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)
-        )
-        return StarMatrix(self.rows, self.cols, data, self.domain)
-
-    def __neg__(self):
-        neg = self.domain.neg
-        return StarMatrix(
-            self.rows, self.cols, tuple(tuple(neg(x) for x in r) for r in self.data), self.domain
-        )
+        self._check_same_shape(other, "-")
+        return self._sub(other)
 
     def __matmul__(self, other):
         if not isinstance(other, StarMatrix):
@@ -119,6 +120,29 @@ class StarMatrix:
         self._check_domain(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
+        return self._matmul(other)
+
+    # -- generic kernels: scalar loops through the domain's operations --------
+
+    def _zip(self, other, op):
+        data = tuple(
+            tuple(op(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)
+        )
+        return StarMatrix(self.rows, self.cols, data, self.domain)
+
+    def _add(self, other):
+        return self._zip(other, self.domain.add)
+
+    def _sub(self, other):
+        return self._zip(other, self.domain.sub)
+
+    def __neg__(self):
+        neg = self.domain.neg
+        return StarMatrix(
+            self.rows, self.cols, tuple(tuple(neg(x) for x in r) for r in self.data), self.domain
+        )
+
+    def _matmul(self, other):
         dom = self.domain
         if self.cols == 0:  # empty inner dimension: zero product by convention
             return StarMatrix.zeros(self.rows, other.cols, dom)
@@ -178,6 +202,9 @@ class StarMatrix:
             return NotImplemented
         if self.domain != other.domain or self.shape != other.shape:
             return False
+        return self._same_entries(other)
+
+    def _same_entries(self, other) -> bool:
         eq = self.domain.eq
         return all(
             eq(x, y) for r1, r2 in zip(self.data, other.data) for x, y in zip(r1, r2)
@@ -190,18 +217,84 @@ class StarMatrix:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
         return f"StarMatrix<{self.rows}x{self.cols} {self.domain!r}>[{body}]"
 
-    def to_numpy(self) -> np.ndarray:
+    def _array(self) -> np.ndarray:
+        # the entries as a complex128 array; never written to by callers
         return np.array(
-            [[complex(x) for x in r] for r in self.data], dtype=complex
+            [[complex(x) for x in r] for r in self.data], dtype=np.complex128
         ).reshape(self.rows, self.cols)
+
+    def _data_json(self) -> list:
+        enc = self.domain.scalar_to_json
+        return [[enc(x) for x in r] for r in self.data]
+
+    def to_numpy(self) -> np.ndarray:
+        """A fresh, writeable complex128 copy of the entries."""
+        return np.array(self._array(), dtype=np.complex128)
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "StarMatrix":
-        arr = np.asarray(arr, dtype=complex)
+        arr = np.array(arr, dtype=np.complex128, order="C")  # a copy the caller cannot reach
         if arr.ndim != 2:
             raise ShapeMismatch("expected a 2-d array")
-        data = tuple(tuple(complex(v) for v in row) for row in arr)
-        return cls(arr.shape[0], arr.shape[1], data, COMPLEX_FLOAT)
+        return _ComplexMatrix._adopt(arr)
+
+
+class _ComplexMatrix(StarMatrix):
+    """ComplexFloat kernel: `data` is a read-only C-contiguous complex128
+    array and every operation is one numpy call on it."""
+
+    __slots__ = ()
+
+    def __init__(self, rows, cols, data, domain):
+        arr = np.array(data, dtype=np.complex128, order="C").reshape(rows, cols)
+        arr.flags.writeable = False
+        super().__init__(rows, cols, arr, domain)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "_ComplexMatrix":
+        """Wrap a complex128 array that nothing else will write to."""
+        arr = np.ascontiguousarray(arr)
+        arr.flags.writeable = False
+        m = object.__new__(cls)
+        StarMatrix.__init__(m, arr.shape[0], arr.shape[1], arr, COMPLEX_FLOAT)
+        return m
+
+    def _add(self, other):
+        return self._adopt(self.data + other.data)
+
+    def _sub(self, other):
+        return self._adopt(self.data - other.data)
+
+    def __neg__(self):
+        return self._adopt(-self.data)
+
+    def _matmul(self, other):
+        return self._adopt(self.data @ other.data)
+
+    def scale(self, c) -> "StarMatrix":
+        return self._adopt(self.domain.coerce(c) * self.data)
+
+    def transpose(self) -> "StarMatrix":
+        return self._adopt(self.data.T)
+
+    def adjoint(self) -> "StarMatrix":
+        return self._adopt(self.data.T.conj())
+
+    def is_zero(self) -> bool:
+        return not self.data.any()
+
+    def _same_entries(self, other) -> bool:
+        return bool(np.array_equal(self.data, other.data))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, so entries that compare equal hash alike
+        return hash((self.rows, self.cols, (self.data + 0.0).tobytes()))
+
+    def _array(self) -> np.ndarray:
+        return self.data
+
+    def _data_json(self) -> list:
+        return np.stack((self.data.real, self.data.imag), axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -214,7 +307,7 @@ class RankFactorization:
 
 
 def norm_fro(a: StarMatrix) -> float:
-    return float(np.linalg.norm(a.to_numpy())) if a.rows and a.cols else 0.0
+    return float(np.linalg.norm(a._array()))
 
 
 def rel_diff(a: StarMatrix, b: StarMatrix) -> float:
@@ -223,7 +316,7 @@ def rel_diff(a: StarMatrix, b: StarMatrix) -> float:
         return math.inf
     if a.domain.exact:
         return 0.0 if a == b else math.inf
-    na, nb = a.to_numpy(), b.to_numpy()
+    na, nb = a._array(), b._array()
     scale = max(1.0, float(np.linalg.norm(na)), float(np.linalg.norm(nb)))
     return float(np.linalg.norm(na - nb)) / scale
 
@@ -277,17 +370,21 @@ def _require_solvable_domain(a: StarMatrix):
         raise UnsupportedDomain(f"no solver for {a.domain!r}")
 
 
+def _svd_cutoff(s: np.ndarray, a: StarMatrix, tol: ToleranceThresholds) -> float:
+    """Singular values at or below this are numerically zero: the one rank
+    cutoff rank_rel_tol * sigma_max * max(rows, cols).  s is descending, so a
+    zero or NaN sigma_max leaves no singular value above it."""
+    return tol.rank_rel_tol * float(s[0]) * max(a.rows, a.cols) if s.size else 0.0
+
+
 def rank(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
     """Rank of a.  Exact fields: Gaussian elimination; ComplexFloat: SVD."""
     if a.rows == 0 or a.cols == 0:
         return 0
     dom = a.domain
     if dom.kind == "complex_float":
-        s = np.linalg.svd(a.to_numpy(), compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        cutoff = tol.rank_rel_tol * float(s[0]) * max(a.rows, a.cols)
-        return int(np.count_nonzero(s > cutoff))
+        s = np.linalg.svd(a.data, compute_uv=False)
+        return int(np.count_nonzero(s > _svd_cutoff(s, a, tol)))
     if not dom.field:
         raise UnsupportedDomain(f"rank is not defined over {dom!r}")
     rows = [list(r) for r in a.data]
@@ -304,10 +401,10 @@ def full_rank_factorize(
             return RankFactorization(
                 StarMatrix.zeros(a.rows, 0, dom), StarMatrix.zeros(0, a.cols, dom), 0
             )
-        u, s, vh = np.linalg.svd(a.to_numpy(), full_matrices=False)
-        r = rank(a, tol)
-        f = StarMatrix.from_numpy(u[:, :r] * s[:r])
-        g = StarMatrix.from_numpy(vh[:r, :])
+        u, s, vh = np.linalg.svd(a.data, full_matrices=False)
+        r = int(np.count_nonzero(s > _svd_cutoff(s, a, tol)))
+        f = _ComplexMatrix._adopt(u[:, :r] * s[:r])
+        g = _ComplexMatrix._adopt(vh[:r, :])
         return RankFactorization(f, g, r)
     if not dom.field:
         raise UnsupportedDomain(f"full-rank factorization unavailable over {dom!r}")
@@ -366,15 +463,15 @@ def solve_right(
         raise ShapeMismatch(f"{a.shape} X = {b.shape}")
     dom = a.domain
     if dom.kind == "complex_float":
-        an, bn = a.to_numpy(), b.to_numpy()
-        x = pinv(a, tol).to_numpy() @ bn
+        an, bn = a.data, b.data
+        x = pinv(a, tol).data @ bn
         res = float(np.linalg.norm(an @ x - bn))
         bound = tol.residual_rel_tol * (
             float(np.linalg.norm(an)) * float(np.linalg.norm(x)) + float(np.linalg.norm(bn))
         )
         if res > bound:
             return None
-        return StarMatrix.from_numpy(x)
+        return _ComplexMatrix._adopt(x)
     if not dom.field:
         if dom.kind != "integer_mod":
             raise UnsupportedDomain(f"no solver for {dom!r}")
@@ -407,11 +504,11 @@ def inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix
     if not a.is_square():
         raise ShapeMismatch("only square matrices can be inverted")
     n = a.rows
-    ident = StarMatrix.identity(n, a.domain)
     if a.domain.kind == "complex_float":
         if rank(a, tol) < n:
             return None
-        return StarMatrix.from_numpy(np.linalg.inv(a.to_numpy()))
+        return _ComplexMatrix._adopt(np.linalg.inv(a.data))
+    ident = StarMatrix.identity(n, a.domain)
     x = solve_right(a, ident, tol)
     if x is None:
         return None
@@ -428,13 +525,13 @@ def pinv(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix:
         raise UnsupportedDomain("pinv is the float path; exact domains use solve routes")
     if a.rows == 0 or a.cols == 0:
         return StarMatrix.zeros(a.cols, a.rows, a.domain)
-    arr = a.to_numpy()
-    u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    u, s, vh = np.linalg.svd(a.data, full_matrices=False)
+    keep = s > _svd_cutoff(s, a, tol)
+    if not keep.any():
         return StarMatrix.zeros(a.cols, a.rows, a.domain)
-    cutoff = tol.rank_rel_tol * float(s[0]) * max(a.rows, a.cols)
-    s_inv = np.array([1.0 / x if x > cutoff else 0.0 for x in s])
-    return StarMatrix.from_numpy((vh.conj().T * s_inv) @ u.conj().T)
+    with np.errstate(divide="ignore"):
+        s_inv = np.where(keep, 1.0 / s, 0.0)
+    return _ComplexMatrix._adopt((vh.conj().T * s_inv) @ u.conj().T)
 
 
 def condition_number(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> float:
@@ -443,11 +540,8 @@ def condition_number(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> f
         raise UnsupportedDomain("condition numbers are a float-path notion")
     if a.rows == 0 or a.cols == 0:
         return 1.0
-    s = np.linalg.svd(a.to_numpy(), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 1.0
-    cutoff = tol.rank_rel_tol * float(s[0]) * max(a.rows, a.cols)
-    nz = s[s > cutoff]
+    s = np.linalg.svd(a.data, compute_uv=False)
+    nz = s[s > _svd_cutoff(s, a, tol)]
     return float(s[0] / nz[-1]) if nz.size else 1.0
 
 
@@ -508,12 +602,11 @@ def same_column_space(a: StarMatrix, b: StarMatrix) -> bool:
 
 
 def matrix_to_json(a: StarMatrix) -> dict:
-    enc = a.domain.scalar_to_json
     return {
         "rows": a.rows,
         "cols": a.cols,
         "domain": domain_to_json(a.domain),
-        "data": [[enc(x) for x in r] for r in a.data],
+        "data": a._data_json(),
     }
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: compute / verify / check, exit codes, JSON output."""
 
 import json
+import warnings
 
 import pytest
 
@@ -244,3 +245,17 @@ def test_bad_scalar_exits_one_without_traceback(tmp_path, capsys, domain, data):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_float_overflow_leaves_one_stderr_line(tmp_path, capsys):
+    # 1e-300 * I: the Moore-Penrose residuals overflow inside numpy; the exit
+    # code is not pinned here, only the one-line stderr contract
+    tiny = [[[1e-300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-300, 0.0]]]
+    a = write_matrix(tmp_path / "tiny.json", tiny, domain={"kind": "complex_float"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(["compute", "--kind", "mp", "--a", a])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "RuntimeWarning" not in err
