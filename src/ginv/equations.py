@@ -2,8 +2,9 @@
 
 Each inverse kind is characterized by word equations over the letters
 {a, w, v, d, b, c, x} and their stars ("a*" means the adjoint of a).  The
-same tables drive matrix certification here and exhaustive scanning in the
-finite-ring oracle, so the two paths cannot drift apart.
+same tables drive matrix certification here and the finite-ring oracle,
+whose one scanner (`FiniteStarRing.solve_system`) solves them by exhaustive
+search, so the two paths cannot drift apart.
 """
 
 from __future__ import annotations
@@ -180,15 +181,6 @@ class InverseResult:
     reason: str | None = None
 
 
-def _word_scale(word: Word, env: dict[str, StarMatrix]) -> float:
-    # forward-error magnitude of evaluating the word: product of factor norms
-    s = 1.0
-    for sym in word:
-        m = env[sym[:-1]] if sym.endswith("*") else env[sym]
-        s *= max(1.0, norm_fro(m))
-    return s
-
-
 def system_residuals(
     system: tuple[Equation, ...],
     env: dict[str, StarMatrix],
@@ -199,6 +191,11 @@ def system_residuals(
     matching the solve acceptance bound ||AX-B|| <= tol(||A|| ||X|| + ||B||))."""
     out = {}
     a = env["a"]
+    if not a.domain.exact:
+        # max(1, ||m||) per letter, once per call; the product of a word's
+        # factor norms is the forward-error magnitude of evaluating it
+        letters = {sym.rstrip("*") for _, lhs, rhs in system for sym in lhs + rhs}
+        norms = {k: max(1.0, norm_fro(env[k])) for k in letters}
     for name, lhs, rhs in system:
         left, right = eval_word(lhs, env), eval_word(rhs, env)
         if a.domain.exact:
@@ -208,8 +205,8 @@ def system_residuals(
                 1.0,
                 norm_fro(left),
                 norm_fro(right),
-                _word_scale(lhs, env),
-                _word_scale(rhs, env),
+                math.prod(norms[sym.rstrip("*")] for sym in lhs),
+                math.prod(norms[sym.rstrip("*")] for sym in rhs),
             )
             out[name] = norm_fro(left - right) / scale
     return out

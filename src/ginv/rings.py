@@ -5,6 +5,10 @@ over GF(p), transpose involution), and "prod(spec,spec)" (componentwise).
 Elements are indices into the tables; ring axioms and involution laws are
 verified at construction (exhaustively up to 256 elements, on a fixed
 deterministic sample beyond that).
+
+Every inverse the oracle looks up (`group_inv`, `wcore_solutions`, `along`,
+...) comes from one scanner over the equations of `equations.SYSTEMS`,
+`FiniteStarRing.solve_system`: definitions only, never a theorem it checks.
 """
 
 from __future__ import annotations
@@ -12,25 +16,45 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .domains import _is_prime
+from .equations import SYSTEMS, core_ep_system
 from .errors import PreconditionFailed, TooLarge
 
 DEFAULT_RING_CAP = 6561
 _FULL_AXIOM_CHECK_LIMIT = 256
 _AXIOM_SAMPLES = 20000
+# scanner grid points evaluated per numpy block, and table entries built per
+# block: bounds the memory of the scanner and of the table builders
+_BLOCK = 1 << 16
+
+# the inverse x of a unit a: ax = 1 = xa (the empty word is 1)
+_UNIT = (("U1", ("a", "x"), ()), ("U2", ("x", "a"), ()))
+
+
+def _first(sols):
+    return sols[0] if sols else None
 
 
 class FiniteStarRing:
-    """A finite unital *-ring given by lookup tables over element indices."""
+    """A finite unital *-ring given by lookup tables over element indices.
+
+    The tables may be given as nested lists or arrays; they are kept as lists
+    of Python ints (`add_t`, `mul_t`, `star_t`) and as int32 arrays.
+    """
 
     def __init__(self, spec, size, add, mul, star, zero, one, names):
         self.spec = spec
         self.size = size
-        self.add_t = add
-        self.mul_t = mul
-        self.star_t = star
-        self.zero = zero
-        self.one = one
+        self._add = np.asarray(add, dtype=np.int32)
+        self._mul = np.asarray(mul, dtype=np.int32)
+        self._star = np.asarray(star, dtype=np.int32)
+        self.add_t = self._add.tolist()
+        self.mul_t = self._mul.tolist()
+        self.star_t = self._star.tolist()
+        self.zero = int(zero)
+        self.one = int(one)
         self.names = names
         self.neg_t = self._build_neg()
         self._verify_axioms()
@@ -39,22 +63,17 @@ class FiniteStarRing:
         self._left_ideal: list | None = None
         self._right_ann: list | None = None
         self._left_ann: list | None = None
-        self._inner: list | None = None
         self._projections: tuple | None = None
-        self._memo: dict = {}
+        self._rows: dict = {}
 
     # -- construction helpers --------------------------------------------
 
     def _build_neg(self):
-        neg = [None] * self.size
-        for x in range(self.size):
-            for y in range(self.size):
-                if self.add_t[x][y] == self.zero:
-                    neg[x] = y
-                    break
-            if neg[x] is None:
-                raise PreconditionFailed(f"element {self.names[x]} has no negative")
-        return neg
+        hits = self._add == self.zero
+        missing = np.flatnonzero(~hits.any(axis=1))
+        if missing.size:
+            raise PreconditionFailed(f"element {self.names[missing[0]]} has no negative")
+        return hits.argmax(axis=1).tolist()
 
     def _verify_axioms(self):
         n = self.size
@@ -127,13 +146,8 @@ class FiniteStarRing:
 
     def units(self) -> dict[int, int]:
         if self._units is None:
-            inv = {}
-            for x in range(self.size):
-                for y in range(self.size):
-                    if self.mul_t[x][y] == self.one and self.mul_t[y][x] == self.one:
-                        inv[x] = y
-                        break
-            self._units = inv
+            row = self._row(("unit",), _UNIT, {}, "a")
+            self._units = {x: sols[0] for x, sols in enumerate(row) if sols}
         return self._units
 
     def is_unit(self, x) -> bool:
@@ -142,45 +156,29 @@ class FiniteStarRing:
     def inv_unit(self, x) -> int:
         return self.units()[x]
 
+    # x R is row x of the multiplication table, R x is column x
+
     def right_ideal(self, e) -> frozenset:
         if self._right_ideal is None:
-            self._right_ideal = [
-                frozenset(self.mul_t[x][s] for s in range(self.size))
-                for x in range(self.size)
-            ]
+            self._right_ideal = [frozenset(row) for row in self.mul_t]
         return self._right_ideal[e]
 
     def left_ideal(self, e) -> frozenset:
         if self._left_ideal is None:
-            self._left_ideal = [
-                frozenset(self.mul_t[s][x] for s in range(self.size))
-                for x in range(self.size)
-            ]
+            self._left_ideal = [frozenset(col) for col in self._mul.T.tolist()]
         return self._left_ideal[e]
 
     def right_ann(self, e) -> frozenset:
         if self._right_ann is None:
-            self._right_ann = [
-                frozenset(s for s in range(self.size) if self.mul_t[x][s] == self.zero)
-                for x in range(self.size)
-            ]
+            zero = self._mul == self.zero
+            self._right_ann = [frozenset(np.flatnonzero(row).tolist()) for row in zero]
         return self._right_ann[e]
 
     def left_ann(self, e) -> frozenset:
         if self._left_ann is None:
-            self._left_ann = [
-                frozenset(s for s in range(self.size) if self.mul_t[s][x] == self.zero)
-                for x in range(self.size)
-            ]
+            zero = self._mul == self.zero
+            self._left_ann = [frozenset(np.flatnonzero(col).tolist()) for col in zero.T]
         return self._left_ann[e]
-
-    def inner_inverses(self, a) -> tuple:
-        if self._inner is None:
-            self._inner = [None] * self.size
-        if self._inner[a] is None:
-            mul = self.mul_t
-            self._inner[a] = tuple(x for x in range(self.size) if mul[mul[a][x]][a] == a)
-        return self._inner[a]
 
     def is_regular(self, a) -> bool:
         return bool(self.inner_inverses(a))
@@ -215,157 +213,145 @@ class FiniteStarRing:
     # -- equation scanning ------------------------------------------------------
 
     def solve_system(self, system, env, unknown="x") -> list[int]:
-        """All ring elements satisfying every word equation of the system."""
-        sols = []
-        e = dict(env)
-        for cand in range(self.size):
-            e[unknown] = cand
-            if all(self.word(lhs, e) == self.word(rhs, e) for _, lhs, rhs in system):
-                sols.append(cand)
-        return sols
+        """All ring elements satisfying every word equation of the system.
 
-    def _memoized(self, key, fn):
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
+        env maps every other letter of the system to an element.  Its last
+        letter is scanned together with the unknown, so one call memoizes the
+        solutions for every value of that letter.
+        """
+        *lead, t = env.values()
+        tag = (system, unknown, *env)
+        row = self._rows.get(tag + tuple(lead))
+        if row is None:
+            *letters, trail = env
+            row = self._row(tag, system, {k: env[k] for k in letters}, trail, unknown)
+        return list(row[t])
+
+    def _row(self, tag, system, lead, trail, unknown="x") -> list:
+        """Solution tuples of system for each value of the letter trail, the
+        letters of lead taking their given values; memoized under tag plus
+        the lead values.
+
+        Each letter gets an axis of the evaluation grid: the lead letters
+        first, then trail, then the unknown.  When the whole grid fits in one
+        block, the rows of every lead value are filled at once; otherwise the
+        given lead values are scanned in blocks of trail values.
+        """
+        key = tag + tuple(lead.values())
+        if key in self._rows:
+            return self._rows[key]
+        n, dims = self.size, len(lead) + 2
+        values = [range(n) if n**dims <= _BLOCK else (v,) for v in lead.values()]
+        combos = list(itertools.product(*values))
+        rows = [[()] * n for _ in combos]
+        axis = np.arange(n, dtype=np.int32)
+        env = {unknown: axis.reshape((1,) * (dims - 1) + (n,))}
+        for i, (letter, vs) in enumerate(zip(lead, values)):
+            shape = [-1 if j == i else 1 for j in range(dims)]
+            env[letter] = np.array(vs, dtype=np.int32).reshape(shape)
+        step = max(1, _BLOCK // (n * len(combos)))
+        for lo in range(0, n, step):
+            ts = axis[lo : lo + step]
+            env[trail] = ts.reshape((1,) * (dims - 2) + (-1, 1))
+            keep = np.ones(tuple(map(len, values)) + (len(ts), n), dtype=bool)
+            for _, lhs, rhs in system:
+                keep &= self._eval(lhs, env, unknown) == self._eval(rhs, env, unknown)
+            # grid row r is lead combination r // len(ts) with trail value lo + r % len(ts)
+            keep = keep.reshape(-1, n)
+            xs = keep.nonzero()[1].tolist()
+            ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+            for r, (start, end) in enumerate(zip([0] + ends, ends)):
+                if end > start:
+                    rows[r // len(ts)][lo + r % len(ts)] = tuple(xs[start:end])
+        for combo, row in zip(combos, rows):
+            self._rows[tag + combo] = row
+        return self._rows[key]
+
+    def _eval(self, word, env, unknown):
+        # A run of known letters is multiplied out before it meets the
+        # unknown, so a^m costs m products per letter value, not per grid point.
+        acc = run = None
+        for sym in word:
+            letter = sym[:-1] if sym.endswith("*") else sym
+            v = self._star[env[letter]] if letter != sym else env[letter]
+            if letter == unknown:
+                acc, run = self._times(self._times(acc, run), v), None
+            else:
+                run = self._times(run, v)
+        acc = self._times(acc, run)
+        return self.one if acc is None else acc
+
+    def _times(self, p, q):
+        if p is None or q is None:
+            return q if p is None else p
+        return self._mul.take(p * self.size + q)
+
+    def _solutions(self, name, a) -> tuple:
+        # solutions of the one-letter system SYSTEMS[name]; a memo hit is one
+        # dict lookup and one index
+        return (self._rows.get((name,)) or self._row((name,), SYSTEMS[name], {}, "a"))[a]
+
+    def inner_inverses(self, a) -> tuple:
+        return self._solutions("one", a)
 
     def group_inv(self, a):
-        def compute():
-            mul = self.mul_t
-            for x in range(self.size):
-                ax, xa = mul[a][x], mul[x][a]
-                if ax == xa and mul[ax][a] == a and mul[xa][x] == x:
-                    return x
-            return None
-
-        return self._memoized(("group", a), compute)
+        return _first(self._solutions("group", a))
 
     def mp_inv(self, a):
-        def compute():
-            mul, star = self.mul_t, self.star_t
-            for x in range(self.size):
-                ax, xa = mul[a][x], mul[x][a]
-                if (
-                    mul[ax][a] == a
-                    and mul[xa][x] == x
-                    and star[ax] == ax
-                    and star[xa] == xa
-                ):
-                    return x
-            return None
-
-        return self._memoized(("mp", a), compute)
+        return _first(self._solutions("mp", a))
 
     def core_inv(self, a):
-        def compute():
-            mul, star = self.mul_t, self.star_t
-            for x in range(self.size):
-                ax = mul[a][x]
-                if mul[ax][x] == x and mul[mul[x][a]][a] == a and star[ax] == ax:
-                    return x
-            return None
-
-        return self._memoized(("core", a), compute)
+        return _first(self._solutions("core", a))
 
     def dual_core_inv(self, a):
-        def compute():
-            mul, star = self.mul_t, self.star_t
-            for x in range(self.size):
-                xa = mul[x][a]
-                if mul[x][xa] == x and mul[a][mul[a][x]] == a and star[xa] == xa:
-                    return x
-            return None
-
-        return self._memoized(("dual_core", a), compute)
+        return _first(self._solutions("dual-core", a))
 
     def one_three_set(self, a) -> tuple:
-        def compute():
-            mul, star = self.mul_t, self.star_t
-            return tuple(
-                x
-                for x in range(self.size)
-                if mul[mul[a][x]][a] == a and star[mul[a][x]] == mul[a][x]
-            )
-
-        return self._memoized(("13", a), compute)
+        return self._solutions("one3", a)
 
     def one_four_set(self, a) -> tuple:
-        def compute():
-            mul, star = self.mul_t, self.star_t
-            return tuple(
-                x
-                for x in range(self.size)
-                if mul[mul[a][x]][a] == a and star[mul[x][a]] == mul[x][a]
-            )
-
-        return self._memoized(("14", a), compute)
+        return self._solutions("one4", a)
 
     def along(self, a, d):
-        """Inverse of a along d by definition scan (unique when it exists)."""
-
-        def compute():
-            mul = self.mul_t
-            ds, sd = self.right_ideal(d), self.left_ideal(d)
-            for b in range(self.size):
-                if b not in ds or b not in sd:
-                    continue
-                if mul[mul[b][a]][d] == d and mul[d][mul[a][b]] == d:
-                    return b
-            return None
-
-        return self._memoized(("along", a, d), compute)
+        """Inverse of a along d by definition scan (unique when it exists):
+        the first solution of A1-A2 that lies in dR and in Rd."""
+        row = self._rows.get(("along", d))
+        if row is None:
+            ideal = self.right_ideal(d) & self.left_ideal(d)
+            sols = self._row(("A1-A2",), SYSTEMS["along"], {"d": d}, "a")
+            row = [next((x for x in xs if x in ideal), None) for xs in sols]
+            self._rows[("along", d)] = row
+        return row[a]
 
     def wcore_solutions(self, a, w) -> tuple:
-        def compute():
-            mul, star = self.mul_t, self.star_t
-            aw = mul[a][w]
-            out = []
-            for x in range(self.size):
-                awx = mul[aw][x]
-                if mul[awx][x] == x and mul[mul[x][aw]][a] == a and star[awx] == awx:
-                    out.append(x)
-            return tuple(out)
-
-        return self._memoized(("wcore", a, w), compute)
+        row = self._rows.get(("w-core", a))
+        return (row or self._row(("w-core",), SYSTEMS["w-core"], {"a": a}, "w"))[w]
 
     def wcore(self, a, w):
-        sols = self.wcore_solutions(a, w)
-        return sols[0] if sols else None
+        return _first(self.wcore_solutions(a, w))
 
     def dual_vcore_solutions(self, a, v) -> tuple:
-        def compute():
-            mul, star = self.mul_t, self.star_t
-            va = mul[v][a]
-            ava = mul[a][va]
-            out = []
-            for y in range(self.size):
-                yva = mul[y][va]
-                if mul[y][yva] == y and mul[ava][y] == a and star[yva] == yva:
-                    out.append(y)
-            return tuple(out)
-
-        return self._memoized(("dvcore", a, v), compute)
+        row = self._rows.get(("dual-v-core", a))
+        return (row or self._row(("dual-v-core",), SYSTEMS["dual-v-core"], {"a": a}, "v"))[v]
 
     def dual_vcore(self, a, v):
-        sols = self.dual_vcore_solutions(a, v)
-        return sols[0] if sols else None
+        return _first(self.dual_vcore_solutions(a, v))
 
     def pseudo_core(self, a):
-        """(value, minimal index) of the pseudo-core inverse, or None."""
+        """(value, minimal index) of the pseudo-core inverse, or None.
 
-        def compute():
-            mul, star = self.mul_t, self.star_t
-            p = a  # a^m
-            for m in range(1, self.size + 2):
-                pa = mul[p][a]  # a^(m+1)
-                for x in range(self.size):
-                    ax = mul[a][x]
-                    if mul[x][pa] == p and mul[ax][x] == x and star[ax] == ax:
-                        return (x, m)
-                p = pa
-            return None
-
-        return self._memoized(("pseudo_core", a), compute)
+        The m-th system depends on a only through a^m and a^(m+1), so the
+        search stops once a^m repeats an earlier power.
+        """
+        powers, p = set(), a
+        for m in itertools.count(1):
+            if p in powers:
+                return None
+            sols = self.solve_system(core_ep_system(m), {"a": a})
+            if sols:
+                return (sols[0], m)
+            powers.add(p)
+            p = self.mul_t[p][a]
 
 
 # ---------------------------------------------------------------------------
@@ -384,82 +370,43 @@ def _mat_ring(k: int, p: int) -> FiniteStarRing:
     if not _is_prime(p):
         raise PreconditionFailed(f"gf{p}: {p} is not prime")
     size = p ** (k * k)
-
-    def decode(idx):
-        digits = []
-        for _ in range(k * k):
-            digits.append(idx % p)
-            idx //= p
-        return tuple(tuple(digits[i * k + j] for j in range(k)) for i in range(k))
+    # entry (i, j) of the element with index idx is base-p digit i*k + j of idx
+    weights = p ** np.arange(k * k)
+    mats = (np.arange(size)[:, None] // weights % p).reshape(size, k, k)
 
     def encode(m):
-        idx = 0
-        for i in reversed(range(k)):
-            for j in reversed(range(k)):
-                idx = idx * p + m[i][j]
-        return idx
+        return (m % p).reshape(m.shape[:-2] + (k * k,)) @ weights
 
-    mats = [decode(i) for i in range(size)]
-    add = [
-        [
-            encode(
-                tuple(
-                    tuple((x[i][j] + y[i][j]) % p for j in range(k)) for i in range(k)
-                )
-            )
-            for y in mats
-        ]
-        for x in mats
-    ]
-    mul = []
-    for x in mats:
-        row = []
-        for y in mats:
-            prod = tuple(
-                tuple(sum(x[i][t] * y[t][j] for t in range(k)) % p for j in range(k))
-                for i in range(k)
-            )
-            row.append(encode(prod))
-        mul.append(row)
-    star = [
-        encode(tuple(tuple(m[j][i] for j in range(k)) for i in range(k))) for m in mats
-    ]
-    zero = encode(tuple(tuple(0 for _ in range(k)) for _ in range(k)))
-    one = encode(tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
-    names = [str([list(r) for r in m]) for m in mats]
-    return FiniteStarRing(f"mat:{k}:gf{p}", size, add, mul, star, zero, one, names)
+    add = np.empty((size, size), dtype=np.int64)
+    mul = np.empty((size, size), dtype=np.int64)
+    step = max(1, _BLOCK // (size * k * k))
+    for lo in range(0, size, step):
+        x = mats[lo : lo + step, None]
+        add[lo : lo + step] = encode(x + mats)
+        mul[lo : lo + step] = encode(x @ mats)
+    star = encode(mats.transpose(0, 2, 1))
+    one = encode(np.eye(k, dtype=np.int64))
+    names = [str(m) for m in mats.tolist()]
+    return FiniteStarRing(f"mat:{k}:gf{p}", size, add, mul, star, 0, one, names)
 
 
 def _product_ring(r1: FiniteStarRing, r2: FiniteStarRing) -> FiniteStarRing:
-    n1, n2 = r1.size, r2.size
-    size = n1 * n2
+    n2 = r2.size
+    size = r1.size * n2
 
-    def enc(i, j):
-        return i * n2 + j
+    def pair(t1, t2):
+        # element (i1, i2) has index i1 * n2 + i2
+        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(size, size)
 
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
-    star = [0] * size
-    names = [""] * size
-    for i1 in range(n1):
-        for i2 in range(n2):
-            x = enc(i1, i2)
-            star[x] = enc(r1.star_t[i1], r2.star_t[i2])
-            names[x] = f"({r1.names[i1]},{r2.names[i2]})"
-            for j1 in range(n1):
-                for j2 in range(n2):
-                    y = enc(j1, j2)
-                    add[x][y] = enc(r1.add_t[i1][j1], r2.add_t[i2][j2])
-                    mul[x][y] = enc(r1.mul_t[i1][j1], r2.mul_t[i2][j2])
     return FiniteStarRing(
         f"prod({r1.spec},{r2.spec})",
         size,
-        add,
-        mul,
-        star,
-        enc(r1.zero, r2.zero),
-        enc(r1.one, r2.one),
-        names,
+        pair(r1._add, r2._add),
+        pair(r1._mul, r2._mul),
+        (r1._star[:, None] * n2 + r2._star).ravel(),
+        r1.zero * n2 + r2.zero,
+        r1.one * n2 + r2.one,
+        [f"({x},{y})" for x in r1.names for y in r2.names],
     )
 
 
@@ -475,41 +422,39 @@ def _split_product_args(body: str) -> tuple[str, str]:
     raise PreconditionFailed(f"malformed product spec {body!r}")
 
 
-def _spec_size(spec: str) -> int:
+def _spec_int(text: str, spec: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionFailed(f"malformed number {text!r} in ring spec {spec!r}") from None
+
+
+def _parse_spec(spec: str):
+    """(size, build) for a ring spec; build() constructs the ring."""
     spec = spec.strip()
     if spec.startswith("prod(") and spec.endswith(")"):
-        left, right = _split_product_args(spec[5:-1])
-        return _spec_size(left) * _spec_size(right)
+        (n1, build1), (n2, build2) = map(_parse_spec, _split_product_args(spec[5:-1]))
+        return n1 * n2, lambda: _product_ring(build1(), build2())
     parts = spec.split(":")
     if parts[0] == "zmod" and len(parts) == 2:
-        n = int(parts[1])
+        n = _spec_int(parts[1], spec)
         if n < 2:
             raise PreconditionFailed(f"zmod modulus must be >= 2, got {n}")
-        return n
+        return n, lambda: _zmod_ring(n)
     if parts[0] == "mat" and len(parts) == 3 and parts[2].startswith("gf"):
-        k = int(parts[1])
-        p = int(parts[2][2:])
+        k, p = _spec_int(parts[1], spec), _spec_int(parts[2][2:], spec)
         if k < 1:
             raise PreconditionFailed("matrix size must be >= 1")
-        return p ** (k * k)
+        return p ** (k * k), lambda: _mat_ring(k, p)
     raise PreconditionFailed(f"unknown ring spec {spec!r}")
 
 
 def enumerate_ring(spec: str, cap: int = DEFAULT_RING_CAP) -> FiniteStarRing:
     """Build the ring described by spec; refuses rings larger than cap."""
-    size = _spec_size(spec)
+    size, build = _parse_spec(spec)
     if size > cap:
         raise TooLarge(f"ring {spec} has {size} elements, cap is {cap}")
-    spec = spec.strip()
-    if spec.startswith("prod(") and spec.endswith(")"):
-        left, right = _split_product_args(spec[5:-1])
-        return _product_ring(enumerate_ring(left, cap), enumerate_ring(right, cap))
-    parts = spec.split(":")
-    if parts[0] == "zmod":
-        return _zmod_ring(int(parts[1]))
-    k = int(parts[1])
-    p = int(parts[2][2:])
-    return _mat_ring(k, p)
+    return build()
 
 
 def solve_equations(ring: FiniteStarRing, system, env: dict, unknown: str = "x"):

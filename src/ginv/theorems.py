@@ -15,11 +15,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .equations import SYSTEMS, core_ep_system
 from .errors import UnknownTheorem
 from .rings import FiniteStarRing
 
 _MAX_CE = 10
 TRIPLE_SIZE_LIMIT = 16
+_B3 = SYSTEMS["bc"][2:]  # xax = x: x is an outer inverse of a
 
 
 @dataclass
@@ -84,7 +86,7 @@ def _chk_uniqueness(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_added_lemma(ring: FiniteStarRing, col: _Collector):
-    mul, star = ring.mul_t, ring.star_t
+    mul = ring.mul_t
     for a in range(ring.size):
         for w in range(ring.size):
             col.tick()
@@ -95,9 +97,7 @@ def _chk_added_lemma(ring: FiniteStarRing, col: _Collector):
                     col.fail("derived equation awxa = a fails", a=a, w=w, x=x)
                 if mul[mul[x][aw]][x] != x:
                     col.fail("derived equation xawx = x fails", a=a, w=w, x=x)
-                z = mul[w][x]
-                az = mul[a][z]
-                if not (mul[az][a] == a and mul[mul[z][a]][z] == z and star[az] == az):
+                if mul[w][x] not in ring.solve_system(SYSTEMS["one23"], {"a": a}):
                     col.fail("wx is not a {1,2,3}-inverse of a", a=a, w=w, x=x)
             if col.full():
                 return
@@ -114,19 +114,10 @@ def _chk_characteristic_ew(ring: FiniteStarRing, col: _Collector):
             col.tick()
             aw = mul[a][w]
             c1 = bool(ring.wcore_solutions(a, w))
-            c2 = c3 = c4 = c5 = False
+            c2 = bool(ring.solve_system(SYSTEMS["w-core-full"], {"a": a, "w": w}))
+            c3 = c4 = c5 = False
             for x in range(n):
-                awx = mul[aw][x]
-                xaw = mul[x][aw]
-                if not c2 and (
-                    mul[awx][a] == a
-                    and mul[xaw][x] == x
-                    and star[awx] == awx
-                    and mul[xaw][a] == a
-                    and mul[awx][x] == x
-                ):
-                    c2 = True
-                if mul[awx][a] == a:
+                if mul[mul[aw][x]][a] == a:
                     if not c3 and ring.right_ideal(x) == ri_a and ring.left_ideal(x) == li_sa:
                         c3 = True
                     if ring.left_ann(x) == la_a:
@@ -151,19 +142,10 @@ def _chk_characteristic_vf(ring: FiniteStarRing, col: _Collector):
             col.tick()
             va = mul[v][a]
             c1 = bool(ring.dual_vcore_solutions(a, v))
-            c2 = c3 = c4 = c5 = False
+            c2 = bool(ring.solve_system(SYSTEMS["dual-v-core-full"], {"a": a, "v": v}))
+            c3 = c4 = c5 = False
             for y in range(n):
-                yva = mul[y][va]
-                ayva = mul[a][yva]
-                if not c2 and (
-                    ayva == a
-                    and mul[yva][y] == y
-                    and star[yva] == yva
-                    and mul[mul[a][va]][y] == a
-                    and mul[y][yva] == y
-                ):
-                    c2 = True
-                if ayva == a:
+                if mul[a][mul[y][va]] == a:
                     if not c3 and ring.right_ideal(y) == ri_sa and ring.left_ideal(y) == li_a:
                         c3 = True
                     if ring.right_ann(y) == ra_a:
@@ -178,34 +160,22 @@ def _chk_characteristic_vf(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_core_char(ring: FiniteStarRing, col: _Collector):
-    mul, star = ring.mul_t, ring.star_t
-    n = ring.size
-    for a in range(n):
+    for a in range(ring.size):
         col.tick()
-        sa = star[a]
+        sa = ring.star_t[a]
         ri_a, li_sa = ring.right_ideal(a), ring.left_ideal(sa)
         la_a, ra_sa = ring.left_ann(a), ring.right_ann(sa)
         c1 = ring.core_inv(a) is not None
-        c2 = c3 = c4 = c5 = False
-        for x in range(n):
-            ax = mul[a][x]
-            axa = mul[ax][a]
-            if not c2 and (
-                axa == a
-                and mul[mul[x][a]][x] == x
-                and star[ax] == ax
-                and mul[mul[x][a]][a] == a
-                and mul[ax][x] == x
-            ):
-                c2 = True
-            if axa == a:
-                if not c3 and ring.right_ideal(x) == ri_a and ring.left_ideal(x) == li_sa:
-                    c3 = True
-                if ring.left_ann(x) == la_a:
-                    if not c4 and ring.right_ann(x) == ra_sa:
-                        c4 = True
-                    if not c5 and ra_sa <= ring.right_ann(x):
-                        c5 = True
+        c2 = bool(ring.solve_system(SYSTEMS["core5"], {"a": a}))
+        c3 = c4 = c5 = False
+        for x in ring.inner_inverses(a):
+            if not c3 and ring.right_ideal(x) == ri_a and ring.left_ideal(x) == li_sa:
+                c3 = True
+            if ring.left_ann(x) == la_a:
+                if not c4 and ring.right_ann(x) == ra_sa:
+                    c4 = True
+                if not c5 and ra_sa <= ring.right_ann(x):
+                    c5 = True
         if not (c1 == c2 == c3 == c4 == c5):
             col.fail(f"core conditions (i)-(v) split as {(c1, c2, c3, c4, c5)}", a=a)
         if col.full():
@@ -347,20 +317,12 @@ def _chk_extended_repre(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_core_another(ring: FiniteStarRing, col: _Collector):
-    mul, star = ring.mul_t, ring.star_t
     for a in range(ring.size):
         col.tick()
         c1 = ring.core_inv(a) is not None
         c2 = ring.group_inv(a) is not None and bool(ring.one_three_set(a))
         c3 = bool(ring.wcore_solutions(a, a))
-        c4 = False
-        a2 = mul[a][a]
-        a3 = mul[a2][a]
-        for x in range(ring.size):
-            a2x = mul[a2][x]
-            if mul[a2x][x] == x and mul[x][a3] == a and star[a2x] == a2x:
-                c4 = True
-                break
+        c4 = bool(ring.solve_system(SYSTEMS["a-core"], {"a": a}))
         if not (c1 == c2 == c3 == c4):
             col.fail(f"(i)-(iv) split as {(c1, c2, c3, c4)}", a=a)
         if c1 and c3:
@@ -375,21 +337,13 @@ def _chk_core_another(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_core_another_1(ring: FiniteStarRing, col: _Collector):
-    mul, star = ring.mul_t, ring.star_t
     for a in range(ring.size):
         pc = ring.pseudo_core(a)
         for n_exp in (1, 2, 3):
             col.tick()
             an = ring.pow(a, n_exp)
-            an1 = mul[an][a]
-            pcn = False
-            x0 = None
-            for x in range(ring.size):
-                ax = mul[a][x]
-                if mul[x][an1] == an and mul[ax][x] == x and star[ax] == ax:
-                    pcn = True
-                    x0 = x
-                    break
+            x0 = next(iter(ring.solve_system(core_ep_system(n_exp), {"a": a})), None)
+            pcn = x0 is not None
             c2 = bool(ring.wcore_solutions(an, a))
             c3 = ring.core_inv(an) is not None
             if not (pcn == c2 == c3):
@@ -518,10 +472,8 @@ def _chk_relations_bc(ring: FiniteStarRing, col: _Collector):
             aw = mul[a][w]
             bc = [
                 y
-                for y in range(n)
-                if mul[mul[y][aw]][y] == y
-                and ring.right_ideal(y) == ri_a
-                and ring.left_ideal(y) == li_sa
+                for y in ring.solve_system(_B3, {"a": aw})
+                if ring.right_ideal(y) == ri_a and ring.left_ideal(y) == li_sa
             ]
             ex = bool(ring.wcore_solutions(a, w))
             if ex != bool(bc):
@@ -531,10 +483,8 @@ def _chk_relations_bc(ring: FiniteStarRing, col: _Collector):
             va = mul[w][a]
             bcd = [
                 y
-                for y in range(n)
-                if mul[mul[y][va]][y] == y
-                and ring.right_ideal(y) == ri_sa
-                and ring.left_ideal(y) == li_a
+                for y in ring.solve_system(_B3, {"a": va})
+                if ring.right_ideal(y) == ri_sa and ring.left_ideal(y) == li_a
             ]
             exd = bool(ring.dual_vcore_solutions(a, w))
             if exd != bool(bcd):

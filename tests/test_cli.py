@@ -173,6 +173,14 @@ def test_verify_bad_ring():
     assert run(["verify", "--ring", "nonsense"]) == 1
 
 
+@pytest.mark.parametrize("spec", ["zmod:abc", "mat:2:gfx", "zmod:"])
+def test_verify_malformed_ring_number(capsys, spec):
+    assert run(["verify", "--ring", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("ginv verify: bad ring spec:") and repr(spec) in err
+
+
 def test_verify_unknown_theorem():
     assert run(["verify", "--ring", "zmod:2", "--theorem", "nope"]) == 1
 

@@ -155,3 +155,28 @@ def test_w_core_never_uses_scalar_arithmetic(monkeypatch):
     res = w_core(a, w)
     assert res.exists and res.certificate.ok
     assert close(entries(res.value), [[1, 0], [0, 0]], tol=1e-9)
+
+
+def test_residual_scales_match_factor_by_factor_norms():
+    # system_residuals computes each letter's norm once per call; the scale
+    # must equal the product taken afresh for every factor of every word
+    from ginv.equations import SYSTEMS, core_ep_system, eval_word, system_residuals
+    from ginv.matrix import norm_fro
+
+    rng = random.Random(11)
+    # some letters have norm below 1, where the max(1, .) floor matters
+    factors = {"a": 1, "w": 0.05, "v": 3, "x": 0.2}
+    env = {k: build(rand_lists(rng, 3, 3), 3, 3).scale(c) for k, c in factors.items()}
+    systems = [SYSTEMS["w-core-full"], SYSTEMS["dual-v-core-full"], SYSTEMS["mp"], core_ep_system(2)]
+    for system in systems:
+        got = system_residuals(system, env)
+        for name, lhs, rhs in system:
+            left, right = eval_word(lhs, env), eval_word(rhs, env)
+            scales = []
+            for word in (lhs, rhs):
+                s = 1.0
+                for sym in word:
+                    s *= max(1.0, norm_fro(env[sym.rstrip("*")]))
+                scales.append(s)
+            scale = max(1.0, norm_fro(left), norm_fro(right), *scales)
+            assert got[name] == norm_fro(left - right) / scale
