@@ -22,18 +22,38 @@ def _fraction_from_json(obj, what: str) -> Fraction:
         raise DomainMismatch(f"bad {what} scalar {obj!r}: zero denominator") from None
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_EXACT_BELOW:  # beyond the proven range: trial division
+        f = 43
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -2,7 +2,10 @@
 
 Exact fields (rationals, Gaussian rationals, GF(p)) use deterministic
 Gaussian elimination with first-nonzero-column / first-nonzero-row pivoting,
-so factorizations and particular solutions are reproducible.  ComplexFloat
+so factorizations and particular solutions are reproducible.  Products and
+elimination over the exact domains run in per-domain kernels: fraction-free
+integer arithmetic over Q and Q(i), numpy residue arrays over GF(p) and Z/nZ.
+Their entries stay Fraction, GaussianRational or int.  ComplexFloat
 decisions (rank, solvability, projection tests) all go through SVD with
 ToleranceThresholds; Gaussian-elimination rank is never used in float.
 ComplexFloat matrices hold one read-only complex128 array, so their sums,
@@ -15,12 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .domains import (
     COMPLEX_FLOAT,
+    GaussianRational,
     ScalarDomain,
     domain_from_json,
     domain_to_json,
@@ -122,7 +128,7 @@ class StarMatrix:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
         return self._matmul(other)
 
-    # -- generic kernels: scalar loops through the domain's operations --------
+    # -- exact kernels: entrywise ops loop over scalars; products use _PRODUCTS
 
     def _zip(self, other, op):
         data = tuple(
@@ -146,19 +152,7 @@ class StarMatrix:
         dom = self.domain
         if self.cols == 0:  # empty inner dimension: zero product by convention
             return StarMatrix.zeros(self.rows, other.cols, dom)
-        add, mul, zero = dom.add, dom.mul, dom.zero()
-        bt = tuple(zip(*other.data)) if other.data else ()
-        out = []
-        for r in self.data:
-            row = []
-            for c in range(other.cols):
-                col = bt[c]
-                acc = zero
-                for x, y in zip(r, col):
-                    acc = add(acc, mul(x, y))
-                row.append(acc)
-            out.append(tuple(row))
-        return StarMatrix(self.rows, other.cols, tuple(out), dom)
+        return StarMatrix(self.rows, other.cols, _PRODUCTS[dom.kind](self, other), dom)
 
     def scale(self, c) -> "StarMatrix":
         c = self.domain.coerce(c)
@@ -205,10 +199,8 @@ class StarMatrix:
         return self._same_entries(other)
 
     def _same_entries(self, other) -> bool:
-        eq = self.domain.eq
-        return all(
-            eq(x, y) for r1, r2 in zip(self.data, other.data) for x, y in zip(r1, r2)
-        )
+        # exact scalars compare with ==, so the row tuples can compare whole
+        return self.data == other.data
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.data))
@@ -328,41 +320,191 @@ def allclose(a: StarMatrix, b: StarMatrix, tol: ToleranceThresholds = DEFAULT_TO
 
 
 # ---------------------------------------------------------------------------
-# exact elimination (fields only)
+# exact kernels: one product and one elimination per exact domain kind.  They
+# compute on integers (Q, Q(i)) or numpy residue arrays (GF(p), Z/n) and hand
+# back domain scalars, never calling the domain's scalar operations.
 
 
-def _rref(rows: list[list], domain: ScalarDomain, width: int):
-    """In-place reduced row echelon form on the first `width` columns.
+def _scaled_rationals(vectors):
+    """Each vector of rationals as (integers, d) with vector = integers / d."""
+    out = []
+    for v in vectors:
+        pairs = [x.as_integer_ratio() for x in v]
+        d = math.lcm(*[q for _, q in pairs])
+        out.append(([n * (d // q) for n, q in pairs], d))
+    return out
 
-    Columns >= width (augmented part) are carried along.  Returns pivot
-    column indices.  Deterministic: first nonzero column, first nonzero row.
+
+def _scaled_gaussians(vectors):
+    """Each vector of Gaussian rationals as (re integers, im integers, d)."""
+    out = []
+    for v in vectors:
+        re = [x.re.as_integer_ratio() for x in v]
+        im = [x.im.as_integer_ratio() for x in v]
+        d = math.lcm(*[q for _, q in re], *[q for _, q in im])
+        out.append(([n * (d // q) for n, q in re], [n * (d // q) for n, q in im], d))
+    return out
+
+
+def _residues(rows, p: int, terms: int) -> np.ndarray:
+    """Residues mod p as an int64 array, or as Python ints (dtype object) when
+    a sum of `terms` products of residues could overflow int64."""
+    return np.array(rows, dtype=np.int64 if terms * (p - 1) ** 2 < 2**63 else object)
+
+
+def _rational_product(a: StarMatrix, b: StarMatrix) -> tuple:
+    cols = _scaled_rationals(zip(*b.data))
+    return tuple(
+        tuple(Fraction(sum(map(operator.mul, x, y)), dx * dy) for y, dy in cols)
+        for x, dx in _scaled_rationals(a.data)
+    )
+
+
+def _gaussian_product(a: StarMatrix, b: StarMatrix) -> tuple:
+    mul = operator.mul
+    cols = _scaled_gaussians(zip(*b.data))
+    out = []
+    for xr, xi, dx in _scaled_gaussians(a.data):
+        row = []
+        for yr, yi, dy in cols:
+            re = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
+            im = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
+            row.append(GaussianRational(Fraction(re, dx * dy), Fraction(im, dx * dy)))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _modular_product(a: StarMatrix, b: StarMatrix) -> tuple:
+    p = a.domain.modulus
+    x = _residues(a.data, p, a.cols).reshape(a.rows, a.cols)
+    y = _residues(b.data, p, a.cols).reshape(b.rows, b.cols)
+    return tuple(map(tuple, (x @ y % p).tolist()))
+
+
+_PRODUCTS = {
+    "rational": _rational_product,
+    "gaussian_rational": _gaussian_product,
+    "prime_field": _modular_product,
+    "integer_mod": _modular_product,
+}
+
+
+def _fraction_free_rref(rows: list, width: int, lead, combine) -> list[int]:
+    """Gauss-Jordan elimination without division, in place; returns the pivots.
+
+    lead(row, c) is the entry in column c, falsy iff it is zero.
+    combine(row, ref, c) is a nonzero multiple of row - (row[c]/ref[c]) ref.
+    Every row therefore stays a nonzero multiple of the row that elimination
+    with division would hold: the zero patterns, pivots and swaps are the same.
     """
-    is_zero, inv, mul, sub = domain.is_zero, domain.inv, domain.mul, domain.sub
     m = len(rows)
     pivots: list[int] = []
-    r = 0
     for c in range(width):
-        pr = None
-        for i in range(r, m):
-            if not is_zero(rows[i][c]):
-                pr = i
-                break
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if lead(rows[i], c)), None)
         if pr is None:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv_inv = inv(rows[r][c])
-        rows[r] = [mul(piv_inv, v) for v in rows[r]]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        ref = rows[r]
         for i in range(m):
-            if i != r and not is_zero(rows[i][c]):
-                f = rows[i][c]
-                ref = rows[r]
-                rows[i] = [sub(v, mul(f, w)) for v, w in zip(rows[i], ref)]
+            if i != r and lead(rows[i], c):
+                rows[i] = combine(rows[i], ref, c)
         pivots.append(c)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
     return pivots
+
+
+def _combine_integers(row, ref, c):
+    g = math.gcd(row[c], ref[c])
+    f, p = row[c] // g, ref[c] // g
+    new = [p * v - f * w for v, w in zip(row, ref)]
+    g = math.gcd(*new)  # content: keeps the integers small
+    return [v // g for v in new] if g > 1 else new
+
+
+def _combine_gaussian(row, ref, c):
+    (xr, xi), (yr, yi) = row, ref
+    g = math.gcd(xr[c], xi[c], yr[c], yi[c])
+    fr, fi, pr, pi = xr[c] // g, xi[c] // g, yr[c] // g, yi[c] // g
+    # (pr + pi i) x - (fr + fi i) y, entry by entry
+    re = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xr, xi, yr, yi)]
+    im = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, yr, yi)]
+    g = math.gcd(*re, *im)
+    if g > 1:
+        re, im = [v // g for v in re], [v // g for v in im]
+    return re, im
+
+
+def _rational_rref(rows, domain, width):
+    ints = [x for x, _ in _scaled_rationals(rows)]
+    pivots = _fraction_free_rref(ints, width, operator.getitem, _combine_integers)
+    r = len(pivots)
+    reduced = [[Fraction(v, row[c]) for v in row] for row, c in zip(ints, pivots)]
+    return pivots, reduced, not any(map(any, ints[r:]))
+
+
+def _gaussian_rref(rows, domain, width):
+    ints = [(re, im) for re, im, _ in _scaled_gaussians(rows)]
+    pivots = _fraction_free_rref(
+        ints, width, lambda row, c: row[0][c] or row[1][c], _combine_gaussian
+    )
+    r = len(pivots)
+    reduced = []
+    for (re, im), c in zip(ints, pivots):
+        pr, pi = re[c], im[c]
+        n = pr * pr + pi * pi  # v / p = v conj(p) / |p|^2
+        reduced.append(
+            [
+                GaussianRational(Fraction(a * pr + b * pi, n), Fraction(b * pr - a * pi, n))
+                for a, b in zip(re, im)
+            ]
+        )
+    return pivots, reduced, not any(any(re) or any(im) for re, im in ints[r:])
+
+
+def _modular_rref(rows, domain, width):
+    p = domain.modulus
+    t = _residues(rows, p, 1)
+    m = len(rows)
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        nz = np.flatnonzero(t[r:, c])
+        if not nz.size:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            t[[r, pr]] = t[[pr, r]]
+        t[r] = t[r] * pow(int(t[r, c]), -1, p) % p
+        f = t[:, c].copy()
+        f[r] = 0
+        t = (t - np.outer(f, t[r])) % p
+        pivots.append(c)
+        if len(pivots) == m:
+            break
+    r = len(pivots)
+    return pivots, t[:r].tolist(), not np.count_nonzero(t[r:])
+
+
+_ELIMINATIONS = {
+    "rational": _rational_rref,
+    "gaussian_rational": _gaussian_rref,
+    "prime_field": _modular_rref,
+}
+
+
+def _rref(rows, domain: ScalarDomain, width: int):
+    """Reduced row echelon form of `rows` (an exact field) on their first
+    `width` columns.
+
+    Columns >= width (augmented part) are carried along.  Returns the pivot
+    columns, the pivot rows of the RREF as domain scalars, and whether every
+    other row is zero.  Deterministic: first nonzero column, first nonzero row.
+    """
+    if not rows:
+        return [], [], True
+    return _ELIMINATIONS[domain.kind](rows, domain, width)
 
 
 def _require_solvable_domain(a: StarMatrix):
@@ -387,8 +529,7 @@ def rank(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
         return int(np.count_nonzero(s > _svd_cutoff(s, a, tol)))
     if not dom.field:
         raise UnsupportedDomain(f"rank is not defined over {dom!r}")
-    rows = [list(r) for r in a.data]
-    return len(_rref(rows, dom, a.cols))
+    return len(_rref(a.data, dom, a.cols)[0])
 
 
 def full_rank_factorize(
@@ -408,11 +549,10 @@ def full_rank_factorize(
         return RankFactorization(f, g, r)
     if not dom.field:
         raise UnsupportedDomain(f"full-rank factorization unavailable over {dom!r}")
-    rows = [list(r) for r in a.data]
-    pivots = _rref(rows, dom, a.cols)
+    pivots, reduced, _ = _rref(a.data, dom, a.cols)
     r = len(pivots)
     f = StarMatrix(a.rows, r, tuple(tuple(row[c] for c in pivots) for row in a.data), dom)
-    g = StarMatrix(r, a.cols, tuple(tuple(rows[i]) for i in range(r)), dom)
+    g = StarMatrix(r, a.cols, tuple(map(tuple, reduced)), dom)
     return RankFactorization(f, g, r)
 
 
@@ -476,19 +616,15 @@ def solve_right(
         if dom.kind != "integer_mod":
             raise UnsupportedDomain(f"no solver for {dom!r}")
         return _brute_solve_right(a, b)
-    rows = [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
-    pivots = _rref(rows, dom, a.cols)
-    r = len(pivots)
-    is_zero = dom.is_zero
-    for i in range(r, a.rows):
-        if any(not is_zero(rows[i][a.cols + j]) for j in range(b.cols)):
-            return None
+    augmented = [ra + rb for ra, rb in zip(a.data, b.data)]
+    pivots, reduced, consistent = _rref(augmented, dom, a.cols)
+    if not consistent:
+        return None
     zero = dom.zero()
-    xdata = [[zero] * b.cols for _ in range(a.cols)]
-    for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            xdata[pc][j] = rows[i][a.cols + j]
-    return StarMatrix(a.cols, b.cols, tuple(tuple(r) for r in xdata), dom)
+    xdata = [(zero,) * b.cols] * a.cols
+    for row, pc in zip(reduced, pivots):
+        xdata[pc] = tuple(row[a.cols :])
+    return StarMatrix(a.cols, b.cols, tuple(xdata), dom)
 
 
 def solve_left(
@@ -562,8 +698,7 @@ def right_nullspace(a: StarMatrix) -> StarMatrix:
     dom = a.domain
     if not (dom.exact and dom.field):
         raise UnsupportedDomain("nullspace basis requires an exact field")
-    rows = [list(r) for r in a.data]
-    pivots = _rref(rows, dom, a.cols)
+    pivots, reduced, _ = _rref(a.data, dom, a.cols)
     pivset = set(pivots)
     free = [c for c in range(a.cols) if c not in pivset]
     zero, one, neg = dom.zero(), dom.one(), dom.neg
@@ -571,8 +706,8 @@ def right_nullspace(a: StarMatrix) -> StarMatrix:
     for f in free:
         vec = [zero] * a.cols
         vec[f] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = neg(rows[i][f])
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = neg(row[f])
         cols.append(vec)
     data = tuple(tuple(cols[j][i] for j in range(len(free))) for i in range(a.cols))
     return StarMatrix(a.cols, len(free), data, dom)

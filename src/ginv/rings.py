@@ -25,6 +25,9 @@ from .errors import PreconditionFailed, TooLarge
 DEFAULT_RING_CAP = 6561
 _FULL_AXIOM_CHECK_LIMIT = 256
 _AXIOM_SAMPLES = 20000
+# axiom-check grid points (or sampled triples) per numpy batch: bounds the
+# memory of the check; a batch holds at least one whole x-slice
+_AXIOM_BLOCK = 2048
 # scanner grid points evaluated per numpy block, and table entries built per
 # block: bounds the memory of the scanner and of the table builders
 _BLOCK = 1 << 16
@@ -35,6 +38,25 @@ _UNIT = (("U1", ("a", "x"), ()), ("U2", ("x", "a"), ()))
 
 def _first(sols):
     return sols[0] if sols else None
+
+
+def _x_blocks(n: int, per_x: int):
+    """Column vectors of consecutive x, each at most _AXIOM_BLOCK grid points
+    unless one x alone has more."""
+    step = max(1, _AXIOM_BLOCK // per_x)
+    for x0 in range(0, n, step):
+        yield np.arange(x0, min(n, x0 + step))[:, None]
+
+
+def _raise_first(*checks):
+    """checks: (mask, message) pairs that broadcast to one grid, True where a
+    law fails.  Raise the message of the first failing law at the first
+    failing point of the grid, in C order."""
+    masks = [m.ravel() for m in np.broadcast_arrays(*(mask for mask, _ in checks))]
+    failing = np.logical_or.reduce(masks)
+    if failing.any():
+        at = int(failing.argmax())
+        raise PreconditionFailed(next(msg for m, (_, msg) in zip(masks, checks) if m[at]))
 
 
 class FiniteStarRing:
@@ -76,38 +98,45 @@ class FiniteStarRing:
         return hits.argmax(axis=1).tolist()
 
     def _verify_axioms(self):
+        """Check the ring and involution laws over the int32 tables.
+
+        The laws are checked on numpy grids in blocks of whole x-slices: the
+        element and pair laws for every x, then the triple laws for every x,
+        or for a fixed random sample of triples beyond
+        _FULL_AXIOM_CHECK_LIMIT elements.  The error names the first failing
+        law in x, y, z order, as a loop over the elements would.
+        """
         n = self.size
-        add, mul, star = self.add_t, self.mul_t, self.star_t
+        add, mul, star = self._add, self._mul, self._star
         zero, one = self.zero, self.one
-        for x in range(n):
-            if add[x][zero] != x or mul[x][one] != x or mul[one][x] != x:
-                raise PreconditionFailed("identity axioms fail")
-            if star[star[x]] != x:
-                raise PreconditionFailed("involution is not involutive")
-            for y in range(n):
-                if add[x][y] != add[y][x]:
-                    raise PreconditionFailed("addition is not commutative")
-                if star[add[x][y]] != add[star[x]][star[y]]:
-                    raise PreconditionFailed("involution is not additive")
-                if star[mul[x][y]] != mul[star[y]][star[x]]:
-                    raise PreconditionFailed("involution is not anti-multiplicative")
-        if n <= _FULL_AXIOM_CHECK_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_AXIOM_SAMPLES)
+        y = np.arange(n)
+        for x in _x_blocks(n, n):  # axis 0 is x, axis 1 is y
+            unit_laws = (add[x, zero] != x) | (mul[x, one] != x) | (mul[one, x] != x)
+            _raise_first(
+                (unit_laws, "identity axioms fail"),
+                (star[star[x]] != x, "involution is not involutive"),
+                (add[x, y] != add[y, x], "addition is not commutative"),
+                (star[add[x, y]] != add[star[x], star[y]], "involution is not additive"),
+                (star[mul[x, y]] != mul[star[y], star[x]], "involution is not anti-multiplicative"),
             )
-        for x, y, z in triples:
-            if add[add[x][y]][z] != add[x][add[y][z]]:
-                raise PreconditionFailed("addition is not associative")
-            if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                raise PreconditionFailed("multiplication is not associative")
-            if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
-                raise PreconditionFailed("left distributivity fails")
-            if mul[add[x][y]][z] != add[mul[x][z]][mul[y][z]]:
-                raise PreconditionFailed("right distributivity fails")
+        if n <= _FULL_AXIOM_CHECK_LIMIT:
+            for x in _x_blocks(n, n * n):
+                self._check_triples(x[:, :, None], y[:, None], y[None, :])
+            return
+        rng = random.Random(0)
+        for start in range(0, _AXIOM_SAMPLES, _AXIOM_BLOCK):
+            k = min(_AXIOM_BLOCK, _AXIOM_SAMPLES - start)
+            self._check_triples(*np.array([rng.randrange(n) for _ in range(3 * k)]).reshape(k, 3).T)
+
+    def _check_triples(self, x, y, z):
+        # x, y, z broadcast to one grid of triples
+        add, mul = self._add, self._mul
+        _raise_first(
+            (add[add[x, y], z] != add[x, add[y, z]], "addition is not associative"),
+            (mul[mul[x, y], z] != mul[x, mul[y, z]], "multiplication is not associative"),
+            (mul[x, add[y, z]] != add[mul[x, y], mul[x, z]], "left distributivity fails"),
+            (mul[add[x, y], z] != add[mul[x, z], mul[y, z]], "right distributivity fails"),
+        )
 
     # -- elementary operations ---------------------------------------------
 

@@ -102,6 +102,22 @@ def test_prime_field_rejects_composites():
         prime_field(1)
 
 
+def test_primality_matches_trial_division():
+    from ginv.domains import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(20000) if _is_prime(n) != trial(n)] == []
+    # Mersenne primes, a Carmichael number, and strong pseudoprimes to the
+    # bases 2; 2..7; 2..23; 2..37
+    for n in (2**31 - 1, 2**61 - 1):
+        assert _is_prime(n)
+    for n in (561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert prime_field(2**61 - 1).modulus == 2**61 - 1
+
+
 def test_integer_mod_rejects_small_modulus():
     with pytest.raises(ValueError):
         integer_mod(1)

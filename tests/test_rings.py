@@ -250,3 +250,150 @@ def test_pair_catalog_on_mat2_gf3():
         rep = verify_theorem(ring, tid)
         assert not rep.skipped and rep.counterexamples == [], tid
         assert rep.instances_checked == MAT2_GF3_INSTANCES[tid], tid
+
+
+# ---------------------------------------------------------------------------
+# axiom checks against the element-by-element loop
+
+
+def reference_axioms(add, mul, star, zero, one):
+    """The first failing law, in x, y, z order, or None (one scalar check at a time)."""
+    n = len(star)
+    for x in range(n):
+        if add[x][zero] != x or mul[x][one] != x or mul[one][x] != x:
+            return "identity axioms fail"
+        if star[star[x]] != x:
+            return "involution is not involutive"
+        for y in range(n):
+            if add[x][y] != add[y][x]:
+                return "addition is not commutative"
+            if star[add[x][y]] != add[star[x]][star[y]]:
+                return "involution is not additive"
+            if star[mul[x][y]] != mul[star[y]][star[x]]:
+                return "involution is not anti-multiplicative"
+    if n <= rings._FULL_AXIOM_CHECK_LIMIT:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(0)
+        triples = (
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            for _ in range(rings._AXIOM_SAMPLES)
+        )
+    for x, y, z in triples:
+        if add[add[x][y]][z] != add[x][add[y][z]]:
+            return "addition is not associative"
+        if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+            return "multiplication is not associative"
+        if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+            return "left distributivity fails"
+        if mul[add[x][y]][z] != add[mul[x][z]][mul[y][z]]:
+            return "right distributivity fails"
+    return None
+
+
+ORDER = ("add", "mul", "star", "zero", "one", "names")
+TRIPLE_LAWS = {
+    "addition is not associative",
+    "multiplication is not associative",
+    "left distributivity fails",
+    "right distributivity fails",
+}
+
+
+def axiom_message(tables):
+    try:
+        rings.FiniteStarRing("t", len(tables["star"]), *(tables[k] for k in ORDER))
+    except rings.PreconditionFailed as exc:
+        return str(exc)
+    return None
+
+
+def reference_message(tables):
+    return reference_axioms(*(tables[k] for k in ORDER[:5]))
+
+
+def ring_tables(spec):
+    ring = enumerate_ring(spec)
+    tables = {"add": ring.add_t, "mul": ring.mul_t, "star": ring.star_t}
+    return {**tables, "zero": ring.zero, "one": ring.one, "names": ring.names}
+
+
+def break_mul(t, x, y, v):
+    # change xy and its star image together: the pair laws still hold, so
+    # only the triple laws can catch it
+    s = t["star"]
+    t["mul"][x][y], t["mul"][s[y]][s[x]] = v, s[v]
+
+
+def corrupt(tables, rng, entries):
+    """A copy of the tables with `entries` random changes.  No zero leaves
+    the add table, so every element keeps a negative."""
+    t = {**tables, "star": list(tables["star"])}
+    t["add"], t["mul"] = [list(r) for r in tables["add"]], [list(r) for r in tables["mul"]]
+    n = len(t["star"])
+    for _ in range(entries):
+        which = rng.choice(["add", "mul", "mul", "star", "mul and star image"])
+        x, y, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if which == "star":
+            t["star"][x] = v
+        elif which == "mul and star image":
+            break_mul(t, x, y, v)
+        elif which == "add":
+            if t["add"][x][y] != t["zero"]:
+                t["add"][x][y] = v
+        else:
+            t["mul"][x][y] = v
+    return t
+
+
+@pytest.mark.parametrize("spec", ["zmod:12", "mat:2:gf2", "prod(zmod:2,zmod:3)"])
+@pytest.mark.parametrize("entries", [1, 2])
+@pytest.mark.parametrize("block", [rings._AXIOM_BLOCK, 20])
+def test_broken_axioms_match_reference(monkeypatch, spec, entries, block):
+    # one broken entry, or two whose first failures the order must rank;
+    # with a small block every x-slice is checked on its own
+    monkeypatch.setattr(rings, "_AXIOM_BLOCK", block)
+    tables = ring_tables(spec)
+    assert axiom_message(tables) is None
+    rng = random.Random(entries)
+    seen = set()
+    for _ in range(150):
+        t = corrupt(tables, rng, entries)
+        want = reference_message(t)
+        assert axiom_message(t) == want
+        seen.add(want)
+    assert len(seen) >= 7, seen
+
+
+def test_triple_laws_alone_match_reference():
+    tables = ring_tables("mat:2:gf2")
+    rng = random.Random(3)
+    seen = set()
+    for entries in (1, 2) * 50:
+        t = corrupt(tables, rng, 0)
+        for _ in range(entries):
+            break_mul(t, rng.randrange(16), rng.randrange(16), rng.randrange(16))
+        want = reference_message(t)
+        assert axiom_message(t) == want
+        seen.add(want)
+    assert len(seen & TRIPLE_LAWS) >= 3, seen
+
+
+@pytest.mark.parametrize("spec", ["zmod:12", "mat:2:gf2"])
+def test_sampled_axioms_match_reference(monkeypatch, spec):
+    # above the limit a fixed random sample of triples is checked, in batches
+    monkeypatch.setattr(rings, "_FULL_AXIOM_CHECK_LIMIT", 8)
+    monkeypatch.setattr(rings, "_AXIOM_SAMPLES", 400)
+    monkeypatch.setattr(rings, "_AXIOM_BLOCK", 7)
+    tables = ring_tables(spec)
+    assert axiom_message(tables) is None
+    rng = random.Random(11)
+    seen = set()
+    for entries in (1, 1, 2) * 40:
+        t = corrupt(tables, rng, entries)
+        if rng.random() < 0.5:
+            break_mul(t, rng.randrange(len(t["star"])), 0, 1)
+        want = reference_message(t)
+        assert axiom_message(t) == want
+        seen.add(want)
+    assert seen & TRIPLE_LAWS, seen
