@@ -17,19 +17,21 @@ from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
     ToleranceThresholds,
+    acceptance_bound,
+    all_within,
     condition_number,
+    disagree,
     inverse,
     norm_fro,
     rank,
-    rel_diff,
     solve_left,
     solve_right,
 )
+from .regular import inner_inverse
 
 # beyond this condition number an SVD-based solve loses more than the
 # route-agreement slack (eps * kappa ~ 1e-8), so values get flagged
 _KAPPA_DEGRADED = 1e8
-from .regular import inner_inverse
 
 
 def green_leq(
@@ -76,7 +78,7 @@ def inverse_along(
         # solve acceptance bound, so ill-conditioned dad does not false-alarm
         nx, ny = norm_fro(x), norm_fro(y)
         nd, ndad = norm_fro(d), norm_fro(dad)
-        allowed = tol.residual_rel_tol * max(
+        allowed = acceptance_bound(a.domain, tol) * max(
             1.0, ny * (ndad * nx + nd) + nx * (ndad * ny + nd)
         )
         if norm_fro(b - yd) > allowed:
@@ -92,7 +94,7 @@ def inverse_along(
         # squared conditioning of dad can push residuals past the base
         # tolerance; within two extra orders the value is still accepted
         # (downstream users re-verify their own defining equations)
-        if all(v <= 100.0 * tol.residual_rel_tol for v in cert.residuals.values()):
+        if all_within(cert.residuals.values(), acceptance_bound(a.domain, tol, guard=True)):
             cert.ok = True
             cert.warnings.append("residuals accepted within conditioning slack")
         else:
@@ -108,8 +110,8 @@ def inverse_along_via_unit(
 ) -> StarMatrix | None:
     """a^{||d} = u^{-1} d with u = d a + 1 - d d^-; None when u is singular."""
     res = system_residuals(SYSTEMS["one"], {"a": d, "x": d_inner}, tol)
-    bound = 0.0 if a.domain.exact else tol.residual_rel_tol
-    if res["P1"] > bound:
+    bound = acceptance_bound(a.domain, tol)
+    if not all_within(res.values(), bound):
         raise PreconditionFailed("d_inner is not an inner inverse of d")
     ident = StarMatrix.identity(a.rows, a.domain)
     u = d @ a + ident - d @ d_inner
@@ -119,7 +121,7 @@ def inverse_along_via_unit(
     value = u_inv @ d
     v = a @ d + ident - d_inner @ d
     v_inv = inverse(v, tol)
-    if v_inv is None or rel_diff(value, d @ v_inv) > bound:
+    if v_inv is None or disagree(value, d @ v_inv, bound):
         raise RouteDisagreement("u^{-1} d and d v^{-1} disagree (Jacobson pair broke)")
     return value
 
@@ -131,8 +133,7 @@ def one_along_a(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMa
         return None
     value = a @ g
     check = inverse_along(StarMatrix.identity(a.rows, a.domain), a, tol)
-    bound = 0.0 if a.domain.exact else tol.residual_rel_tol
-    if not check.exists or rel_diff(value, check.value) > bound:
+    if not check.exists or disagree(value, check.value, acceptance_bound(a.domain, tol)):
         raise RouteDisagreement("a a^# disagrees with the direct inverse of 1 along a")
     return value
 
@@ -154,8 +155,7 @@ def group_formula_along(
         raise RouteDisagreement("aw group invertible but wa is not")
     left = a @ g_wa
     right = g_aw @ a
-    bound = 0.0 if a.domain.exact else tol.residual_rel_tol
-    if rel_diff(left, right) > bound:
+    if disagree(left, right, acceptance_bound(a.domain, tol)):
         raise RouteDisagreement("a(wa)^# and (aw)^# a disagree")
     return left
 
@@ -174,8 +174,7 @@ def bc_inverse(
         return None
     y = b @ inner_inverse(cab, tol) @ c
     residuals = certify("bc", {"a": a, "b": b, "c": c, "x": y}, tol).residuals
-    bound = 0.0 if a.domain.exact else 100.0 * tol.residual_rel_tol
-    if not all(v <= bound for v in residuals.values()):
+    if not all_within(residuals.values(), acceptance_bound(a.domain, tol, guard=True)):
         if a.domain.exact:
             raise RouteDisagreement(f"(b,c)-inverse certificate failed: {residuals}")
         warnings.warn(
@@ -197,11 +196,11 @@ def jacobson_partner(
         raise ShapeMismatch("square, same-size inputs required")
     ident = StarMatrix.identity(a.rows, a.domain)
     alpha = ident - a @ b
-    bound = 0.0 if a.domain.exact else tol.residual_rel_tol
-    if rel_diff(alpha_inv @ alpha, ident) > bound or rel_diff(alpha @ alpha_inv, ident) > bound:
+    bound = acceptance_bound(a.domain, tol)
+    if disagree(alpha_inv @ alpha, ident, bound) or disagree(alpha @ alpha_inv, ident, bound):
         raise PreconditionFailed("alpha_inv is not the inverse of 1 - ab")
     beta_inv = ident + b @ alpha_inv @ a
     beta = ident - b @ a
-    if rel_diff(beta_inv @ beta, ident) > bound or rel_diff(beta @ beta_inv, ident) > bound:
+    if disagree(beta_inv @ beta, ident, bound) or disagree(beta @ beta_inv, ident, bound):
         raise RouteDisagreement("Jacobson partner is not a two-sided inverse of 1 - ba")
     return beta_inv

@@ -23,6 +23,8 @@ from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
     ToleranceThresholds,
+    acceptance_bound,
+    all_within,
     rank,
     solve_left,
     solve_right,
@@ -145,7 +147,6 @@ def core_ep_inverse(
     if m > 1:
         # minimality: the same x must fail the exponent-(m-1) equation
         res = system_residuals(core_ep_system(m - 1), {"a": a, "x": x}, tol)
-        bound = 0.0 if a.domain.exact else tol.residual_rel_tol
-        if all(v <= bound for v in res.values()):
+        if all_within(res.values(), acceptance_bound(a.domain, tol)):
             raise RouteDisagreement("pseudo-core index is not minimal")
     return IndexedInverse(x, m)

@@ -128,7 +128,8 @@ def _load_operands(args, kind: str) -> dict:
 
 
 def _emit(obj: dict, out_path: str | None):
-    text = json.dumps(obj, indent=2)
+    # strict JSON: a NaN or infinity raises ValueError (exit 1), never a bare token
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -256,7 +257,7 @@ def _cmd_check(args) -> int:
     env = _load_operands(args, kind)
     env["x"] = _load_matrix(args.candidate)
     cert = certify(kind, env, tol, route="check")
-    print(json.dumps({"schema": 1, "kind": kind, "certificate": cert.to_json()}, indent=2))
+    _emit({"schema": 1, "kind": kind, "certificate": cert.to_json()}, None)
     return 0 if cert.ok else 3
 
 

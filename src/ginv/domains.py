@@ -29,18 +29,14 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
+    """Exact primality below _MR_EXACT_BELOW; larger n raise ValueError."""
     if n < 2:
         return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"modulus {n} is too large to prove prime (limit {_MR_EXACT_BELOW})")
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_EXACT_BELOW:  # beyond the proven range: trial division
-        f = 43
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -306,13 +302,8 @@ class GaussianRationalDomain(ScalarDomain):
         raise DomainMismatch(f"bad gaussian rational scalar {obj!r}")
 
 
-class PrimeFieldDomain(ScalarDomain):
-    kind = "prime_field"
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.modulus = p
+class _ResidueDomain(ScalarDomain):
+    """Canonical int residues in [0, modulus): the arithmetic GF(p) and Z/nZ share."""
 
     def from_int(self, k):
         return k % self.modulus
@@ -334,11 +325,6 @@ class PrimeFieldDomain(ScalarDomain):
     def neg(self, a):
         return (-a) % self.modulus
 
-    def inv(self, a):
-        if a % self.modulus == 0:
-            raise NotInvertible("0 has no inverse")
-        return pow(a, -1, self.modulus)
-
     def scalar_to_json(self, a):
         return a
 
@@ -348,7 +334,21 @@ class PrimeFieldDomain(ScalarDomain):
         return obj % self.modulus
 
 
-class IntegerModDomain(ScalarDomain):
+class PrimeFieldDomain(_ResidueDomain):
+    kind = "prime_field"
+
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        self.modulus = p
+
+    def inv(self, a):
+        if a % self.modulus == 0:
+            raise NotInvertible("0 has no inverse")
+        return pow(a, -1, self.modulus)
+
+
+class IntegerModDomain(_ResidueDomain):
     """Z/nZ as a ring: division only by units, rank machinery unsupported."""
 
     kind = "integer_mod"
@@ -359,39 +359,11 @@ class IntegerModDomain(ScalarDomain):
             raise ValueError(f"modulus must be >= 2, got {n}")
         self.modulus = n
 
-    def from_int(self, k):
-        return k % self.modulus
-
-    def coerce(self, x):
-        if isinstance(x, int):
-            return x % self.modulus
-        raise DomainMismatch(f"cannot coerce {x!r} into {self!r}")
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
     def inv(self, a):
         try:
             return pow(a, -1, self.modulus)
         except ValueError:
             raise NotInvertible(f"{a} is not a unit mod {self.modulus}") from None
-
-    def scalar_to_json(self, a):
-        return a
-
-    def scalar_from_json(self, obj):
-        if isinstance(obj, bool) or not isinstance(obj, int):
-            raise DomainMismatch(f"bad residue {obj!r}")
-        return obj % self.modulus
 
 
 class ComplexFloatDomain(ScalarDomain):

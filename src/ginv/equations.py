@@ -17,6 +17,8 @@ from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
     ToleranceThresholds,
+    acceptance_bound,
+    all_within,
     matrix_to_json,
     norm_fro,
     rel_diff,
@@ -140,7 +142,8 @@ class Certificate:
 
     Residuals are relative Frobenius distances (0.0 for exact equality,
     math.inf for exact inequality in exact domains).  Boolean side
-    conditions (memberships, Green relations) are encoded 0.0/inf.
+    conditions (memberships, Green relations) are encoded 0.0/inf.  In JSON
+    a non-finite residual is null.
     """
 
     kind: str
@@ -158,7 +161,7 @@ class Certificate:
                 wit[k] = matrix_to_json(v)
             else:
                 wit[k] = v
-        res = {k: (None if math.isinf(v) else v) for k, v in self.residuals.items()}
+        res = {k: (v if math.isfinite(v) else None) for k, v in self.residuals.items()}
         return {
             "kind": self.kind,
             "route": self.route,
@@ -215,13 +218,11 @@ def system_residuals(
 def assert_system(
     system: tuple[Equation, ...], env: dict[str, StarMatrix], tol: ToleranceThresholds, what: str
 ):
-    """Invariant guard on a constructed inverse; float gets conditioning slack.
-
-    A NaN residual fails the guard: the test is `not v <= bound`.
-    """
+    """Invariant guard on a constructed inverse, at the guard level of the
+    acceptance bound.  A NaN residual fails the guard."""
     res = system_residuals(system, env, tol)
-    bound = 0.0 if env["a"].domain.exact else 100.0 * tol.residual_rel_tol
-    bad = [n for n, v in res.items() if not v <= bound]
+    bound = acceptance_bound(env["a"].domain, tol, guard=True)
+    bad = [n for n, v in res.items() if not all_within((v,), bound)]
     if bad:
         raise RouteDisagreement(f"{what}: equations {bad} fail with residuals {res}")
 
@@ -239,9 +240,9 @@ def _bool_residual(ok: bool) -> float:
     return 0.0 if ok else math.inf
 
 
-def _residuals_ok(residuals: dict[str, float], exact: bool, tol: ToleranceThresholds) -> bool:
-    bound = 0.0 if exact else tol.residual_rel_tol
-    return all(v <= bound for v in residuals.values())
+# kinds whose certificate also reports derived equations (E4-E5 / F4-F5);
+# only the kind's own defining equations decide
+_FULL_SYSTEMS = {"w-core": "w-core-full", "dual-v-core": "dual-v-core-full"}
 
 
 def certify(
@@ -257,7 +258,7 @@ def certify(
     up to the dimension-based cap is searched.
     """
     a = env["a"]
-    exact = a.domain.exact
+    bound = acceptance_bound(a.domain, tol)
     residuals: dict[str, float] = {}
     if kind in ("drazin", "core-ep"):
         builder = drazin_system if kind == "drazin" else core_ep_system
@@ -265,7 +266,7 @@ def certify(
         best = None
         for k in candidates:
             res = system_residuals(builder(k), env, tol)
-            if _residuals_ok(res, exact, tol):
+            if all_within(res.values(), bound):
                 best = (k, res)
                 break
             if best is None:
@@ -274,9 +275,7 @@ def certify(
         cert_index = k
     else:
         cert_index = index
-        # w-core kinds also report the derived equations E4-E5 / F4-F5
-        base = {"w-core": "w-core-full", "dual-v-core": "dual-v-core-full"}.get(kind, kind)
-        residuals = system_residuals(SYSTEMS[base], env, tol)
+        residuals = system_residuals(SYSTEMS[_FULL_SYSTEMS.get(kind, kind)], env, tol)
         if kind == "along":
             d, x = env["d"], env["x"]
             residuals["x_leq_L_d"] = _bool_residual(solve_left(d, x, tol) is not None)
@@ -287,21 +286,14 @@ def certify(
             residuals["b_leq_R_x"] = _bool_residual(solve_right(x, b, tol) is not None)
             residuals["x_leq_L_c"] = _bool_residual(solve_left(c, x, tol) is not None)
             residuals["c_leq_L_x"] = _bool_residual(solve_left(x, c, tol) is not None)
-    core_names = {
-        "w-core": ("E1", "E2", "E3"),
-        "dual-v-core": ("F1", "F2", "F3"),
-    }.get(kind)
-    if core_names is None:
-        ok = _residuals_ok(residuals, exact, tol)
-    else:
-        # defining equations decide; derived ones are reported alongside
-        bound = 0.0 if exact else tol.residual_rel_tol
-        ok = all(residuals[n] <= bound for n in core_names)
+    deciding = residuals.values()
+    if kind in _FULL_SYSTEMS:
+        deciding = [residuals[name] for name, _, _ in SYSTEMS[kind]]
     return Certificate(
         kind=kind,
         route=route,
         residuals=residuals,
-        tolerance=0.0 if exact else tol.residual_rel_tol,
-        ok=ok,
+        tolerance=bound,
+        ok=all_within(deciding, bound),
         witnesses={} if cert_index is None else {"index": cert_index},
     )

@@ -16,12 +16,15 @@ from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
     ToleranceThresholds,
+    acceptance_bound,
+    all_within,
     full_rank_factorize,
     inverse,
     pinv,
     solve_left,
     solve_right,
 )
+
 
 def inner_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix:
     """Deterministic inner inverse a^- with a a^- a = a (always exists over a field)."""
@@ -93,8 +96,7 @@ def mp_via_unit(
     if not a.is_square():
         raise PreconditionFailed("unit criterion lives in the square matrix ring")
     res = system_residuals(SYSTEMS["one"], {"a": a, "x": a_inner}, tol)
-    bound = 0.0 if a.domain.exact else tol.residual_rel_tol
-    if res["P1"] > bound:
+    if not all_within(res.values(), acceptance_bound(a.domain, tol)):
         raise PreconditionFailed("a_inner is not an inner inverse of a")
     ident = StarMatrix.identity(a.rows, a.domain)
     u = a @ a.adjoint() + ident - a @ a_inner

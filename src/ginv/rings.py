@@ -209,9 +209,6 @@ class FiniteStarRing:
             self._left_ann = [frozenset(np.flatnonzero(col).tolist()) for col in zero.T]
         return self._left_ann[e]
 
-    def is_regular(self, a) -> bool:
-        return bool(self.inner_inverses(a))
-
     def projections(self) -> tuple:
         if self._projections is None:
             self._projections = tuple(

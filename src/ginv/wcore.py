@@ -39,6 +39,9 @@ from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
     ToleranceThresholds,
+    acceptance_bound,
+    all_within,
+    disagree,
     inverse,
     is_projection,
     rank,
@@ -78,13 +81,6 @@ def _check_pair(a: StarMatrix, w: StarMatrix):
         raise ShapeMismatch("w-core inverses need square, same-size inputs")
     if a.domain != w.domain:
         raise ShapeMismatch("inputs must share a domain")
-
-
-def _value_bound(a: StarMatrix, tol: ToleranceThresholds) -> float:
-    # comparisons between independently computed route values accumulate the
-    # squared conditioning of product words (e.g. aa* (aw) aa*): allow two
-    # extra orders, which is exactly the acceptance-level 1e-6 at defaults
-    return 0.0 if a.domain.exact else 100.0 * tol.residual_rel_tol
 
 
 class _RouteOutcome(NamedTuple):
@@ -186,8 +182,8 @@ def _route_projection_unit(c):
         if c.exact:
             raise RouteDisagreement("1 - (aw)(aw)_core is not a projection")
         return _RouteOutcome(reason="projection construction lost precision")
-    bound = 0.0 if c.exact else c.tol.residual_rel_tol
-    if rel_diff(p @ a, StarMatrix.zeros(a.rows, a.cols, a.domain)) > bound:
+    zero = StarMatrix.zeros(a.rows, a.cols, a.domain)
+    if disagree(p @ a, zero, acceptance_bound(a.domain, c.tol)):
         return _RouteOutcome(reason="projection criterion fails: pa != 0")
     u = p + aw
     u_inv = inverse(u, c.tol)
@@ -384,8 +380,9 @@ def _solve(
         values = dict(list(degraded.items())[:1])
         warnings.append("all routes degraded; using the first value unchecked")
     (first_name, first), *others = values.items()
+    bound = acceptance_bound(a.domain, tol, guard=True)
     for other, value in others:
-        if rel_diff(first, value) > _value_bound(a, tol):
+        if disagree(first, value, bound):
             raise RouteDisagreement(
                 f"routes {first_name} and {other} disagree on the {form.kind} inverse"
             )
@@ -447,7 +444,8 @@ def wcore_as_along(
     if out.value is None:
         return None
     ref = _solve(_W_FORM, a, w, "all", ctx)
-    if not ref.exists or rel_diff(out.value, ref.value) > _value_bound(a, tol):
+    bound = acceptance_bound(a.domain, tol, guard=True)
+    if not ref.exists or disagree(out.value, ref.value, bound):
         raise RouteDisagreement("(aw)^{||aa*} disagrees with the w-core inverse")
     return out.value
 
@@ -466,11 +464,10 @@ def wcore_as_bc(
         if ref.exists and ctx.exact:
             raise RouteDisagreement("w-core exists but the (a, a*)-inverse of aw does not")
         return None  # float borderline; the route=all path warns instead
-    if not ref.exists or rel_diff(out.value, ref.value) > _value_bound(a, tol):
+    bound = acceptance_bound(a.domain, tol, guard=True)
+    if not ref.exists or disagree(out.value, ref.value, bound):
         raise RouteDisagreement("(a, a*)-inverse of aw disagrees with the w-core inverse")
     return out.value
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +484,8 @@ def star_duality_check(
         return False
     if not r1.exists:
         return True
-    return rel_diff(r1.value.adjoint(), r2.value) <= _value_bound(a, tol)
+    distance = rel_diff(r1.value.adjoint(), r2.value)
+    return all_within((distance,), acceptance_bound(a.domain, tol, guard=True))
 
 
 def w_core_of_w_core(
@@ -501,7 +499,7 @@ def w_core_of_w_core(
     if c is None:
         raise RouteDisagreement("the w-core inverse lost core invertibility")
     expected = (a @ w).pow(2) @ res.value
-    if rel_diff(c, expected) > _value_bound(a, tol):
+    if disagree(c, expected, acceptance_bound(a.domain, tol, guard=True)):
         raise RouteDisagreement("(a_w)_core does not equal (aw)^2 a_w")
     return c
 
@@ -522,17 +520,17 @@ def special_cases(
     a: StarMatrix, which: str, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> InverseResult:
     """Collapses of the w-core inverse for w in {a, a*} and the pseudo-core power form."""
+    bound = acceptance_bound(a.domain, tol, guard=True)
     if which == "a_core":
         res = w_core(a, a, tol=tol)
         core = core_inverse(a, tol)
         if res.exists != (core is not None):
             raise RouteDisagreement("a-core and core invertibility disagree")
         if res.exists:
-            bound = _value_bound(a, tol)
-            if rel_diff(core, a @ res.value) > bound:
+            if disagree(core, a @ res.value, bound):
                 raise RouteDisagreement("a_core does not satisfy core = a * a_a")
             g = group_inverse(a, tol)
-            if rel_diff(res.value, g @ core) > bound:
+            if disagree(res.value, g @ core, bound):
                 raise RouteDisagreement("a_a does not equal a^# a_core")
         return res
     if which == "astar_core":
@@ -540,7 +538,7 @@ def special_cases(
         mp = mp_inverse(a, tol)
         if res.exists != (mp is not None):
             raise RouteDisagreement("a*-core and MP invertibility disagree")
-        if res.exists and rel_diff(res.value, mp.adjoint() @ mp) > _value_bound(a, tol):
+        if res.exists and disagree(res.value, mp.adjoint() @ mp, bound):
             raise RouteDisagreement("a*-core inverse does not equal (a+)* a+")
         return res
     if which == "dual_astar_core":
@@ -548,7 +546,7 @@ def special_cases(
         mp = mp_inverse(a, tol)
         if res.exists != (mp is not None):
             raise RouteDisagreement("dual a*-core and MP invertibility disagree")
-        if res.exists and rel_diff(res.value, mp @ mp.adjoint()) > _value_bound(a, tol):
+        if res.exists and disagree(res.value, mp @ mp.adjoint(), bound):
             raise RouteDisagreement("dual a*-core inverse does not equal a+ (a+)*")
         return res
     if which == "pseudo_power":
@@ -561,10 +559,9 @@ def special_cases(
         acore_an = w_core(an, a, tol=tol)
         if core_an is None or not acore_an.exists:
             raise RouteDisagreement("a^n lost (a-)core invertibility at the pseudo-core index")
-        bound = _value_bound(a, tol)
-        if rel_diff(cep.value, a.pow(n - 1) @ core_an) > bound:
+        if disagree(cep.value, a.pow(n - 1) @ core_an, bound):
             raise RouteDisagreement("pseudo-core does not equal a^{n-1} (a^n)_core")
-        if rel_diff(cep.value, an @ acore_an.value) > bound:
+        if disagree(cep.value, an @ acore_an.value, bound):
             raise RouteDisagreement("pseudo-core does not equal a^n (a^n)_a")
         return InverseResult(True, value=cep.value, index=n)
     raise PreconditionFailed(f"unknown special case {which!r}")
@@ -650,13 +647,13 @@ def section3_units(
                 f"unit {name} invertibility does not match w/dual-w existence"
             )
 
-    bound = _value_bound(a, tol)
+    bound = acceptance_bound(a.domain, tol, guard=True)
     if joint_wv and hypothesis:
         u_inv, s_inv, t_inv = inverses["u_wv"], inverses["s_wv"], inverses["t_wv"]
         middle = (u_inv @ a @ w @ a @ v @ a).adjoint()
         val_w = a @ v @ a @ astar @ a @ s_inv @ middle
         val_v = middle @ a @ w @ a @ astar @ a @ t_inv
-        if rel_diff(val_w, ref_w.value) > bound or rel_diff(val_v, ref_v.value) > bound:
+        if disagree(val_w, ref_w.value, bound) or disagree(val_v, ref_v.value, bound):
             raise RouteDisagreement("joint unit formulas disagree with direct values")
         report.values["w_core_wv"] = val_w
         report.values["dual_v_core_wv"] = val_v
@@ -664,7 +661,7 @@ def section3_units(
         t_inv, s_inv = inverses["t_w"], inverses["s_w"]
         val_w = t_inv @ a @ astar
         val_dw = astar @ a @ s_inv
-        if rel_diff(val_w, ref_w.value) > bound or rel_diff(val_dw, ref_dw.value) > bound:
+        if disagree(val_w, ref_w.value, bound) or disagree(val_dw, ref_dw.value, bound):
             raise RouteDisagreement("single-w unit formulas disagree with direct values")
         report.values["w_core_w"] = val_w
         report.values["dual_w_core_w"] = val_dw

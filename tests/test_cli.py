@@ -1,11 +1,16 @@
 """End-to-end CLI tests: compute / verify / check, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import ginv.cli
+from ginv import StarMatrix
 from ginv.cli import main
 from ginv.errors import RouteDisagreement
 from ginv.matrix import matrix_from_json
@@ -267,3 +272,55 @@ def test_float_overflow_leaves_one_stderr_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "RuntimeWarning" not in err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-RFC JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_check_nonfinite_residual_is_json_null(tmp_path, capsys):
+    # 1e200 * I squared overflows: the P1 residual is NaN and prints as null
+    cf = {"kind": "complex_float"}
+    big = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    a = write_matrix(tmp_path / "big.json", big, domain=cf)
+    x = write_matrix(tmp_path / "zero.json", zero, domain=cf)
+    assert run(["check", "--kind", "mp", "--a", a, "--candidate", x]) == 3
+    cert = _strict_json(capsys.readouterr().out)["certificate"]
+    assert cert["residuals"]["P1"] is None
+    assert cert["ok"] is False
+
+
+def test_unprovable_prime_modulus_exits_one(tmp_path):
+    # 2^89 - 1 is prime, but beyond the range where Miller-Rabin with fixed
+    # bases is proven exact: refused at once instead of trial division
+    dom = {"kind": "prime_field", "modulus": 2**89 - 1}
+    a = write_matrix(tmp_path / "p.json", [[1]], domain=dom)
+    src = os.path.dirname(os.path.dirname(ginv.cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ginv.cli", "compute", "--kind", "one", "--a", a],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_nonfinite_value_is_never_printed(tmp_path, monkeypatch, capsys):
+    # a value the JSON wire format cannot carry fails with exit 1, not NaN
+    nan = StarMatrix.from_numpy(np.array([[np.nan]]))
+    monkeypatch.setattr(ginv.cli, "inner_inverse", lambda a, tol: nan)
+    a = write_matrix(tmp_path / "one.json", [[[1.0, 0.0]]], domain={"kind": "complex_float"})
+    assert run(["compute", "--kind", "one", "--a", a]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1

@@ -118,6 +118,17 @@ def test_primality_matches_trial_division():
     assert prime_field(2**61 - 1).modulus == 2**61 - 1
 
 
+def test_prime_field_refuses_unprovable_modulus():
+    from ginv.domains import _MR_EXACT_BELOW, _is_prime
+
+    assert not _is_prime(_MR_EXACT_BELOW - 1)  # even, still decided
+    for n in (_MR_EXACT_BELOW, 2**89 - 1):
+        with pytest.raises(ValueError):
+            _is_prime(n)
+        with pytest.raises(ValueError):
+            prime_field(n)
+
+
 def test_integer_mod_rejects_small_modulus():
     with pytest.raises(ValueError):
         integer_mod(1)

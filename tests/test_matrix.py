@@ -1,6 +1,7 @@
 """StarMatrix algebra, exact/float rank and solve machinery, JSON format."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ginv.matrix
 from ginv import (
     DomainMismatch,
+    PreconditionFailed,
     ShapeMismatch,
     StarMatrix,
     TooLarge,
@@ -23,7 +26,19 @@ from ginv import (
     solve_right,
 )
 from ginv.domains import COMPLEX_FLOAT, GAUSSIAN_RATIONAL, RATIONAL, integer_mod, prime_field
-from ginv.matrix import DEFAULT_TOL, inverse, left_nullspace, rel_diff, right_nullspace
+from ginv.along import inverse_along_via_unit
+from ginv.matrix import (
+    DEFAULT_TOL,
+    ToleranceThresholds,
+    acceptance_bound,
+    all_within,
+    disagree,
+    inverse,
+    left_nullspace,
+    rel_diff,
+    right_nullspace,
+)
+from ginv.regular import mp_via_unit
 
 from conftest import adj_lists, cm, eq_lists, fm, gm, lists, mul_lists, qm, zm
 
@@ -249,3 +264,69 @@ def test_projection_float_tolerance():
 def test_adjoint_conjugates():
     a = gm([[(0, 1)]])
     assert lists(a.adjoint()) == adj_lists(lists(a))
+
+
+# ---------------------------------------------------------------------------
+# the acceptance rule: one bound, one value comparison, one all-values test
+
+RULE_DOMAINS = (RATIONAL, GAUSSIAN_RATIONAL, prime_field(7), integer_mod(6), COMPLEX_FLOAT)
+RULE_TOLS = (DEFAULT_TOL, ToleranceThresholds(rank_rel_tol=1e-6, residual_rel_tol=3e-5))
+
+
+@pytest.mark.parametrize("tol", RULE_TOLS)
+@pytest.mark.parametrize("dom", RULE_DOMAINS, ids=repr)
+def test_acceptance_bound_levels(dom, tol):
+    base = acceptance_bound(dom, tol)
+    guard = acceptance_bound(dom, tol, guard=True)
+    if dom.exact:
+        assert base == guard == 0.0
+    else:
+        assert base == tol.residual_rel_tol
+        assert guard == 100.0 * tol.residual_rel_tol
+
+
+@pytest.mark.parametrize("guard", (False, True))
+@pytest.mark.parametrize("tol", RULE_TOLS)
+@pytest.mark.parametrize("dom", RULE_DOMAINS, ids=repr)
+def test_acceptance_edges(dom, tol, guard, monkeypatch):
+    b = acceptance_bound(dom, tol, guard=guard)
+    x = StarMatrix.zeros(1, 1, dom)
+    # (value, passes the all-values test, is a disagreement as a distance)
+    cases = (
+        (0.0, True, False),
+        (b, True, False),
+        (math.nextafter(b, math.inf), False, True),
+        (math.inf, False, True),
+        (math.nan, False, False),  # NaN fails the test but is no disagreement
+    )
+    for v, within, differs in cases:
+        assert all_within([v], b) is within
+        assert all_within([0.0, v, b], b) is within
+        monkeypatch.setattr(ginv.matrix, "rel_diff", lambda p, q, v=v: v)
+        assert disagree(x, x, b) is differs
+
+
+@pytest.mark.parametrize("dom", RULE_DOMAINS, ids=repr)
+def test_disagree_on_matrices(dom):
+    one = StarMatrix.identity(2, dom)
+    two = one + one
+    for guard in (False, True):
+        b = acceptance_bound(dom, DEFAULT_TOL, guard=guard)
+        assert not disagree(one, one, b)
+        assert disagree(one, two, b)
+    if not dom.exact:
+        b = acceptance_bound(dom)
+        assert not disagree(one, one.scale(1 + 1e-12), b)
+        nan = StarMatrix.from_numpy(np.array([[np.nan, 0], [0, 1]]))
+        assert not disagree(one, nan, b)
+        assert not all_within([rel_diff(one, nan)], b)
+
+
+def test_unit_routes_refuse_nan_inner_inverse():
+    a = cm([[1, 0], [0, 1]])
+    bad = StarMatrix.from_numpy(np.array([[np.nan, 0], [0, 1]]))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(PreconditionFailed):
+            mp_via_unit(a, bad)
+        with pytest.raises(PreconditionFailed):
+            inverse_along_via_unit(a, a, bad)
