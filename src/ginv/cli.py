@@ -2,7 +2,9 @@
 catalogs on finite rings, and re-certify third-party candidates.
 
 Exit codes (stable contract):
-  compute: 0 inverse exists, 3 it does not, 1 usage or I/O error,
+  compute: 0 inverse exists and its certificate passes, 3 it does not exist
+           or its certificate fails (value and certificate are kept, and
+           reason names the failing equations), 1 usage or I/O error,
            2 internal invariant violation (route disagreement)
   verify:  0 all checks pass, 1 bad ring spec, 4 counterexample found
   check:   0 candidate certifies, 3 it does not, 1 usage or I/O error
@@ -30,6 +32,7 @@ from .errors import GinvError, RouteDisagreement
 from .matrix import (
     DEFAULT_TOL,
     ToleranceThresholds,
+    all_within,
     matrix_from_json,
     matrix_to_json,
 )
@@ -205,6 +208,10 @@ def _cmd_compute(args) -> int:
         env = dict(mats)
         env["x"] = value
         cert = certify(kind, env, tol, index=index)
+    if exists and not cert.ok:
+        exists = False
+        failed = [n for n, v in cert.residuals.items() if not all_within((v,), cert.tolerance)]
+        reason = f"certificate fails equations {failed}"
     result = {
         "schema": 1,
         "kind": kind,

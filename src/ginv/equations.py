@@ -128,11 +128,18 @@ def core_ep_system(m: int) -> tuple[Equation, ...]:
     )
 
 
-def eval_word(word: Word, env: dict[str, StarMatrix]) -> StarMatrix:
+def eval_word(word: Word, env: dict[str, StarMatrix], memo: dict | None = None) -> StarMatrix:
+    """The product of the word's letters, left to right.  memo maps words to
+    values; sharing it across calls evaluates each prefix and starred letter
+    once, in the same order, so results are bit-identical to a fresh call."""
+    memo = {} if memo is None else memo
     acc = None
-    for sym in word:
-        m = env[sym[:-1]].adjoint() if sym.endswith("*") else env[sym]
-        acc = m if acc is None else acc @ m
+    for k, sym in enumerate(word, 1):
+        if (sym,) not in memo:
+            memo[(sym,)] = env[sym[:-1]].adjoint() if sym.endswith("*") else env[sym]
+        if word[:k] not in memo:
+            memo[word[:k]] = acc @ memo[(sym,)]
+        acc = memo[word[:k]]
     return acc
 
 
@@ -192,7 +199,7 @@ def system_residuals(
     """Residuals per equation: exact 0.0/inf, float relative to the
     evaluation scale (larger of the side norms and the factor-norm products,
     matching the solve acceptance bound ||AX-B|| <= tol(||A|| ||X|| + ||B||))."""
-    out = {}
+    out, memo = {}, {}
     a = env["a"]
     if not a.domain.exact:
         # max(1, ||m||) per letter, once per call; the product of a word's
@@ -200,7 +207,7 @@ def system_residuals(
         letters = {sym.rstrip("*") for _, lhs, rhs in system for sym in lhs + rhs}
         norms = {k: max(1.0, norm_fro(env[k])) for k in letters}
     for name, lhs, rhs in system:
-        left, right = eval_word(lhs, env), eval_word(rhs, env)
+        left, right = eval_word(lhs, env, memo), eval_word(rhs, env, memo)
         if a.domain.exact:
             out[name] = rel_diff(left, right)
         else:

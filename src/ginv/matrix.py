@@ -2,10 +2,12 @@
 
 Exact fields (rationals, Gaussian rationals, GF(p)) use deterministic
 Gaussian elimination with first-nonzero-column / first-nonzero-row pivoting,
-so factorizations and particular solutions are reproducible.  Products and
-elimination over the exact domains run in per-domain kernels: fraction-free
-integer arithmetic over Q and Q(i), numpy residue arrays over GF(p) and Z/nZ.
-Their entries stay Fraction, GaussianRational or int.  ComplexFloat
+so factorizations and particular solutions are reproducible.  An exact
+matrix holds one integer payload: over Q and Q(i), integer arrays over one
+gcd-reduced positive denominator; over GF(p) and Z/nZ, one residue array.
+Products, fraction-free elimination, sums, adjoints and comparisons run on
+the payload, and the Fraction, GaussianRational or int entries of `.data`
+are built only when read.  ComplexFloat
 decisions (rank, solvability, projection tests) all go through SVD with
 ToleranceThresholds; Gaussian-elimination rank is never used in float.
 ComplexFloat matrices hold one read-only complex128 array, so their sums,
@@ -56,26 +58,21 @@ _GUARD_SLACK = 100.0
 class StarMatrix:
     """Immutable rectangular matrix over a ScalarDomain.
 
-    Exact domains store `data` as a tuple of row-tuples of scalars.  A
-    ComplexFloat matrix is built as the private subclass `_ComplexMatrix`,
-    whose `data` is a read-only C-contiguous complex128 array; indexing it
-    still yields `complex` scalars (np.complex128 subclasses complex).
+    The constructor takes a tuple of row-tuples of coerced scalars and builds
+    the private subclass that holds the domain's payload: `_ComplexMatrix`,
+    whose `data` is a read-only C-contiguous complex128 array (indexing it
+    yields `complex` scalars, since np.complex128 subclasses complex), or
+    `_ExactMatrix`, whose `data` tuples are built from its integer payload
+    on first read.
     """
 
-    __slots__ = ("rows", "cols", "domain", "data")
+    __slots__ = ("rows", "cols", "domain")
 
     def __new__(cls, rows=None, cols=None, data=None, domain=None):
         # the kernel is chosen once, here, from the domain
-        if cls is StarMatrix and domain is not None and domain.kind == "complex_float":
-            cls = _ComplexMatrix
+        if cls is StarMatrix and domain is not None:
+            cls = _ComplexMatrix if domain.kind == "complex_float" else _ExactMatrix
         return object.__new__(cls)
-
-    def __init__(self, rows, cols, data, domain):
-        # data: tuple of row-tuples of already-coerced scalars
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-        self.domain = domain
 
     @classmethod
     def from_rows(cls, rows, domain: ScalarDomain) -> "StarMatrix":
@@ -88,15 +85,11 @@ class StarMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, domain: ScalarDomain) -> "StarMatrix":
-        z = domain.zero()
-        return cls(rows, cols, tuple((z,) * cols for _ in range(rows)), domain)
+        return _from_ints(domain, np.zeros((rows, cols), dtype=object))
 
     @classmethod
     def identity(cls, n: int, domain: ScalarDomain) -> "StarMatrix":
-        z, o = domain.zero(), domain.one()
-        return cls(
-            n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), domain
-        )
+        return _from_ints(domain, np.eye(n, dtype=object))
 
     @property
     def shape(self):
@@ -118,13 +111,13 @@ class StarMatrix:
         if not isinstance(other, StarMatrix):
             return NotImplemented
         self._check_same_shape(other, "+")
-        return self._add(other)
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
         if not isinstance(other, StarMatrix):
             return NotImplemented
         self._check_same_shape(other, "-")
-        return self._sub(other)
+        return self._entrywise(other, operator.sub)
 
     def __matmul__(self, other):
         if not isinstance(other, StarMatrix):
@@ -133,55 +126,6 @@ class StarMatrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
         return self._matmul(other)
-
-    # -- exact kernels: entrywise ops loop over scalars; products use _PRODUCTS
-
-    def _zip(self, other, op):
-        data = tuple(
-            tuple(op(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)
-        )
-        return StarMatrix(self.rows, self.cols, data, self.domain)
-
-    def _add(self, other):
-        return self._zip(other, self.domain.add)
-
-    def _sub(self, other):
-        return self._zip(other, self.domain.sub)
-
-    def __neg__(self):
-        neg = self.domain.neg
-        return StarMatrix(
-            self.rows, self.cols, tuple(tuple(neg(x) for x in r) for r in self.data), self.domain
-        )
-
-    def _matmul(self, other):
-        dom = self.domain
-        if self.cols == 0:  # empty inner dimension: zero product by convention
-            return StarMatrix.zeros(self.rows, other.cols, dom)
-        return StarMatrix(self.rows, other.cols, _PRODUCTS[dom.kind](self, other), dom)
-
-    def scale(self, c) -> "StarMatrix":
-        c = self.domain.coerce(c)
-        mul = self.domain.mul
-        return StarMatrix(
-            self.rows, self.cols, tuple(tuple(mul(c, x) for x in r) for r in self.data), self.domain
-        )
-
-    def transpose(self) -> "StarMatrix":
-        # plain transpose, no conjugation (internal: used to dualize solves)
-        if self.rows == 0:
-            data = tuple(() for _ in range(self.cols))
-        else:
-            data = tuple(tuple(r) for r in zip(*self.data))
-        return StarMatrix(self.cols, self.rows, data, self.domain)
-
-    def adjoint(self) -> "StarMatrix":
-        """Conjugate transpose: the *-involution of the matrix ring."""
-        star = self.domain.star
-        t = self.transpose()
-        return StarMatrix(
-            t.rows, t.cols, tuple(tuple(star(x) for x in r) for r in t.data), self.domain
-        )
 
     def pow(self, k: int) -> "StarMatrix":
         if not self.is_square():
@@ -193,23 +137,12 @@ class StarMatrix:
             acc = acc @ self
         return acc
 
-    def is_zero(self) -> bool:
-        z = self.domain.is_zero
-        return all(z(x) for r in self.data for x in r)
-
     def __eq__(self, other):
         if not isinstance(other, StarMatrix):
             return NotImplemented
         if self.domain != other.domain or self.shape != other.shape:
             return False
         return self._same_entries(other)
-
-    def _same_entries(self, other) -> bool:
-        # exact scalars compare with ==, so the row tuples can compare whole
-        return self.data == other.data
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
@@ -241,12 +174,12 @@ class _ComplexMatrix(StarMatrix):
     """ComplexFloat kernel: `data` is a read-only C-contiguous complex128
     array and every operation is one numpy call on it."""
 
-    __slots__ = ()
+    __slots__ = ("data",)
 
     def __init__(self, rows, cols, data, domain):
         arr = np.array(data, dtype=np.complex128, order="C").reshape(rows, cols)
         arr.flags.writeable = False
-        super().__init__(rows, cols, arr, domain)
+        self.rows, self.cols, self.domain, self.data = rows, cols, domain, arr
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "_ComplexMatrix":
@@ -254,14 +187,12 @@ class _ComplexMatrix(StarMatrix):
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         m = object.__new__(cls)
-        StarMatrix.__init__(m, arr.shape[0], arr.shape[1], arr, COMPLEX_FLOAT)
+        m.rows, m.cols = arr.shape
+        m.domain, m.data = COMPLEX_FLOAT, arr
         return m
 
-    def _add(self, other):
-        return self._adopt(self.data + other.data)
-
-    def _sub(self, other):
-        return self._adopt(self.data - other.data)
+    def _entrywise(self, other, op):
+        return self._adopt(op(self.data, other.data))
 
     def __neg__(self):
         return self._adopt(-self.data)
@@ -293,6 +224,129 @@ class _ComplexMatrix(StarMatrix):
 
     def _data_json(self) -> list:
         return np.stack((self.data.real, self.data.imag), axis=-1).tolist()
+
+
+class _ExactMatrix(StarMatrix):
+    """Exact kernel over Q, Q(i), GF(p) and Z/nZ: the entries are ints / den.
+
+    `ints` holds read-only integer arrays, (re, im) over Q(i) and one array
+    otherwise.  Over Q and Q(i) they hold Python ints (dtype object) and
+    den > 0 with gcd(den, every integer) = 1, so equal matrices have equal
+    payloads.  Over GF(p) and Z/nZ, den = 1 and the array holds residues in
+    [0, p): int64 while cols * (p - 1)**2 < 2**63, so products cannot
+    overflow, and Python ints above that.  `data` is built on first read.
+    """
+
+    __slots__ = ("ints", "den", "_data")
+
+    def __init__(self, rows, cols, data, domain):
+        flat, den = [x for r in data for x in r], 1
+        gaussian = domain.kind == "gaussian_rational"
+        if gaussian:
+            flat = [x.re for x in flat] + [x.im for x in flat]
+        if domain.modulus is None:
+            pairs = [x.as_integer_ratio() for x in flat]
+            den = math.lcm(*[q for _, q in pairs])
+            flat = [n * (den // q) for n, q in pairs]
+        ints = np.array(flat, dtype=object).reshape(1 + gaussian, rows, cols)
+        self._set(domain, tuple(ints), den)
+
+    def _set(self, dom, ints, den):
+        # the canonical payload: residues reduced mod p in their dtype, or
+        # integers and denominator divided by their gcd
+        p = dom.modulus
+        if p is not None:
+            dtype = np.int64 if ints[0].shape[1] * (p - 1) ** 2 < 2**63 else object
+            ints = ((ints[0] % p).astype(dtype, copy=False),)
+        elif den != 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(x.ravel().tolist() for x in ints))
+            if g != 1:
+                ints, den = tuple(x // g for x in ints), den // g
+        for x in ints:
+            x.flags.writeable = False
+        self.rows, self.cols = ints[0].shape
+        self.domain, self.ints, self.den, self._data = dom, ints, den, None
+
+    @property
+    def data(self):
+        if self._data is None:
+            rows, d = [x.tolist() for x in self.ints], self.den
+            if self.domain.modulus is not None:
+                data = rows[0]
+            elif len(rows) == 1:
+                data = [[Fraction(n, d) for n in r] for r in rows[0]]
+            else:
+                data = [
+                    [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(*r)]
+                    for r in zip(*rows)
+                ]
+            self._data = tuple(map(tuple, data))
+        return self._data
+
+    def _aligned(self, other):
+        # both integer payloads over the least common denominator
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return self.ints, other.ints, d1
+        d = math.lcm(d1, d2)
+        return tuple(x * (d // d1) for x in self.ints), tuple(y * (d // d2) for y in other.ints), d
+
+    def _entrywise(self, other, op):
+        x, y, den = self._aligned(other)
+        return _exact(self.domain, tuple(map(op, x, y)), den)
+
+    def __neg__(self):
+        return _exact(self.domain, tuple(-x for x in self.ints), self.den)
+
+    def _matmul(self, other):
+        ints = _times(self.ints, other.ints, operator.matmul)
+        return _exact(self.domain, ints, self.den * other.den)
+
+    def scale(self, c) -> "StarMatrix":
+        s = StarMatrix(1, 1, ((self.domain.coerce(c),),), self.domain)
+        return _exact(self.domain, _times(self.ints, s.ints, operator.mul), self.den * s.den)
+
+    def transpose(self) -> "StarMatrix":
+        # plain transpose, no conjugation (internal: used to dualize solves)
+        return _exact(self.domain, tuple(x.T for x in self.ints), self.den)
+
+    def adjoint(self) -> "StarMatrix":
+        """Conjugate transpose: the *-involution of the matrix ring."""
+        t = tuple(x.T for x in self.ints)
+        return _exact(self.domain, t[:1] + tuple(-x for x in t[1:]), self.den)
+
+    def is_zero(self) -> bool:
+        return not any(x.any() for x in self.ints)
+
+    def _same_entries(self, other) -> bool:
+        return self.den == other.den and all(
+            x.tolist() == y.tolist() for x, y in zip(self.ints, other.ints)
+        )
+
+    def __hash__(self):
+        return hash((self.shape, self.den, *(tuple(x.ravel().tolist()) for x in self.ints)))
+
+
+def _exact(dom: ScalarDomain, ints: tuple, den: int = 1) -> _ExactMatrix:
+    m = object.__new__(_ExactMatrix)
+    m._set(dom, ints, den)
+    return m
+
+
+def _from_ints(dom: ScalarDomain, arr: np.ndarray) -> StarMatrix:
+    """The matrix with integer entries arr (dtype object)."""
+    if dom.kind == "complex_float":
+        return _ComplexMatrix._adopt(arr.astype(np.complex128))
+    return _exact(dom, (arr, np.zeros_like(arr)) if dom.kind == "gaussian_rational" else (arr,))
+
+
+def _times(x: tuple, y: tuple, op) -> tuple:
+    """Integer payload of a product: op is @ (matrix) or * (by a 1x1 scalar);
+    (re, im) pairs multiply as Gaussian integers."""
+    if len(x) == 1:
+        return (op(x[0], y[0]),)
+    (xr, xi), (yr, yi) = x, y
+    return op(xr, yr) - op(xi, yi), op(xr, yi) + op(xi, yr)
 
 
 @dataclass(frozen=True)
@@ -353,73 +407,9 @@ def disagree(a: StarMatrix, b: StarMatrix, bound: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact kernels: one product and one elimination per exact domain kind.  They
-# compute on integers (Q, Q(i)) or numpy residue arrays (GF(p), Z/n) and hand
-# back domain scalars, never calling the domain's scalar operations.
-
-
-def _scaled_rationals(vectors):
-    """Each vector of rationals as (integers, d) with vector = integers / d."""
-    out = []
-    for v in vectors:
-        pairs = [x.as_integer_ratio() for x in v]
-        d = math.lcm(*[q for _, q in pairs])
-        out.append(([n * (d // q) for n, q in pairs], d))
-    return out
-
-
-def _scaled_gaussians(vectors):
-    """Each vector of Gaussian rationals as (re integers, im integers, d)."""
-    out = []
-    for v in vectors:
-        re = [x.re.as_integer_ratio() for x in v]
-        im = [x.im.as_integer_ratio() for x in v]
-        d = math.lcm(*[q for _, q in re], *[q for _, q in im])
-        out.append(([n * (d // q) for n, q in re], [n * (d // q) for n, q in im], d))
-    return out
-
-
-def _residues(rows, p: int, terms: int) -> np.ndarray:
-    """Residues mod p as an int64 array, or as Python ints (dtype object) when
-    a sum of `terms` products of residues could overflow int64."""
-    return np.array(rows, dtype=np.int64 if terms * (p - 1) ** 2 < 2**63 else object)
-
-
-def _rational_product(a: StarMatrix, b: StarMatrix) -> tuple:
-    cols = _scaled_rationals(zip(*b.data))
-    return tuple(
-        tuple(Fraction(sum(map(operator.mul, x, y)), dx * dy) for y, dy in cols)
-        for x, dx in _scaled_rationals(a.data)
-    )
-
-
-def _gaussian_product(a: StarMatrix, b: StarMatrix) -> tuple:
-    mul = operator.mul
-    cols = _scaled_gaussians(zip(*b.data))
-    out = []
-    for xr, xi, dx in _scaled_gaussians(a.data):
-        row = []
-        for yr, yi, dy in cols:
-            re = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
-            im = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
-            row.append(GaussianRational(Fraction(re, dx * dy), Fraction(im, dx * dy)))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _modular_product(a: StarMatrix, b: StarMatrix) -> tuple:
-    p = a.domain.modulus
-    x = _residues(a.data, p, a.cols).reshape(a.rows, a.cols)
-    y = _residues(b.data, p, a.cols).reshape(b.rows, b.cols)
-    return tuple(map(tuple, (x @ y % p).tolist()))
-
-
-_PRODUCTS = {
-    "rational": _rational_product,
-    "gaussian_rational": _gaussian_product,
-    "prime_field": _modular_product,
-    "integer_mod": _modular_product,
-}
+# exact elimination: one kernel per exact field kind, on the integer payload
+# (Q, Q(i)) or the residue array (GF(p)), never calling the domain's scalar
+# operations.
 
 
 def _fraction_free_rref(rows: list, width: int, lead, combine) -> list[int]:
@@ -469,41 +459,44 @@ def _combine_gaussian(row, ref, c):
     return re, im
 
 
-def _rational_rref(rows, domain, width):
-    ints = [x for x, _ in _scaled_rationals(rows)]
-    pivots = _fraction_free_rref(ints, width, operator.getitem, _combine_integers)
+def _object_rows(rows: list, ints: tuple) -> np.ndarray:
+    return np.array(rows, dtype=object).reshape(len(rows), ints[0].shape[1])
+
+
+def _rational_rref(ints, p, width):
+    rows = ints[0].tolist()
+    pivots = _fraction_free_rref(rows, width, operator.getitem, _combine_integers)
     r = len(pivots)
-    reduced = [[Fraction(v, row[c]) for v in row] for row, c in zip(ints, pivots)]
-    return pivots, reduced, not any(map(any, ints[r:]))
+    lead = [row[c] for row, c in zip(rows, pivots)]
+    den = math.lcm(*lead)  # each pivot row is divided by its pivot
+    out = _object_rows([[v * (den // q) for v in row] for row, q in zip(rows, lead)], ints)
+    return pivots, (out,), den, not any(map(any, rows[r:]))
 
 
-def _gaussian_rref(rows, domain, width):
-    ints = [(re, im) for re, im, _ in _scaled_gaussians(rows)]
+def _gaussian_rref(ints, p, width):
+    rows = list(zip(*(x.tolist() for x in ints)))
     pivots = _fraction_free_rref(
-        ints, width, lambda row, c: row[0][c] or row[1][c], _combine_gaussian
+        rows, width, lambda row, c: row[0][c] or row[1][c], _combine_gaussian
     )
     r = len(pivots)
-    reduced = []
-    for (re, im), c in zip(ints, pivots):
-        pr, pi = re[c], im[c]
-        n = pr * pr + pi * pi  # v / p = v conj(p) / |p|^2
-        reduced.append(
-            [
-                GaussianRational(Fraction(a * pr + b * pi, n), Fraction(b * pr - a * pi, n))
-                for a, b in zip(re, im)
-            ]
-        )
-    return pivots, reduced, not any(any(re) or any(im) for re, im in ints[r:])
+    norms = [re[c] * re[c] + im[c] * im[c] for (re, im), c in zip(rows, pivots)]
+    den = math.lcm(*norms)
+    out_re, out_im = [], []
+    for (re, im), c, n in zip(rows, pivots, norms):
+        pr, pi = re[c] * (den // n), im[c] * (den // n)  # v / p = v conj(p) / |p|^2
+        out_re.append([a * pr + b * pi for a, b in zip(re, im)])
+        out_im.append([b * pr - a * pi for a, b in zip(re, im)])
+    out = (_object_rows(out_re, ints), _object_rows(out_im, ints))
+    return pivots, out, den, not any(any(re) or any(im) for re, im in rows[r:])
 
 
-def _modular_rref(rows, domain, width):
-    p = domain.modulus
-    t = _residues(rows, p, 1)
-    m = len(rows)
+def _modular_rref(ints, p, width):
+    t = ints[0].copy()
+    m = len(t)
     pivots: list[int] = []
     for c in range(width):
         r = len(pivots)
-        nz = np.flatnonzero(t[r:, c])
+        nz = t[r:, c].nonzero()[0]
         if not nz.size:
             continue
         pr = r + int(nz[0])
@@ -512,12 +505,12 @@ def _modular_rref(rows, domain, width):
         t[r] = t[r] * pow(int(t[r, c]), -1, p) % p
         f = t[:, c].copy()
         f[r] = 0
-        t = (t - np.outer(f, t[r])) % p
+        t = (t - f[:, None] * t[r]) % p
         pivots.append(c)
         if len(pivots) == m:
             break
     r = len(pivots)
-    return pivots, t[:r].tolist(), not np.count_nonzero(t[r:])
+    return pivots, (t[:r],), 1, not np.count_nonzero(t[r:])
 
 
 _ELIMINATIONS = {
@@ -527,17 +520,16 @@ _ELIMINATIONS = {
 }
 
 
-def _rref(rows, domain: ScalarDomain, width: int):
-    """Reduced row echelon form of `rows` (an exact field) on their first
-    `width` columns.
+def _rref(dom: ScalarDomain, ints: tuple, width: int):
+    """Reduced row echelon form, over an exact field, of the matrix with
+    integer payload `ints`, on its first `width` columns.
 
     Columns >= width (augmented part) are carried along.  Returns the pivot
-    columns, the pivot rows of the RREF as domain scalars, and whether every
-    other row is zero.  Deterministic: first nonzero column, first nonzero row.
+    columns, the pivot rows of the RREF as integer arrays over one
+    denominator, that denominator, and whether every other row is zero.
+    Deterministic: first nonzero column, first nonzero row.
     """
-    if not rows:
-        return [], [], True
-    return _ELIMINATIONS[domain.kind](rows, domain, width)
+    return _ELIMINATIONS[dom.kind](ints, dom.modulus, width)
 
 
 def _svd_cutoff(s: np.ndarray, a: StarMatrix, tol: ToleranceThresholds) -> float:
@@ -557,7 +549,7 @@ def rank(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
         return int(np.count_nonzero(s > _svd_cutoff(s, a, tol)))
     if not dom.field:
         raise UnsupportedDomain(f"rank is not defined over {dom!r}")
-    return len(_rref(a.data, dom, a.cols)[0])
+    return len(_rref(dom, a.ints, a.cols)[0])
 
 
 def full_rank_factorize(
@@ -577,11 +569,9 @@ def full_rank_factorize(
         return RankFactorization(f, g, r)
     if not dom.field:
         raise UnsupportedDomain(f"full-rank factorization unavailable over {dom!r}")
-    pivots, reduced, _ = _rref(a.data, dom, a.cols)
-    r = len(pivots)
-    f = StarMatrix(a.rows, r, tuple(tuple(row[c] for c in pivots) for row in a.data), dom)
-    g = StarMatrix(r, a.cols, tuple(map(tuple, reduced)), dom)
-    return RankFactorization(f, g, r)
+    pivots, rows, den, _ = _rref(dom, a.ints, a.cols)
+    f = _exact(dom, tuple(x[:, pivots] for x in a.ints), a.den)
+    return RankFactorization(f, _exact(dom, rows, den), len(pivots))
 
 
 def _brute_solve_right(a: StarMatrix, b: StarMatrix):
@@ -591,29 +581,19 @@ def _brute_solve_right(a: StarMatrix, b: StarMatrix):
     k = a.cols
     if n**k > _BRUTE_CAP:
         raise TooLarge(f"exhaustive solve over Z/{n} with {k} unknowns per column")
-    add, mul, zero = dom.add, dom.mul, dom.zero()
     cols_x = []
     for j in range(b.cols):
-        target = tuple(b.data[i][j] for i in range(b.rows))
-        found = None
-        for cand in itertools.product(range(n), repeat=k):
-            ok = True
-            for i in range(a.rows):
-                acc = zero
-                arow = a.data[i]
-                for t in range(k):
-                    acc = add(acc, mul(arow[t], cand[t]))
-                if acc != target[i]:
-                    ok = False
+        eqs = [(r, t[j]) for r, t in zip(a.data, b.data)]  # row . x = target, mod n
+        for x in itertools.product(range(n), repeat=k):
+            for r, t in eqs:
+                if sum(map(operator.mul, r, x)) % n != t:
                     break
-            if ok:
-                found = cand
+            else:
+                cols_x.append(x)
                 break
-        if found is None:
+        else:
             return None
-        cols_x.append(found)
-    data = tuple(tuple(cols_x[j][i] for j in range(b.cols)) for i in range(k))
-    return StarMatrix(k, b.cols, data, dom)
+    return StarMatrix(k, b.cols, tuple(tuple(x[i] for x in cols_x) for i in range(k)), dom)
 
 
 def solve_right(
@@ -641,15 +621,14 @@ def solve_right(
         if dom.kind != "integer_mod":
             raise UnsupportedDomain(f"no solver for {dom!r}")
         return _brute_solve_right(a, b)
-    augmented = [ra + rb for ra, rb in zip(a.data, b.data)]
-    pivots, reduced, consistent = _rref(augmented, dom, a.cols)
+    x, y, _ = a._aligned(b)
+    pivots, rows, den, consistent = _rref(dom, tuple(map(np.hstack, zip(x, y))), a.cols)
     if not consistent:
         return None
-    zero = dom.zero()
-    xdata = [(zero,) * b.cols] * a.cols
-    for row, pc in zip(reduced, pivots):
-        xdata[pc] = tuple(row[a.cols :])
-    return StarMatrix(a.cols, b.cols, tuple(xdata), dom)
+    out = tuple(np.zeros((a.cols, b.cols), dtype=r.dtype) for r in rows)
+    for o, r in zip(out, rows):
+        o[pivots] = r[:, a.cols :]  # free variables zero
+    return _exact(dom, out, den)
 
 
 def solve_left(
@@ -719,19 +698,13 @@ def right_nullspace(a: StarMatrix) -> StarMatrix:
     dom = a.domain
     if not (dom.exact and dom.field):
         raise UnsupportedDomain("nullspace basis requires an exact field")
-    pivots, reduced, _ = _rref(a.data, dom, a.cols)
-    pivset = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivset]
-    zero, one, neg = dom.zero(), dom.one(), dom.neg
-    cols = []
-    for f in free:
-        vec = [zero] * a.cols
-        vec[f] = one
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = neg(row[f])
-        cols.append(vec)
-    data = tuple(tuple(cols[j][i] for j in range(len(free))) for i in range(a.cols))
-    return StarMatrix(a.cols, len(free), data, dom)
+    pivots, rows, den, _ = _rref(dom, a.ints, a.cols)
+    free = [c for c in range(a.cols) if c not in set(pivots)]
+    out = tuple(np.zeros((a.cols, len(free)), dtype=r.dtype) for r in rows)
+    out[0][free, range(len(free))] = den  # free variable f is 1 in column f
+    for o, r in zip(out, rows):
+        o[pivots] = -r[:, free]
+    return _exact(dom, out, den)
 
 
 def left_nullspace(a: StarMatrix) -> StarMatrix:

@@ -324,3 +324,30 @@ def test_nonfinite_value_is_never_printed(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def _ill_conditioned():
+    # a = U diag(s) V with Haar unitaries U, V drawn from default_rng(158):
+    # the float Drazin and core-EP constructions end with residuals D1 1.6e-7,
+    # D2 2.6e-8 and Q3 4.3e-8, above the 1e-8 certificate tolerance
+    g = np.random.default_rng(158)
+
+    def unitary():
+        q, r = np.linalg.qr((g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))) / 2**0.5)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    u, v = unitary(), unitary()
+    a = (u * [0.324, 1.17e-2, 3.28e-3, 2.00e-6, 0.0]) @ v
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+@pytest.mark.parametrize("kind, failing", [("drazin", ["D1", "D2"]), ("core-ep", ["Q3"])])
+def test_compute_exits_three_when_the_certificate_fails(tmp_path, capsys, kind, failing):
+    a = write_matrix(tmp_path / "ill.json", _ill_conditioned(), domain={"kind": "complex_float"})
+    assert run(["compute", "--kind", kind, "--a", a]) == 3
+    out = _strict_json(capsys.readouterr().out)
+    cert = out["certificate"]
+    assert out["exists"] is False and out["value"] is not None
+    assert cert["ok"] is False
+    assert all(cert["residuals"][name] > cert["tolerance"] for name in failing)
+    assert out["reason"] == f"certificate fails equations {failing}"

@@ -330,3 +330,33 @@ def test_unit_routes_refuse_nan_inner_inverse():
             mp_via_unit(a, bad)
         with pytest.raises(PreconditionFailed):
             inverse_along_via_unit(a, a, bad)
+
+
+@pytest.mark.parametrize("dom", [GAUSSIAN_RATIONAL, prime_field(7), COMPLEX_FLOAT], ids=repr)
+def test_residuals_evaluate_each_prefix_and_starred_letter_once(dom, monkeypatch):
+    from ginv.equations import SYSTEMS, eval_word, system_residuals
+
+    rng = random.Random(5)
+    rows = {k: [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)] for k in "awx"}
+    env = {k: StarMatrix.from_rows(r, dom) for k, r in rows.items()}
+    system = SYSTEMS["w-core-full"]
+    fresh = {name: (eval_word(lhs, env), eval_word(rhs, env)) for name, lhs, rhs in system}
+    calls = {"matmul": 0, "adjoint": 0}
+    kernel = type(env["a"])
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(StarMatrix, "__matmul__", counted("matmul", StarMatrix.__matmul__))
+    monkeypatch.setattr(kernel, "adjoint", counted("adjoint", kernel.adjoint))
+    res = system_residuals(system, env)
+    words = [w for _, lhs, rhs in system for w in (lhs, rhs)]
+    prefixes = {w[:k] for w in words for k in range(2, len(w) + 1)}
+    starred = {sym for w in words for sym in w if sym.endswith("*")}
+    assert calls == {"matmul": len(prefixes), "adjoint": len(starred)} == {"matmul": 10, "adjoint": 3}
+    if dom.exact:  # float residuals are checked against fresh words in test_matrix_complex
+        assert res == {name: rel_diff(left, right) for name, (left, right) in fresh.items()}
