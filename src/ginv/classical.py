@@ -106,12 +106,6 @@ def core_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarM
     return x
 
 
-def core_nonexistence_reason(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> str:
-    if group_inverse(a, tol) is None:
-        return "no group inverse"
-    return "no {1,3}-inverse"
-
-
 def dual_core_inverse(
     a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:

@@ -20,14 +20,14 @@ import numpy as np
 
 from .along import bc_inverse, inverse_along
 from .classical import (
+    IndexedInverse,
     core_ep_inverse,
     core_inverse,
-    core_nonexistence_reason,
     drazin_inverse,
     dual_core_inverse,
     group_inverse,
 )
-from .equations import certify
+from .equations import InverseResult, certify
 from .errors import GinvError, RouteDisagreement
 from .matrix import (
     DEFAULT_TOL,
@@ -37,25 +37,46 @@ from .matrix import (
     matrix_to_json,
 )
 from .regular import inner_inverse, mp_inverse, one_four_inverse, one_three_inverse
-from .rings import enumerate_ring
+from .rings import DEFAULT_RING_CAP, enumerate_ring
 from .theorems import verify_all, verify_theorem
 from .wcore import DUAL_V_CORE_ROUTES, W_CORE_ROUTES, dual_v_core, w_core
 
-KINDS = (
-    "one",
-    "one3",
-    "one4",
-    "mp",
-    "group",
-    "drazin",
-    "core",
-    "dual-core",
-    "core-ep",
-    "along",
-    "w-core",
-    "dual-v-core",
-    "bc",
-)
+
+def _missing_factor(one_sided):
+    # the core inverse is a^# a a^(1,3), the dual-core inverse a^(1,4) a a^#
+    def reason(a, tol):
+        return "no group inverse" if group_inverse(a, tol) is None else f"no {one_sided}-inverse"
+
+    return reason
+
+
+# kind -> (solver of the loaded operands, the tolerances and the route; reason
+# when it finds no inverse).  A solver returns an InverseResult, which carries
+# its own reason, an IndexedInverse, a matrix or None, and looks up the
+# module-level function it calls when it runs.  A reason may be a function of
+# (a, tol); kinds without one always have an inverse.
+_COMPUTE = {
+    "one": (lambda tol, route, a: inner_inverse(a, tol), None),
+    "one3": (lambda tol, route, a: one_three_inverse(a, tol), "a is not in S a* a"),
+    "one4": (lambda tol, route, a: one_four_inverse(a, tol), "a is not in a a* S"),
+    "mp": (lambda tol, route, a: mp_inverse(a, tol), "a is not in S a a* a"),
+    "group": (lambda tol, route, a: group_inverse(a, tol), "a is not in a^2 S and S a^2"),
+    "drazin": (lambda tol, route, a: drazin_inverse(a, tol), None),
+    "core": (lambda tol, route, a: core_inverse(a, tol), _missing_factor("{1,3}")),
+    "dual-core": (lambda tol, route, a: dual_core_inverse(a, tol), _missing_factor("{1,4}")),
+    "core-ep": (
+        lambda tol, route, a: core_ep_inverse(a, tol),
+        "a^m has no {1,3}-inverse at the Drazin index m",
+    ),
+    "along": (lambda tol, route, a, d: inverse_along(a, d, tol), None),
+    "w-core": (lambda tol, route, a, w: w_core(a, w, route=route, tol=tol), None),
+    "dual-v-core": (lambda tol, route, a, v: dual_v_core(a, v, route=route, tol=tol), None),
+    "bc": (
+        lambda tol, route, a, b, c: bc_inverse(a, b, c, tol),
+        "rank(cab) != rank(b) = rank(c) criterion fails",
+    ),
+}
+KINDS = tuple(_COMPUTE)
 
 _EXTRA_OPERANDS = {
     "along": ("d",),
@@ -92,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--ring", required=True, help='ring spec, e.g. "zmod:6" or "mat:2:gf2"')
     pv.add_argument("--theorem", default=None, help="single theorem id")
     pv.add_argument("--all", action="store_true", help="run the full catalog")
-    pv.add_argument("--cap", type=int, default=6561, help="largest allowed ring size")
+    pv.add_argument("--cap", type=int, default=DEFAULT_RING_CAP, help="largest allowed ring size")
     pv.add_argument("--out", default=None, help="write the JSON report here")
 
     pk = sub.add_parser("check", help="re-certify a candidate inverse")
@@ -144,7 +165,6 @@ def _cmd_compute(args) -> int:
     tol = _tolerances(args)
     kind = args.kind
     mats = _load_operands(args, kind)
-    a = mats["a"]
     route = args.route
     if route is not None:
         valid = {"w-core": W_CORE_ROUTES, "dual-v-core": DUAL_V_CORE_ROUTES}.get(kind)
@@ -153,56 +173,16 @@ def _cmd_compute(args) -> int:
         if route != "all" and route not in valid:
             raise GinvError(f"unknown route {route!r} for {kind}; choose from {valid}")
 
-    exists, value, index, cert, reason = False, None, None, None, None
-    if kind == "w-core":
-        res = w_core(a, mats["w"], route=route or "all", tol=tol)
+    solve, why_not = _COMPUTE[kind]
+    res = solve(tol, route or "all", **mats)
+    index = cert = reason = None
+    if isinstance(res, InverseResult):
         exists, value, cert, reason = res.exists, res.value, res.certificate, res.reason
-    elif kind == "dual-v-core":
-        res = dual_v_core(a, mats["v"], route=route or "all", tol=tol)
-        exists, value, cert, reason = res.exists, res.value, res.certificate, res.reason
-    elif kind == "along":
-        res = inverse_along(a, mats["d"], tol)
-        exists, value, cert, reason = res.exists, res.value, res.certificate, res.reason
-    elif kind == "bc":
-        value = bc_inverse(a, mats["b"], mats["c"], tol)
+    else:
+        value, index = res if isinstance(res, IndexedInverse) else (res, None)
         exists = value is not None
-        reason = None if exists else "rank(cab) != rank(b) = rank(c) criterion fails"
-    elif kind == "one":
-        value = inner_inverse(a, tol)
-        exists = True
-    elif kind == "one3":
-        value = one_three_inverse(a, tol)
-        exists = value is not None
-        reason = None if exists else "a is not in S a* a"
-    elif kind == "one4":
-        value = one_four_inverse(a, tol)
-        exists = value is not None
-        reason = None if exists else "a is not in a a* S"
-    elif kind == "mp":
-        value = mp_inverse(a, tol)
-        exists = value is not None
-        reason = None if exists else "a is not in S a a* a"
-    elif kind == "group":
-        value = group_inverse(a, tol)
-        exists = value is not None
-        reason = None if exists else "a is not in a^2 S and S a^2"
-    elif kind == "drazin":
-        res = drazin_inverse(a, tol)
-        value, index, exists = res.value, res.index, True
-    elif kind == "core":
-        value = core_inverse(a, tol)
-        exists = value is not None
-        reason = None if exists else core_nonexistence_reason(a, tol)
-    elif kind == "dual-core":
-        value = dual_core_inverse(a, tol)
-        exists = value is not None
-        reason = None if exists else core_nonexistence_reason(a, tol)
-    elif kind == "core-ep":
-        res = core_ep_inverse(a, tol)
-        if res is not None:
-            value, index, exists = res.value, res.index, True
-        else:
-            reason = "a^m has no {1,3}-inverse at the Drazin index m"
+        if not exists:
+            reason = why_not(mats["a"], tol) if callable(why_not) else why_not
 
     if exists and cert is None:
         env = dict(mats)

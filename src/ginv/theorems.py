@@ -6,14 +6,19 @@ inverses are checked against every inner inverse found by scan, and each
 biconditional is checked in both directions.  A nonzero counterexample
 count means the build is wrong (or the ring violates a hypothesis).
 
-Checkers quantifying over three or more ring elements are restricted to
-rings with at most 16 elements to keep the tuple space desk-scale.
+`verify_theorem` runs every checker the same way.  Each element that a
+checker's innermost quantifier yields through `col.each` is one instance
+(the pair (a, w) for a loop over w inside one over a), also when a
+hypothesis then excludes it.  `col.fail` records a counterexample; the check
+ends at the `_MAX_CE`-th.  Checkers quantifying over three or more ring
+elements are skipped, with a note, on rings larger than `TRIPLE_SIZE_LIMIT`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field
 
 from .equations import SYSTEMS, core_ep_system
 from .errors import UnknownTheorem
@@ -38,19 +43,12 @@ class TheoremReport:
         return not self.counterexamples
 
     def to_json(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "ring": self.ring_spec,
-            "instances_checked": self.instances_checked,
-            "counterexamples": self.counterexamples,
-            "elapsed": self.elapsed,
-            "skipped": self.skipped,
-            "note": self.note,
-        }
+        obj = asdict(self)
+        return {"theorem_id": obj.pop("theorem_id"), "ring": obj.pop("ring_spec"), **obj}
 
 
-def _ce(ring, detail, **elems):
-    return {"elements": {k: ring.name(v) for k, v in elems.items()}, "detail": detail}
+class _Full(Exception):
+    """A check has recorded _MAX_CE counterexamples."""
 
 
 class _Collector:
@@ -59,15 +57,40 @@ class _Collector:
         self.checked = 0
         self.ces: list = []
 
-    def tick(self):
-        self.checked += 1
+    def each(self, items):
+        """The instances of a check, counted as they are yielded."""
+        for item in items:
+            self.checked += 1
+            yield item
 
     def fail(self, detail, **elems):
-        if len(self.ces) < _MAX_CE:
-            self.ces.append(_ce(self.ring, detail, **elems))
+        names = {k: self.ring.name(v) for k, v in elems.items()}
+        self.ces.append({"elements": names, "detail": detail})
+        if len(self.ces) >= _MAX_CE:
+            raise _Full
 
-    def full(self):
-        return len(self.ces) >= _MAX_CE
+
+def _ideal_conditions(a, sa, right_ideal, left_ideal, right_ann, left_ann):
+    """Conditions (iii)-(v) of the core and w-core characterizations as a test
+    of candidates xs: some x with xR = aR and Rx = Ra*, some x with ^0x = ^0a
+    and x^0 = (a*)^0, some x with ^0x = ^0a and (a*)^0 in x^0.  The dual
+    conditions pass the lookups mirrored, left for right."""
+    ri_a, li_sa = right_ideal(a), left_ideal(sa)
+    la_a, ra_sa = left_ann(a), right_ann(sa)
+
+    def conditions(xs):
+        c3 = c4 = c5 = False
+        for x in xs:
+            if not c3 and right_ideal(x) == ri_a and left_ideal(x) == li_sa:
+                c3 = True
+            if left_ann(x) == la_a:
+                if not c4 and right_ann(x) == ra_sa:
+                    c4 = True
+                if not c5 and ra_sa <= right_ann(x):
+                    c5 = True
+        return c3, c4, c5
+
+    return conditions
 
 
 # ---------------------------------------------------------------------------
@@ -76,20 +99,16 @@ class _Collector:
 
 def _chk_uniqueness(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             sols = ring.wcore_solutions(a, w)
             if len(sols) > 1:
                 col.fail(f"{len(sols)} distinct w-core inverses", a=a, w=w)
-            if col.full():
-                return
 
 
 def _chk_added_lemma(ring: FiniteStarRing, col: _Collector):
     mul = ring.mul_t
     for a in range(ring.size):
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             aw = mul[a][w]
             for x in ring.wcore_solutions(a, w):
                 awx = mul[aw][x]
@@ -99,94 +118,52 @@ def _chk_added_lemma(ring: FiniteStarRing, col: _Collector):
                     col.fail("derived equation xawx = x fails", a=a, w=w, x=x)
                 if mul[w][x] not in ring.solve_system(SYSTEMS["one23"], {"a": a}):
                     col.fail("wx is not a {1,2,3}-inverse of a", a=a, w=w, x=x)
-            if col.full():
-                return
 
 
 def _chk_characteristic_ew(ring: FiniteStarRing, col: _Collector):
     mul, star = ring.mul_t, ring.star_t
     n = ring.size
+    lookups = ring.right_ideal, ring.left_ideal, ring.right_ann, ring.left_ann
     for a in range(n):
-        sa = star[a]
-        ri_a, li_sa = ring.right_ideal(a), ring.left_ideal(sa)
-        la_a, ra_sa = ring.left_ann(a), ring.right_ann(sa)
-        for w in range(n):
-            col.tick()
+        conditions = _ideal_conditions(a, star[a], *lookups)
+        for w in col.each(range(n)):
             aw = mul[a][w]
             c1 = bool(ring.wcore_solutions(a, w))
             c2 = bool(ring.solve_system(SYSTEMS["w-core-full"], {"a": a, "w": w}))
-            c3 = c4 = c5 = False
-            for x in range(n):
-                if mul[mul[aw][x]][a] == a:
-                    if not c3 and ring.right_ideal(x) == ri_a and ring.left_ideal(x) == li_sa:
-                        c3 = True
-                    if ring.left_ann(x) == la_a:
-                        if not c4 and ring.right_ann(x) == ra_sa:
-                            c4 = True
-                        if not c5 and ra_sa <= ring.right_ann(x):
-                            c5 = True
+            c3, c4, c5 = conditions([x for x in range(n) if mul[mul[aw][x]][a] == a])
             if not (c1 == c2 == c3 == c4 == c5):
                 col.fail(f"conditions (i)-(v) split as {(c1, c2, c3, c4, c5)}", a=a, w=w)
-            if col.full():
-                return
 
 
 def _chk_characteristic_vf(ring: FiniteStarRing, col: _Collector):
     mul, star = ring.mul_t, ring.star_t
     n = ring.size
+    mirrored = ring.left_ideal, ring.right_ideal, ring.left_ann, ring.right_ann
     for a in range(n):
-        sa = star[a]
-        ri_sa, li_a = ring.right_ideal(sa), ring.left_ideal(a)
-        la_sa, ra_a = ring.left_ann(sa), ring.right_ann(a)
-        for v in range(n):
-            col.tick()
+        conditions = _ideal_conditions(a, star[a], *mirrored)
+        for v in col.each(range(n)):
             va = mul[v][a]
             c1 = bool(ring.dual_vcore_solutions(a, v))
             c2 = bool(ring.solve_system(SYSTEMS["dual-v-core-full"], {"a": a, "v": v}))
-            c3 = c4 = c5 = False
-            for y in range(n):
-                if mul[a][mul[y][va]] == a:
-                    if not c3 and ring.right_ideal(y) == ri_sa and ring.left_ideal(y) == li_a:
-                        c3 = True
-                    if ring.right_ann(y) == ra_a:
-                        if not c4 and ring.left_ann(y) == la_sa:
-                            c4 = True
-                        if not c5 and la_sa <= ring.left_ann(y):
-                            c5 = True
+            c3, c4, c5 = conditions([y for y in range(n) if mul[a][mul[y][va]] == a])
             if not (c1 == c2 == c3 == c4 == c5):
                 col.fail(f"dual conditions (i)-(v) split as {(c1, c2, c3, c4, c5)}", a=a, v=v)
-            if col.full():
-                return
 
 
 def _chk_core_char(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        col.tick()
-        sa = ring.star_t[a]
-        ri_a, li_sa = ring.right_ideal(a), ring.left_ideal(sa)
-        la_a, ra_sa = ring.left_ann(a), ring.right_ann(sa)
+    lookups = ring.right_ideal, ring.left_ideal, ring.right_ann, ring.left_ann
+    for a in col.each(range(ring.size)):
         c1 = ring.core_inv(a) is not None
         c2 = bool(ring.solve_system(SYSTEMS["core5"], {"a": a}))
-        c3 = c4 = c5 = False
-        for x in ring.inner_inverses(a):
-            if not c3 and ring.right_ideal(x) == ri_a and ring.left_ideal(x) == li_sa:
-                c3 = True
-            if ring.left_ann(x) == la_a:
-                if not c4 and ring.right_ann(x) == ra_sa:
-                    c4 = True
-                if not c5 and ra_sa <= ring.right_ann(x):
-                    c5 = True
+        c3, c4, c5 = _ideal_conditions(a, ring.star_t[a], *lookups)(ring.inner_inverses(a))
         if not (c1 == c2 == c3 == c4 == c5):
             col.fail(f"core conditions (i)-(v) split as {(c1, c2, c3, c4, c5)}", a=a)
-        if col.full():
-            return
 
 
 def _chk_ideal_form(ring: FiniteStarRing, col: _Collector):
     mul, star = ring.mul_t, ring.star_t
     for a in range(ring.size):
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             aw = mul[a][w]
             lhs = bool(ring.wcore_solutions(a, w))
             conds = {}
@@ -215,15 +192,12 @@ def _chk_ideal_form(ring: FiniteStarRing, col: _Collector):
                                 "w^{||a} w (aw)^{(1,3)} misses the value", a=a, w=w, t=t
                             )
                             break
-            if col.full():
-                return
 
 
 def _chk_relate_to_mary(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
         t13 = ring.one_three_set(a)
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             wpa = ring.along(w, a)
             ex = bool(ring.wcore_solutions(a, w))
             rhs = wpa is not None and bool(t13)
@@ -237,15 +211,12 @@ def _chk_relate_to_mary(ring: FiniteStarRing, col: _Collector):
                         break
                 if ring.mul(x0, a) != wpa:
                     col.fail("w^{||a} != a_w a", a=a, w=w)
-            if col.full():
-                return
 
 
 def _chk_relate_to_dual_mary(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
         t14 = ring.one_four_set(a)
-        for v in range(ring.size):
-            col.tick()
+        for v in col.each(range(ring.size)):
             vpa = ring.along(v, a)
             ex = bool(ring.dual_vcore_solutions(a, v))
             rhs = vpa is not None and bool(t14)
@@ -265,14 +236,11 @@ def _chk_relate_to_dual_mary(ring: FiniteStarRing, col: _Collector):
                     t0 = t14[0]
                     if ring.mul(t0, a, g_va) != y0 or ring.mul(t0, g_av, a) != y0:
                         col.fail("dual group formulas miss the value", a=a, v=v)
-            if col.full():
-                return
 
 
 def _chk_group_result(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             aw, wa = ring.mul(a, w), ring.mul(w, a)
             ex = ring.along(w, a) is not None
             c2 = (
@@ -291,15 +259,12 @@ def _chk_group_result(ring: FiniteStarRing, col: _Collector):
                 right = ring.mul(ring.group_inv(aw), a)
                 if not (wpa == left == right):
                     col.fail("a(wa)^# / (aw)^# a disagree with w^{||a}", a=a, w=w)
-            if col.full():
-                return
 
 
 def _chk_extended_repre(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
         t13 = ring.one_three_set(a)
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             if not ring.wcore_solutions(a, w):
                 continue
             x0 = ring.wcore(a, w)
@@ -312,13 +277,10 @@ def _chk_extended_repre(ring: FiniteStarRing, col: _Collector):
                 if ring.mul(a, g_wa, t) != x0 or ring.mul(g_aw, a, t) != x0:
                     col.fail("extended representations miss the value", a=a, w=w, t=t)
                     break
-            if col.full():
-                return
 
 
 def _chk_core_another(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        col.tick()
+    for a in col.each(range(ring.size)):
         c1 = ring.core_inv(a) is not None
         c2 = ring.group_inv(a) is not None and bool(ring.one_three_set(a))
         c3 = bool(ring.wcore_solutions(a, a))
@@ -332,15 +294,12 @@ def _chk_core_another(ring: FiniteStarRing, col: _Collector):
                 col.fail("a_core != a a_a", a=a)
             if ring.mul(ring.group_inv(a), core) != acore:
                 col.fail("a_a != a^# a_core", a=a)
-        if col.full():
-            return
 
 
 def _chk_core_another_1(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
         pc = ring.pseudo_core(a)
-        for n_exp in (1, 2, 3):
-            col.tick()
+        for n_exp in col.each((1, 2, 3)):
             an = ring.pow(a, n_exp)
             x0 = next(iter(ring.solve_system(core_ep_system(n_exp), {"a": a})), None)
             pcn = x0 is not None
@@ -358,14 +317,11 @@ def _chk_core_another_1(ring: FiniteStarRing, col: _Collector):
                     col.fail(f"n={n_exp}: a^D != a^n (a^n)_a", a=a)
                 if ring.mul(ring.pow(a, n_exp - 1), ring.core_inv(an)) != x0:
                     col.fail(f"n={n_exp}: a^D != a^(n-1) (a^n)_core", a=a)
-            if col.full():
-                return
 
 
 def _chk_star_core_another(ring: FiniteStarRing, col: _Collector):
     star = ring.star_t
-    for a in range(ring.size):
-        col.tick()
+    for a in col.each(range(ring.size)):
         sa = star[a]
         c1 = bool(ring.wcore_solutions(a, sa))
         c2 = ring.mp_inv(a) is not None
@@ -380,8 +336,6 @@ def _chk_star_core_another(ring: FiniteStarRing, col: _Collector):
                 col.fail("a^dag != (a_{a*} a)* or (a a_{a*,dual})*", a=a)
             if x != ring.mul(star[mp], mp) or y != ring.mul(mp, star[mp]):
                 col.fail("a_{a*} != (a^+)* a^+ or dual != a^+ (a^+)*", a=a)
-        if col.full():
-            return
 
 
 def _chk_wv_core_char(ring: FiniteStarRing, col: _Collector):
@@ -390,21 +344,17 @@ def _chk_wv_core_char(ring: FiniteStarRing, col: _Collector):
         for w in range(ring.size):
             ew = bool(ring.wcore_solutions(a, w))
             wpa = ring.along(w, a) is not None
-            for v in range(ring.size):
-                col.tick()
+            for v in col.each(range(ring.size)):
                 joint = ew and bool(ring.dual_vcore_solutions(a, v))
                 crit = wpa and ring.along(v, a) is not None and mp
                 if joint != crit:
                     col.fail(f"joint existence {joint} vs criterion {crit}", a=a, w=w, v=v)
-                if col.full():
-                    return
 
 
 def _chk_star_duality(ring: FiniteStarRing, col: _Collector):
     star = ring.star_t
     for a in range(ring.size):
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             ex = bool(ring.wcore_solutions(a, w))
             exd = bool(ring.dual_vcore_solutions(star[a], star[w]))
             if ex != exd:
@@ -412,14 +362,11 @@ def _chk_star_duality(ring: FiniteStarRing, col: _Collector):
             elif ex:
                 if star[ring.wcore(a, w)] != ring.dual_vcore(star[a], star[w]):
                     col.fail("(a_w)* != (a*)_{w*,dual}", a=a, w=w)
-            if col.full():
-                return
 
 
 def _chk_wcore_of_wcore(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             sols = ring.wcore_solutions(a, w)
             if not sols:
                 continue
@@ -431,8 +378,6 @@ def _chk_wcore_of_wcore(ring: FiniteStarRing, col: _Collector):
             aw = ring.mul(a, w)
             if core != ring.mul(aw, aw, x0):
                 col.fail("(a_w)_core != (aw)^2 a_w", a=a, w=w)
-            if col.full():
-                return
 
 
 def _chk_wv_mary(ring: FiniteStarRing, col: _Collector):
@@ -442,8 +387,7 @@ def _chk_wv_mary(ring: FiniteStarRing, col: _Collector):
             continue  # theorem hypothesis a MP-invertible
         aastar = ring.mul(a, star[a])
         astara = ring.mul(star[a], a)
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             ex = bool(ring.wcore_solutions(a, w))
             al = ring.along(ring.mul(a, w), aastar)
             if ex != (al is not None):
@@ -456,8 +400,6 @@ def _chk_wv_mary(ring: FiniteStarRing, col: _Collector):
                 col.fail(f"dual {exd} vs (va)^(||a*a) {ald is not None}", a=a, v=w)
             elif exd and ring.dual_vcore(a, w) != ald:
                 col.fail("dual value differs from (va)^{||a*a}", a=a, v=w)
-            if col.full():
-                return
 
 
 def _chk_relations_bc(ring: FiniteStarRing, col: _Collector):
@@ -467,8 +409,7 @@ def _chk_relations_bc(ring: FiniteStarRing, col: _Collector):
         sa = star[a]
         ri_a, li_sa = ring.right_ideal(a), ring.left_ideal(sa)
         ri_sa, li_a = ring.right_ideal(sa), ring.left_ideal(a)
-        for w in range(n):
-            col.tick()
+        for w in col.each(range(n)):
             aw = mul[a][w]
             bc = [
                 y
@@ -491,14 +432,11 @@ def _chk_relations_bc(ring: FiniteStarRing, col: _Collector):
                 col.fail(f"dual {exd} vs (a*,a)-invertibility of va {bool(bcd)}", a=a, v=w)
             elif exd and (len(bcd) != 1 or bcd[0] != ring.dual_vcore(a, w)):
                 col.fail("(a*,a)-inverse of va differs from a_{v,dual}", a=a, v=w)
-            if col.full():
-                return
 
 
 def _chk_green_drazin(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
-        for b in range(ring.size):
-            col.tick()
+        for b in col.each(range(ring.size)):
             if ring.leq_R(a, b) and not (ring.left_ann(b) <= ring.left_ann(a)):
                 col.fail("a <=_R b but ^0 b is not contained in ^0 a", a=a, b=b)
             if ring.leq_L(a, b) and not (ring.right_ann(b) <= ring.right_ann(a)):
@@ -508,19 +446,23 @@ def _chk_green_drazin(ring: FiniteStarRing, col: _Collector):
                 col.fail("a R b but left annihilators differ", a=a, b=b)
             if g["L"] and ring.right_ann(a) != ring.right_ann(b):
                 col.fail("a L b but right annihilators differ", a=a, b=b)
-            if col.full():
-                return
 
 
 # ---------------------------------------------------------------------------
 # ring-theoretic unit criteria
 
 
+def _complements(ring, d, d_in):
+    """1 - dd⁻ and 1 - d⁻d for an inner inverse d⁻ of d: each unit of a
+    criterion below is a product plus one of the two, x + 1 - e."""
+    mul, one = ring.mul_t, ring.one
+    return ring.sub(one, mul[d][d_in]), ring.sub(one, mul[d_in][d])
+
+
 def _chk_idempotent(ring: FiniteStarRing, col: _Collector):
     mul = ring.mul_t
     for a in range(ring.size):
-        for w in range(ring.size):
-            col.tick()
+        for w in col.each(range(ring.size)):
             aw = mul[a][w]
             ps = [
                 p
@@ -537,14 +479,11 @@ def _chk_idempotent(ring: FiniteStarRing, col: _Collector):
                 u_inv = ring.inv_unit(ring.add(p, aw))
                 if ring.mul(u_inv, ring.sub(ring.one, p)) != ring.wcore(a, w):
                     col.fail("u^{-1}(1-p) misses the w-core inverse", a=a, w=w)
-            if col.full():
-                return
 
 
 def _chk_jacobson(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
-        for b in range(ring.size):
-            col.tick()
+        for b in col.each(range(ring.size)):
             alpha = ring.sub(ring.one, ring.mul(a, b))
             if not ring.is_unit(alpha):
                 continue
@@ -555,8 +494,6 @@ def _chk_jacobson(ring: FiniteStarRing, col: _Collector):
             expected = ring.add(ring.one, ring.mul(b, ring.inv_unit(alpha), a))
             if ring.inv_unit(beta) != expected:
                 col.fail("beta^{-1} != 1 + b alpha^{-1} a", a=a, b=b)
-            if col.full():
-                return
 
 
 def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
@@ -566,18 +503,16 @@ def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
             continue
         for a in range(ring.size):
             ex = ring.along(a, d)
-            for d_in in inners:
-                col.tick()
-                u = ring.add(ring.mul(d, a), ring.sub(ring.one, ring.mul(d, d_in)))
-                v = ring.add(ring.mul(a, d), ring.sub(ring.one, ring.mul(d_in, d)))
+            for d_in in col.each(inners):
+                cp, cq = _complements(ring, d, d_in)
+                u = ring.add(ring.mul(d, a), cp)
+                v = ring.add(ring.mul(a, d), cq)
                 if (ex is not None) != ring.is_unit(u) or (ex is not None) != ring.is_unit(v):
                     col.fail("unit criteria disagree with existence", a=a, d=d, d_inner=d_in)
                     continue
                 if ex is not None:
                     if ring.mul(ring.inv_unit(u), d) != ex or ring.mul(d, ring.inv_unit(v)) != ex:
                         col.fail("u^{-1} d / d v^{-1} miss a^{||d}", a=a, d=d, d_inner=d_in)
-                if col.full():
-                    return
 
 
 def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
@@ -587,10 +522,10 @@ def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
         if not inners:
             continue
         mp = ring.mp_inv(a)
-        for a_in in inners:
-            col.tick()
-            u = ring.add(ring.mul(a, star[a]), ring.sub(ring.one, ring.mul(a, a_in)))
-            v = ring.add(ring.mul(star[a], a), ring.sub(ring.one, ring.mul(a_in, a)))
+        for a_in in col.each(inners):
+            cp, cq = _complements(ring, a, a_in)
+            u = ring.add(ring.mul(a, star[a]), cp)
+            v = ring.add(ring.mul(star[a], a), cq)
             if (mp is not None) != ring.is_unit(u) or (mp is not None) != ring.is_unit(v):
                 col.fail("MP unit criteria disagree with existence", a=a, a_inner=a_in)
                 continue
@@ -599,14 +534,11 @@ def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
                     col.fail("(u^{-1} a)* misses a^dag", a=a, a_inner=a_in)
                 if star[ring.mul(a, ring.inv_unit(v))] != mp:
                     col.fail("(a v^{-1})* misses a^dag", a=a, a_inner=a_in)
-            if col.full():
-                return
 
 
 def _chk_mp_ideal_char(ring: FiniteStarRing, col: _Collector):
     mul, star = ring.mul_t, ring.star_t
-    for a in range(ring.size):
-        col.tick()
+    for a in col.each(range(ring.size)):
         e = ring.mul(a, star[a], a)
         mp = ring.mp_inv(a)
         c2 = a in ring.right_ideal(e)
@@ -622,33 +554,45 @@ def _chk_mp_ideal_char(ring: FiniteStarRing, col: _Collector):
                 if mul[x][e] == a and star[mul[x][a]] != mp:
                     col.fail("(ya)* misses a^dag", a=a, x=x)
                     break
-        if col.full():
-            return
 
 
-def _unit_env(ring, a, a_in):
-    star = ring.star_t
-    one = ring.one
-    return {
-        "aa_in": ring.mul(a, a_in),
-        "in_a": ring.mul(a_in, a),
-        "sa": star[a],
-        "one": one,
-    }
+def _w_units(ring, a, w, a_in):
+    """The four units of the single-w criteria for an inner inverse a⁻ of a:
+    awaa* and aa*aw plus 1 - aa⁻, waa*a and a*awa plus 1 - a⁻a."""
+    sa = ring.star_t[a]
+    cp, cq = _complements(ring, a, a_in)
+    return (
+        ring.add(ring.mul(a, w, a, sa), cp),
+        ring.add(ring.mul(a, sa, a, w), cp),
+        ring.add(ring.mul(w, a, sa, a), cq),
+        ring.add(ring.mul(sa, a, w, a), cq),
+    )
+
+
+def _vw_units(ring, a, w, v, a_in):
+    """The units u, r, s, t of the (v, w) criteria for an inner inverse a⁻ of
+    a: awavaa* and avawaa* plus 1 - aa⁻, wavaa*a and vawaa*a plus 1 - a⁻a."""
+    sa = ring.star_t[a]
+    cp, cq = _complements(ring, a, a_in)
+    return (
+        ring.add(ring.mul(a, w, a, v, a, sa), cp),
+        ring.add(ring.mul(a, v, a, w, a, sa), cp),
+        ring.add(ring.mul(w, a, v, a, sa, a), cq),
+        ring.add(ring.mul(v, a, w, a, sa, a), cq),
+    )
 
 
 def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
     star = ring.star_t
     for a in range(ring.size):
+        sa = star[a]
         mp = ring.mp_inv(a) is not None
         inners = ring.inner_inverses(a)
         for v in range(ring.size):
             vpa = ring.along(v, a) is not None
-            for w in range(ring.size):
-                col.tick()
-                joint = bool(ring.wcore_solutions(a, w)) and bool(
-                    ring.dual_vcore_solutions(a, v)
-                )
+            ev = bool(ring.dual_vcore_solutions(a, v))
+            for w in col.each(range(ring.size)):
+                joint = bool(ring.wcore_solutions(a, w)) and ev
                 if not vpa:
                     if joint:
                         col.fail("joint existence without v in R^{||a}", a=a, w=w, v=v)
@@ -657,12 +601,7 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
                 if joint != c2:
                     col.fail(f"(i)={joint} vs (ii)={c2}", a=a, w=w, v=v)
                 for a_in in inners:
-                    e = _unit_env(ring, a, a_in)
-                    one = ring.one
-                    u = ring.add(ring.mul(a, w, a, v, a, e["sa"]), ring.sub(one, e["aa_in"]))
-                    r = ring.add(ring.mul(a, v, a, w, a, e["sa"]), ring.sub(one, e["aa_in"]))
-                    s = ring.add(ring.mul(w, a, v, a, e["sa"], a), ring.sub(one, e["in_a"]))
-                    t = ring.add(ring.mul(v, a, w, a, e["sa"], a), ring.sub(one, e["in_a"]))
+                    u, r, s, t = _vw_units(ring, a, w, v, a_in)
                     oks = tuple(ring.is_unit(x) for x in (u, r, s, t))
                     if any(ok != joint for ok in oks):
                         col.fail(
@@ -675,16 +614,14 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
                         continue
                     if joint:
                         mid = star[ring.mul(ring.inv_unit(u), a, w, a, v, a)]
-                        val_w = ring.mul(a, v, a, e["sa"], a, ring.inv_unit(s), mid)
-                        val_v = ring.mul(mid, a, w, a, e["sa"], a, ring.inv_unit(t))
+                        val_w = ring.mul(a, v, a, sa, a, ring.inv_unit(s), mid)
+                        val_v = ring.mul(mid, a, w, a, sa, a, ring.inv_unit(t))
                         if val_w != ring.wcore(a, w):
                             col.fail("joint formula misses a_w", a=a, w=w, v=v, a_inner=a_in)
                         if val_v != ring.dual_vcore(a, v):
                             col.fail(
                                 "joint formula misses a_{v,dual}", a=a, w=w, v=v, a_inner=a_in
                             )
-                    if col.full():
-                        return
 
 
 def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
@@ -697,20 +634,14 @@ def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
         for w in range(ring.size):
             wpa = ring.along(w, a) is not None
             ew = bool(ring.wcore_solutions(a, w))
-            for v in range(ring.size):
-                col.tick()
+            for v in col.each(range(ring.size)):
                 vpa = ring.along(v, a) is not None
                 joint = ew and bool(ring.dual_vcore_solutions(a, v))
                 c2 = wpa and vpa and mp
                 if joint != c2:
                     col.fail(f"(i)={joint} vs (ii)={c2}", a=a, w=w, v=v)
                 for a_in in inners:
-                    e = _unit_env(ring, a, a_in)
-                    one = ring.one
-                    u = ring.add(ring.mul(a, w, a, e["sa"]), ring.sub(one, e["aa_in"]))
-                    r = ring.add(ring.mul(a, e["sa"], a, w), ring.sub(one, e["aa_in"]))
-                    s = ring.add(ring.mul(w, a, e["sa"], a), ring.sub(one, e["in_a"]))
-                    t = ring.add(ring.mul(e["sa"], a, w, a), ring.sub(one, e["in_a"]))
+                    u, r, s, t = _w_units(ring, a, w, a_in)
                     conds = tuple(vpa and ring.is_unit(x) for x in (u, r, s, t))
                     if any(c != joint for c in conds):
                         col.fail(
@@ -718,41 +649,26 @@ def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
                         )
                         continue
                     if joint:
-                        val_w = ring.mul(
-                            a,
-                            e["sa"],
-                            a,
-                            ring.inv_unit(s),
-                            star[ring.mul(ring.inv_unit(u), a, w, a)],
-                        )
+                        mid = star[ring.mul(ring.inv_unit(u), a, w, a)]
+                        val_w = ring.mul(a, star[a], a, ring.inv_unit(s), mid)
                         if val_w != ring.wcore(a, w):
                             col.fail("single-w unit formula misses a_w", a=a, w=w, v=v, a_inner=a_in)
-                    if col.full():
-                        return
 
 
 def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
-    star = ring.star_t
     for a in range(ring.size):
         mp = ring.mp_inv(a) is not None
         inners = ring.inner_inverses(a)
         for w in range(ring.size):
             ew = bool(ring.wcore_solutions(a, w))
-            for v in range(ring.size):
-                col.tick()
+            for v in col.each(range(ring.size)):
                 joint = ew and bool(ring.dual_vcore_solutions(a, v))
                 c2 = ring.along(ring.mul(w, a, v), a) is not None and mp
                 c3 = ring.along(ring.mul(v, a, w), a) is not None and mp
                 if not (joint == c2 == c3):
                     col.fail(f"(i)={joint}, (ii)={c2}, (iii)={c3}", a=a, w=w, v=v)
                 for a_in in inners:
-                    e = _unit_env(ring, a, a_in)
-                    one = ring.one
-                    u = ring.add(ring.mul(a, w, a, v, a, e["sa"]), ring.sub(one, e["aa_in"]))
-                    r = ring.add(ring.mul(a, v, a, w, a, e["sa"]), ring.sub(one, e["aa_in"]))
-                    s = ring.add(ring.mul(w, a, v, a, e["sa"], a), ring.sub(one, e["in_a"]))
-                    t = ring.add(ring.mul(v, a, w, a, e["sa"], a), ring.sub(one, e["in_a"]))
-                    oks = tuple(ring.is_unit(x) for x in (u, r, s, t))
+                    oks = tuple(ring.is_unit(x) for x in _vw_units(ring, a, w, v, a_in))
                     if any(ok != joint for ok in oks):
                         col.fail(
                             f"Dedekind units {oks} vs joint {joint}",
@@ -761,22 +677,17 @@ def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
                             v=v,
                             a_inner=a_in,
                         )
-                    if col.full():
-                        return
 
 
 def _chk_along_product(ring: FiniteStarRing, col: _Collector):
     for a in range(ring.size):
         for w in range(ring.size):
             wpa = ring.along(w, a) is not None
-            for v in range(ring.size):
-                col.tick()
+            for v in col.each(range(ring.size)):
                 both = wpa and ring.along(v, a) is not None
                 prod = ring.along(ring.mul(w, a, v), a) is not None
                 if both != prod:
                     col.fail(f"w,v in R^(||a) = {both} but wav criterion = {prod}", a=a, w=w, v=v)
-                if col.full():
-                    return
 
 
 def _chk_intersect(ring: FiniteStarRing, col: _Collector):
@@ -794,14 +705,8 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
             joint = ew and edw
             c2 = ring.along(w, a) is not None and mp
             c3 = ew and edstar
-            for a_in in inners:
-                col.tick()
-                e = _unit_env(ring, a, a_in)
-                one = ring.one
-                u = ring.add(ring.mul(a, w, a, sa), ring.sub(one, e["aa_in"]))
-                r = ring.add(ring.mul(sa, a, w, a), ring.sub(one, e["in_a"]))
-                s = ring.add(ring.mul(w, a, sa, a), ring.sub(one, e["in_a"]))
-                t = ring.add(ring.mul(a, sa, a, w), ring.sub(one, e["aa_in"]))
+            for a_in in col.each(inners):
+                u, t, s, r = _w_units(ring, a, w, a_in)
                 oks = tuple(ring.is_unit(x) for x in (u, r, s, t))
                 if not (joint == c2 == c3) or any(ok != joint for ok in oks):
                     col.fail(
@@ -816,8 +721,6 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
                         col.fail("t^{-1} a a* misses a_w", a=a, w=w, a_inner=a_in)
                     if ring.mul(sa, a, ring.inv_unit(s)) != ring.dual_vcore(a, w):
                         col.fail("a* a s^{-1} misses a_{w,dual}", a=a, w=w, a_inner=a_in)
-                if col.full():
-                    return
 
 
 def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
@@ -829,14 +732,9 @@ def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
         sa = star[a]
         joint = ring.core_inv(a) is not None and ring.dual_core_inv(a) is not None
         c2 = ring.group_inv(a) is not None and ring.mp_inv(a) is not None
-        for a_in in inners:
-            col.tick()
-            one = ring.one
-            aa_in, in_a = ring.mul(a, a_in), ring.mul(a_in, a)
-            u = ring.add(ring.mul(a, a, sa), ring.sub(one, aa_in))
-            v = ring.add(ring.mul(sa, a, a), ring.sub(one, in_a))
-            s = ring.add(ring.mul(a, sa, a), ring.sub(one, in_a))
-            t = ring.add(ring.mul(a, sa, a), ring.sub(one, aa_in))
+        for a_in in col.each(inners):
+            # the core inverse is the w-core inverse at w = 1
+            u, t, s, v = _w_units(ring, a, ring.one, a_in)
             oks = tuple(ring.is_unit(x) for x in (u, v, s, t))
             if joint != c2 or any(ok != joint for ok in oks):
                 col.fail(f"(i)={joint}, (ii)={c2}, units={oks}", a=a, a_inner=a_in)
@@ -846,8 +744,6 @@ def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
                     col.fail("t^{-1} a a* misses a_core", a=a, a_inner=a_in)
                 if ring.mul(sa, a, ring.inv_unit(s)) != ring.dual_core_inv(a):
                     col.fail("a* a s^{-1} misses a_dual_core", a=a, a_inner=a_in)
-            if col.full():
-                return
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +815,8 @@ def verify_theorem(ring: FiniteStarRing, theorem_id: str) -> TheoremReport:
         )
     col = _Collector(ring)
     start = time.perf_counter()
-    checker(ring, col)
+    with suppress(_Full):
+        checker(ring, col)
     elapsed = time.perf_counter() - start
     return TheoremReport(theorem_id, ring.spec, col.checked, col.ces, elapsed)
 

@@ -97,6 +97,28 @@ def test_compute_one_sided_kinds(nilp, capsys):
         assert result["certificate"]["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "rows, kind, code, reason",
+    [
+        # a* a = 0 over GF(2): no {1,3}-inverse, while a a* S = a S gives a {1,4}-inverse
+        ([[1, 0], [1, 0]], "core", 3, "no {1,3}-inverse"),
+        ([[1, 0], [1, 0]], "dual-core", 0, None),
+        # the transpose: a {1,3}-inverse but no {1,4}-inverse
+        ([[1, 1], [0, 0]], "one3", 0, None),
+        ([[1, 1], [0, 0]], "one4", 3, "a is not in a a* S"),
+        ([[1, 1], [0, 0]], "dual-core", 3, "no {1,4}-inverse"),
+    ],
+)
+def test_compute_core_reasons_name_the_missing_one_sided_inverse(
+    tmp_path, capsys, rows, kind, code, reason
+):
+    a = write_matrix(tmp_path / "a.json", rows, domain={"kind": "prime_field", "modulus": 2})
+    assert run(["compute", "--kind", kind, "--a", a]) == code
+    result = json.loads(capsys.readouterr().out)
+    assert result["exists"] is (code == 0)
+    assert result["reason"] == reason
+
+
 def test_compute_drazin_reports_index(nilp, capsys):
     code = run(["compute", "--kind", "drazin", "--a", nilp])
     assert code == 0
