@@ -3,7 +3,9 @@
 Existence goes through the membership criteria (a in a^2 S and S a^2 for the
 group inverse, and their power versions for Drazin), which work uniformly
 over fields and over Z/nZ; certificates re-verify the original defining
-equations rather than the construction route.
+equations rather than the construction route.  The dual-core inverse is the
+star of the core inverse of a*, whose guard checks the dual equations up to
+the star.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .matrix import (
     solve_left,
     solve_right,
 )
-from .regular import one_three_inverse, one_four_inverse
+from .regular import one_three_inverse
 
 
 class IndexedInverse(NamedTuple):
@@ -109,17 +111,9 @@ def core_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarM
 def dual_core_inverse(
     a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
-    """Dual-core inverse a^{(1,4)} a a^#."""
-    _require_square(a)
-    g = group_inverse(a, tol)
-    if g is None:
-        return None
-    t = one_four_inverse(a, tol)
-    if t is None:
-        return None
-    x = t @ a @ g
-    assert_system(SYSTEMS["dual-core5"], {"a": a, "x": x}, tol, "dual-core inverse")
-    return x
+    """Dual-core inverse a^{(1,4)} a a^#, the star of the core inverse of a*."""
+    x = core_inverse(a.adjoint(), tol)
+    return None if x is None else x.adjoint()
 
 
 def core_ep_inverse(

@@ -189,7 +189,7 @@ def _cmd_compute(args) -> int:
         env = dict(mats)
         env["x"] = value
         cert = certify(kind, env, tol, index=index)
-    if exists and not cert.ok:
+    if cert is not None and not cert.ok:
         exists = False
         failed = [n for n, v in cert.residuals.items() if not all_within((v,), cert.tolerance)]
         reason = f"certificate fails equations {failed}"

@@ -34,6 +34,27 @@ P2: Equation = ("P2", ("x", "a", "x"), ("x",))
 P3: Equation = ("P3", ("a", "x"), ("x*", "a*"))
 P4: Equation = ("P4", ("x", "a"), ("a*", "x*"))
 
+_CORE = (
+    ("C3", ("a", "x", "x"), ("x",)),
+    ("C4", ("x", "a", "a"), ("a",)),
+    ("C5", ("a", "x"), ("x*", "a*")),
+)
+_DUAL_CORE = (
+    ("C3'", ("x", "x", "a"), ("x",)),
+    ("C4'", ("a", "a", "x"), ("a",)),
+    ("C5'", ("x", "a"), ("a*", "x*")),
+)
+_W_CORE = (
+    ("E1", ("a", "w", "x", "x"), ("x",)),
+    ("E2", ("x", "a", "w", "a"), ("a",)),
+    ("E3", ("a", "w", "x"), ("x*", "w*", "a*")),
+)
+_DUAL_V_CORE = (
+    ("F1", ("x", "x", "v", "a"), ("x",)),
+    ("F2", ("a", "v", "a", "x"), ("a",)),
+    ("F3", ("x", "v", "a"), ("a*", "v*", "x*")),
+)
+
 SYSTEMS: dict[str, tuple[Equation, ...]] = {
     "one": (P1,),
     "one3": (P1, P3),
@@ -45,52 +66,20 @@ SYSTEMS: dict[str, tuple[Equation, ...]] = {
         ("G2", ("x", "a", "x"), ("x",)),
         ("G3", ("a", "x"), ("x", "a")),
     ),
-    # three-equation core system; the five-equation variant appends P1, P2
-    "core": (
-        ("C3", ("a", "x", "x"), ("x",)),
-        ("C4", ("x", "a", "a"), ("a",)),
-        ("C5", ("a", "x"), ("x*", "a*")),
-    ),
-    "core5": (
-        P1,
-        P2,
-        ("C3", ("a", "x", "x"), ("x",)),
-        ("C4", ("x", "a", "a"), ("a",)),
-        ("C5", ("a", "x"), ("x*", "a*")),
-    ),
-    "dual-core": (
-        ("C3'", ("x", "x", "a"), ("x",)),
-        ("C4'", ("a", "a", "x"), ("a",)),
-        ("C5'", ("x", "a"), ("a*", "x*")),
-    ),
-    "dual-core5": (
-        P1,
-        P2,
-        ("C3'", ("x", "x", "a"), ("x",)),
-        ("C4'", ("a", "a", "x"), ("a",)),
-        ("C5'", ("x", "a"), ("a*", "x*")),
-    ),
-    "w-core": (
-        ("E1", ("a", "w", "x", "x"), ("x",)),
-        ("E2", ("x", "a", "w", "a"), ("a",)),
-        ("E3", ("a", "w", "x"), ("x*", "w*", "a*")),
-    ),
+    # three-equation core systems; the five-equation variants prepend P1, P2
+    "core": _CORE,
+    "core5": (P1, P2, *_CORE),
+    "dual-core": _DUAL_CORE,
+    "dual-core5": (P1, P2, *_DUAL_CORE),
+    "w-core": _W_CORE,
     "w-core-full": (
-        ("E1", ("a", "w", "x", "x"), ("x",)),
-        ("E2", ("x", "a", "w", "a"), ("a",)),
-        ("E3", ("a", "w", "x"), ("x*", "w*", "a*")),
+        *_W_CORE,
         ("E4", ("a", "w", "x", "a"), ("a",)),
         ("E5", ("x", "a", "w", "x"), ("x",)),
     ),
-    "dual-v-core": (
-        ("F1", ("x", "x", "v", "a"), ("x",)),
-        ("F2", ("a", "v", "a", "x"), ("a",)),
-        ("F3", ("x", "v", "a"), ("a*", "v*", "x*")),
-    ),
+    "dual-v-core": _DUAL_V_CORE,
     "dual-v-core-full": (
-        ("F1", ("x", "x", "v", "a"), ("x",)),
-        ("F2", ("a", "v", "a", "x"), ("a",)),
-        ("F3", ("x", "v", "a"), ("a*", "v*", "x*")),
+        *_DUAL_V_CORE,
         ("F4", ("a", "x", "v", "a"), ("a",)),
         ("F5", ("x", "v", "a", "x"), ("x",)),
     ),

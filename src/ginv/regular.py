@@ -1,11 +1,12 @@
 """{1}, {1,3}, {1,4} inverses and the Moore-Penrose inverse.
 
 Constructions follow the solvability criteria: a is {1,3}-invertible iff
-a = x a* a is solvable (then x* is a {1,3}-inverse), dually for {1,4}, and
-a is MP-invertible iff a = y a a* a is solvable (then (y a)* is the MP
-inverse).  Over conjugate-involution characteristic-zero domains these
-always succeed; over GF(p) with the transpose involution they can genuinely
-fail (isotropic columns), which the solve decides honestly.
+a = x a* a is solvable (then x* is a {1,3}-inverse), and a is MP-invertible
+iff a = y a a* a is solvable (then (y a)* is the MP inverse); the {1,4}
+constructions are the stars of the {1,3} ones run on a*.  Over
+conjugate-involution characteristic-zero domains these always succeed; over
+GF(p) with the transpose involution they can genuinely fail (isotropic
+columns), which the solve decides honestly.
 """
 
 from __future__ import annotations
@@ -62,13 +63,10 @@ def one_three_inverse(
 def one_four_inverse(
     a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
-    """A {1,4}-inverse of a, or None when a is not in a a* S."""
-    y = solve_right(a @ a.adjoint(), a, tol)
-    if y is None:
-        return None
-    out = y.adjoint()
-    assert_system(SYSTEMS["one4"], {"a": a, "x": out}, tol, "{1,4}-inverse")
-    return out
+    """A {1,4}-inverse of a, or None when a is not in a a* S: the star of a
+    {1,3}-inverse of a*, whose guard checks the {1,4} equations up to the star."""
+    t = one_three_inverse(a.adjoint(), tol)
+    return None if t is None else t.adjoint()
 
 
 def mp_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix | None:
@@ -121,7 +119,6 @@ def canonical_one_three(
 def canonical_one_four(
     a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
-    x = mp_inverse(a, tol)
-    if x is not None:
-        return x
-    return one_four_inverse(a, tol)
+    """Canonical {1,4}-inverse: the star of the canonical {1,3}-inverse of a*."""
+    t = canonical_one_three(a.adjoint(), tol)
+    return None if t is None else t.adjoint()

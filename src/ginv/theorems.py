@@ -13,19 +13,19 @@ hypothesis then excludes it.  `col.fail` records a counterexample; the check
 ends at the `_MAX_CE`-th.  Checkers quantifying over three or more ring
 elements are skipped, with a note, on rings larger than `TRIPLE_SIZE_LIMIT`.
 
-The unit criteria `mary_inverse_unit`, `intersect`, `vw_intersect`,
-`joint_w_units` and `vw_intersect_dedekind` check all instances of one outer
-letter (d, or a) at once on the ring's int32 tables, with the inner letters
-and the inner inverses as array axes.  They read every lookup through the
-ring's named lookups (`is_unit`, `inv_unit`, `wcore_solutions`,
-`dual_vcore_solutions`, `along`, `inner_inverses`, `mp_inv`): is-unit bits
-once per check, each unit inverse the first time it is needed, and
-existence bits and `along` values once per outer letter.  Such a batch
-reports through `col.batch`, which counts the same instances `col.each`
-would and calls `col.fail` for the batch's failures in the order of the
-scalar loop it replaces, each with the instances up to its own counted.  So
-a check that ends at the cap reports the same counterexamples and the same
-instance count as the loop.
+The seven unit criteria open each outer letter (d, or a) through one
+`_Frame`: a*, the inner inverses and, read on request through the ring's
+named lookups, a^dag, the row x^{||a} and the rows a_w and a_{w,dual}.  Its
+`units` builds every unit of the criteria, a word plus 1 - aa⁻ or 1 - a⁻a.
+`classical_mp_char` and `core_dual_core_units` loop over the units one by
+one; the other five check all instances of one outer letter at once on the
+ring's int32 tables, with the inner letters and the inner inverses as array
+axes, reading is-unit bits once per check and each unit inverse when first
+needed.  Such a batch reports through `col.batch`, which counts the same
+instances `col.each` would and calls `col.fail` for the batch's failures in
+the order of the scalar loop it replaces, each with the instances up to its
+own counted.  So a check that ends at the cap reports the same
+counterexamples and the same instance count as the loop.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -43,8 +44,6 @@ from .rings import FiniteStarRing
 _MAX_CE = 10
 TRIPLE_SIZE_LIMIT = 16
 _B3 = SYSTEMS["bc"][2:]  # xax = x: x is an outer inverse of a
-_E4 = SYSTEMS["w-core-full"][3:4]  # awxa = a
-_F4 = SYSTEMS["dual-v-core-full"][3:4]  # ayva = a
 
 
 @dataclass
@@ -164,32 +163,24 @@ def _chk_added_lemma(ring: FiniteStarRing, col: _Collector):
                     col.fail("wx is not a {1,2,3}-inverse of a", a=a, w=w, x=x)
 
 
-def _chk_characteristic_ew(ring: FiniteStarRing, col: _Collector):
-    star = ring.star_t
-    n = ring.size
-    lookups = ring.right_ideal, ring.left_ideal, ring.right_ann, ring.left_ann
+def _chk_characteristic(ring: FiniteStarRing, col: _Collector, dual=False):
+    """Conditions (i)-(v) of the w-core characterization, or with dual those
+    of the dual v-core one: the lookups mirrored, left for right."""
+    ri, li, ra, la = ring.right_ideal, ring.left_ideal, ring.right_ann, ring.left_ann
+    lookups = (li, ri, la, ra) if dual else (ri, li, ra, la)
+    solutions = ring.dual_vcore_solutions if dual else ring.wcore_solutions
+    full = SYSTEMS["dual-v-core-full" if dual else "w-core-full"]
+    e4 = full[3:4]  # awxa = a, or ayva = a: the candidates of (iii)-(v)
+    letter, what = ("v", "dual conditions") if dual else ("w", "conditions")
+    star, solve, n = ring.star_t, ring.solve_system, ring.size
     for a in range(n):
         conditions = _ideal_conditions(a, star[a], *lookups)
         for w in col.each(range(n)):
-            c1 = bool(ring.wcore_solutions(a, w))
-            c2 = bool(ring.solve_system(SYSTEMS["w-core-full"], {"a": a, "w": w}))
-            c3, c4, c5 = conditions(ring.solve_system(_E4, {"a": a, "w": w}))
+            env = {"a": a, letter: w}
+            c1, c2 = bool(solutions(a, w)), bool(solve(full, env))
+            c3, c4, c5 = conditions(solve(e4, env))
             if not (c1 == c2 == c3 == c4 == c5):
-                col.fail(f"conditions (i)-(v) split as {(c1, c2, c3, c4, c5)}", a=a, w=w)
-
-
-def _chk_characteristic_vf(ring: FiniteStarRing, col: _Collector):
-    star = ring.star_t
-    n = ring.size
-    mirrored = ring.left_ideal, ring.right_ideal, ring.left_ann, ring.right_ann
-    for a in range(n):
-        conditions = _ideal_conditions(a, star[a], *mirrored)
-        for v in col.each(range(n)):
-            c1 = bool(ring.dual_vcore_solutions(a, v))
-            c2 = bool(ring.solve_system(SYSTEMS["dual-v-core-full"], {"a": a, "v": v}))
-            c3, c4, c5 = conditions(ring.solve_system(_F4, {"a": a, "v": v}))
-            if not (c1 == c2 == c3 == c4 == c5):
-                col.fail(f"dual conditions (i)-(v) split as {(c1, c2, c3, c4, c5)}", a=a, v=v)
+                col.fail(f"{what} (i)-(v) split as {(c1, c2, c3, c4, c5)}", a=a, **{letter: w})
 
 
 def _chk_core_char(ring: FiniteStarRing, col: _Collector):
@@ -509,20 +500,6 @@ class _Units:
         return self._inv[xs]
 
 
-def _cores(ring, a):
-    """a_w and a_{w,dual} for every element w, -1 where they do not exist."""
-    return [
-        np.array([(sols(a, w) or (-1,))[0] for w in range(ring.size)], dtype=np.int64)
-        for sols in (ring.wcore_solutions, ring.dual_vcore_solutions)
-    ]
-
-
-def _along_all(ring, d):
-    """x^{||d} for every element x, -1 where it does not exist."""
-    values = (ring.along(x, d) for x in range(ring.size))
-    return np.array([-1 if y is None else y for y in values], dtype=np.int64)
-
-
 def _prod(mul, *factors):
     """The left-to-right product of elements and broadcast element arrays."""
     acc = factors[0]
@@ -531,40 +508,62 @@ def _prod(mul, *factors):
     return acc
 
 
-def _complement_arrays(ring, d, inners):
-    """1 - dd⁻ and 1 - d⁻d for each inner inverse d⁻ of d in inners: each unit
-    of a criterion below is a product plus one of the two, x + 1 - e."""
-    one_minus = ring.add_arr[ring.one][ring.neg_arr]
-    inners = np.asarray(inners, dtype=np.int64)
-    return one_minus[ring.mul_arr[d, inners]], one_minus[ring.mul_arr[inners, d]]
+class _Frame:
+    """The outer letter a of a unit criterion, with a* and its inner inverses
+    a⁻.  A checker reads, once per frame and only if it needs them, a^dag
+    (`mp`, None if it does not exist), x^{||a} for every x (`along`) and a_w
+    and a_{w,dual} for every w (`cores`), the rows -1 where they do not exist."""
+
+    def __init__(self, ring, a, inners):
+        self.ring, self.a, self.sa = ring, a, ring.star_t[a]
+        self.inners, self.k = inners, len(inners)
+        # 1 - aa⁻ and 1 - a⁻a for each inner inverse a⁻
+        mul, inners = ring.mul_arr, np.asarray(self.inners, dtype=np.int64)
+        one_minus = ring.add_arr[ring.one][ring.neg_arr]
+        self._complements = one_minus[mul[a, inners]], one_minus[mul[inners, a]]
+
+    def mp(self):
+        return self.ring.mp_inv(self.a)
+
+    def along(self):
+        values = (self.ring.along(x, self.a) for x in range(self.ring.size))
+        return np.array([-1 if y is None else y for y in values], dtype=np.int64)
+
+    def cores(self):
+        return [
+            np.array([(sols(self.a, w) or (-1,))[0] for w in range(self.ring.size)], dtype=np.int64)
+            for sols in (self.ring.wcore_solutions, self.ring.dual_vcore_solutions)
+        ]
+
+    def units(self, *words, **letters):
+        """The unit x + 1 - e of each word x over a, a* and the letters
+        (elements or broadcast element arrays), with a last axis over a⁻: e
+        is aa⁻ when x starts with a, so lies in aR, and a⁻a when it ends with a."""
+        env = {"a": self.a, "a*": self.sa, **letters}
+        mul, add = self.ring.mul_arr, self.ring.add_arr
+        out = []
+        for word in words:
+            syms = word.split()
+            x = _prod(mul, *[env[sym] for sym in syms])
+            e = self._complements[syms[0] != "a"]
+            # an element's units lie in one row of the addition table, a
+            # cheaper gather than the broadcast one
+            out.append(add[x[..., None], e] if isinstance(x, np.ndarray) else add[x][e])
+        return out
 
 
-def _w_unit_arrays(ring, a, w, inners):
-    """The four units of the single-w criteria for w (an element or an array
-    of them), with a last axis over the inner inverses a⁻: awaa* and aa*aw
-    plus 1 - aa⁻, waa*a and a*awa plus 1 - a⁻a."""
-    mul, add, sa = ring.mul_arr, ring.add_arr, ring.star_t[a]
-    cp, cq = _complement_arrays(ring, a, inners)
-    return (
-        add[_prod(mul, a, w, a, sa)[..., None], cp],
-        add[_prod(mul, a, sa, a, w)[..., None], cp],
-        add[_prod(mul, w, a, sa, a)[..., None], cq],
-        add[_prod(mul, sa, a, w, a)[..., None], cq],
-    )
+# the units of the single-w criteria and of the (v, w) criteria
+_W_UNITS = ("a w a a*", "a a* a w", "w a a* a", "a* a w a")
+_VW_UNITS = ("a w a v a a*", "a v a w a a*", "w a v a a* a", "v a w a a* a")
 
 
-def _vw_unit_arrays(ring, a, w, v, inners):
-    """The units u, r, s, t of the (v, w) criteria for broadcast arrays of w
-    and v, with a last axis over the inner inverses a⁻: awavaa* and avawaa*
-    plus 1 - aa⁻, wavaa*a and vawaa*a plus 1 - a⁻a."""
-    mul, add, sa = ring.mul_arr, ring.add_arr, ring.star_t[a]
-    cp, cq = _complement_arrays(ring, a, inners)
-    return (
-        add[_prod(mul, a, w, a, v, a, sa)[..., None], cp],
-        add[_prod(mul, a, v, a, w, a, sa)[..., None], cp],
-        add[_prod(mul, w, a, v, a, sa, a)[..., None], cq],
-        add[_prod(mul, v, a, w, a, sa, a)[..., None], cq],
-    )
+def _frames(ring, regular=True):
+    """The frame of each element in turn; when regular, only of those with an
+    inner inverse."""
+    for a in range(ring.size):
+        inners = ring.inner_inverses(a)
+        if inners or not regular:
+            yield _Frame(ring, a, inners)
 
 
 def _chk_idempotent(ring: FiniteStarRing, col: _Collector):
@@ -605,20 +604,14 @@ def _chk_jacobson(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
-    n, mul, add = ring.size, ring.mul_arr, ring.add_arr
+    n, mul = ring.size, ring.mul_arr
     units = _Units(ring)
     xs = np.arange(n)
-    for d in range(n):
-        inners = ring.inner_inverses(d)
-        if not inners:
-            continue
-        # instances (a, d⁻): rows a, columns d⁻
-        k = len(inners)
-        ex = _along_all(ring, d)
+    for f in _frames(ring):
+        # the frame's letter is d; instances (a, d⁻): rows a, columns d⁻
+        d, k, ex = f.a, f.k, f.along()
         has = (ex >= 0)[:, None]
-        cp, cq = _complement_arrays(ring, d, inners)
-        u = add[mul[d, xs][:, None], cp]
-        v = add[mul[xs, d][:, None], cq]
+        u, v = f.units("a x", "x a", x=xs)
         bad = (has != units.bits[u]) | (has != units.bits[v])
         need = np.flatnonzero(~bad & has)
         miss = np.zeros(n * k, dtype=bool)
@@ -628,7 +621,7 @@ def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
 
         def elems(pos):
             a, i = divmod(pos, k)
-            return {"a": a, "d": d, "d_inner": inners[i]}
+            return {"a": a, "d": d, "d_inner": f.inners[i]}
 
         own = [
             (bad.ravel(), "unit criteria disagree with existence"),
@@ -639,15 +632,10 @@ def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
 
 def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
     star = ring.star_t
-    for a in range(ring.size):
-        inners = ring.inner_inverses(a)
-        if not inners:
-            continue
-        mp = ring.mp_inv(a)
-        cps, cqs = (x.tolist() for x in _complement_arrays(ring, a, inners))
-        for a_in, cp, cq in col.each(zip(inners, cps, cqs)):
-            u = ring.add(ring.mul(a, star[a]), cp)
-            v = ring.add(ring.mul(star[a], a), cq)
+    for f in _frames(ring):
+        a, mp = f.a, f.mp()
+        us, vs = (x.tolist() for x in f.units("a a*", "a* a"))
+        for a_in, u, v in col.each(zip(f.inners, us, vs)):
             if (mp is not None) != ring.is_unit(u) or (mp is not None) != ring.is_unit(v):
                 col.fail("MP unit criteria disagree with existence", a=a, a_inner=a_in)
                 continue
@@ -682,18 +670,13 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
     units = _Units(ring)
     v, w = np.arange(n)[:, None], np.arange(n)[None, :]
-    for a in range(n):
-        sa = ring.star_t[a]
-        mp = ring.mp_inv(a) is not None
-        inners = ring.inner_inverses(a)
-        k = len(inners)
-        wc, dv = _cores(ring, a)
-        in_a = _along_all(ring, a) >= 0
+    for f in _frames(ring, regular=False):
+        a, sa, k, (wc, dv), in_a = f.a, f.sa, f.k, f.cores(), f.along() >= 0
         # instances (v, w): rows v, columns w; the units add an axis for a⁻
         vpa = in_a[:, None]
         joint = (dv >= 0)[:, None] & (wc >= 0)
-        c2 = in_a & mp
-        u, r, s, t = _vw_unit_arrays(ring, a, w, v, inners)
+        c2 = in_a & (f.mp() is not None)
+        u, r, s, t = f.units(*_VW_UNITS, w=w, v=v)
         oks = units.bits[np.stack([u, r, s, t])]
         bad = vpa[..., None] & (oks != joint[..., None]).any(axis=0)
         need = np.flatnonzero(vpa[..., None] & ~bad & joint[..., None])
@@ -706,7 +689,7 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
 
         def elems(pos, *inner):
             vi, wi = divmod(pos, n)
-            return {"a": a, "w": wi, "v": vi} | {"a_inner": inners[i] for i in inner}
+            return {"a": a, "w": wi, "v": vi} | {"a_inner": f.inners[i] for i in inner}
 
         own = [
             ((~vpa & joint).ravel(), "joint existence without v in R^{||a}"),
@@ -731,18 +714,12 @@ def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
     units = _Units(ring)
     ws = np.arange(n)
-    for a in range(n):
-        inners = ring.inner_inverses(a)
-        if not inners:
-            continue
-        sa, k = ring.star_t[a], len(inners)
-        mp = ring.mp_inv(a) is not None
-        wc, dv = _cores(ring, a)
-        in_a = _along_all(ring, a) >= 0
+    for f in _frames(ring):
+        a, sa, k, (wc, dv), in_a = f.a, f.sa, f.k, f.cores(), f.along() >= 0
         # instances (w, v): rows w, columns v; the units add an axis for a⁻
         joint = (wc >= 0)[:, None] & (dv >= 0)
-        c2 = in_a[:, None] & in_a & mp
-        u, r, s, t = _w_unit_arrays(ring, a, ws, inners)
+        c2 = in_a[:, None] & in_a & (f.mp() is not None)
+        u, r, s, t = f.units(*_W_UNITS, w=ws)
         conds = in_a[:, None] & units.bits[np.stack([u, r, s, t])][:, :, None, :]
         bad = (conds != joint[..., None]).any(axis=0)
         need = np.flatnonzero(~bad & joint[..., None])
@@ -754,7 +731,7 @@ def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
 
         def elems(pos, *inner):
             wi, vi = divmod(pos, n)
-            return {"a": a, "w": wi, "v": vi} | {"a_inner": inners[i] for i in inner}
+            return {"a": a, "w": wi, "v": vi} | {"a_inner": f.inners[i] for i in inner}
 
         own = [((joint != c2).ravel(), lambda pos: f"(i)={joint.flat[pos]} vs (ii)={c2.flat[pos]}")]
         per_inner = [
@@ -772,23 +749,20 @@ def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
     units = _Units(ring)
     w, v = np.arange(n)[:, None], np.arange(n)[None, :]
-    for a in range(n):
-        mp = ring.mp_inv(a) is not None
-        inners = ring.inner_inverses(a)
-        k = len(inners)
-        wc, dv = _cores(ring, a)
-        in_a = _along_all(ring, a) >= 0
+    for f in _frames(ring, regular=False):
+        a, k, (wc, dv), in_a = f.a, f.k, f.cores(), f.along() >= 0
+        mp = f.mp() is not None
         # instances (w, v): rows w, columns v; the units add an axis for a⁻
         joint = (wc >= 0)[:, None] & (dv >= 0)
         c2 = in_a[_prod(mul, w, a, v)] & mp
         c3 = in_a[_prod(mul, v, a, w)] & mp
-        oks = units.bits[np.stack(_vw_unit_arrays(ring, a, w, v, inners))]
+        oks = units.bits[np.stack(f.units(*_VW_UNITS, w=w, v=v))]
         bad = (oks != joint[..., None]).any(axis=0)
         oks = oks.reshape(4, n * n, k)
 
         def elems(pos, *inner):
             wi, vi = divmod(pos, n)
-            return {"a": a, "w": wi, "v": vi} | {"a_inner": inners[i] for i in inner}
+            return {"a": a, "w": wi, "v": vi} | {"a_inner": f.inners[i] for i in inner}
 
         own = [
             (
@@ -821,18 +795,12 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
     units = _Units(ring)
     ws = np.arange(n)
-    for a in range(n):
-        inners = ring.inner_inverses(a)
-        if not inners:
-            continue
-        sa, k = ring.star_t[a], len(inners)
-        mp = ring.mp_inv(a) is not None
-        wc, dv = _cores(ring, a)
-        edstar = bool(ring.dual_vcore_solutions(a, sa))
+    for f in _frames(ring):
+        a, sa, k, (wc, dv) = f.a, f.sa, f.k, f.cores()
         ew = wc >= 0
-        joint, c2, c3 = ew & (dv >= 0), (_along_all(ring, a) >= 0) & mp, ew & edstar
+        joint, c2, c3 = ew & (dv >= 0), (f.along() >= 0) & (f.mp() is not None), ew & (dv[sa] >= 0)
         # instances (w, a⁻): rows w, columns a⁻
-        u, t, s, r = _w_unit_arrays(ring, a, ws, inners)
+        u, t, s, r = f.units(*_W_UNITS, w=ws)
         oks = units.bits[np.stack([u, r, s, t])]
         bad = ~((joint == c2) & (c2 == c3))[:, None] | (oks != joint[:, None]).any(axis=0)
         need = np.flatnonzero(~bad & joint[:, None])
@@ -843,7 +811,7 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
 
         def elems(pos):
             wi, i = divmod(pos, k)
-            return {"a": a, "w": wi, "a_inner": inners[i]}
+            return {"a": a, "w": wi, "a_inner": f.inners[i]}
 
         def split(pos):
             wi = pos // k
@@ -859,17 +827,13 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
-    star = ring.star_t
-    for a in range(ring.size):
-        inners = ring.inner_inverses(a)
-        if not inners:
-            continue
-        sa = star[a]
+    for f in _frames(ring):
+        a, sa = f.a, f.sa
         joint = ring.core_inv(a) is not None and ring.dual_core_inv(a) is not None
-        c2 = ring.group_inv(a) is not None and ring.mp_inv(a) is not None
+        c2 = ring.group_inv(a) is not None and f.mp() is not None
         # the core inverse is the w-core inverse at w = 1
-        units = (x.tolist() for x in _w_unit_arrays(ring, a, ring.one, inners))
-        for a_in, u, t, s, v in col.each(zip(inners, *units)):
+        units = (x.tolist() for x in f.units(*_W_UNITS, w=ring.one))
+        for a_in, u, t, s, v in col.each(zip(f.inners, *units)):
             oks = tuple(ring.is_unit(x) for x in (u, v, s, t))
             if joint != c2 or any(ok != joint for ok in oks):
                 col.fail(f"(i)={joint}, (ii)={c2}, units={oks}", a=a, a_inner=a_in)
@@ -888,8 +852,8 @@ CATALOG: dict[str, tuple] = {
     # name: (checker, max quantified ring elements)
     "uniqueness": (_chk_uniqueness, 2),
     "added_lemma": (_chk_added_lemma, 2),
-    "characteristic_ew": (_chk_characteristic_ew, 2),
-    "characteristic_vf": (_chk_characteristic_vf, 2),
+    "characteristic_ew": (_chk_characteristic, 2),
+    "characteristic_vf": (partial(_chk_characteristic, dual=True), 2),
     "core_char": (_chk_core_char, 1),
     "ideal_form": (_chk_ideal_form, 2),
     "relate_to_mary": (_chk_relate_to_mary, 2),

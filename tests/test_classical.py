@@ -9,17 +9,20 @@ import pytest
 from ginv import (
     ShapeMismatch,
     StarMatrix,
+    certify,
     core_ep_inverse,
     core_inverse,
     drazin_index,
     drazin_inverse,
     dual_core_inverse,
     group_inverse,
+    one_four_inverse,
+    solve_right,
 )
 from ginv.domains import GAUSSIAN_RATIONAL, RATIONAL, GaussianRational
 from ginv.matrix import inverse, rel_diff
 
-from conftest import adj_lists, assert_penrose, cm, eq_lists, gm, lists, mul_lists, qm, zm
+from conftest import adj_lists, assert_penrose, cm, eq_lists, fm, gm, gr, lists, mul_lists, qm, zm
 
 
 def test_group_inverse_idempotent():
@@ -134,6 +137,34 @@ def test_core_dual_core_star_duality():
         assert (c is None) == (d is None)
         if c is not None:
             assert c.adjoint() == d
+
+
+@pytest.mark.parametrize(
+    "make, entries",
+    [
+        (gm, lambda rng: gr(rng.randint(-2, 2), rng.randint(-2, 2))),
+        (lambda rows: fm(rows, 3), lambda rng: rng.randrange(3)),
+        (lambda rows: zm(rows, 4), lambda rng: rng.randrange(4)),
+        (lambda rows: zm(rows, 6), lambda rng: rng.randrange(6)),
+    ],
+)
+def test_dual_constructions_match_their_own_equations(make, entries):
+    # the {1,4}- and dual-core inverses exist exactly when their defining
+    # factors do, and each value certifies against its own (dual) equations
+    rng = random.Random(53)
+    for shape in [(2, 2)] * 12 + [(2, 3), (3, 2)] * 3:
+        a = make([[entries(rng) for _ in range(shape[1])] for _ in range(shape[0])])
+        t = one_four_inverse(a)
+        no_t = solve_right(a @ a.adjoint(), a) is None
+        assert (t is None) == no_t
+        if t is not None:
+            assert certify("one4", {"a": a, "x": t}).ok
+        if shape[0] != shape[1]:
+            continue
+        x = dual_core_inverse(a)
+        assert (x is None) == (no_t or group_inverse(a) is None)
+        if x is not None:
+            assert certify("dual-core5", {"a": a, "x": x}).ok
 
 
 def test_core_ep_nilpotent():

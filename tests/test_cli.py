@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ginv.cli
-from ginv import StarMatrix
+from ginv import InverseResult, StarMatrix, certify
 from ginv.cli import main
 from ginv.errors import RouteDisagreement
 from ginv.matrix import matrix_from_json
@@ -237,6 +237,22 @@ def test_invariant_violation_exit_code(nilp, w1, monkeypatch):
 
     monkeypatch.setattr(ginv.cli, "w_core", boom)
     assert run(["compute", "--kind", "w-core", "--a", nilp, "--w", w1]) == 2
+
+
+def test_single_route_failing_certificate_names_the_equations(nilp, w1, monkeypatch, capsys):
+    # a single route returns its value with exists false when its certificate
+    # fails, as w_core does; the reason names the failing equations
+    def failing(a, w, route, tol):
+        x = StarMatrix.zeros(2, 2, a.domain)
+        cert = certify("w-core", {"a": a, "w": w, "x": x}, tol, route=route)
+        return InverseResult(cert.ok, value=x, certificate=cert)
+
+    monkeypatch.setattr(ginv.cli, "w_core", failing)
+    assert run(["compute", "--kind", "w-core", "--a", nilp, "--w", w1, "--route", "mary_13"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["exists"] is False and out["value"] is not None
+    assert out["certificate"]["ok"] is False
+    assert out["reason"] == "certificate fails equations ['E2', 'E4']"
 
 
 def test_along_kind(tmp_path, capsys):

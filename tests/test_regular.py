@@ -10,6 +10,8 @@ from ginv import (
     PreconditionFailed,
     StarMatrix,
     UnsupportedDomain,
+    canonical_one_four,
+    canonical_one_three,
     inner_inverse,
     mp_inverse,
     mp_via_unit,
@@ -19,7 +21,7 @@ from ginv import (
 from ginv.domains import GAUSSIAN_RATIONAL, RATIONAL, prime_field
 from ginv.matrix import inverse, rel_diff
 
-from conftest import assert_penrose, cm, fm, gm, lists, mul_lists, qm, zm
+from conftest import assert_penrose, cm, fm, gm, gr, lists, mul_lists, qm, zm
 
 
 def rand_q(rng, m, n, max_rank=None):
@@ -172,3 +174,18 @@ def test_one_three_product_is_choice_independent():
         if x is None or y is None:
             continue
         assert a @ x == a @ y
+
+
+def test_canonical_one_three_and_one_four():
+    # over GF(2), a = [[1, 1], [0, 0]] has a a* = 0: no MP inverse and no
+    # {1,4}-inverse, while a* a = [[1, 1], [1, 1]] leaves a {1,3}-inverse
+    a = fm([[1, 1], [0, 0]], 2)
+    assert mp_inverse(a) is None
+    assert canonical_one_three(a) == fm([[1, 0], [0, 0]], 2)
+    assert_penrose(a, canonical_one_three(a), which=(1, 3))
+    assert canonical_one_four(a) is None
+    # over Q(i) the MP inverse always exists, and both are the MP inverse
+    rng = random.Random(41)
+    for _ in range(6):
+        a = gm([[gr(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)] for _ in range(2)])
+        assert canonical_one_three(a) == mp_inverse(a) == canonical_one_four(a)
