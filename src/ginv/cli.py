@@ -4,10 +4,12 @@ catalogs on finite rings, and re-certify third-party candidates.
 Exit codes (stable contract):
   compute: 0 inverse exists and its certificate passes, 3 it does not exist
            or its certificate fails (value and certificate are kept, and
-           reason names the failing equations), 1 usage or I/O error,
-           2 internal invariant violation (route disagreement)
+           reason names the failing equations) or the numerics broke down
+           (no value), 1 usage or I/O error, 2 internal invariant violation
+           (route disagreement)
   verify:  0 all checks pass, 1 bad ring spec, 4 counterexample found
-  check:   0 candidate certifies, 3 it does not, 1 usage or I/O error
+  check:   0 candidate certifies, 3 it does not or the numerics broke down,
+           1 usage or I/O error
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ from .classical import (
 )
 from .equations import InverseResult, certify
 from .errors import GinvError, RouteDisagreement
-from .matrix import (
-    DEFAULT_TOL,
-    ToleranceThresholds,
-    all_within,
-    matrix_from_json,
-    matrix_to_json,
-)
+from .matrix import DEFAULT_TOL, ToleranceThresholds, matrix_from_json, matrix_to_json
 from .regular import inner_inverse, mp_inverse, one_four_inverse, one_three_inverse
 from .rings import DEFAULT_RING_CAP, enumerate_ring
 from .theorems import verify_all, verify_theorem
@@ -190,9 +186,7 @@ def _cmd_compute(args) -> int:
         env["x"] = value
         cert = certify(kind, env, tol, index=index)
     if cert is not None and not cert.ok:
-        exists = False
-        failed = [n for n, v in cert.residuals.items() if not all_within((v,), cert.tolerance)]
-        reason = f"certificate fails equations {failed}"
+        exists, reason = False, cert.failure()
     result = {
         "schema": 1,
         "kind": kind,
@@ -270,6 +264,16 @@ def main(argv=None) -> int:
     except RouteDisagreement as exc:
         print(f"ginv: internal invariant violation: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:
+        # numpy's LinAlgError is a ValueError, but a numerical breakdown is an
+        # answer (no inverse found), not a usage error
+        reason = f"numerical breakdown: {exc}"
+        if args.command != "compute":
+            print(f"ginv: {reason}", file=sys.stderr)
+            return 3
+        result = {"schema": 1, "kind": args.kind, "exists": False, "value": None, "index": None}
+        _emit(result | {"reason": reason, "certificate": None}, args.out)
+        return 3
     except (GinvError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"ginv: error: {exc}", file=sys.stderr)
         return 1

@@ -150,6 +150,14 @@ class Certificate:
     witnesses: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
+    def failure(self) -> str | None:
+        """Why the certificate fails, naming the equations outside its
+        tolerance; None when it passes."""
+        if self.ok:
+            return None
+        failed = [n for n, v in self.residuals.items() if not all_within((v,), self.tolerance)]
+        return f"certificate fails equations {failed}"
+
     def to_json(self) -> dict:
         wit = {}
         for k, v in self.witnesses.items():

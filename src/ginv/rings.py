@@ -7,8 +7,8 @@ verified at construction (exhaustively up to 256 elements, on a fixed
 deterministic sample beyond that).
 
 Every inverse the oracle looks up (`group_inv`, `wcore_solutions`, `along`,
-...) comes from one scanner over the equations of `equations.SYSTEMS`,
-`FiniteStarRing.solve_system`: definitions only, never a theorem it checks.
+...) comes from one scanner over the equations of `equations.SYSTEMS`:
+definitions only, never a theorem it checks.
 
 The scanner works on a grid with one axis per letter, the unknown last, in
 blocks of at most `_BLOCK` points.  In each block it evaluates the equation
@@ -17,12 +17,21 @@ known letters times the bare unknown is read as whole rows of the
 multiplication table (or of its transpose).  The points that pass become
 flat indices with one value array per letter, and every further equation
 is evaluated only at the points still standing, which it narrows in turn.
+
+Each named lookup scans its system once for the whole ring (`_SCANS`) and
+keeps the survivors' flat indices.  Its scalar form (`group_inv(a)`,
+`wcore_solutions(a, w)`, ...) reads solution tuples cut from them, and
+`FiniteStarRing.table` reads them as arrays: the value per element, -1 for
+none; set membership; first solution and solution count per pair; and for
+the ideals and annihilators, membership and one id per distinct ideal.
+`solve_system` scans any other system on request, memoized by its letters.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -44,9 +53,54 @@ _BLOCK = 1 << 16
 # the inverse x of a unit a: ax = 1 = xa (the empty word is 1)
 _UNIT = (("U1", ("a", "x"), ()), ("U2", ("x", "a"), ()))
 
+# whole-ring scans: name -> (system, its given letters); the unknown is x
+_SCANS = {
+    **{
+        k: (SYSTEMS[k], ("a",))
+        for k in ("one", "one3", "one4", "one23", "mp", "group", "core", "dual-core")
+    },
+    "unit": (_UNIT, ("a",)),
+    "w-core": (SYSTEMS["w-core"], ("a", "w")),
+    "dual-v-core": (SYSTEMS["dual-v-core"], ("a", "v")),
+    "along": (SYSTEMS["along"], ("d", "a")),
+}
+
+# FiniteStarRing.table: named lookup -> (shape, the scan or ideal it reads)
+_TABLES = {
+    **{f"{k}_inv": ("element", k.replace("_", "-")) for k in ("group", "core", "mp", "dual_core")},
+    "inner_inverses": ("set", "one"),
+    "one_three_set": ("set", "one3"),
+    "one_four_set": ("set", "one4"),
+    "one23": ("set", "one23"),
+    "wcore_solutions": ("pair", "w-core"),
+    "dual_vcore_solutions": ("pair", "dual-v-core"),
+    "along": ("pair", "along"),
+    **{k: ("ideal", k) for k in ("right_ideal", "left_ideal", "right_ann", "left_ann")},
+}
+
 
 def _first(sols):
     return sols[0] if sols else None
+
+
+def _runs(rows):
+    """Start and end of each run of equal values of a sorted array."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return starts, np.append(starts[1:], rows.size)
+
+
+def _cut(found, n, size):
+    """The solution tuple of each of size grid rows, from the ascending flat
+    indices row * n + x of the points where a system holds.  Equal tuples
+    share one object."""
+    rows, shared = [()] * size, {}
+    rs, xs = np.divmod(found, n)
+    starts, ends = _runs(rs)
+    rs, xs = rs.tolist(), xs.tolist()
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        sols = tuple(xs[start:end])
+        rows[rs[start]] = shared.setdefault(sols, sols)
+    return rows
 
 
 def _grid_products(equation, unknown) -> int:
@@ -111,12 +165,12 @@ class FiniteStarRing:
         self.neg_t = self.neg_arr.tolist()
         self._verify_axioms()
         self._units: dict[int, int] | None = None
-        self._right_ideal: list | None = None
-        self._left_ideal: list | None = None
-        self._right_ann: list | None = None
-        self._left_ann: list | None = None
+        self._ideals: dict = {}  # ideal kind -> members, (kind, "sets") -> frozensets
         self._projections: tuple | None = None
-        self._rows: dict = {}
+        self._rows: dict = {}  # solve_system's memo
+        self._flat: dict = {}  # whole-ring scan -> survivors
+        self._sols: dict = {}  # whole-ring scan -> solution tuple per grid row
+        self._tables: dict = {}  # named lookup -> (its override, its arrays)
         self._mul_cols: np.ndarray | None = None  # contiguous transpose of mul_arr
 
     # -- construction helpers --------------------------------------------
@@ -206,8 +260,7 @@ class FiniteStarRing:
 
     def units(self) -> dict[int, int]:
         if self._units is None:
-            row = self._row(("unit",), _UNIT, {}, "a")
-            self._units = {x: sols[0] for x, sols in enumerate(row) if sols}
+            self._units = {x: sols[0] for x, sols in enumerate(self._solutions("unit")) if sols}
         return self._units
 
     def is_unit(self, x) -> bool:
@@ -216,29 +269,40 @@ class FiniteStarRing:
     def inv_unit(self, x) -> int:
         return self.units()[x]
 
-    # x R is row x of the multiplication table, R x is column x
+    # x R is row x of the multiplication table and R x is column x; x^0 is
+    # where row x is zero and ^0 x where column x is
+
+    def _members(self, kind) -> np.ndarray:
+        """members[e, x]: x lies in the ideal (right_ideal eR, left_ideal Re)
+        or annihilator (right_ann e^0, left_ann ^0 e) of e named by kind."""
+        if kind not in self._ideals:
+            n, mul = self.size, self.mul_arr
+            if kind.endswith("ann"):
+                members = mul == self.zero
+                members = members if kind == "right_ann" else members.T
+            else:
+                members = np.zeros((n, n), dtype=bool)
+                members[np.arange(n)[:, None], mul if kind == "right_ideal" else mul.T] = True
+            self._ideals[kind] = members
+        return self._ideals[kind]
+
+    def _sets(self, kind) -> list:
+        if (kind, "sets") not in self._ideals:
+            rows = self._members(kind)
+            self._ideals[kind, "sets"] = [frozenset(np.flatnonzero(r).tolist()) for r in rows]
+        return self._ideals[kind, "sets"]
 
     def right_ideal(self, e) -> frozenset:
-        if self._right_ideal is None:
-            self._right_ideal = [frozenset(row) for row in self.mul_t]
-        return self._right_ideal[e]
+        return self._sets("right_ideal")[e]
 
     def left_ideal(self, e) -> frozenset:
-        if self._left_ideal is None:
-            self._left_ideal = [frozenset(col) for col in self.mul_arr.T.tolist()]
-        return self._left_ideal[e]
+        return self._sets("left_ideal")[e]
 
     def right_ann(self, e) -> frozenset:
-        if self._right_ann is None:
-            zero = self.mul_arr == self.zero
-            self._right_ann = [frozenset(np.flatnonzero(row).tolist()) for row in zero]
-        return self._right_ann[e]
+        return self._sets("right_ann")[e]
 
     def left_ann(self, e) -> frozenset:
-        if self._left_ann is None:
-            zero = self.mul_arr == self.zero
-            self._left_ann = [frozenset(np.flatnonzero(col).tolist()) for col in zero.T]
-        return self._left_ann[e]
+        return self._sets("left_ann")[e]
 
     def projections(self) -> tuple:
         if self._projections is None:
@@ -287,38 +351,45 @@ class FiniteStarRing:
     def _row(self, tag, system, lead, trail, unknown="x") -> list:
         """Solution tuples of system for each value of the letter trail, the
         letters of lead taking their given values; memoized under tag plus
-        the lead values.
-
-        Each letter gets an axis of the evaluation grid: the lead letters
-        first, then trail, then the unknown.  When the whole grid fits in one
-        block, the rows of every lead value are filled at once; otherwise the
-        given lead values are scanned in blocks of trail values.
-
-        Per block, the equation with the fewest grid-sized products is
-        evaluated on the whole grid and the rest only at the points still
-        standing (see the module docstring).  The survivors stay in C order,
-        so each row's solutions come out in ascending order; equal solution
-        tuples of one call share one tuple object.
-        """
+        the lead values.  When the whole grid of every lead value fits in
+        one block, the rows of every lead value are filled at once."""
         key = tag + tuple(lead.values())
         if key in self._rows:
             return self._rows[key]
         n, dims = self.size, len(lead) + 2
-        values = [range(n) if n**dims <= _BLOCK else (v,) for v in lead.values()]
-        combos = list(itertools.product(*values))
-        rows = [[()] * n for _ in combos]
-        shared: dict = {}  # one tuple object per distinct solution set
+        values = {k: range(n) if n**dims <= _BLOCK else (v,) for k, v in lead.items()}
+        combos = list(itertools.product(*values.values()))
+        rows = _cut(self._scan(system, values, trail, unknown), n, len(combos) * n)
+        for i, combo in enumerate(combos):
+            self._rows[tag + combo] = rows[i * n : (i + 1) * n]
+        return self._rows[key]
+
+    def _scan(self, system, lead, trail, unknown) -> np.ndarray:
+        """Scan system on the grid of the lead letters' value sequences, every
+        value of trail and every value of the unknown, an axis each in that
+        order, in blocks of trail values.  Return the flat indices, ascending,
+        of the grid points where every equation holds: (c * n + t) * n + x
+        for the c-th combination of lead values (in itertools.product order),
+        trail value t and unknown x.
+
+        Per block, the equation with the fewest grid-sized products is
+        evaluated on the whole grid and the rest only at the points still
+        standing (see the module docstring).
+        """
+        n, dims = self.size, len(lead) + 2
+        lens = tuple(map(len, lead.values()))
         first, *rest = _scan_order(system, unknown)
         axis = np.arange(n, dtype=np.int32)
         env = {unknown: axis.reshape((1,) * (dims - 1) + (n,))}
-        for i, (letter, vs) in enumerate(zip(lead, values)):
+        for i, (letter, vs) in enumerate(lead.items()):
             shape = [-1 if j == i else 1 for j in range(dims)]
             env[letter] = np.array(vs, dtype=np.int32).reshape(shape)
-        step = max(1, _BLOCK // (n * len(combos)))
+        step = max(1, _BLOCK // (n * math.prod(lens)))
+        found = [np.zeros(0, dtype=np.int64)]
         for lo in range(0, n, step):
             ts = axis[lo : lo + step]
             env[trail] = ts.reshape((1,) * (dims - 2) + (-1, 1))
-            shape = tuple(map(len, values)) + (len(ts), n)
+            shape = lens + (len(ts), n)
             hits = self._holds(first, env, unknown, bare=env[unknown])
             idx = np.flatnonzero(hits if np.shape(hits) == shape else np.broadcast_to(hits, shape))
             if rest and idx.size:
@@ -330,20 +401,11 @@ class FiniteStarRing:
                     if not idx.size:
                         break
                     point = {k: v[keep] for k, v in point.items()}
-            if not idx.size:
-                continue
-            # flat index r * n + x: grid row r is lead combination
-            # r // len(ts) with trail value lo + r % len(ts), and x solves it
-            rs, xs = np.divmod(idx, n)
-            starts = [0, *(np.flatnonzero(rs[1:] != rs[:-1]) + 1).tolist()]
-            rs, xs = rs.tolist(), xs.tolist()
-            for start, end in zip(starts, [*starts[1:], len(xs)]):
-                combo, t = divmod(rs[start], len(ts))
-                sols = tuple(xs[start:end])
-                rows[combo][lo + t] = shared.setdefault(sols, sols)
-        for combo, row in zip(combos, rows):
-            self._rows[tag + combo] = row
-        return self._rows[key]
+            # the block's index is (c * len(ts) + t - lo) * n + x; there are
+            # several lead combinations only when one block holds every t
+            c, tx = np.divmod(idx, len(ts) * n)
+            found.append((c * n + lo) * n + tx)
+        return np.concatenate(found)
 
     def _holds(self, equation, env, unknown, bare=None):
         _, lhs, rhs = equation
@@ -378,56 +440,147 @@ class FiniteStarRing:
             return self._mul_cols[q[..., 0]]
         return self.mul_arr.take(p * self.size + q)
 
-    def _solutions(self, name, a) -> tuple:
-        # solutions of the one-letter system SYSTEMS[name]; a memo hit is one
-        # dict lookup and one index
-        return (self._rows.get((name,)) or self._row((name,), SYSTEMS[name], {}, "a"))[a]
+    # -- whole-ring scans and the named lookups ---------------------------------
+
+    def _survivors(self, scan) -> np.ndarray:
+        """The flat indices, ascending, of every point of the whole-ring grid
+        of a scan of `_SCANS` where its system holds: (l * n + t) * n + x
+        for given letters (l, t) and solution x, t * n + x for one letter t.
+        The along scan keeps only the x in dR and in Rd."""
+        found = self._flat.get(scan)
+        if found is None:
+            system, (*lead, trail) = _SCANS[scan]
+            n = self.size
+            if not lead or n**3 <= _BLOCK:  # the whole grid in one scan
+                found = self._scan(system, dict.fromkeys(lead, range(n)), trail, "x")
+            else:
+                parts = (self._scan(system, {lead[0]: (v,)}, trail, "x") for v in range(n))
+                found = np.concatenate([v * n * n + part for v, part in enumerate(parts)])
+            if scan == "along":
+                d, x = found // (n * n), found % n
+                in_d = self._members("right_ideal")[d, x] & self._members("left_ideal")[d, x]
+                found = found[in_d]
+            self._flat[scan] = found
+        return found
+
+    def _solutions(self, scan) -> list:
+        """The solution tuple of each grid row of a whole-ring scan."""
+        rows = self._sols.get(scan)
+        if rows is None:
+            rows = _cut(self._survivors(scan), self.size, self.size ** len(_SCANS[scan][1]))
+            self._sols[scan] = rows
+        return rows
 
     def inner_inverses(self, a) -> tuple:
-        return self._solutions("one", a)
+        return self._solutions("one")[a]
 
     def group_inv(self, a):
-        return _first(self._solutions("group", a))
+        return _first(self._solutions("group")[a])
 
     def mp_inv(self, a):
-        return _first(self._solutions("mp", a))
+        return _first(self._solutions("mp")[a])
 
     def core_inv(self, a):
-        return _first(self._solutions("core", a))
+        return _first(self._solutions("core")[a])
 
     def dual_core_inv(self, a):
-        return _first(self._solutions("dual-core", a))
+        return _first(self._solutions("dual-core")[a])
 
     def one_three_set(self, a) -> tuple:
-        return self._solutions("one3", a)
+        return self._solutions("one3")[a]
 
     def one_four_set(self, a) -> tuple:
-        return self._solutions("one4", a)
+        return self._solutions("one4")[a]
 
     def along(self, a, d):
         """Inverse of a along d by definition scan (unique when it exists):
         the first solution of A1-A2 that lies in dR and in Rd."""
-        row = self._rows.get(("along", d))
-        if row is None:
-            ideal = self.right_ideal(d) & self.left_ideal(d)
-            sols = self._row(("A1-A2",), SYSTEMS["along"], {"d": d}, "a")
-            row = [next((x for x in xs if x in ideal), None) for xs in sols]
-            self._rows[("along", d)] = row
-        return row[a]
+        return _first(self._solutions("along")[d * self.size + a])
 
     def wcore_solutions(self, a, w) -> tuple:
-        row = self._rows.get(("w-core", a))
-        return (row or self._row(("w-core",), SYSTEMS["w-core"], {"a": a}, "w"))[w]
+        return self._solutions("w-core")[a * self.size + w]
 
     def wcore(self, a, w):
         return _first(self.wcore_solutions(a, w))
 
     def dual_vcore_solutions(self, a, v) -> tuple:
-        row = self._rows.get(("dual-v-core", a))
-        return (row or self._row(("dual-v-core",), SYSTEMS["dual-v-core"], {"a": a}, "v"))[v]
+        return self._solutions("dual-v-core")[a * self.size + v]
 
     def dual_vcore(self, a, v):
         return _first(self.dual_vcore_solutions(a, v))
+
+    def table(self, name):
+        """The named lookup over the whole ring as arrays, built once per ring.
+
+        - group_inv, core_inv, mp_inv, dual_core_inv: the value at each a,
+          -1 where there is none;
+        - inner_inverses, one_three_set, one_four_set and one23 (the
+          {1,2,3}-inverses, which have no scalar lookup): members[a, x];
+        - wcore_solutions [a, w], dual_vcore_solutions [a, v] and along
+          [a, d]: (first solution, -1 for none; solution count), n x n each;
+        - right_ideal, left_ideal, right_ann, left_ann: (ids, members), with
+          ids[e] == ids[f] exactly when the ideals of e and f are equal and
+          members[e, x] when x lies in the ideal of e.
+
+        They are filled from the scanner's survivors.  A lookup replaced on
+        the instance (a fault planted by a test, say) is read pointwise
+        through its replacement instead, so the arrays always say what the
+        named lookup says.
+        """
+        override = vars(self).get(name)
+        hit = self._tables.get(name)
+        if hit is None or hit[0] is not override:
+            kind, scan = _TABLES[name]
+            if override is None:
+                arrays = self._whole(kind, scan)
+            else:
+                arrays = self._pointwise(kind, override)
+            hit = self._tables[name] = (override, arrays)
+        return hit[1]
+
+    def _whole(self, kind, scan):
+        n = self.size
+        if kind == "ideal":
+            members = self._members(scan)
+            ids = np.unique(members, axis=0, return_inverse=True)[1].reshape(n)
+            return ids.astype(np.int32), members
+        found = self._survivors(scan)
+        if kind == "set":
+            members = np.zeros(n * n, dtype=bool)
+            members[found] = True
+            return members.reshape(n, n)
+        rows, xs = np.divmod(found, n)
+        starts, _ = _runs(rows)
+        first = np.full(n if kind == "element" else n * n, -1, dtype=np.int32)
+        first[rows[starts]] = xs[starts]
+        if kind == "element":
+            return first
+        first = first.reshape(n, n)
+        count = np.bincount(rows, minlength=n * n).astype(np.int32).reshape(n, n)
+        # the along scan's rows are (d, a)
+        return (first.T, count.T) if scan == "along" else (first, count)
+
+    def _pointwise(self, kind, lookup):
+        n = self.size
+        if kind == "element":
+            return np.array([-1 if y is None else y for y in map(lookup, range(n))], dtype=np.int32)
+        if kind in ("set", "ideal"):
+            sets = [lookup(a) for a in range(n)]
+            members = np.zeros((n, n), dtype=bool)
+            for a, s in enumerate(sets):
+                members[a, list(s)] = True
+            if kind == "set":
+                return members
+            ids: dict = {}
+            return np.array([ids.setdefault(s, len(ids)) for s in sets], dtype=np.int32), members
+        first = np.full((n, n), -1, dtype=np.int32)
+        count = np.zeros((n, n), dtype=np.int32)
+        for a, b in itertools.product(range(n), repeat=2):
+            sols = lookup(a, b)  # a solution tuple, or an element or None (along)
+            sols = sols if isinstance(sols, tuple) else () if sols is None else (sols,)
+            if sols:
+                first[a, b], count[a, b] = sols[0], len(sols)
+        return first, count
 
     def pseudo_core(self, a):
         """(value, minimal index) of the pseudo-core inverse, or None.

@@ -6,26 +6,19 @@ inverses are checked against every inner inverse found by scan, and each
 biconditional is checked in both directions.  A nonzero counterexample
 count means the build is wrong (or the ring violates a hypothesis).
 
-`verify_theorem` runs every checker the same way.  Each element that a
-checker's innermost quantifier yields through `col.each` is one instance
-(the pair (a, w) for a loop over w inside one over a), also when a
-hypothesis then excludes it.  `col.fail` records a counterexample; the check
-ends at the `_MAX_CE`-th.  Checkers quantifying over three or more ring
-elements are skipped, with a note, on rings larger than `TRIPLE_SIZE_LIMIT`.
-
-The seven unit criteria open each outer letter (d, or a) through one
-`_Frame`: a*, the inner inverses and, read on request through the ring's
-named lookups, a^dag, the row x^{||a} and the rows a_w and a_{w,dual}.  Its
-`units` builds every unit of the criteria, a word plus 1 - aa⁻ or 1 - a⁻a.
-`classical_mp_char` and `core_dual_core_units` loop over the units one by
-one; the other five check all instances of one outer letter at once on the
-ring's int32 tables, with the inner letters and the inner inverses as array
-axes, reading is-unit bits once per check and each unit inverse when first
-needed.  Such a batch reports through `col.batch`, which counts the same
-instances `col.each` would and calls `col.fail` for the batch's failures in
-the order of the scalar loop it replaces, each with the instances up to its
-own counted.  So a check that ends at the cap reports the same
-counterexamples and the same instance count as the loop.
+An instance is an element of a checker's innermost quantifier (the pair
+(a, w) for w inside a), also when a hypothesis then excludes it; a check
+ends at its `_MAX_CE`-th counterexample.  Checkers quantifying over three or
+more ring elements are skipped, with a note, on rings larger than
+`TRIPLE_SIZE_LIMIT`.  Most checkers are array expressions over all their
+instances at once, on the ring's whole-ring lookups (`FiniteStarRing.table`:
+solution arrays, ideal ids and memberships); the seven unit criteria take
+one outer letter at a time through a `_Frame`, the inner letters and inner
+inverses as array axes.  They report through `col.batch`, which counts the
+instances `col.each` would and records the failures in the order of the
+scalar loop it replaces, each with the instances up to its own counted: a
+check that ends at the cap reports what the loop did.  The loops are kept as
+references in the tests; the other checkers loop through `col.each`.
 """
 
 from __future__ import annotations
@@ -39,11 +32,11 @@ import numpy as np
 
 from .equations import SYSTEMS, core_ep_system
 from .errors import UnknownTheorem
-from .rings import FiniteStarRing
+from .rings import _BLOCK, FiniteStarRing, _runs
 
 _MAX_CE = 10
 TRIPLE_SIZE_LIMIT = 16
-_B3 = SYSTEMS["bc"][2:]  # xax = x: x is an outer inverse of a
+_PAIRS = ("wcore_solutions", "dual_vcore_solutions")
 
 
 @dataclass
@@ -85,25 +78,28 @@ class _Collector:
         failures in the order of the loop over them.
 
         own: (mask, detail) for each check of an instance itself, the mask
-        over the instances in loop order.  per_inner: (mask, detail) for each
-        check repeated per inner inverse, the mask over instances by inner
-        inverses.  Within an instance the loop runs its own checks first,
-        then each inner inverse's checks in turn, each list in the order
-        given.  A detail is a string or a function of the position pos (and
-        inner index i), elems(pos[, i]) names the elements, and a failure is
-        recorded with the instances up to its own counted.
+        over the instances in loop order (raveled), or (mask, detail, names)
+        when names, not elems, names that check's elements.  per_inner:
+        (mask, detail) for each check repeated per inner inverse, the mask
+        over instances by inner inverses.  Within an instance the loop runs
+        its own checks first, then each inner inverse's checks in turn, each
+        list in the order given.  A detail is a string or a function of the
+        position pos (and inner index i), elems(pos[, i]) names the elements,
+        and a failure is recorded with the instances up to its own counted.
         """
         base = self.checked
-        hits = [mask for mask, _ in own] + [mask.any(axis=1) for mask, _ in per_inner]
+        own = [(np.ravel(mask), detail, *names) for mask, detail, *names in own]
+        hits = [mask for mask, *_ in own] + [mask.any(axis=1) for mask, _ in per_inner]
         for pos in np.flatnonzero(np.logical_or.reduce(hits)).tolist():
             self.checked = base + pos + 1
-            found = [((pos,), detail) for mask, detail in own if mask[pos]]
+            found = [((pos,), detail, *names) for mask, detail, *names in own if mask[pos]]
             if per_inner:
                 at = np.logical_or.reduce([mask[pos] for mask, _ in per_inner])
                 for i in np.flatnonzero(at).tolist():
                     found += [((pos, i), detail) for mask, detail in per_inner if mask[pos, i]]
-            for args, detail in found:
-                self.fail(detail if isinstance(detail, str) else detail(*args), **elems(*args))
+            for args, detail, *names in found:
+                detail = detail if isinstance(detail, str) else detail(*args)
+                self.fail(detail, **(names[0] if names else elems)(*args))
         self.checked = base + size
 
     def fail(self, detail, **elems):
@@ -113,27 +109,96 @@ class _Collector:
             raise _Full
 
 
-def _ideal_conditions(a, sa, right_ideal, left_ideal, right_ann, left_ann):
-    """Conditions (iii)-(v) of the core and w-core characterizations as a test
-    of candidates xs: some x with xR = aR and Rx = Ra*, some x with ^0x = ^0a
-    and x^0 = (a*)^0, some x with ^0x = ^0a and (a*)^0 in x^0.  The dual
-    conditions pass the lookups mirrored, left for right."""
-    ri_a, li_sa = right_ideal(a), left_ideal(sa)
-    la_a, ra_sa = left_ann(a), right_ann(sa)
+def _at(n, second="w", **more):
+    """The names of the instance at position a * n + w of the (a, w) grid;
+    more names further elements, each a function of the position."""
+    return lambda pos, *_: {"a": pos // n, second: pos % n} | {k: f(pos) for k, f in more.items()}
 
-    def conditions(xs):
-        c3 = c4 = c5 = False
-        for x in xs:
-            if not c3 and right_ideal(x) == ri_a and left_ideal(x) == li_sa:
-                c3 = True
-            if left_ann(x) == la_a:
-                if not c4 and right_ann(x) == ra_sa:
-                    c4 = True
-                if not c5 and ra_sa <= right_ann(x):
-                    c5 = True
-        return c3, c4, c5
 
-    return conditions
+def _split(template, *conds):
+    """The check that conditions, arrays over the instances, agree; its detail
+    is the template filled in with their values at the failing instance."""
+    conds = np.stack([np.ravel(c) for c in np.broadcast_arrays(*conds)])
+    return (conds != conds[0]).any(axis=0), lambda p: template.format(*conds[:, p].tolist())
+
+
+def _miss_t(ring, sets, e, ys, want, left=False):
+    """Names t as a loop over a set does: at position p, the first t of
+    sets(e) at which some product y t (t y when left), y one of the ys,
+    misses want, each read at p."""
+
+    def t(p):
+        e_p, x0, *ys_p = (np.broadcast_to(v, want.shape).flat[p] for v in (e, want, *ys))
+        products = [(lambda t, y=y: ring.mul(t, y) if left else ring.mul(y, t)) for y in ys_p]
+        return next(t for t in sets(e_p) if any(f(t) != x0 for f in products))
+
+    return t
+
+
+def _holds(ring, equation, **env):
+    """Where an equation of SYSTEMS without starred letters holds, the letters
+    broadcast element arrays."""
+    _, lhs, rhs = equation
+    return _prod(ring.mul_arr, *map(env.get, lhs)) == _prod(ring.mul_arr, *map(env.get, rhs))
+
+
+def _all_solutions(ring, name):
+    """Every solution of a pair lookup per (a, b), in row a * n + b: the
+    first, then the others where there are several; -1 pads."""
+    first, count = ring.table(name)
+    sols = np.full((count.size, max(1, int(count.max()))), -1, dtype=first.dtype)
+    sols[:, 0] = first.ravel()
+    for pos in np.flatnonzero(count.ravel() > 1).tolist():
+        sols[pos, : count.flat[pos]] = getattr(ring, name)(*divmod(pos, ring.size))
+    return sols
+
+
+def _some(cands, holds):
+    """count[a, w] and first[a, w] (-1 for none) of the candidates x of a,
+    those with cands[a, x], for which holds(a, w, x), x ascending; the
+    candidate pairs are taken in blocks, each with every w."""
+    n, step, (pa, px) = len(cands), max(1, _BLOCK // len(cands)), np.nonzero(cands)
+    count, first = np.zeros((n, n), dtype=np.int32), np.full((n, n), n, dtype=np.int32)
+    for lo in range(0, pa.size, step):
+        ca, cx = pa[lo : lo + step], px[lo : lo + step, None]
+        hit, (at, _) = holds(ca[:, None], np.arange(n), cx), _runs(ca)
+        count[ca[at]] += np.add.reduceat(hit, at, axis=0, dtype=np.int32)
+        first[ca[at]] = np.minimum(first[ca[at]], np.minimum.reduceat(np.where(hit, cx, n), at))
+    return count, np.where(first < n, first, -1)
+
+
+def _subsets(ids, members):
+    """sub[i, j]: the set with id i lies in the set with id j."""
+    rows = members[np.unique(ids, return_index=True)[1]].astype(np.float32)
+    return rows @ (1 - rows).T == 0
+
+
+def _common(mul, members):
+    """common[e, y]: the product y t shared by every t with members[e, t];
+    -1 where there is no such t or the products differ.  Given mul.T, the
+    products t y.  Whole runs of e, about _BLOCK products at a time."""
+    n, (pe, pt) = len(mul), np.nonzero(members)
+    out, (starts, ends), lo = np.full((n, n), -1, dtype=mul.dtype), _runs(pe), 0
+    while lo < starts.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _BLOCK // n, side="right")))
+        vals, at = mul[:, pt[starts[lo] : ends[hi - 1]]], starts[lo:hi] - starts[lo]
+        least, most = np.minimum.reduceat(vals, at, axis=1), np.maximum.reduceat(vals, at, axis=1)
+        out[pe[starts[lo:hi]]] = np.where(least == most, least, -1).T
+        lo = hi
+    return out
+
+
+def _candidates(ring, dual=False):
+    """Conditions (iii)-(v) of the core and w-core characterizations on x, as
+    masks [a, x]: xR = aR and Rx = Ra*; ^0x = ^0a and x^0 = (a*)^0; ^0x = ^0a
+    and (a*)^0 in x^0.  With dual, those of the dual characterizations: the
+    ideals mirrored, left for right."""
+    kinds = ("right_ideal", "left_ideal", "right_ann", "left_ann")
+    kinds = kinds[1::-1] + kinds[:1:-1] if dual else kinds
+    (ri, _), (li, _), (ra, ra_sets), (la, _) = map(ring.table, kinds)
+    sa, same_la = ring.star_arr[:, None], la == la[:, None]
+    c5 = same_la & _subsets(ra, ra_sets)[ra[sa], ra]
+    return [(ri == ri[:, None]) & (li == li[sa]), same_la & (ra == ra[sa]), c5]
 
 
 # ---------------------------------------------------------------------------
@@ -141,192 +206,163 @@ def _ideal_conditions(a, sa, right_ideal, left_ideal, right_ann, left_ann):
 
 
 def _chk_uniqueness(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        for w in col.each(range(ring.size)):
-            sols = ring.wcore_solutions(a, w)
-            if len(sols) > 1:
-                col.fail(f"{len(sols)} distinct w-core inverses", a=a, w=w)
+    count = ring.table("wcore_solutions")[1]
+    own = [(count > 1, lambda p: f"{count.flat[p]} distinct w-core inverses")]
+    col.batch(count.size, _at(ring.size), own)
 
 
 def _chk_added_lemma(ring: FiniteStarRing, col: _Collector):
-    mul = ring.mul_t
-    for a in range(ring.size):
-        for w in col.each(range(ring.size)):
-            aw = mul[a][w]
-            for x in ring.wcore_solutions(a, w):
-                awx = mul[aw][x]
-                if mul[awx][a] != a:
-                    col.fail("derived equation awxa = a fails", a=a, w=w, x=x)
-                if mul[mul[x][aw]][x] != x:
-                    col.fail("derived equation xawx = x fails", a=a, w=w, x=x)
-                if mul[w][x] not in ring.solve_system(SYSTEMS["one23"], {"a": a}):
-                    col.fail("wx is not a {1,2,3}-inverse of a", a=a, w=w, x=x)
+    n, mul = ring.size, ring.mul_arr
+    # instances (a, w) in rows, their w-core inverses x in columns
+    a, w = (v.reshape(-1, 1) for v in np.indices((n, n)))
+    xs = _all_solutions(ring, "wcore_solutions")
+    has, aw = xs >= 0, mul[a, w]
+    per_x = [
+        (has & (_prod(mul, aw, xs, a) != a), "derived equation awxa = a fails"),
+        (has & (_prod(mul, xs, aw, xs) != xs), "derived equation xawx = x fails"),
+        (has & ~ring.table("one23")[a, mul[w, xs]], "wx is not a {1,2,3}-inverse of a"),
+    ]
+    col.batch(n * n, lambda pos, i: _at(n)(pos) | {"x": int(xs[pos, i])}, [], per_x)
 
 
 def _chk_characteristic(ring: FiniteStarRing, col: _Collector, dual=False):
     """Conditions (i)-(v) of the w-core characterization, or with dual those
-    of the dual v-core one: the lookups mirrored, left for right."""
-    ri, li, ra, la = ring.right_ideal, ring.left_ideal, ring.right_ann, ring.left_ann
-    lookups = (li, ri, la, ra) if dual else (ri, li, ra, la)
-    solutions = ring.dual_vcore_solutions if dual else ring.wcore_solutions
-    full = SYSTEMS["dual-v-core-full" if dual else "w-core-full"]
-    e4 = full[3:4]  # awxa = a, or ayva = a: the candidates of (iii)-(v)
-    letter, what = ("v", "dual conditions") if dual else ("w", "conditions")
-    star, solve, n = ring.star_t, ring.solve_system, ring.size
-    for a in range(n):
-        conditions = _ideal_conditions(a, star[a], *lookups)
-        for w in col.each(range(n)):
-            env = {"a": a, letter: w}
-            c1, c2 = bool(solutions(a, w)), bool(solve(full, env))
-            c3, c4, c5 = conditions(solve(e4, env))
-            if not (c1 == c2 == c3 == c4 == c5):
-                col.fail(f"{what} (i)-(v) split as {(c1, c2, c3, c4, c5)}", a=a, **{letter: w})
+    of the dual v-core one.  (ii) holds where a solution of E1-E3 satisfies
+    E4-E5 (F1-F3, F4-F5), and (iii)-(v) where some x meeting the condition
+    satisfies E4 (F4); equal candidate masks share one verdict."""
+    n, letter = ring.size, "v" if dual else "w"
+    e4, e5 = SYSTEMS["dual-v-core-full" if dual else "w-core-full"][3:]
+
+    def holds(equation, a, w, x):
+        return _holds(ring, equation, a=a, x=x, **{letter: w})
+
+    a, w = (v.reshape(-1, 1) for v in np.indices((n, n)))
+    xs = _all_solutions(ring, "dual_vcore_solutions" if dual else "wcore_solutions")
+    c1, c2 = xs[:, 0] >= 0, ((xs >= 0) & holds(e4, a, w, xs) & holds(e5, a, w, xs)).any(axis=1)
+    cands = _candidates(ring, dual)
+    verdicts = {c.tobytes(): c for c in cands}  # equal masks share one verdict
+    verdicts = {k: _some(c, partial(holds, e4))[0].ravel() > 0 for k, c in verdicts.items()}
+    what = "dual conditions" if dual else "conditions"
+    conds = [verdicts[c.tobytes()] for c in cands]
+    split = _split(what + " (i)-(v) split as ({}, {}, {}, {}, {})", c1, c2, *conds)
+    col.batch(n * n, _at(n, letter), [split])
 
 
 def _chk_core_char(ring: FiniteStarRing, col: _Collector):
-    lookups = ring.right_ideal, ring.left_ideal, ring.right_ann, ring.left_ann
-    for a in col.each(range(ring.size)):
-        c1 = ring.core_inv(a) is not None
-        c2 = bool(ring.solve_system(SYSTEMS["core5"], {"a": a}))
-        c3, c4, c5 = _ideal_conditions(a, ring.star_t[a], *lookups)(ring.inner_inverses(a))
-        if not (c1 == c2 == c3 == c4 == c5):
-            col.fail(f"core conditions (i)-(v) split as {(c1, c2, c3, c4, c5)}", a=a)
+    n, inner, c1 = ring.size, ring.table("inner_inverses"), ring.table("core_inv") >= 0
+    c2 = [bool(ring.solve_system(SYSTEMS["core5"], {"a": a})) for a in range(n)]
+    # (iii)-(v): some inner inverse meets the condition
+    conds = [(inner & cand).any(axis=1) for cand in _candidates(ring)]
+    split = _split("core conditions (i)-(v) split as ({}, {}, {}, {}, {})", c1, c2, *conds)
+    col.batch(n, lambda a: {"a": a}, [split])
 
 
 def _chk_ideal_form(ring: FiniteStarRing, col: _Collector):
-    mul, star = ring.mul_t, ring.star_t
-    for a in range(ring.size):
-        for w in col.each(range(ring.size)):
-            aw = mul[a][w]
-            lhs = bool(ring.wcore_solutions(a, w))
-            conds = {}
-            for n_exp in (2, 3):
-                e1 = mul[ring.pow(star[aw], n_exp)][a]
-                e2 = mul[ring.pow(aw, n_exp - 1)][a]
-                conds[n_exp] = a in ring.left_ideal(e1) and a in ring.left_ideal(e2)
-            c_iii = a in ring.right_ideal(aw) and ring.core_inv(aw) is not None
-            if not (lhs == conds[2] == conds[3] == c_iii):
-                col.fail(
-                    f"(i)={lhs}, (ii,n=2)={conds[2]}, (ii,n=3)={conds[3]}, (iii)={c_iii}",
-                    a=a,
-                    w=w,
-                )
-            if lhs:
-                x0 = ring.wcore(a, w)
-                if x0 != ring.core_inv(aw):
-                    col.fail("a_w differs from (aw)_core", a=a, w=w)
-                wpa = ring.along(w, a)
-                if wpa is None:
-                    col.fail("w-core exists but w^{||a} does not", a=a, w=w)
-                else:
-                    for t in ring.one_three_set(aw):
-                        if ring.mul(wpa, w, t) != x0:
-                            col.fail(
-                                "w^{||a} w (aw)^{(1,3)} misses the value", a=a, w=w, t=t
-                            )
-                            break
+    n, mul, star = ring.size, ring.mul_arr, ring.star_arr
+    a, w = np.ogrid[:n, :n]
+    aw, (first, count), core = mul, ring.table("wcore_solutions"), ring.table("core_inv")
+    li, lhs = ring.table("left_ideal")[1], count > 0
+    ideal = [li[mul[_prod(mul, *[star[aw]] * k), a], a] for k in (2, 3)]
+    n2, n3 = (ideal[k - 2] & li[mul[_prod(mul, *[aw] * (k - 1)), a], a] for k in (2, 3))
+    c3 = ring.table("right_ideal")[1][aw, a] & (core[aw] >= 0)
+    wpa, t13 = ring.table("along")[0].T, ring.table("one_three_set")
+    y = mul[wpa, w]  # w^{||a} w
+    misses = lhs & (wpa >= 0) & t13.any(axis=1)[aw] & (_common(mul, t13)[aw, y] != first)
+    t = _miss_t(ring, ring.one_three_set, aw, [y], first)
+    own = [
+        _split("(i)={}, (ii,n=2)={}, (ii,n=3)={}, (iii)={}", lhs, n2, n3, c3),
+        (lhs & (first != core[aw]), "a_w differs from (aw)_core"),
+        (lhs & (wpa < 0), "w-core exists but w^{||a} does not"),
+        (misses, "w^{||a} w (aw)^{(1,3)} misses the value", _at(n, t=t)),
+    ]
+    col.batch(n * n, _at(n), own)
 
 
 def _chk_relate_to_mary(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        t13 = ring.one_three_set(a)
-        for w in col.each(range(ring.size)):
-            wpa = ring.along(w, a)
-            ex = bool(ring.wcore_solutions(a, w))
-            rhs = wpa is not None and bool(t13)
-            if ex != rhs:
-                col.fail(f"existence {ex} vs (w^(||a)), a^(1,3) criterion {rhs}", a=a, w=w)
-            if ex and wpa is not None:
-                x0 = ring.wcore(a, w)
-                for t in t13:
-                    if ring.mul(wpa, t) != x0:
-                        col.fail("w^{||a} a^{(1,3)} misses the value", a=a, w=w, t=t)
-                        break
-                if ring.mul(x0, a) != wpa:
-                    col.fail("w^{||a} != a_w a", a=a, w=w)
+    n, mul = ring.size, ring.mul_arr
+    a = np.arange(n)[:, None]
+    (first, count), wpa = ring.table("wcore_solutions"), ring.table("along")[0].T
+    t13 = ring.table("one_three_set")
+    ex, has13 = count > 0, t13.any(axis=1)[a]
+    rhs, both = (wpa >= 0) & has13, ex & (wpa >= 0)
+    misses = both & has13 & (_common(mul, t13)[a, wpa] != first)
+    t = _miss_t(ring, ring.one_three_set, a, [wpa], first)
+    own = [
+        _split("existence {} vs (w^(||a)), a^(1,3) criterion {}", ex, rhs),
+        (misses, "w^{||a} a^{(1,3)} misses the value", _at(n, t=t)),
+        (both & (mul[first, a] != wpa), "w^{||a} != a_w a"),
+    ]
+    col.batch(n * n, _at(n), own)
 
 
 def _chk_relate_to_dual_mary(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        t14 = ring.one_four_set(a)
-        for v in col.each(range(ring.size)):
-            vpa = ring.along(v, a)
-            ex = bool(ring.dual_vcore_solutions(a, v))
-            rhs = vpa is not None and bool(t14)
-            if ex != rhs:
-                col.fail(f"existence {ex} vs (v^(||a)), a^(1,4) criterion {rhs}", a=a, v=v)
-            if ex and vpa is not None:
-                y0 = ring.dual_vcore(a, v)
-                for t in t14:
-                    if ring.mul(t, vpa) != y0:
-                        col.fail("a^{(1,4)} v^{||a} misses the value", a=a, v=v, t=t)
-                        break
-                g_va = ring.group_inv(ring.mul(v, a))
-                g_av = ring.group_inv(ring.mul(a, v))
-                if g_va is None or g_av is None:
-                    col.fail("va or av lost group invertibility", a=a, v=v)
-                else:
-                    t0 = t14[0]
-                    if ring.mul(t0, a, g_va) != y0 or ring.mul(t0, g_av, a) != y0:
-                        col.fail("dual group formulas miss the value", a=a, v=v)
+    n, mul = ring.size, ring.mul_arr
+    a, v = np.ogrid[:n, :n]
+    (first, count), vpa = ring.table("dual_vcore_solutions"), ring.table("along")[0].T
+    t14, g = ring.table("one_four_set"), ring.table("group_inv")
+    ex, has14 = count > 0, t14.any(axis=1)[a]
+    rhs, both = (vpa >= 0) & has14, ex & (vpa >= 0)
+    misses = both & has14 & (_common(mul.T, t14)[a, vpa] != first)
+    g_va, g_av = g[mul[v, a]], g[mul[a, v]]
+    lost = both & ((g_va < 0) | (g_av < 0))
+    t0 = np.where(has14, t14.argmax(axis=1)[a], -1)  # the first {1,4}-inverse
+    formulas = (_prod(mul, t0, a, g_va) != first) | (_prod(mul, t0, g_av, a) != first)
+    t = _miss_t(ring, ring.one_four_set, a, [vpa], first, left=True)
+    own = [
+        _split("existence {} vs (v^(||a)), a^(1,4) criterion {}", ex, rhs),
+        (misses, "a^{(1,4)} v^{||a} misses the value", _at(n, "v", t=t)),
+        (lost, "va or av lost group invertibility"),
+        (both & ~lost & (t0 >= 0) & formulas, "dual group formulas miss the value"),
+    ]
+    col.batch(n * n, _at(n, "v"), own)
 
 
 def _chk_group_result(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        for w in col.each(range(ring.size)):
-            aw, wa = ring.mul(a, w), ring.mul(w, a)
-            ex = ring.along(w, a) is not None
-            c2 = (
-                ring.right_ideal(aw) == ring.right_ideal(a)
-                and ring.group_inv(aw) is not None
-            )
-            c3 = (
-                ring.left_ideal(wa) == ring.left_ideal(a)
-                and ring.group_inv(wa) is not None
-            )
-            if not (ex == c2 == c3):
-                col.fail(f"(i)={ex}, (ii)={c2}, (iii)={c3}", a=a, w=w)
-            if ex and c2 and c3:
-                wpa = ring.along(w, a)
-                left = ring.mul(a, ring.group_inv(wa))
-                right = ring.mul(ring.group_inv(aw), a)
-                if not (wpa == left == right):
-                    col.fail("a(wa)^# / (aw)^# a disagree with w^{||a}", a=a, w=w)
+    n, mul = ring.size, ring.mul_arr
+    a, w = np.ogrid[:n, :n]
+    aw, wa, wpa, g = mul, mul.T, ring.table("along")[0].T, ring.table("group_inv")
+    ri, li = ring.table("right_ideal")[0], ring.table("left_ideal")[0]
+    ex, left, right = wpa >= 0, mul[a, g[wa]], mul[g[aw], a]
+    c2, c3 = (ri[aw] == ri[a]) & (g[aw] >= 0), (li[wa] == li[a]) & (g[wa] >= 0)
+    disagree = ex & c2 & c3 & ((wpa != left) | (left != right))
+    own = [
+        _split("(i)={}, (ii)={}, (iii)={}", ex, c2, c3),
+        (disagree, "a(wa)^# / (aw)^# a disagree with w^{||a}"),
+    ]
+    col.batch(n * n, _at(n), own)
 
 
 def _chk_extended_repre(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        t13 = ring.one_three_set(a)
-        for w in col.each(range(ring.size)):
-            if not ring.wcore_solutions(a, w):
-                continue
-            x0 = ring.wcore(a, w)
-            g_wa = ring.group_inv(ring.mul(w, a))
-            g_aw = ring.group_inv(ring.mul(a, w))
-            if g_wa is None or g_aw is None:
-                col.fail("wa or aw lost group invertibility", a=a, w=w)
-                continue
-            for t in t13:
-                if ring.mul(a, g_wa, t) != x0 or ring.mul(g_aw, a, t) != x0:
-                    col.fail("extended representations miss the value", a=a, w=w, t=t)
-                    break
+    n, mul = ring.size, ring.mul_arr
+    a, w = np.ogrid[:n, :n]
+    (first, count), g = ring.table("wcore_solutions"), ring.table("group_inv")
+    t13 = ring.table("one_three_set")
+    g_wa, g_aw = g[mul[w, a]], g[mul[a, w]]
+    lost = (count > 0) & ((g_wa < 0) | (g_aw < 0))
+    common, y1, y2 = _common(mul, t13), mul[a, g_wa], mul[g_aw, a]
+    misses = (count > 0) & ~lost & t13.any(axis=1)[a]
+    misses &= (common[a, y1] != first) | (common[a, y2] != first)
+    t = _miss_t(ring, ring.one_three_set, a, [y1, y2], first)
+    own = [
+        (lost, "wa or aw lost group invertibility"),
+        (misses, "extended representations miss the value", _at(n, t=t)),
+    ]
+    col.batch(n * n, _at(n), own)
 
 
 def _chk_core_another(ring: FiniteStarRing, col: _Collector):
-    for a in col.each(range(ring.size)):
-        c1 = ring.core_inv(a) is not None
-        c2 = ring.group_inv(a) is not None and bool(ring.one_three_set(a))
-        c3 = bool(ring.wcore_solutions(a, a))
-        c4 = bool(ring.solve_system(SYSTEMS["a-core"], {"a": a}))
-        if not (c1 == c2 == c3 == c4):
-            col.fail(f"(i)-(iv) split as {(c1, c2, c3, c4)}", a=a)
-        if c1 and c3:
-            core = ring.core_inv(a)
-            acore = ring.wcore(a, a)
-            if ring.mul(a, acore) != core:
-                col.fail("a_core != a a_a", a=a)
-            if ring.mul(ring.group_inv(a), core) != acore:
-                col.fail("a_a != a^# a_core", a=a)
+    n, mul = ring.size, ring.mul_arr
+    a, core, g = np.arange(n), ring.table("core_inv"), ring.table("group_inv")
+    acore, count = (x[a, a] for x in ring.table("wcore_solutions"))
+    c4 = [bool(ring.solve_system(SYSTEMS["a-core"], {"a": x})) for x in range(n)]
+    c2 = (g >= 0) & ring.table("one_three_set").any(axis=1)
+    both = (core >= 0) & (count > 0)
+    own = [
+        _split("(i)-(iv) split as ({}, {}, {}, {})", core >= 0, c2, count > 0, c4),
+        (both & (mul[a, acore] != core), "a_core != a a_a"),
+        (both & (mul[g, core] != acore), "a_a != a^# a_core"),
+    ]
+    col.batch(n, lambda a: {"a": a}, own)
 
 
 def _chk_core_another_1(ring: FiniteStarRing, col: _Collector):
@@ -353,132 +389,112 @@ def _chk_core_another_1(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_star_core_another(ring: FiniteStarRing, col: _Collector):
-    star = ring.star_t
-    for a in col.each(range(ring.size)):
-        sa = star[a]
-        c1 = bool(ring.wcore_solutions(a, sa))
-        c2 = ring.mp_inv(a) is not None
-        c3 = bool(ring.dual_vcore_solutions(a, sa))
-        if not (c1 == c2 == c3):
-            col.fail(f"(i)-(iii) split as {(c1, c2, c3)}", a=a)
-        if c1 and c2 and c3:
-            mp = ring.mp_inv(a)
-            x = ring.wcore(a, sa)
-            y = ring.dual_vcore(a, sa)
-            if star[ring.mul(x, a)] != mp or star[ring.mul(a, y)] != mp:
-                col.fail("a^dag != (a_{a*} a)* or (a a_{a*,dual})*", a=a)
-            if x != ring.mul(star[mp], mp) or y != ring.mul(mp, star[mp]):
-                col.fail("a_{a*} != (a^+)* a^+ or dual != a^+ (a^+)*", a=a)
+    n, mul, star = ring.size, ring.mul_arr, ring.star_arr
+    a, mp = np.arange(n), ring.table("mp_inv")
+    (x, cx), (y, cy) = ((v[a, star] for v in ring.table(k)) for k in _PAIRS)
+    every, smp = (cx > 0) & (mp >= 0) & (cy > 0), star[mp]
+    star_miss = every & ((star[mul[x, a]] != mp) | (star[mul[a, y]] != mp))
+    value_miss = every & ((x != mul[smp, mp]) | (y != mul[mp, smp]))
+    own = [
+        _split("(i)-(iii) split as ({}, {}, {})", cx > 0, mp >= 0, cy > 0),
+        (star_miss, "a^dag != (a_{a*} a)* or (a a_{a*,dual})*"),
+        (value_miss, "a_{a*} != (a^+)* a^+ or dual != a^+ (a^+)*"),
+    ]
+    col.batch(n, lambda a: {"a": a}, own)
+
+
+def _at3(n):
+    """The names of the instance at position (a * n + w) * n + v."""
+    return lambda pos: dict(zip("awv", map(int, np.unravel_index(pos, (n, n, n)))))
 
 
 def _chk_wv_core_char(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        mp = ring.mp_inv(a) is not None
-        for w in range(ring.size):
-            ew = bool(ring.wcore_solutions(a, w))
-            wpa = ring.along(w, a) is not None
-            for v in col.each(range(ring.size)):
-                joint = ew and bool(ring.dual_vcore_solutions(a, v))
-                crit = wpa and ring.along(v, a) is not None and mp
-                if joint != crit:
-                    col.fail(f"joint existence {joint} vs criterion {crit}", a=a, w=w, v=v)
+    n = ring.size
+    ew, ev = (ring.table(k)[1] > 0 for k in ("wcore_solutions", "dual_vcore_solutions"))
+    in_a, mp = ring.table("along")[0].T >= 0, ring.table("mp_inv") >= 0  # [a, w]: w^{||a}
+    joint = ew[:, :, None] & ev[:, None, :]
+    crit = in_a[:, :, None] & in_a[:, None, :] & mp[:, None, None]
+    col.batch(n**3, _at3(n), [_split("joint existence {} vs criterion {}", joint, crit)])
 
 
 def _chk_star_duality(ring: FiniteStarRing, col: _Collector):
-    star = ring.star_t
-    for a in range(ring.size):
-        for w in col.each(range(ring.size)):
-            ex = bool(ring.wcore_solutions(a, w))
-            exd = bool(ring.dual_vcore_solutions(star[a], star[w]))
-            if ex != exd:
-                col.fail(f"existence {ex} does not transfer across *", a=a, w=w)
-            elif ex:
-                if star[ring.wcore(a, w)] != ring.dual_vcore(star[a], star[w]):
-                    col.fail("(a_w)* != (a*)_{w*,dual}", a=a, w=w)
+    n, star = ring.size, ring.star_arr
+    sa, sw = np.ogrid[:n, :n]
+    sa, sw = star[sa], star[sw]
+    (first, count), (dual_first, dual_count) = map(ring.table, _PAIRS)
+    ex, exd = count > 0, dual_count[sa, sw] > 0
+    own = [
+        _split("existence {} does not transfer across *", ex, exd),
+        (ex & exd & (star[first] != dual_first[sa, sw]), "(a_w)* != (a*)_{w*,dual}"),
+    ]
+    col.batch(n * n, _at(n), own)
 
 
 def _chk_wcore_of_wcore(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        for w in col.each(range(ring.size)):
-            sols = ring.wcore_solutions(a, w)
-            if not sols:
-                continue
-            x0 = sols[0]
-            core = ring.core_inv(x0)
-            if core is None:
-                col.fail("a_w is not core invertible", a=a, w=w)
-                continue
-            aw = ring.mul(a, w)
-            if core != ring.mul(aw, aw, x0):
-                col.fail("(a_w)_core != (aw)^2 a_w", a=a, w=w)
+    n, mul = ring.size, ring.mul_arr
+    first, count = ring.table("wcore_solutions")
+    ex, core = count > 0, ring.table("core_inv")[first]
+    own = [
+        (ex & (core < 0), "a_w is not core invertible"),
+        (ex & (core >= 0) & (core != _prod(mul, mul, mul, first)), "(a_w)_core != (aw)^2 a_w"),
+    ]
+    col.batch(n * n, _at(n), own)
 
 
 def _chk_wv_mary(ring: FiniteStarRing, col: _Collector):
-    star = ring.star_t
-    for a in range(ring.size):
-        if ring.mp_inv(a) is None:
-            continue  # theorem hypothesis a MP-invertible
-        aastar = ring.mul(a, star[a])
-        astara = ring.mul(star[a], a)
-        for w in col.each(range(ring.size)):
-            ex = bool(ring.wcore_solutions(a, w))
-            al = ring.along(ring.mul(a, w), aastar)
-            if ex != (al is not None):
-                col.fail(f"w-core {ex} vs (aw)^(||aa*) {al is not None}", a=a, w=w)
-            elif ex and ring.wcore(a, w) != al:
-                col.fail("w-core value differs from (aw)^{||aa*}", a=a, w=w)
-            exd = bool(ring.dual_vcore_solutions(a, w))
-            ald = ring.along(ring.mul(w, a), astara)
-            if exd != (ald is not None):
-                col.fail(f"dual {exd} vs (va)^(||a*a) {ald is not None}", a=a, v=w)
-            elif exd and ring.dual_vcore(a, w) != ald:
-                col.fail("dual value differs from (va)^{||a*a}", a=a, v=w)
+    n, mul, star = ring.size, ring.mul_arr, ring.star_arr
+    # instances: every w for each a with an MP inverse, the theorem's hypothesis
+    sel = np.flatnonzero(ring.table("mp_inv") >= 0)
+    a, w, along = sel[:, None], np.arange(n), ring.table("along")[0]
+    (first, count), (dual_first, dual_count) = ((x[sel] for x in ring.table(k)) for k in _PAIRS)
+    al, ald = along[mul[a, w], mul[a, star[a]]], along[mul[w, a], mul[star[a], a]]
+    ex, exd, has, hasd = count > 0, dual_count > 0, al >= 0, ald >= 0
+
+    def at(second):
+        return lambda pos: {"a": int(sel[pos // n]), second: pos % n}
+
+    own = [
+        _split("w-core {} vs (aw)^(||aa*) {}", ex, has),
+        (ex & has & (first != al), "w-core value differs from (aw)^{||aa*}"),
+        (*_split("dual {} vs (va)^(||a*a) {}", exd, hasd), at("v")),
+        (exd & hasd & (dual_first != ald), "dual value differs from (va)^{||a*a}", at("v")),
+    ]
+    col.batch(sel.size * n, at("w"), own)
 
 
 def _chk_relations_bc(ring: FiniteStarRing, col: _Collector):
-    mul, star = ring.mul_t, ring.star_t
-    n = ring.size
-    for a in range(n):
-        sa = star[a]
-        ri_a, li_sa = ring.right_ideal(a), ring.left_ideal(sa)
-        ri_sa, li_a = ring.right_ideal(sa), ring.left_ideal(a)
-        for w in col.each(range(n)):
-            aw = mul[a][w]
-            bc = [
-                y
-                for y in ring.solve_system(_B3, {"a": aw})
-                if ring.right_ideal(y) == ri_a and ring.left_ideal(y) == li_sa
-            ]
-            ex = bool(ring.wcore_solutions(a, w))
-            if ex != bool(bc):
-                col.fail(f"w-core {ex} vs (a,a*)-invertibility of aw {bool(bc)}", a=a, w=w)
-            elif ex and (len(bc) != 1 or bc[0] != ring.wcore(a, w)):
-                col.fail("(a,a*)-inverse of aw differs from a_w", a=a, w=w)
-            va = mul[w][a]
-            bcd = [
-                y
-                for y in ring.solve_system(_B3, {"a": va})
-                if ring.right_ideal(y) == ri_sa and ring.left_ideal(y) == li_a
-            ]
-            exd = bool(ring.dual_vcore_solutions(a, w))
-            if exd != bool(bcd):
-                col.fail(f"dual {exd} vs (a*,a)-invertibility of va {bool(bcd)}", a=a, v=w)
-            elif exd and (len(bcd) != 1 or bcd[0] != ring.dual_vcore(a, w)):
-                col.fail("(a*,a)-inverse of va differs from a_{v,dual}", a=a, v=w)
+    n, mul, b3 = ring.size, ring.mul_arr, SYSTEMS["bc"][2]  # xax = x: an outer inverse
+    # the outer inverses y of aw with yR = aR and Ry = Ra*, and those of va
+    # with yR = a*R and Ry = Ra: the (a, a*)- and (a*, a)-inverses
+    bc, bc_first = _some(_candidates(ring)[0], lambda a, w, y: _holds(ring, b3, a=mul[a, w], x=y))
+    bcd, bcd_first = _some(
+        _candidates(ring, dual=True)[0], lambda a, v, y: _holds(ring, b3, a=mul[v, a], x=y)
+    )
+    (first, count), (dual_first, dual_count) = map(ring.table, _PAIRS)
+    ex, exd, has, hasd = count > 0, dual_count > 0, bc > 0, bcd > 0
+    differs = exd & hasd & ((bcd != 1) | (bcd_first != dual_first))
+    own = [
+        _split("w-core {} vs (a,a*)-invertibility of aw {}", ex, has),
+        (ex & has & ((bc != 1) | (bc_first != first)), "(a,a*)-inverse of aw differs from a_w"),
+        (*_split("dual {} vs (a*,a)-invertibility of va {}", exd, hasd), _at(n, "v")),
+        (differs, "(a*,a)-inverse of va differs from a_{v,dual}", _at(n, "v")),
+    ]
+    col.batch(n * n, _at(n), own)
 
 
 def _chk_green_drazin(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        for b in col.each(range(ring.size)):
-            if ring.leq_R(a, b) and not (ring.left_ann(b) <= ring.left_ann(a)):
-                col.fail("a <=_R b but ^0 b is not contained in ^0 a", a=a, b=b)
-            if ring.leq_L(a, b) and not (ring.right_ann(b) <= ring.right_ann(a)):
-                col.fail("a <=_L b but b^0 is not contained in a^0", a=a, b=b)
-            g = ring.green(a, b)
-            if g["R"] and ring.left_ann(a) != ring.left_ann(b):
-                col.fail("a R b but left annihilators differ", a=a, b=b)
-            if g["L"] and ring.right_ann(a) != ring.right_ann(b):
-                col.fail("a L b but right annihilators differ", a=a, b=b)
+    kinds = ("right_ideal", "left_ideal", "right_ann", "left_ann")
+    (_, r_sets), (_, l_sets), (ra, ra_sets), (la, la_sets) = map(ring.table, kinds)
+    # [a, b]: a in bR, a in Rb, ^0 b in ^0 a, b^0 in a^0
+    leq_r, leq_l = r_sets.T, l_sets.T
+    la_in, ra_in = _subsets(la, la_sets)[la, la[:, None]], _subsets(ra, ra_sets)[ra, ra[:, None]]
+    own = [
+        (leq_r & ~la_in, "a <=_R b but ^0 b is not contained in ^0 a"),
+        (leq_l & ~ra_in, "a <=_L b but b^0 is not contained in a^0"),
+        (leq_r & r_sets & (la[:, None] != la), "a R b but left annihilators differ"),
+        (leq_l & l_sets & (ra[:, None] != ra), "a L b but right annihilators differ"),
+    ]
+    col.batch(ring.size**2, _at(ring.size, "b"), own)
 
 
 # ---------------------------------------------------------------------------
@@ -510,30 +526,30 @@ def _prod(mul, *factors):
 
 class _Frame:
     """The outer letter a of a unit criterion, with a* and its inner inverses
-    a⁻.  A checker reads, once per frame and only if it needs them, a^dag
-    (`mp`, None if it does not exist), x^{||a} for every x (`along`) and a_w
-    and a_{w,dual} for every w (`cores`), the rows -1 where they do not exist."""
+    a⁻, and read from the ring's whole-ring lookups: whether a^dag exists
+    (`mp`), x^{||a} for every x (`along`) and a_w and a_{w,dual} for every w
+    (`cores`), the rows -1 where they do not exist."""
 
     def __init__(self, ring, a, inners):
         self.ring, self.a, self.sa = ring, a, ring.star_t[a]
         self.inners, self.k = inners, len(inners)
+        self.mp = bool(ring.table("mp_inv")[a] >= 0)
+        self.along = ring.table("along")[0][:, a]
+        self.cores = [ring.table(k)[0][a] for k in _PAIRS]
         # 1 - aa⁻ and 1 - a⁻a for each inner inverse a⁻
         mul, inners = ring.mul_arr, np.asarray(self.inners, dtype=np.int64)
         one_minus = ring.add_arr[ring.one][ring.neg_arr]
         self._complements = one_minus[mul[a, inners]], one_minus[mul[inners, a]]
 
-    def mp(self):
-        return self.ring.mp_inv(self.a)
+    def names(self, n, w_rows=True):
+        """The names of the instance at position r * n + c, rows r the w and
+        columns c the v (or the other way round), with the inner inverse i."""
 
-    def along(self):
-        values = (self.ring.along(x, self.a) for x in range(self.ring.size))
-        return np.array([-1 if y is None else y for y in values], dtype=np.int64)
+        def elems(pos, *inner):
+            w, v = divmod(pos, n) if w_rows else divmod(pos, n)[::-1]
+            return {"a": self.a, "w": w, "v": v} | {"a_inner": self.inners[i] for i in inner}
 
-    def cores(self):
-        return [
-            np.array([(sols(self.a, w) or (-1,))[0] for w in range(self.ring.size)], dtype=np.int64)
-            for sols in (self.ring.wcore_solutions, self.ring.dual_vcore_solutions)
-        ]
+        return elems
 
     def units(self, *words, **letters):
         """The unit x + 1 - e of each word x over a, a* and the letters
@@ -609,7 +625,7 @@ def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
     xs = np.arange(n)
     for f in _frames(ring):
         # the frame's letter is d; instances (a, d⁻): rows a, columns d⁻
-        d, k, ex = f.a, f.k, f.along()
+        d, k, ex = f.a, f.k, f.along
         has = (ex >= 0)[:, None]
         u, v = f.units("a x", "x a", x=xs)
         bad = (has != units.bits[u]) | (has != units.bits[v])
@@ -633,7 +649,7 @@ def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
 def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
     star = ring.star_t
     for f in _frames(ring):
-        a, mp = f.a, f.mp()
+        a, mp = f.a, ring.mp_inv(f.a)
         us, vs = (x.tolist() for x in f.units("a a*", "a* a"))
         for a_in, u, v in col.each(zip(f.inners, us, vs)):
             if (mp is not None) != ring.is_unit(u) or (mp is not None) != ring.is_unit(v):
@@ -647,23 +663,22 @@ def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_mp_ideal_char(ring: FiniteStarRing, col: _Collector):
-    mul, star = ring.mul_t, ring.star_t
-    for a in col.each(range(ring.size)):
-        e = ring.mul(a, star[a], a)
-        mp = ring.mp_inv(a)
-        c2 = a in ring.right_ideal(e)
-        c3 = a in ring.left_ideal(e)
-        if (mp is not None) != c2 or c2 != c3:
-            col.fail(f"(i)={mp is not None}, (ii)={c2}, (iii)={c3}", a=a)
-            continue
-        if mp is not None:
-            for x in range(ring.size):
-                if mul[e][x] == a and star[mul[a][x]] != mp:
-                    col.fail("(ax)* misses a^dag", a=a, x=x)
-                    break
-                if mul[x][e] == a and star[mul[x][a]] != mp:
-                    col.fail("(ya)* misses a^dag", a=a, x=x)
-                    break
+    n, mul, star = ring.size, ring.mul_arr, ring.star_arr
+    a, x = np.ogrid[:n, :n]
+    e, mp = _prod(mul, a, star[a], a), ring.table("mp_inv")[:, None]
+    c1, c2, c3 = mp >= 0, ring.table("right_ideal")[1][e, a], ring.table("left_ideal")[1][e, a]
+    # the first x with ex = a and (ax)* != a^dag, or with xe = a and (xa)* != a^dag
+    right = (mul[e, x] == a) & (star[mul[a, x]] != mp)
+    miss = right | ((mul[x, e] == a) & (star[mul[x, a]] != mp))
+    first, split = miss.argmax(axis=1), _split("(i)={}, (ii)={}, (iii)={}", c1, c2, c3)
+    at_first, named = right[a[:, 0], first], lambda a: {"a": a, "x": int(first[a])}
+    found = ~split[0] & c1.ravel() & miss.any(axis=1)
+    own = [
+        split,
+        (found & at_first, "(ax)* misses a^dag", named),
+        (found & ~at_first, "(ya)* misses a^dag", named),
+    ]
+    col.batch(n, lambda a: {"a": a}, own)
 
 
 def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
@@ -671,11 +686,11 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
     units = _Units(ring)
     v, w = np.arange(n)[:, None], np.arange(n)[None, :]
     for f in _frames(ring, regular=False):
-        a, sa, k, (wc, dv), in_a = f.a, f.sa, f.k, f.cores(), f.along() >= 0
+        a, sa, k, (wc, dv), in_a = f.a, f.sa, f.k, f.cores, f.along >= 0
         # instances (v, w): rows v, columns w; the units add an axis for a⁻
         vpa = in_a[:, None]
         joint = (dv >= 0)[:, None] & (wc >= 0)
-        c2 = in_a & (f.mp() is not None)
+        c2 = in_a & f.mp
         u, r, s, t = f.units(*_VW_UNITS, w=w, v=v)
         oks = units.bits[np.stack([u, r, s, t])]
         bad = vpa[..., None] & (oks != joint[..., None]).any(axis=0)
@@ -686,10 +701,6 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
         miss_w[need] = _prod(mul, a, vn, a, sa, a, units.inv(s.ravel()[need]), mid) != wc[wn]
         miss_v[need] = _prod(mul, mid, a, wn, a, sa, a, units.inv(t.ravel()[need])) != dv[vn]
         oks = oks.reshape(4, n * n, k)
-
-        def elems(pos, *inner):
-            vi, wi = divmod(pos, n)
-            return {"a": a, "w": wi, "v": vi} | {"a_inner": f.inners[i] for i in inner}
 
         own = [
             ((~vpa & joint).ravel(), "joint existence without v in R^{||a}"),
@@ -707,7 +718,7 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
             (miss_w.reshape(n * n, k), "joint formula misses a_w"),
             (miss_v.reshape(n * n, k), "joint formula misses a_{v,dual}"),
         ]
-        col.batch(n * n, elems, own, per_inner)
+        col.batch(n * n, f.names(n, w_rows=False), own, per_inner)
 
 
 def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
@@ -715,10 +726,10 @@ def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
     units = _Units(ring)
     ws = np.arange(n)
     for f in _frames(ring):
-        a, sa, k, (wc, dv), in_a = f.a, f.sa, f.k, f.cores(), f.along() >= 0
+        a, sa, k, (wc, dv), in_a = f.a, f.sa, f.k, f.cores, f.along >= 0
         # instances (w, v): rows w, columns v; the units add an axis for a⁻
         joint = (wc >= 0)[:, None] & (dv >= 0)
-        c2 = in_a[:, None] & in_a & (f.mp() is not None)
+        c2 = in_a[:, None] & in_a & f.mp
         u, r, s, t = f.units(*_W_UNITS, w=ws)
         conds = in_a[:, None] & units.bits[np.stack([u, r, s, t])][:, :, None, :]
         bad = (conds != joint[..., None]).any(axis=0)
@@ -729,10 +740,6 @@ def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
         miss[need] = _prod(mul, a, sa, a, units.inv(s[wn, i_n]), mid) != wc[wn]
         conds = conds.reshape(4, n * n, k)
 
-        def elems(pos, *inner):
-            wi, vi = divmod(pos, n)
-            return {"a": a, "w": wi, "v": vi} | {"a_inner": f.inners[i] for i in inner}
-
         own = [((joint != c2).ravel(), lambda pos: f"(i)={joint.flat[pos]} vs (ii)={c2.flat[pos]}")]
         per_inner = [
             (
@@ -742,7 +749,7 @@ def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
             ),
             (miss.reshape(n * n, k), "single-w unit formula misses a_w"),
         ]
-        col.batch(n * n, elems, own, per_inner)
+        col.batch(n * n, f.names(n), own, per_inner)
 
 
 def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
@@ -750,8 +757,8 @@ def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
     units = _Units(ring)
     w, v = np.arange(n)[:, None], np.arange(n)[None, :]
     for f in _frames(ring, regular=False):
-        a, k, (wc, dv), in_a = f.a, f.k, f.cores(), f.along() >= 0
-        mp = f.mp() is not None
+        a, k, (wc, dv), in_a = f.a, f.k, f.cores, f.along >= 0
+        mp = f.mp
         # instances (w, v): rows w, columns v; the units add an axis for a⁻
         joint = (wc >= 0)[:, None] & (dv >= 0)
         c2 = in_a[_prod(mul, w, a, v)] & mp
@@ -759,10 +766,6 @@ def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
         oks = units.bits[np.stack(f.units(*_VW_UNITS, w=w, v=v))]
         bad = (oks != joint[..., None]).any(axis=0)
         oks = oks.reshape(4, n * n, k)
-
-        def elems(pos, *inner):
-            wi, vi = divmod(pos, n)
-            return {"a": a, "w": wi, "v": vi} | {"a_inner": f.inners[i] for i in inner}
 
         own = [
             (
@@ -777,18 +780,15 @@ def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
                 f"vs joint {joint.flat[pos]}",
             )
         ]
-        col.batch(n * n, elems, own, per_inner)
+        col.batch(n * n, f.names(n), own, per_inner)
 
 
 def _chk_along_product(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        for w in range(ring.size):
-            wpa = ring.along(w, a) is not None
-            for v in col.each(range(ring.size)):
-                both = wpa and ring.along(v, a) is not None
-                prod = ring.along(ring.mul(w, a, v), a) is not None
-                if both != prod:
-                    col.fail(f"w,v in R^(||a) = {both} but wav criterion = {prod}", a=a, w=w, v=v)
+    n, mul = ring.size, ring.mul_arr
+    a, w, v = np.ogrid[:n, :n, :n]
+    in_a = ring.table("along")[0] >= 0  # [x, d]: x^{||d}
+    both, prod = in_a[w, a] & in_a[v, a], in_a[_prod(mul, w, a, v), a]
+    col.batch(n**3, _at3(n), [_split("w,v in R^(||a) = {} but wav criterion = {}", both, prod)])
 
 
 def _chk_intersect(ring: FiniteStarRing, col: _Collector):
@@ -796,9 +796,9 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
     units = _Units(ring)
     ws = np.arange(n)
     for f in _frames(ring):
-        a, sa, k, (wc, dv) = f.a, f.sa, f.k, f.cores()
+        a, sa, k, (wc, dv) = f.a, f.sa, f.k, f.cores
         ew = wc >= 0
-        joint, c2, c3 = ew & (dv >= 0), (f.along() >= 0) & (f.mp() is not None), ew & (dv[sa] >= 0)
+        joint, c2, c3 = ew & (dv >= 0), (f.along >= 0) & f.mp, ew & (dv[sa] >= 0)
         # instances (w, a⁻): rows w, columns a⁻
         u, t, s, r = f.units(*_W_UNITS, w=ws)
         oks = units.bits[np.stack([u, r, s, t])]
@@ -830,7 +830,7 @@ def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
     for f in _frames(ring):
         a, sa = f.a, f.sa
         joint = ring.core_inv(a) is not None and ring.dual_core_inv(a) is not None
-        c2 = ring.group_inv(a) is not None and f.mp() is not None
+        c2 = ring.group_inv(a) is not None and f.mp
         # the core inverse is the w-core inverse at w = 1
         units = (x.tolist() for x in f.units(*_W_UNITS, w=ring.one))
         for a_in, u, t, s, v in col.each(zip(f.inners, *units)):
@@ -890,13 +890,11 @@ def search_ideal_form_n1(ring: FiniteStarRing) -> list[tuple[int, int]]:
     matrix semigroup; whether a finite counterexample exists is open, so
     hits are reported for inspection and never treated as failures.
     """
-    hits = []
-    for a in range(ring.size):
-        for w in range(ring.size):
-            e = ring.mul(ring.star(ring.mul(a, w)), a)
-            if a in ring.left_ideal(e) and not ring.wcore_solutions(a, w):
-                hits.append((a, w))
-    return hits
+    mul, star = ring.mul_arr, ring.star_arr
+    a, w = np.ogrid[: ring.size, : ring.size]
+    hits = ring.table("left_ideal")[1][mul[star[mul[a, w]], a], a]
+    hits &= ring.table("wcore_solutions")[1] == 0
+    return [tuple(pair) for pair in np.argwhere(hits).tolist()]
 
 
 def verify_theorem(ring: FiniteStarRing, theorem_id: str) -> TheoremReport:

@@ -347,7 +347,7 @@ def _solve(
         if out.value is None:
             return InverseResult(False, reason=say(out.reason))
         x, cert = certified(out.value, out.witnesses, route)
-        return InverseResult(cert.ok, value=x, certificate=cert)
+        return InverseResult(cert.ok, value=x, certificate=cert, reason=cert.failure())
 
     reason = _missing(ctx)
     if reason is not None:

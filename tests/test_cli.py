@@ -399,3 +399,51 @@ def test_compute_exits_three_when_the_certificate_fails(tmp_path, capsys, kind, 
     assert cert["ok"] is False
     assert all(cert["residuals"][name] > cert["tolerance"] for name in failing)
     assert out["reason"] == f"certificate fails equations {failing}"
+
+
+# each kind whose complex float solve raised numpy's LinAlgError on 1e200 I,
+# which the CLI used to report as a usage error (exit 1)
+BREAKDOWN_KINDS = ["drazin", "core-ep", "along", "w-core", "dual-v-core", "bc"]
+
+
+@pytest.mark.parametrize("kind", BREAKDOWN_KINDS)
+def test_numerical_breakdown_is_no_inverse(kind, tmp_path, capsys):
+    big = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+    a = write_matrix(tmp_path / "a.json", big, domain={"kind": "complex_float"})
+    operands = [f"--{name}={a}" for name in ("w", "v", "d", "b", "c")]
+    assert run(["compute", "--kind", kind, "--a", a, *operands]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert list(out) == ["schema", "kind", "exists", "value", "index", "reason", "certificate"]
+    assert out["kind"] == kind and out["exists"] is False and out["value"] is None
+    assert out["reason"] == "numerical breakdown: SVD did not converge"
+    assert out["certificate"] is None
+
+
+def test_numerical_breakdown_in_a_process_has_no_traceback(tmp_path):
+    big = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+    a = write_matrix(tmp_path / "a.json", big, domain={"kind": "complex_float"})
+    src = os.path.dirname(os.path.dirname(ginv.cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ginv.cli", "compute", "--kind", "drazin", "--a", a],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and proc.stderr == ""
+    assert json.loads(proc.stdout)["reason"] == "numerical breakdown: SVD did not converge"
+
+
+def test_check_reports_a_numerical_breakdown_in_one_line(tmp_path, capsys, monkeypatch):
+    def breaks(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(ginv.cli, "certify", breaks)
+    a = write_matrix(tmp_path / "a.json", nilp_rows())
+    assert run(["check", "--kind", "mp", "--a", a, "--candidate", a]) == 3
+    err = capsys.readouterr().err
+    assert err == "ginv: numerical breakdown: SVD did not converge\n"

@@ -2,6 +2,7 @@
 
 import ast
 
+import numpy as np
 import pytest
 
 from ginv import (
@@ -255,3 +256,39 @@ def test_report_json_shape():
     assert obj["theorem_id"] == "jacobson"
     assert obj["counterexamples"] == []
     assert obj["instances_checked"] == 16
+
+
+@pytest.fixture(scope="module")
+def gf3_ring():
+    ring = enumerate_ring("mat:2:gf3")
+    dom = prime_field(3)
+    mats = [StarMatrix.from_rows(ast.literal_eval(ring.name(i)), dom) for i in range(ring.size)]
+    return ring, mats, {m: i for i, m in enumerate(mats)}
+
+
+def test_oracle_supremacy_classical_gf3(gf3_ring):
+    # every a of M2(GF(3)): the matrix API against the oracle's scans
+    ring, mats, enc = gf3_ring
+    for a, m in enumerate(mats):
+        for api, lookup in ((group_inverse, ring.group_inv), (mp_inverse, ring.mp_inv)):
+            got = api(m)
+            assert (None if got is None else enc[got]) == lookup(a), (api.__name__, a)
+        pc, rpc = core_ep_inverse(m), ring.pseudo_core(a)
+        assert (None if pc is None else (enc[pc.value], pc.index)) == rpc, a
+
+
+@pytest.mark.parametrize(
+    "api, lookup", [(w_core, "wcore_solutions"), (dual_v_core, "dual_vcore_solutions")]
+)
+def test_oracle_supremacy_pairs_gf3(gf3_ring, api, lookup):
+    # a seeded sample of (a, w) pairs, half of them with an inverse: the
+    # routes agree with the scan on existence and value
+    ring, mats, enc = gf3_ring
+    first, count = ring.table(lookup)
+    rng = np.random.default_rng(3)
+    pairs = [rng.choice(np.argwhere(count == k), 150, replace=False) for k in (0, 1)]
+    assert count.max() == 1
+    for a, w in np.concatenate(pairs).tolist():
+        res = api(mats[a], mats[w])
+        assert res.exists == bool(count[a, w]), (a, w)
+        assert (enc[res.value] if res.exists else -1) == first[a, w], (a, w)

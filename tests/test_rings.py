@@ -421,3 +421,75 @@ def test_sampled_axioms_match_reference(monkeypatch, spec):
         assert axiom_message(t) == want
         seen.add(want)
     assert seen & TRIPLE_LAWS, seen
+
+
+# ---------------------------------------------------------------------------
+# whole-ring lookups
+
+
+def scalar_tables(ring):
+    """Every whole-ring lookup built from its scalar named lookup, one call per
+    element or pair."""
+    n, out = ring.size, {}
+    for name in ("group_inv", "core_inv", "mp_inv", "dual_core_inv"):
+        out[name] = [-1 if y is None else y for y in map(getattr(ring, name), range(n))]
+    one23 = [ring.solve_system(SYSTEMS["one23"], {"a": a}) for a in range(n)]
+    for name, sets in [
+        ("inner_inverses", map(ring.inner_inverses, range(n))),
+        ("one_three_set", map(ring.one_three_set, range(n))),
+        ("one_four_set", map(ring.one_four_set, range(n))),
+        ("one23", one23),
+    ]:
+        out[name] = [[x in s for x in range(n)] for s in map(set, sets)]
+    for name in ("wcore_solutions", "dual_vcore_solutions", "along"):
+        sols = [[getattr(ring, name)(a, b) for b in range(n)] for a in range(n)]
+        if name == "along":
+            sols = [[() if y is None else (y,) for y in row] for row in sols]
+        first = [[s[0] if s else -1 for s in row] for row in sols]
+        out[name] = (first, [[len(s) for s in row] for row in sols])
+    for name in ("right_ideal", "left_ideal", "right_ann", "left_ann"):
+        sets = [getattr(ring, name)(e) for e in range(n)]
+        same = [[s == t for t in sets] for s in sets]
+        out[name] = (same, [[x in s for x in range(n)] for s in sets])
+    return out
+
+
+def array_tables(ring):
+    """The same, read from ring.table; ideal ids as equality of ids."""
+    out = {}
+    for name in ("group_inv", "core_inv", "mp_inv", "dual_core_inv"):
+        out[name] = ring.table(name).tolist()
+    for name in ("inner_inverses", "one_three_set", "one_four_set", "one23"):
+        out[name] = ring.table(name).tolist()
+    for name in ("wcore_solutions", "dual_vcore_solutions", "along"):
+        first, count = ring.table(name)
+        out[name] = (first.tolist(), count.tolist())
+    for name in ("right_ideal", "left_ideal", "right_ann", "left_ann"):
+        ids, members = ring.table(name)
+        out[name] = ((ids[:, None] == ids).tolist(), members.tolist())
+    return out
+
+
+@pytest.mark.parametrize("spec", SCAN_RINGS + ["mat:2:gf3"])
+def test_whole_ring_lookups_match_named_lookups(spec):
+    ring = enumerate_ring(spec)
+    want, got = scalar_tables(ring), array_tables(ring)
+    assert sorted(got) == sorted(rings._TABLES)
+    for name in want:
+        assert got[name] == want[name], name
+
+
+def test_whole_ring_lookups_read_a_replaced_lookup_pointwise():
+    # a lookup replaced on the instance is read through the replacement, so
+    # the arrays say what the named lookup says; restoring it restores them
+    ring = enumerate_ring("mat:2:gf2")
+    fresh = array_tables(ring)
+    ring.along = lambda a, d: 0 if (a, d) == (0, 0) else None
+    ring.wcore_solutions = lambda a, w: (0, 1) if a == w else ()
+    ring.left_ann = lambda e: frozenset({e})
+    ring.core_inv = lambda a: a
+    got = array_tables(ring)
+    assert got == scalar_tables(ring) and got != fresh
+    for name in ("along", "wcore_solutions", "left_ann", "core_inv"):
+        delattr(ring, name)
+    assert array_tables(ring) == fresh

@@ -29,6 +29,7 @@ from ginv import (
 )
 from ginv.domains import GAUSSIAN_RATIONAL, GaussianRational, integer_mod
 from ginv.matrix import inverse, left_nullspace, rel_diff, right_nullspace
+from ginv import wcore
 from ginv.wcore import DUAL_V_CORE_ROUTES, W_CORE_ROUTES
 
 from conftest import assert_w_core_equations, cm, fm, gm, lists, mul_lists, qm, zm
@@ -368,3 +369,46 @@ def test_dual_witnesses_keep_dual_keys(nilp2_g, w_ex1_g):
     s = wit["section3_unit_dual"]
     assert a.adjoint() @ a @ inverse(s) == res.value
     assert not {"w_along_a", "one_three", "section3_unit"} & set(wit)
+
+
+def _failing_route(value):
+    def route(ctx):
+        return wcore._RouteOutcome(value=value)
+
+    return route
+
+
+def test_single_route_failing_certificate_carries_its_reason(monkeypatch):
+    # a single route returns its value with exists false when the value fails
+    # its certificate; the reason names the failing equations, as the CLI does
+    a, v = qm([[1, 1], [0, 0]]), qm([[1, 0], [0, 1]])
+    monkeypatch.setitem(wcore._ROUTES, "group_wa", _failing_route(qm([[1, 0], [1, 0]])))
+    res = dual_v_core(a, v, route="group_av")
+    assert res.exists is False and res.value is not None and not res.certificate.ok
+    failed = [k for k, r in res.certificate.residuals.items() if r > res.certificate.tolerance]
+    assert failed and res.reason == f"certificate fails equations {failed}"
+    assert res.reason == res.certificate.failure()
+    assert dual_v_core(a, v, route="group_va").reason is None
+
+
+def test_single_float_route_failing_certificate_carries_its_reason():
+    # a = U diag(1, s1, s2, 0) V with Haar U, V and s log-uniform, v Gaussian:
+    # the group_av value misses F1 and F3 (F3 1.2e-8 against 1e-8 here)
+    g = np.random.default_rng(0)
+
+    def gauss(m, n):
+        return (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))) / np.sqrt(2)
+
+    def haar(n):
+        q, r = np.linalg.qr(gauss(n, n))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    u, w = haar(4), haar(4)
+    s = np.sort(10 ** g.uniform(-6, 0, 2))[::-1]
+    a, v = u @ np.diag([1, s[0], s[1], 0]) @ w, gauss(4, 4)
+    res = dual_v_core(cm(a.tolist()), cm(v.tolist()), route="group_av")
+    cert = res.certificate
+    assert res.exists == cert.ok
+    assert res.reason == (None if cert.ok else cert.failure())
+    if not cert.ok:
+        assert res.reason.startswith("certificate fails equations [")
