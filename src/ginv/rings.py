@@ -10,13 +10,17 @@ Every inverse the oracle looks up (`group_inv`, `wcore_solutions`, `along`,
 ...) comes from one scanner over the equations of `equations.SYSTEMS`:
 definitions only, never a theorem it checks.
 
-The scanner works on a grid with one axis per letter, the unknown last, in
-blocks of at most `_BLOCK` points.  In each block it evaluates the equation
-with the fewest grid-sized products first, on the whole grid; a run of
-known letters times the bare unknown is read as whole rows of the
-multiplication table (or of its transpose).  The points that pass become
-flat indices with one value array per letter, and every further equation
-is evaluated only at the points still standing, which it narrows in turn.
+The scanner's grid has a row per value of the given letters and the
+unknown x along each row.  On a grid larger than one block, when an
+equation reads x k = r or k x = r, x once, unstarred, at one end of one
+side and not on the other (E2, F2, A1, C4, U1, ...), a row's candidates are
+read from a fibre index: for each k, the elements sorted stably by their
+product with k, so that the x with x k = r are one ascending slice.
+Otherwise they are the x at which the equation with the fewest grid-sized
+products holds; a known run times the bare unknown is whole rows of the
+multiplication table (or of its transpose).  A block holds at most `_BLOCK`
+candidates or grid points; every further equation, cheapest first, is
+evaluated only at the candidates still standing, narrowing them in turn.
 
 Each named lookup scans its system once for the whole ring (`_SCANS`) and
 keeps the survivors' flat indices.  Its scalar form (`group_inv(a)`,
@@ -46,8 +50,8 @@ _AXIOM_SAMPLES = 20000
 # axiom-check grid points (or sampled triples) per numpy batch: bounds the
 # memory of the check; a batch holds at least one whole x-slice
 _AXIOM_BLOCK = 2048
-# scanner grid points evaluated per numpy block, and table entries built per
-# block: bounds the memory of the scanner and of the table builders
+# scanner grid points or candidates per numpy block, and table entries built
+# per block: bounds the memory of the scanner and of building the tables
 _BLOCK = 1 << 16
 
 # the inverse x of a unit a: ax = 1 = xa (the empty word is 1)
@@ -122,6 +126,24 @@ def _scan_order(system, unknown) -> list:
     return sorted(system, key=lambda eq: _grid_products(eq, unknown))
 
 
+@functools.lru_cache(maxsize=None)
+def _fibre_form(system, unknown):
+    """(equation, k, r, side) for the first equation in `_scan_order` that
+    reads x k = r (side "col") or k x = r (side "row"): the unknown once,
+    unstarred, at one end of one side and not on the other, so that the words
+    k and r hold known letters only.  None when no equation does."""
+    for eq in _scan_order(system, unknown):
+        _, lhs, rhs = eq
+        for word, other in ((lhs, rhs), (rhs, lhs)):
+            if [sym.rstrip("*") for sym in word + other].count(unknown) != 1:
+                continue
+            if word[:1] == (unknown,):
+                return eq, word[1:], other, "col"
+            if word[-1:] == (unknown,):
+                return eq, word[:-1], other, "row"
+    return None
+
+
 def _x_blocks(n: int, per_x: int):
     """Column vectors of consecutive x, each at most _AXIOM_BLOCK grid points
     unless one x alone has more."""
@@ -144,9 +166,9 @@ def _raise_first(*checks):
 class FiniteStarRing:
     """A finite unital *-ring given by lookup tables over element indices.
 
-    The tables may be given as nested lists or arrays; they are kept as lists
-    of Python ints (`add_t`, `mul_t`, `star_t`, `neg_t`) and as int32 arrays
-    (`add_arr`, `mul_arr`, `star_arr`, `neg_arr`).
+    The tables may be given as nested lists or arrays; they are kept as int32
+    arrays (`add_arr`, `mul_arr`, `star_arr`, `neg_arr`) and, built on first
+    read, as lists of Python ints (`add_t`, `mul_t`, `star_t`, `neg_t`).
     """
 
     def __init__(self, spec, size, add, mul, star, zero, one, names):
@@ -155,14 +177,10 @@ class FiniteStarRing:
         self.add_arr = np.asarray(add, dtype=np.int32)
         self.mul_arr = np.asarray(mul, dtype=np.int32)
         self.star_arr = np.asarray(star, dtype=np.int32)
-        self.add_t = self.add_arr.tolist()
-        self.mul_t = self.mul_arr.tolist()
-        self.star_t = self.star_arr.tolist()
         self.zero = int(zero)
         self.one = int(one)
         self.names = names
         self.neg_arr = self._build_neg()
-        self.neg_t = self.neg_arr.tolist()
         self._verify_axioms()
         self._units: dict[int, int] | None = None
         self._ideals: dict = {}  # ideal kind -> members, (kind, "sets") -> frozensets
@@ -172,6 +190,12 @@ class FiniteStarRing:
         self._sols: dict = {}  # whole-ring scan -> solution tuple per grid row
         self._tables: dict = {}  # named lookup -> (its override, its arrays)
         self._mul_cols: np.ndarray | None = None  # contiguous transpose of mul_arr
+        self._fibres: dict = {}  # side -> the fibre index (see _fibre_index)
+
+    add_t = functools.cached_property(lambda self: self.add_arr.tolist())
+    mul_t = functools.cached_property(lambda self: self.mul_arr.tolist())
+    star_t = functools.cached_property(lambda self: self.star_arr.tolist())
+    neg_t = functools.cached_property(lambda self: self.neg_arr.tolist())
 
     # -- construction helpers --------------------------------------------
 
@@ -208,10 +232,17 @@ class FiniteStarRing:
             for x in _x_blocks(n, n * n):
                 self._check_triples(x[:, :, None], y[:, None], y[None, :])
             return
-        rng = random.Random(0)
+        # random.Random(0).randrange(n), drawn in bulk: each draw is the top
+        # n.bit_length() bits of one 32-bit word, redrawn while it is >= n
+        rng, shift, want = random.Random(0), 32 - n.bit_length(), 3 * _AXIOM_SAMPLES
+        draws = np.zeros(0, dtype=np.int64)
+        while draws.size < want:
+            m = 2 * (want - draws.size)
+            vals = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4") >> shift
+            draws = np.concatenate([draws, vals[vals < n]])
+        triples = draws[:want].reshape(-1, 3)
         for start in range(0, _AXIOM_SAMPLES, _AXIOM_BLOCK):
-            k = min(_AXIOM_BLOCK, _AXIOM_SAMPLES - start)
-            self._check_triples(*np.array([rng.randrange(n) for _ in range(3 * k)]).reshape(k, 3).T)
+            self._check_triples(*triples[start : start + _AXIOM_BLOCK].T)
 
     def _check_triples(self, x, y, z):
         # x, y, z broadcast to one grid of triples
@@ -306,11 +337,9 @@ class FiniteStarRing:
 
     def projections(self) -> tuple:
         if self._projections is None:
-            self._projections = tuple(
-                p
-                for p in range(self.size)
-                if self.mul_t[p][p] == p and self.star_t[p] == p
-            )
+            ps = np.arange(self.size)
+            fixed = (self.mul_arr.diagonal() == ps) & (self.star_arr == ps)
+            self._projections = tuple(np.flatnonzero(fixed).tolist())
         return self._projections
 
     def leq_L(self, a, b) -> bool:
@@ -367,45 +396,80 @@ class FiniteStarRing:
     def _scan(self, system, lead, trail, unknown) -> np.ndarray:
         """Scan system on the grid of the lead letters' value sequences, every
         value of trail and every value of the unknown, an axis each in that
-        order, in blocks of trail values.  Return the flat indices, ascending,
-        of the grid points where every equation holds: (c * n + t) * n + x
-        for the c-th combination of lead values (in itertools.product order),
-        trail value t and unknown x.
+        order.  Return the flat indices, ascending, of the grid points where
+        every equation holds: (c * n + t) * n + x for the c-th combination of
+        lead values (in itertools.product order), trail value t and unknown x.
 
-        Per block, the equation with the fewest grid-sized products is
-        evaluated on the whole grid and the rest only at the points still
-        standing (see the module docstring).
+        The rows (c, t) are taken in blocks; see the module docstring.
         """
-        n, dims = self.size, len(lead) + 2
-        lens = tuple(map(len, lead.values()))
-        first, *rest = _scan_order(system, unknown)
-        axis = np.arange(n, dtype=np.int32)
-        env = {unknown: axis.reshape((1,) * (dims - 1) + (n,))}
-        for i, (letter, vs) in enumerate(lead.items()):
-            shape = [-1 if j == i else 1 for j in range(dims)]
-            env[letter] = np.array(vs, dtype=np.int32).reshape(shape)
-        step = max(1, _BLOCK // (n * math.prod(lens)))
+        n, order = self.size, _scan_order(system, unknown)
+        shape = (*map(len, lead.values()), n)
+        total = math.prod(shape)
+        # a grid of one block is one pass: cheaper than building and reading fibres
+        fibre = _fibre_form(system, unknown) if total * n > _BLOCK else None
+        first = fibre[0] if fibre else order[0]
+        rest = [eq for eq in order if eq is not first]
+        values = [np.asarray(vs, dtype=np.int32) for vs in (*lead.values(), range(n))]
+        step = _BLOCK if fibre else max(1, _BLOCK // n)
         found = [np.zeros(0, dtype=np.int64)]
-        for lo in range(0, n, step):
-            ts = axis[lo : lo + step]
-            env[trail] = ts.reshape((1,) * (dims - 2) + (-1, 1))
-            shape = lens + (len(ts), n)
-            hits = self._holds(first, env, unknown, bare=env[unknown])
-            idx = np.flatnonzero(hits if np.shape(hits) == shape else np.broadcast_to(hits, shape))
-            if rest and idx.size:
-                coords = np.unravel_index(idx, shape)
-                point = {k: env[k].ravel()[c] for k, c in zip([*lead, trail, unknown], coords)}
+        for lo in range(0, total, step):
+            coords = np.unravel_index(np.arange(lo, min(total, lo + step)), shape)
+            rows = {k: vs[c] for k, vs, c in zip([*lead, trail], values, coords)}
+            if fibre:
+                candidates = self._fibre_read(fibre, rows, unknown)
+            else:
+                candidates = self._grid_test(first, rows, unknown)
+            for r, x in candidates:  # row in the block, unknown
+                flat = (lo + r) * n + x
+                point = {k: v[r] for k, v in rows.items()} | {unknown: x} if rest else {}
                 for eq in rest:
                     keep = self._holds(eq, point, unknown)
-                    idx = idx[keep]
-                    if not idx.size:
+                    flat = flat[keep]
+                    if not flat.size:
                         break
                     point = {k: v[keep] for k, v in point.items()}
-            # the block's index is (c * len(ts) + t - lo) * n + x; there are
-            # several lead combinations only when one block holds every t
-            c, tx = np.divmod(idx, len(ts) * n)
-            found.append((c * n + lo) * n + tx)
+                found.append(flat)
         return np.concatenate(found)
+
+    def _grid_test(self, first, rows, unknown):
+        """The points (row, x) of the rows where the equation first holds."""
+        n, size = self.size, len(next(iter(rows.values())))
+        bare = np.arange(n, dtype=np.int32)[None, :]
+        env = {k: v[:, None] for k, v in rows.items()} | {unknown: bare}
+        hits = self._holds(first, env, unknown, bare)
+        yield np.divmod(np.flatnonzero(np.broadcast_to(hits, (size, n))), n)
+
+    def _fibre_read(self, fibre, rows, unknown):
+        """The points (row, x), at most _BLOCK at a time, where x k = r (or k x
+        = r), k and r the fibre equation's words in the row: the fibre of r over k."""
+        _, k, r, side = fibre
+        n, (order, starts) = self.size, self._fibre_index(side)
+        at = self._eval(k, rows, unknown) * n + self._eval(r, rows, unknown)
+        at = np.broadcast_to(at, len(next(iter(rows.values()))))
+        count = starts[at + 1] - starts[at]
+        ends = np.cumsum(count)
+        shift = starts[at] - (ends - count)  # candidate g of row q is order[g + shift[q]]
+        for g0 in range(0, int(ends[-1]), _BLOCK):
+            g1 = min(g0 + _BLOCK, int(ends[-1]))
+            i, j = np.searchsorted(ends, (g0, g1 - 1), side="right")
+            q = np.repeat(np.arange(i, j + 1), np.diff(np.minimum(ends[i : j + 1], g1), prepend=g0))
+            yield q, order[shift[q] + np.arange(g0, g1)]
+
+    def _fibre_index(self, side) -> tuple:
+        """(order, starts) for the products x k (side "col") or k x ("row"):
+        the x with product r, ascending, are order[starts[k * n + r] :
+        starts[k * n + r + 1]].  Built on first use, in blocks of whole k."""
+        if side not in self._fibres:
+            n, step = self.size, max(1, _BLOCK // self.size)
+            prods = self.mul_arr.T if side == "col" else self.mul_arr
+            order, starts = np.empty((n, n), dtype=np.int32), np.zeros(n * n + 1, dtype=np.int32)
+            for lo in range(0, n, step):
+                block = prods[lo : lo + step]
+                order[lo : lo + step] = np.argsort(block, axis=1, kind="stable")
+                keys = (np.arange(len(block), dtype=np.int32)[:, None] * n + block).ravel()
+                starts[1 + lo * n : 1 + lo * n + keys.size] = np.bincount(keys, minlength=keys.size)
+            self._fibres[side] = order.ravel(), np.cumsum(starts, out=starts)
+        return self._fibres[side]
 
     def _holds(self, equation, env, unknown, bare=None):
         _, lhs, rhs = equation
@@ -413,7 +477,7 @@ class FiniteStarRing:
 
     def _eval(self, word, env, unknown, bare=None):
         # A run of known letters is multiplied out before it meets the
-        # unknown, so a^m costs m products per letter value, not per grid
+        # unknown, so a^m costs m products per grid row, not per grid
         # point.  On a full grid, where bare is the unknown's axis, a run times
         # the bare unknown (or the bare unknown times a run) is whole rows of
         # the table (or of its transpose).
@@ -451,11 +515,7 @@ class FiniteStarRing:
         if found is None:
             system, (*lead, trail) = _SCANS[scan]
             n = self.size
-            if not lead or n**3 <= _BLOCK:  # the whole grid in one scan
-                found = self._scan(system, dict.fromkeys(lead, range(n)), trail, "x")
-            else:
-                parts = (self._scan(system, {lead[0]: (v,)}, trail, "x") for v in range(n))
-                found = np.concatenate([v * n * n + part for v, part in enumerate(parts)])
+            found = self._scan(system, dict.fromkeys(lead, range(n)), trail, "x")
             if scan == "along":
                 d, x = found // (n * n), found % n
                 in_d = self._members("right_ideal")[d, x] & self._members("left_ideal")[d, x]

@@ -583,40 +583,39 @@ def _frames(ring, regular=True):
 
 
 def _chk_idempotent(ring: FiniteStarRing, col: _Collector):
-    mul = ring.mul_t
-    for a in range(ring.size):
-        for w in col.each(range(ring.size)):
-            aw = mul[a][w]
-            ps = [
-                p
-                for p in ring.projections()
-                if mul[p][a] == ring.zero and ring.is_unit(ring.add(p, aw))
-            ]
-            ex = bool(ring.wcore_solutions(a, w))
-            if ex != bool(ps):
-                col.fail(f"existence {ex} vs projection criterion {bool(ps)}", a=a, w=w)
-            elif ex:
-                if len(ps) != 1:
-                    col.fail(f"projection not unique ({len(ps)} found)", a=a, w=w)
-                p = ps[0]
-                u_inv = ring.inv_unit(ring.add(p, aw))
-                if ring.mul(u_inv, ring.sub(ring.one, p)) != ring.wcore(a, w):
-                    col.fail("u^{-1}(1-p) misses the w-core inverse", a=a, w=w)
+    n, mul, add = ring.size, ring.mul_arr, ring.add_arr
+    units, (first, count) = _Units(ring), ring.table("wcore_solutions")
+    # [a, w]: the projections p with pa = 0 and p + aw a unit, and the first
+    found, p0 = np.zeros((n, n), dtype=np.int32), np.zeros((n, n), dtype=np.int32)
+    for p in reversed(ring.projections()):
+        ok = (mul[p] == ring.zero)[:, None] & units.bits[add[p, mul]]
+        found += ok
+        p0[ok] = p
+    ex, crit = count > 0, found > 0
+    need = np.flatnonzero(ex & crit)
+    pn, miss = p0.flat[need], np.zeros(n * n, dtype=bool)
+    one_minus = add[ring.one, ring.neg_arr]  # 1 - x
+    miss[need] = mul[units.inv(add[pn, mul.flat[need]]), one_minus[pn]] != first.flat[need]
+    own = [
+        _split("existence {} vs projection criterion {}", ex, crit),
+        (ex & crit & (found != 1), lambda pos: f"projection not unique ({found.flat[pos]} found)"),
+        (miss, "u^{-1}(1-p) misses the w-core inverse"),
+    ]
+    col.batch(n * n, _at(n), own)
 
 
 def _chk_jacobson(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        for b in col.each(range(ring.size)):
-            alpha = ring.sub(ring.one, ring.mul(a, b))
-            if not ring.is_unit(alpha):
-                continue
-            beta = ring.sub(ring.one, ring.mul(b, a))
-            if not ring.is_unit(beta):
-                col.fail("1-ab invertible but 1-ba is not", a=a, b=b)
-                continue
-            expected = ring.add(ring.one, ring.mul(b, ring.inv_unit(alpha), a))
-            if ring.inv_unit(beta) != expected:
-                col.fail("beta^{-1} != 1 + b alpha^{-1} a", a=a, b=b)
+    n, mul, add = ring.size, ring.mul_arr, ring.add_arr
+    units, one_minus = _Units(ring), add[ring.one, ring.neg_arr]  # 1 - x
+    alpha, beta = one_minus[mul], one_minus[mul.T]  # [a, b]: 1 - ab, 1 - ba
+    ua, ub = units.bits[alpha], units.bits[beta]
+    need = np.flatnonzero(ua & ub)
+    a, b = np.divmod(need, n)
+    expected = add[ring.one, _prod(mul, b, units.inv(alpha.flat[need]), a)]
+    miss = np.zeros(n * n, dtype=bool)
+    miss[need] = units.inv(beta.flat[need]) != expected
+    own = [(ua & ~ub, "1-ab invertible but 1-ba is not"), (miss, "beta^{-1} != 1 + b alpha^{-1} a")]
+    col.batch(n * n, _at(n, "b"), own)
 
 
 def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):

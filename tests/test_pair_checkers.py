@@ -397,6 +397,43 @@ def loop_along_product(ring, col):
                     col.fail(f"w,v in R^(||a) = {both} but wav criterion = {prod}", a=a, w=w, v=v)
 
 
+def loop_idempotent(ring, col):
+    mul = ring.mul_t
+    for a in range(ring.size):
+        for w in col.each(range(ring.size)):
+            aw = mul[a][w]
+            ps = [
+                p
+                for p in ring.projections()
+                if mul[p][a] == ring.zero and ring.is_unit(ring.add(p, aw))
+            ]
+            ex = bool(ring.wcore_solutions(a, w))
+            if ex != bool(ps):
+                col.fail(f"existence {ex} vs projection criterion {bool(ps)}", a=a, w=w)
+            elif ex:
+                if len(ps) != 1:
+                    col.fail(f"projection not unique ({len(ps)} found)", a=a, w=w)
+                p = ps[0]
+                u_inv = ring.inv_unit(ring.add(p, aw))
+                if ring.mul(u_inv, ring.sub(ring.one, p)) != ring.wcore(a, w):
+                    col.fail("u^{-1}(1-p) misses the w-core inverse", a=a, w=w)
+
+
+def loop_jacobson(ring, col):
+    for a in range(ring.size):
+        for b in col.each(range(ring.size)):
+            alpha = ring.sub(ring.one, ring.mul(a, b))
+            if not ring.is_unit(alpha):
+                continue
+            beta = ring.sub(ring.one, ring.mul(b, a))
+            if not ring.is_unit(beta):
+                col.fail("1-ab invertible but 1-ba is not", a=a, b=b)
+                continue
+            expected = ring.add(ring.one, ring.mul(b, ring.inv_unit(alpha), a))
+            if ring.inv_unit(beta) != expected:
+                col.fail("beta^{-1} != 1 + b alpha^{-1} a", a=a, b=b)
+
+
 LOOPS = {
     "uniqueness": loop_uniqueness,
     "added_lemma": loop_added_lemma,
@@ -418,6 +455,8 @@ LOOPS = {
     "mp_ideal_char": loop_mp_ideal_char,
     "wv_core_char": loop_wv_core_char,
     "along_product": loop_along_product,
+    "idempotent": loop_idempotent,
+    "jacobson": loop_jacobson,
 }
 
 
@@ -463,6 +502,9 @@ FAIL_EVERYWHERE = {
     "mp_ideal_char": _flip("mp_inv", 0),
     "wv_core_char": _replace("along", lambda x, d: None),
     "along_product": _flip("along", 0),
+    "idempotent": _flip("wcore_solutions", (0,)),
+    # every instance where 1 - ab is a unit: 1 + b 0 a = 1 is never 0
+    "jacobson": _replace("inv_unit", lambda x: 0),
 }
 RINGS = ("zmod:12", "mat:2:gf2", "prod(zmod:2,zmod:3)", "mat:2:gf3")
 TRIPLES = ("wv_core_char", "along_product")  # skipped on mat:2:gf3
@@ -516,4 +558,27 @@ def test_array_checker_matches_loop_at_the_cap(monkeypatch, spec, tid):
     FAIL_EVERYWHERE[tid](ring)
     got, want = reports(monkeypatch, ring, tid)
     assert len(want.counterexamples) == _MAX_CE
+    assert got == want
+
+
+@pytest.mark.parametrize("spec", RINGS)
+@pytest.mark.parametrize("tid", ["idempotent", "jacobson"])
+def test_unit_checkers_match_loop_on_a_wrong_unit_inverse(monkeypatch, spec, tid):
+    # the planted fault of these checkers, inv_unit(1) = 2 on Z/12, carried
+    # to every ring: the inverse of 1 read as 0
+    ring = enumerate_ring(spec)
+    _plant(ring, "inv_unit", (ring.one,), ring.zero)
+    got, want = reports(monkeypatch, ring, tid)
+    assert want.counterexamples
+    assert got == want
+
+
+@pytest.mark.parametrize("spec", RINGS)
+def test_idempotent_matches_loop_when_several_projections_pass(monkeypatch, spec):
+    # every element read as a projection: several p pass at many (a, w), and
+    # the check goes on with the first of them
+    ring = enumerate_ring(spec)
+    ring.projections = lambda: tuple(range(ring.size))
+    got, want = reports(monkeypatch, ring, "idempotent")
+    assert any("not unique" in ce["detail"] for ce in want.counterexamples)
     assert got == want

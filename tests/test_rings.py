@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ginv import enumerate_ring, rings, solve_equations, verify_theorem
@@ -493,3 +494,120 @@ def test_whole_ring_lookups_read_a_replaced_lookup_pointwise():
     for name in ("along", "wcore_solutions", "left_ann", "core_inv"):
         delattr(ring, name)
     assert array_tables(ring) == fresh
+
+
+# ---------------------------------------------------------------------------
+# the fibre index and the whole-ring scans
+
+FIBRE_RINGS = SCAN_RINGS + ["mat:2:gf3"]
+
+
+@pytest.mark.parametrize("spec", FIBRE_RINGS)
+def test_fibres_are_the_ascending_solutions_of_one_product(spec):
+    ring = enumerate_ring(spec)
+    n, mul = ring.size, ring.mul_arr
+    for side, products in (("col", mul.T), ("row", mul)):  # products[k, x]: x k, or k x
+        order, starts = ring._fibre_index(side)
+        for k, r in itertools.product(range(n), repeat=2):
+            fibre = order[starts[k * n + r] : starts[k * n + r + 1]]
+            assert fibre.tolist() == np.flatnonzero(products[k] == r).tolist(), (side, k, r)
+
+
+def test_fibre_equation_is_one_unknown_at_one_end():
+    chosen = {
+        name: (form[0][0], form[3]) if (form := rings._fibre_form(system, "x")) else None
+        for name, (system, _) in rings._SCANS.items()
+    }
+    assert chosen == {
+        **dict.fromkeys(["one", "one3", "one4", "one23", "mp", "group"]),
+        "core": ("C4", "col"),
+        "dual-core": ("C4'", "row"),
+        "unit": ("U1", "row"),
+        "w-core": ("E2", "col"),
+        "dual-v-core": ("F2", "row"),
+        "along": ("A1", "col"),
+    }
+    # the unknown on both sides, twice on one side, starred, or inside a word
+    for lhs, rhs in [
+        (("a", "x"), ("x", "a")),
+        (("x", "a"), ("x",)),
+        (("x", "x", "a"), ("a",)),
+        (("x*", "a"), ("a",)),
+        (("a", "x", "a"), ("a",)),
+    ]:
+        assert rings._fibre_form((("T", lhs, rhs),), "x") is None, (lhs, rhs)
+    flipped = (("T", ("a",), ("d", "a", "x")),)
+    assert rings._fibre_form(flipped, "x") == (flipped[0], ("d", "a"), ("a",), "row")
+
+
+def brute_value(ring, word, env):
+    """The word's value, each run of known letters multiplied out before it
+    meets the unknown x, so that every product with x is one gather over the
+    grid; the empty word is 1."""
+    mul, star = ring.mul_arr, ring.star_arr
+    factors, run = [], None
+    for sym in word:
+        v = star[env[sym[:-1]]] if sym.endswith("*") else env[sym]
+        if sym.rstrip("*") == "x":
+            factors += [f for f in (run, v) if f is not None]
+            run = None
+        else:
+            run = v if run is None else mul[run, v]
+    factors += [] if run is None else [run]
+    acc = factors[0] if factors else ring.one
+    for f in factors[1:]:
+        acc = mul[acc, f]
+    return acc
+
+
+def brute_survivors(ring, scan):
+    """The flat indices, ascending, of the grid points of a whole-ring scan
+    where its system holds, by numpy over the whole grid, a slice of the first
+    given letter at a time: the equation with the fewest x on the slice, the
+    others at the points still standing.  The along scan keeps the x in dR
+    and in Rd."""
+    system, given = rings._SCANS[scan]
+    n, mul, letters = ring.size, ring.mul_arr, (*given, "x")
+    eqs = sorted(system, key=lambda eq: [s.rstrip("*") for s in eq[1] + eq[2]].count("x"))
+    per = n ** (len(letters) - 1)  # grid points per value of the first letter
+    step, found = max(1, (1 << 22) // per), []
+    for lo in range(0, n, step):
+        grid = np.ix_(np.arange(lo, min(n, lo + step)), *[np.arange(n)] * (len(letters) - 1))
+        env = dict(zip(letters, grid))
+        _, lhs, rhs = eqs[0]
+        hits = brute_value(ring, lhs, env) == brute_value(ring, rhs, env)
+        hits = np.broadcast_to(hits, [g.size for g in grid])
+        idx = np.flatnonzero(hits)
+        point = dict(zip(letters, np.unravel_index(idx, hits.shape)))
+        point[letters[0]] = point[letters[0]] + lo
+        for _, lhs, rhs in eqs[1:]:
+            keep = brute_value(ring, lhs, point) == brute_value(ring, rhs, point)
+            idx, point = idx[keep], {k: v[keep] for k, v in point.items()}
+        found.append(lo * per + idx)
+    found = np.concatenate(found)
+    if scan == "along":
+        d, x = found // (n * n), found % n
+        in_dr, in_rd = np.zeros((2, n, n), dtype=bool)  # [d, x]: x in dR, x in Rd
+        in_dr[np.arange(n)[:, None], mul] = in_rd[np.arange(n)[:, None], mul.T] = True
+        found = found[in_dr[d, x] & in_rd[d, x]]
+    return found
+
+
+@pytest.mark.parametrize("block", [rings._BLOCK, 50])
+@pytest.mark.parametrize("spec", FIBRE_RINGS)
+def test_whole_ring_scans_match_brute_force(monkeypatch, spec, block):
+    # the default block holds each grid whole but the pair grids of mat:2:gf3,
+    # which are read from fibres; with 50 every system with a fibre equation
+    # is read from fibres, and block boundaries cut rows and fibres
+    monkeypatch.setattr(rings, "_BLOCK", block)
+    ring = enumerate_ring(spec)
+    for scan in rings._SCANS:
+        assert np.array_equal(ring._survivors(scan), brute_survivors(ring, scan)), scan
+
+
+@pytest.mark.parametrize("scan", ["w-core", "dual-v-core", "along"])
+def test_pair_scans_on_mat3_gf2_match_brute_force(monkeypatch, mat3_gf2, scan):
+    want = brute_survivors(mat3_gf2, scan)
+    for block in (rings._BLOCK, 4096):
+        monkeypatch.setattr(rings, "_BLOCK", block)
+        assert np.array_equal(enumerate_ring("mat:3:gf2")._survivors(scan), want), block
