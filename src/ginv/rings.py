@@ -22,13 +22,14 @@ multiplication table (or of its transpose).  A block holds at most `_BLOCK`
 candidates or grid points; every further equation, cheapest first, is
 evaluated only at the candidates still standing, narrowing them in turn.
 
-Each named lookup scans its system once for the whole ring (`_SCANS`) and
-keeps the survivors' flat indices.  Its scalar form (`group_inv(a)`,
-`wcore_solutions(a, w)`, ...) reads solution tuples cut from them, and
-`FiniteStarRing.table` reads them as arrays: the value per element, -1 for
-none; set membership; first solution and solution count per pair; and for
-the ideals and annihilators, membership and one id per distinct ideal.
-`solve_system` scans any other system on request, memoized by its letters.
+Every scan is kept once, as the ascending flat indices of its survivors, in
+one memo keyed by system, unknown, given letters and the fixed values of all
+but the last letter, or None for the whole ring: the named lookups' scans
+(`_SCANS`), and `solve_system`'s when that exists, has one letter or fits in
+one block.  Scalar lookups read a record's rows, and `FiniteStarRing.table`
+reads it as arrays: the value per element, -1 for none; set membership; first
+solution and solution count per pair; and for the ideals and annihilators,
+membership and one id per distinct ideal.
 """
 
 from __future__ import annotations
@@ -87,24 +88,27 @@ def _first(sols):
     return sols[0] if sols else None
 
 
-def _runs(rows):
-    """Start and end of each run of equal values of a sorted array."""
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return starts, np.append(starts[1:], rows.size)
+class _Record:
+    """A scan's survivors, `found`: the flat indices row * n + x, ascending,
+    of the points of its grid of size rows where the system holds.  A row's
+    solutions are read as a slice of one list, laid out on the first read."""
 
+    def __init__(self, found, n, size):
+        self.found, self.n, self.size, self.xs = found, n, size, None
 
-def _cut(found, n, size):
-    """The solution tuple of each of size grid rows, from the ascending flat
-    indices row * n + x of the points where a system holds.  Equal tuples
-    share one object."""
-    rows, shared = [()] * size, {}
-    rs, xs = np.divmod(found, n)
-    starts, ends = _runs(rs)
-    rs, xs = rs.tolist(), xs.tolist()
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        sols = tuple(xs[start:end])
-        rows[rs[start]] = shared.setdefault(sols, sols)
-    return rows
+    def row(self, r) -> tuple:
+        if self.xs is None:
+            rows, xs = np.divmod(self.found, self.n)
+            self.starts = np.searchsorted(rows, np.arange(self.size + 1)).tolist()
+            self.xs = xs.tolist()
+        return tuple(self.xs[self.starts[r] : self.starts[r + 1]])
+
+    def first(self) -> np.ndarray:
+        """The first solution of each row, -1 for none."""
+        rows, xs = np.divmod(self.found, self.n)
+        first, (rs, at) = np.full(self.size, -1, dtype=np.int32), np.unique(rows, return_index=True)
+        first[rs] = xs[at]
+        return first
 
 
 def _grid_products(equation, unknown) -> int:
@@ -184,18 +188,15 @@ class FiniteStarRing:
         self._verify_axioms()
         self._units: dict[int, int] | None = None
         self._ideals: dict = {}  # ideal kind -> members, (kind, "sets") -> frozensets
-        self._projections: tuple | None = None
-        self._rows: dict = {}  # solve_system's memo
-        self._flat: dict = {}  # whole-ring scan -> survivors
-        self._sols: dict = {}  # whole-ring scan -> solution tuple per grid row
+        self._scans: dict = {}  # scan key -> its _Record (see _record)
         self._tables: dict = {}  # named lookup -> (its override, its arrays)
-        self._mul_cols: np.ndarray | None = None  # contiguous transpose of mul_arr
         self._fibres: dict = {}  # side -> the fibre index (see _fibre_index)
 
     add_t = functools.cached_property(lambda self: self.add_arr.tolist())
     mul_t = functools.cached_property(lambda self: self.mul_arr.tolist())
     star_t = functools.cached_property(lambda self: self.star_arr.tolist())
     neg_t = functools.cached_property(lambda self: self.neg_arr.tolist())
+    _mul_cols = functools.cached_property(lambda self: np.ascontiguousarray(self.mul_arr.T))
 
     # -- construction helpers --------------------------------------------
 
@@ -287,11 +288,16 @@ class FiniteStarRing:
     def name(self, x):
         return self.names[x]
 
+    def _check_elements(self, elems):
+        for letter, x in elems.items():
+            if not (isinstance(x, (int, np.integer)) and 0 <= x < self.size):
+                raise PreconditionFailed(f"{letter} = {x!r} is not an element of {self.spec}")
+
     # -- derived structure (cached) ------------------------------------------
 
     def units(self) -> dict[int, int]:
         if self._units is None:
-            self._units = {x: sols[0] for x, sols in enumerate(self._solutions("unit")) if sols}
+            self._units = {x: s[0] for x in range(self.size) if (s := self._named("unit").row(x))}
         return self._units
 
     def is_unit(self, x) -> bool:
@@ -336,11 +342,9 @@ class FiniteStarRing:
         return self._sets("left_ann")[e]
 
     def projections(self) -> tuple:
-        if self._projections is None:
-            ps = np.arange(self.size)
-            fixed = (self.mul_arr.diagonal() == ps) & (self.star_arr == ps)
-            self._projections = tuple(np.flatnonzero(fixed).tolist())
-        return self._projections
+        ps = np.arange(self.size)
+        fixed = (self.mul_arr.diagonal() == ps) & (self.star_arr == ps)
+        return tuple(np.flatnonzero(fixed).tolist())
 
     def leq_L(self, a, b) -> bool:
         return a in self.left_ideal(b)
@@ -349,6 +353,7 @@ class FiniteStarRing:
         return a in self.right_ideal(b)
 
     def green(self, a, b) -> dict:
+        self._check_elements({"a": a, "b": b})
         leql, leqr = self.leq_L(a, b), self.leq_R(a, b)
         gel, ger = self.leq_L(b, a), self.leq_R(b, a)
         return {
@@ -365,56 +370,53 @@ class FiniteStarRing:
     def solve_system(self, system, env, unknown="x") -> list[int]:
         """All ring elements satisfying every word equation of the system.
 
-        env maps every other letter of the system to an element.  Its last
-        letter is scanned together with the unknown, so one call memoizes the
-        solutions for every value of that letter.
+        env maps every other letter of the system to an element.  Unless the
+        whole ring is scanned, the scan fixes all letters but env's last.
         """
-        *lead, t = env.values()
-        tag = (system, unknown, *env)
-        row = self._rows.get(tag + tuple(lead))
-        if row is None:
-            *letters, trail = env
-            row = self._row(tag, system, {k: env[k] for k in letters}, trail, unknown)
-        return list(row[t])
+        self._check_elements(env)
+        letters, n = tuple(env), self.size
+        whole = (system, unknown, letters, None)
+        if len(letters) > 1 and whole not in self._scans and n ** (len(letters) + 1) > _BLOCK:
+            *lead, t = env.values()
+            return list(self._record((system, unknown, letters, tuple(lead))).row(t))
+        return list(self._record(whole).row(functools.reduce(lambda r, x: r * n + x, env.values())))
 
-    def _row(self, tag, system, lead, trail, unknown="x") -> list:
-        """Solution tuples of system for each value of the letter trail, the
-        letters of lead taking their given values; memoized under tag plus
-        the lead values.  When the whole grid of every lead value fits in
-        one block, the rows of every lead value are filled at once."""
-        key = tag + tuple(lead.values())
-        if key in self._rows:
-            return self._rows[key]
-        n, dims = self.size, len(lead) + 2
-        values = {k: range(n) if n**dims <= _BLOCK else (v,) for k, v in lead.items()}
-        combos = list(itertools.product(*values.values()))
-        rows = _cut(self._scan(system, values, trail, unknown), n, len(combos) * n)
-        for i, combo in enumerate(combos):
-            self._rows[tag + combo] = rows[i * n : (i + 1) * n]
-        return self._rows[key]
+    def _record(self, key) -> _Record:
+        """The record under key (system, unknown, given letters, lead), scanned on
+        first use: lead None for the whole ring, else the values of all but the last."""
+        record = self._scans.get(key)
+        if record is None:
+            (system, unknown, letters, lead), n = key, self.size
+            for letter in (s.rstrip("*") for _, lhs, rhs in system for s in lhs + rhs):
+                if letter != unknown and letter not in letters:
+                    raise PreconditionFailed(f"no value for letter {letter!r}")
+            values = dict.fromkeys(letters, range(n))
+            values.update(zip(letters, ((v,) for v in lead or ())))
+            record = self._scans[key] = self._scan(system, values, unknown)
+        return record
 
-    def _scan(self, system, lead, trail, unknown) -> np.ndarray:
-        """Scan system on the grid of the lead letters' value sequences, every
-        value of trail and every value of the unknown, an axis each in that
-        order.  Return the flat indices, ascending, of the grid points where
-        every equation holds: (c * n + t) * n + x for the c-th combination of
-        lead values (in itertools.product order), trail value t and unknown x.
+    def _scan(self, system, values, unknown) -> _Record:
+        """Scan system on the grid of the given letters' value sequences and
+        every value of the unknown, an axis each in that order.  Return the
+        record of the flat indices, ascending, of the grid points where every
+        equation holds: c * n + x for the c-th combination of given values
+        (in itertools.product order) and unknown x.
 
-        The rows (c, t) are taken in blocks; see the module docstring.
+        The rows c are taken in blocks; see the module docstring.
         """
         n, order = self.size, _scan_order(system, unknown)
-        shape = (*map(len, lead.values()), n)
+        shape = tuple(map(len, values.values()))
         total = math.prod(shape)
         # a grid of one block is one pass: cheaper than building and reading fibres
         fibre = _fibre_form(system, unknown) if total * n > _BLOCK else None
         first = fibre[0] if fibre else order[0]
         rest = [eq for eq in order if eq is not first]
-        values = [np.asarray(vs, dtype=np.int32) for vs in (*lead.values(), range(n))]
+        arrays = [np.asarray(vs, dtype=np.int32) for vs in values.values()]
         step = _BLOCK if fibre else max(1, _BLOCK // n)
         found = [np.zeros(0, dtype=np.int64)]
         for lo in range(0, total, step):
             coords = np.unravel_index(np.arange(lo, min(total, lo + step)), shape)
-            rows = {k: vs[c] for k, vs, c in zip([*lead, trail], values, coords)}
+            rows = {k: vs[c] for k, vs, c in zip(values, arrays, coords)}
             if fibre:
                 candidates = self._fibre_read(fibre, rows, unknown)
             else:
@@ -429,7 +431,7 @@ class FiniteStarRing:
                         break
                     point = {k: v[keep] for k, v in point.items()}
                 found.append(flat)
-        return np.concatenate(found)
+        return _Record(np.concatenate(found), n, total)
 
     def _grid_test(self, first, rows, unknown):
         """The points (row, x) of the rows where the equation first holds."""
@@ -499,72 +501,68 @@ class FiniteStarRing:
         if q is bare and p.shape[-1] == 1:
             return self.mul_arr[p[..., 0]]
         if p is bare and q.shape[-1] == 1:
-            if self._mul_cols is None:
-                self._mul_cols = np.ascontiguousarray(self.mul_arr.T)
             return self._mul_cols[q[..., 0]]
         return self.mul_arr.take(p * self.size + q)
 
     # -- whole-ring scans and the named lookups ---------------------------------
 
     def _survivors(self, scan) -> np.ndarray:
-        """The flat indices, ascending, of every point of the whole-ring grid
-        of a scan of `_SCANS` where its system holds: (l * n + t) * n + x
-        for given letters (l, t) and solution x, t * n + x for one letter t.
-        The along scan keeps only the x in dR and in Rd."""
-        found = self._flat.get(scan)
-        if found is None:
-            system, (*lead, trail) = _SCANS[scan]
-            n = self.size
-            found = self._scan(system, dict.fromkeys(lead, range(n)), trail, "x")
-            if scan == "along":
-                d, x = found // (n * n), found % n
-                in_d = self._members("right_ideal")[d, x] & self._members("left_ideal")[d, x]
-                found = found[in_d]
-            self._flat[scan] = found
-        return found
+        return self._named(scan).found
 
-    def _solutions(self, scan) -> list:
-        """The solution tuple of each grid row of a whole-ring scan."""
-        rows = self._sols.get(scan)
-        if rows is None:
-            rows = _cut(self._survivors(scan), self.size, self.size ** len(_SCANS[scan][1]))
-            self._sols[scan] = rows
-        return rows
+    def _named(self, scan) -> _Record:
+        """The record of a scan of `_SCANS` on the whole ring, with flat indices
+        (l * n + t) * n + x for given letters (l, t) and solution x, t * n + x
+        for one letter t; kept under the name too, so that a scalar lookup need
+        not hash the system.  The along scan's keeps only the x in dR and Rd."""
+        record = self._scans.get(scan)
+        if record is None:
+            (system, letters), n = _SCANS[scan], self.size
+            record = self._record(key := (system, "x", letters, None))
+            if scan == "along":  # the unfiltered record is not kept
+                d, x = record.found // (n * n), record.found % n
+                in_d = self._members("right_ideal")[d, x] & self._members("left_ideal")[d, x]
+                record = _Record(self._scans.pop(key).found[in_d], n, n * n)
+            self._scans[scan] = record
+        return record
+
+    def first_solutions(self, system) -> np.ndarray:
+        """The first solution of solve_system(system, {"a": a}) at each a, -1 for none."""
+        return self._record((system, "x", ("a",), None)).first()
 
     def inner_inverses(self, a) -> tuple:
-        return self._solutions("one")[a]
+        return self._named("one").row(a)
 
     def group_inv(self, a):
-        return _first(self._solutions("group")[a])
+        return _first(self._named("group").row(a))
 
     def mp_inv(self, a):
-        return _first(self._solutions("mp")[a])
+        return _first(self._named("mp").row(a))
 
     def core_inv(self, a):
-        return _first(self._solutions("core")[a])
+        return _first(self._named("core").row(a))
 
     def dual_core_inv(self, a):
-        return _first(self._solutions("dual-core")[a])
+        return _first(self._named("dual-core").row(a))
 
     def one_three_set(self, a) -> tuple:
-        return self._solutions("one3")[a]
+        return self._named("one3").row(a)
 
     def one_four_set(self, a) -> tuple:
-        return self._solutions("one4")[a]
+        return self._named("one4").row(a)
 
     def along(self, a, d):
         """Inverse of a along d by definition scan (unique when it exists):
         the first solution of A1-A2 that lies in dR and in Rd."""
-        return _first(self._solutions("along")[d * self.size + a])
+        return _first(self._named("along").row(d * self.size + a))
 
     def wcore_solutions(self, a, w) -> tuple:
-        return self._solutions("w-core")[a * self.size + w]
+        return self._named("w-core").row(a * self.size + w)
 
     def wcore(self, a, w):
         return _first(self.wcore_solutions(a, w))
 
     def dual_vcore_solutions(self, a, v) -> tuple:
-        return self._solutions("dual-v-core")[a * self.size + v]
+        return self._named("dual-v-core").row(a * self.size + v)
 
     def dual_vcore(self, a, v):
         return _first(self.dual_vcore_solutions(a, v))
@@ -582,65 +580,49 @@ class FiniteStarRing:
           ids[e] == ids[f] exactly when the ideals of e and f are equal and
           members[e, x] when x lies in the ideal of e.
 
-        They are filled from the scanner's survivors.  A lookup replaced on
-        the instance (a fault planted by a test, say) is read pointwise
-        through its replacement instead, so the arrays always say what the
-        named lookup says.
+        They are filled from the scanner's survivors, or pointwise through a
+        lookup replaced on the instance (a fault planted by a test, say), so
+        the arrays always say what the named lookup says.
         """
         override = vars(self).get(name)
         hit = self._tables.get(name)
         if hit is None or hit[0] is not override:
             kind, scan = _TABLES[name]
-            if override is None:
-                arrays = self._whole(kind, scan)
+            if override is not None:
+                found = self._pointwise(kind, scan, override)
+            elif kind == "ideal":
+                found = np.flatnonzero(self._members(scan))
             else:
-                arrays = self._pointwise(kind, override)
-            hit = self._tables[name] = (override, arrays)
+                found = self._survivors(scan)
+            hit = self._tables[name] = (override, self._arrays(kind, scan, found))
         return hit[1]
 
-    def _whole(self, kind, scan):
+    def _arrays(self, kind, scan, found):
+        # found: flat indices e * n + x, x a solution at e or a member of e's ideal
         n = self.size
-        if kind == "ideal":
-            members = self._members(scan)
+        if kind in ("set", "ideal"):
+            members = np.bincount(found, minlength=n * n).reshape(n, n) > 0
+            if kind == "set":
+                return members
             ids = np.unique(members, axis=0, return_inverse=True)[1].reshape(n)
             return ids.astype(np.int32), members
-        found = self._survivors(scan)
-        if kind == "set":
-            members = np.zeros(n * n, dtype=bool)
-            members[found] = True
-            return members.reshape(n, n)
-        rows, xs = np.divmod(found, n)
-        starts, _ = _runs(rows)
-        first = np.full(n if kind == "element" else n * n, -1, dtype=np.int32)
-        first[rows[starts]] = xs[starts]
         if kind == "element":
-            return first
-        first = first.reshape(n, n)
-        count = np.bincount(rows, minlength=n * n).astype(np.int32).reshape(n, n)
+            return _Record(found, n, n).first()
+        first = _Record(found, n, n * n).first().reshape(n, n)
+        count = np.bincount(found // n, minlength=n * n).astype(np.int32).reshape(n, n)
         # the along scan's rows are (d, a)
         return (first.T, count.T) if scan == "along" else (first, count)
 
-    def _pointwise(self, kind, lookup):
-        n = self.size
-        if kind == "element":
-            return np.array([-1 if y is None else y for y in map(lookup, range(n))], dtype=np.int32)
-        if kind in ("set", "ideal"):
-            sets = [lookup(a) for a in range(n)]
-            members = np.zeros((n, n), dtype=bool)
-            for a, s in enumerate(sets):
-                members[a, list(s)] = True
-            if kind == "set":
-                return members
-            ids: dict = {}
-            return np.array([ids.setdefault(s, len(ids)) for s in sets], dtype=np.int32), members
-        first = np.full((n, n), -1, dtype=np.int32)
-        count = np.zeros((n, n), dtype=np.int32)
-        for a, b in itertools.product(range(n), repeat=2):
-            sols = lookup(a, b)  # a solution tuple, or an element or None (along)
-            sols = sols if isinstance(sols, tuple) else () if sols is None else (sols,)
-            if sols:
-                first[a, b], count[a, b] = sols[0], len(sols)
-        return first, count
+    def _pointwise(self, kind, scan, lookup):
+        """The flat indices row * n + x, each row in its order, of what a lookup says."""
+        n, found = self.size, []
+        for r in range(n * n if kind == "pair" else n):
+            # the along scan's rows are (d, a)
+            args = (r,) if kind != "pair" else divmod(r, n)[:: -1 if scan == "along" else 1]
+            sols = lookup(*args)  # a tuple or set, or an element or None
+            sols = () if sols is None else (sols,) if isinstance(sols, (int, np.integer)) else sols
+            found += [r * n + x for x in sols]
+        return np.array(found, dtype=np.int64)
 
     def pseudo_core(self, a):
         """(value, minimal index) of the pseudo-core inverse, or None.

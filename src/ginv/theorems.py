@@ -10,15 +10,15 @@ An instance is an element of a checker's innermost quantifier (the pair
 (a, w) for w inside a), also when a hypothesis then excludes it; a check
 ends at its `_MAX_CE`-th counterexample.  Checkers quantifying over three or
 more ring elements are skipped, with a note, on rings larger than
-`TRIPLE_SIZE_LIMIT`.  Most checkers are array expressions over all their
+`TRIPLE_SIZE_LIMIT`.  Every checker is an array expression over all its
 instances at once, on the ring's whole-ring lookups (`FiniteStarRing.table`:
-solution arrays, ideal ids and memberships); the seven unit criteria take
-one outer letter at a time through a `_Frame`, the inner letters and inner
-inverses as array axes.  They report through `col.batch`, which counts the
+solution arrays, ideal ids and memberships); five unit criteria take one
+outer letter at a time through a `_Frame`, the inner letters and inner
+inverses as array axes.  All report through `col.batch`, which counts the
 instances `col.each` would and records the failures in the order of the
 scalar loop it replaces, each with the instances up to its own counted: a
-check that ends at the cap reports what the loop did.  The loops are kept as
-references in the tests; the other checkers loop through `col.each`.
+check that ends at the cap reports what the loop did.  The loops are kept
+as references in the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .equations import SYSTEMS, core_ep_system
 from .errors import UnknownTheorem
-from .rings import _BLOCK, FiniteStarRing, _runs
+from .rings import _BLOCK, FiniteStarRing
 
 _MAX_CE = 10
 TRIPLE_SIZE_LIMIT = 16
@@ -107,6 +107,12 @@ class _Collector:
         self.ces.append({"elements": names, "detail": detail})
         if len(self.ces) >= _MAX_CE:
             raise _Full
+
+
+def _runs(rows):
+    """Start and end of each run of equal values of a sorted array."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return starts, np.append(starts[1:], rows.size)
 
 
 def _at(n, second="w", **more):
@@ -250,7 +256,7 @@ def _chk_characteristic(ring: FiniteStarRing, col: _Collector, dual=False):
 
 def _chk_core_char(ring: FiniteStarRing, col: _Collector):
     n, inner, c1 = ring.size, ring.table("inner_inverses"), ring.table("core_inv") >= 0
-    c2 = [bool(ring.solve_system(SYSTEMS["core5"], {"a": a})) for a in range(n)]
+    c2 = ring.first_solutions(SYSTEMS["core5"]) >= 0
     # (iii)-(v): some inner inverse meets the condition
     conds = [(inner & cand).any(axis=1) for cand in _candidates(ring)]
     split = _split("core conditions (i)-(v) split as ({}, {}, {}, {}, {})", c1, c2, *conds)
@@ -354,7 +360,7 @@ def _chk_core_another(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
     a, core, g = np.arange(n), ring.table("core_inv"), ring.table("group_inv")
     acore, count = (x[a, a] for x in ring.table("wcore_solutions"))
-    c4 = [bool(ring.solve_system(SYSTEMS["a-core"], {"a": x})) for x in range(n)]
+    c4 = ring.first_solutions(SYSTEMS["a-core"]) >= 0
     c2 = (g >= 0) & ring.table("one_three_set").any(axis=1)
     both = (core >= 0) & (count > 0)
     own = [
@@ -366,26 +372,30 @@ def _chk_core_another(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_core_another_1(ring: FiniteStarRing, col: _Collector):
-    for a in range(ring.size):
-        pc = ring.pseudo_core(a)
-        for n_exp in col.each((1, 2, 3)):
-            an = ring.pow(a, n_exp)
-            x0 = next(iter(ring.solve_system(core_ep_system(n_exp), {"a": a})), None)
-            pcn = x0 is not None
-            c2 = bool(ring.wcore_solutions(an, a))
-            c3 = ring.core_inv(an) is not None
-            if not (pcn == c2 == c3):
-                col.fail(f"n={n_exp}: (i)={pcn}, (ii)={c2}, (iii)={c3}", a=a)
-            if pcn != (pc is not None and pc[1] <= n_exp):
-                col.fail(f"n={n_exp}: solvability vs minimal index inconsistent", a=a)
-            if pcn:
-                if pc is None or x0 != pc[0]:
-                    col.fail(f"n={n_exp}: pseudo-core value drifted", a=a)
-                    continue
-                if ring.mul(an, ring.wcore(an, a)) != x0:
-                    col.fail(f"n={n_exp}: a^D != a^n (a^n)_a", a=a)
-                if ring.mul(ring.pow(a, n_exp - 1), ring.core_inv(an)) != x0:
-                    col.fail(f"n={n_exp}: a^D != a^(n-1) (a^n)_core", a=a)
+    n, mul, a = ring.size, ring.mul_arr, np.arange(ring.size)
+    # instances (a, k) for k = 1, 2, 3: rows a, columns k - 1; powers[a, k] = a^k
+    powers = np.stack([np.full(n, ring.one), a, mul[a, a], mul[mul[a, a], a]], axis=1)
+    an, prev, a = powers[:, 1:], powers[:, :3], a[:, None]
+    x0 = np.stack([ring.first_solutions(core_ep_system(k)) for k in (1, 2, 3)], axis=1)
+    (first, count), core = ring.table("wcore_solutions"), ring.table("core_inv")[an]
+    # the minimal index from the pseudo-core search, to test where it stops
+    pcs = [ring.pseudo_core(x) or (-1, 0) for x in range(n)]
+    pc, index = (np.array(v)[:, None] for v in zip(*pcs))
+    c1, c2, c3 = x0 >= 0, count[an, a] > 0, core >= 0
+    minimal, drifted = (index > 0) & (index <= np.arange(1, 4)), c1 & (x0 != pc)
+    kept = c1 & ~drifted  # and each value formula only where its inverse exists
+
+    def detail(text, *conds):
+        return lambda p: f"n={p % 3 + 1}: " + text.format(*(c.flat[p] for c in conds))
+
+    own = [
+        (~((c1 == c2) & (c2 == c3)), detail("(i)={}, (ii)={}, (iii)={}", c1, c2, c3)),
+        (c1 != minimal, detail("solvability vs minimal index inconsistent")),
+        (drifted, detail("pseudo-core value drifted")),
+        (kept & c2 & (mul[an, first[an, a]] != x0), detail("a^D != a^n (a^n)_a")),
+        (kept & c3 & (mul[prev, core] != x0), detail("a^D != a^(n-1) (a^n)_core")),
+    ]
+    col.batch(3 * n, lambda p: {"a": p // 3}, own)
 
 
 def _chk_star_core_another(ring: FiniteStarRing, col: _Collector):
@@ -536,10 +546,6 @@ class _Frame:
         self.mp = bool(ring.table("mp_inv")[a] >= 0)
         self.along = ring.table("along")[0][:, a]
         self.cores = [ring.table(k)[0][a] for k in _PAIRS]
-        # 1 - aa⁻ and 1 - a⁻a for each inner inverse a⁻
-        mul, inners = ring.mul_arr, np.asarray(self.inners, dtype=np.int64)
-        one_minus = ring.add_arr[ring.one][ring.neg_arr]
-        self._complements = one_minus[mul[a, inners]], one_minus[mul[inners, a]]
 
     def names(self, n, w_rows=True):
         """The names of the instance at position r * n + c, rows r the w and
@@ -552,20 +558,19 @@ class _Frame:
         return elems
 
     def units(self, *words, **letters):
-        """The unit x + 1 - e of each word x over a, a* and the letters
-        (elements or broadcast element arrays), with a last axis over a⁻: e
-        is aa⁻ when x starts with a, so lies in aR, and a⁻a when it ends with a."""
-        env = {"a": self.a, "a*": self.sa, **letters}
-        mul, add = self.ring.mul_arr, self.ring.add_arr
-        out = []
-        for word in words:
-            syms = word.split()
-            x = _prod(mul, *[env[sym] for sym in syms])
-            e = self._complements[syms[0] != "a"]
-            # an element's units lie in one row of the addition table, a
-            # cheaper gather than the broadcast one
-            out.append(add[x[..., None], e] if isinstance(x, np.ndarray) else add[x][e])
-        return out
+        """`_units` of the frame's letter, with a last axis over a⁻."""
+        letters = {k: np.asarray(v)[..., None] for k, v in letters.items()}
+        return _units(self.ring, self.a, self.inners, *words, **letters)
+
+
+def _units(ring, a, inners, *words, **letters):
+    """The unit x + 1 - e of each word x over a, a* and the letters (elements
+    or element arrays, broadcast with a and its inner inverses a⁻): e is aa⁻
+    when x starts with a, so lies in aR, and a⁻a when it ends with a."""
+    mul, add, one_minus = ring.mul_arr, ring.add_arr, ring.add_arr[ring.one, ring.neg_arr]
+    ends = one_minus[mul[a, inners]], one_minus[mul[inners, a]]  # 1 - aa⁻, 1 - a⁻a
+    env = {"a": a, "a*": ring.star_arr[a], **letters}
+    return [add[_prod(mul, *map(env.get, w)), ends[w[0] != "a"]] for w in map(str.split, words)]
 
 
 # the units of the single-w criteria and of the (v, w) criteria
@@ -576,8 +581,9 @@ _VW_UNITS = ("a w a v a a*", "a v a w a a*", "w a v a a* a", "v a w a a* a")
 def _frames(ring, regular=True):
     """The frame of each element in turn; when regular, only of those with an
     inner inverse."""
+    inner = ring.table("inner_inverses")
     for a in range(ring.size):
-        inners = ring.inner_inverses(a)
+        inners = np.flatnonzero(inner[a]).tolist()
         if inners or not regular:
             yield _Frame(ring, a, inners)
 
@@ -646,19 +652,21 @@ def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
-    star = ring.star_t
-    for f in _frames(ring):
-        a, mp = f.a, ring.mp_inv(f.a)
-        us, vs = (x.tolist() for x in f.units("a a*", "a* a"))
-        for a_in, u, v in col.each(zip(f.inners, us, vs)):
-            if (mp is not None) != ring.is_unit(u) or (mp is not None) != ring.is_unit(v):
-                col.fail("MP unit criteria disagree with existence", a=a, a_inner=a_in)
-                continue
-            if mp is not None:
-                if star[ring.mul(ring.inv_unit(u), a)] != mp:
-                    col.fail("(u^{-1} a)* misses a^dag", a=a, a_inner=a_in)
-                if star[ring.mul(a, ring.inv_unit(v))] != mp:
-                    col.fail("(a v^{-1})* misses a^dag", a=a, a_inner=a_in)
+    mul, star = ring.mul_arr, ring.star_arr
+    a, inner = np.nonzero(ring.table("inner_inverses"))  # instances (a, a⁻), a-major
+    (u, v), mp = _units(ring, a, inner, "a a*", "a* a"), ring.table("mp_inv")[a]
+    units, ex = _Units(ring), mp >= 0
+    bad = (ex != units.bits[u]) | (ex != units.bits[v])
+    need = np.flatnonzero(ex & ~bad)
+    miss_u, miss_v = np.zeros((2, a.size), dtype=bool)
+    miss_u[need] = star[mul[units.inv(u[need]), a[need]]] != mp[need]
+    miss_v[need] = star[mul[a[need], units.inv(v[need])]] != mp[need]
+    own = [
+        (bad, "MP unit criteria disagree with existence"),
+        (miss_u, "(u^{-1} a)* misses a^dag"),
+        (miss_v, "(a v^{-1})* misses a^dag"),
+    ]
+    col.batch(a.size, lambda p: {"a": int(a[p]), "a_inner": int(inner[p])}, own)
 
 
 def _chk_mp_ideal_char(ring: FiniteStarRing, col: _Collector):
@@ -826,22 +834,25 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
-    for f in _frames(ring):
-        a, sa = f.a, f.sa
-        joint = ring.core_inv(a) is not None and ring.dual_core_inv(a) is not None
-        c2 = ring.group_inv(a) is not None and f.mp
-        # the core inverse is the w-core inverse at w = 1
-        units = (x.tolist() for x in f.units(*_W_UNITS, w=ring.one))
-        for a_in, u, t, s, v in col.each(zip(f.inners, *units)):
-            oks = tuple(ring.is_unit(x) for x in (u, v, s, t))
-            if joint != c2 or any(ok != joint for ok in oks):
-                col.fail(f"(i)={joint}, (ii)={c2}, units={oks}", a=a, a_inner=a_in)
-                continue
-            if joint:
-                if ring.mul(ring.inv_unit(t), a, sa) != ring.core_inv(a):
-                    col.fail("t^{-1} a a* misses a_core", a=a, a_inner=a_in)
-                if ring.mul(sa, a, ring.inv_unit(s)) != ring.dual_core_inv(a):
-                    col.fail("a* a s^{-1} misses a_dual_core", a=a, a_inner=a_in)
+    mul, units = ring.mul_arr, _Units(ring)
+    a, inner = np.nonzero(ring.table("inner_inverses"))  # instances (a, a⁻), a-major
+    # the core inverse is the w-core inverse at w = 1
+    (u, t, s, v), sa = _units(ring, a, inner, *_W_UNITS, w=ring.one), ring.star_arr[a]
+    core, dual = ring.table("core_inv")[a], ring.table("dual_core_inv")[a]
+    joint = (core >= 0) & (dual >= 0)
+    c2 = (ring.table("group_inv")[a] >= 0) & (ring.table("mp_inv")[a] >= 0)
+    oks = units.bits[np.stack([u, v, s, t])]
+    bad = (joint != c2) | (oks != joint).any(axis=0)
+    need = np.flatnonzero(joint & ~bad)
+    miss_t, miss_s = np.zeros((2, a.size), dtype=bool)
+    miss_t[need] = _prod(mul, units.inv(t[need]), a[need], sa[need]) != core[need]
+    miss_s[need] = _prod(mul, sa[need], a[need], units.inv(s[need])) != dual[need]
+    own = [
+        (bad, lambda p: f"(i)={joint[p]}, (ii)={c2[p]}, units={tuple(oks[:, p].tolist())}"),
+        (miss_t, "t^{-1} a a* misses a_core"),
+        (miss_s, "a* a s^{-1} misses a_dual_core"),
+    ]
+    col.batch(a.size, lambda p: {"a": int(a[p]), "a_inner": int(inner[p])}, own)
 
 
 # ---------------------------------------------------------------------------

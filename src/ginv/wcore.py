@@ -34,7 +34,13 @@ from typing import Callable, NamedTuple
 from .along import bc_inverse, inverse_along
 from .classical import core_ep_inverse, core_inverse, group_inverse
 from .equations import InverseResult, certify
-from .errors import PreconditionFailed, RouteDisagreement, ShapeMismatch, UnsupportedDomain
+from .errors import (
+    DomainMismatch,
+    PreconditionFailed,
+    RouteDisagreement,
+    ShapeMismatch,
+    UnsupportedDomain,
+)
 from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
@@ -80,7 +86,7 @@ def _check_pair(a: StarMatrix, w: StarMatrix):
     if not (a.is_square() and a.shape == w.shape):
         raise ShapeMismatch("w-core inverses need square, same-size inputs")
     if a.domain != w.domain:
-        raise ShapeMismatch("inputs must share a domain")
+        raise DomainMismatch("inputs must share a domain")
 
 
 class _RouteOutcome(NamedTuple):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ginv import (
+    FiniteStarRing,
     PreconditionFailed,
     StarMatrix,
     TooLarge,
@@ -98,6 +99,51 @@ def test_green_relations_examples():
     assert g24["leqL"] and g24["L"]  # 2 = 2*4 mod 6 and 4 = 2*2
     g01 = green_relations(ring, 0, 1)
     assert g01["leqL"] and g01["leqR"] and not g01["L"] and not g01["R"]
+
+
+def test_solve_equations_rejects_a_negative_element():
+    # -1 would index element 5 from the end
+    with pytest.raises(PreconditionFailed, match="a = -1 is not an element of zmod:6"):
+        solve_equations(enumerate_ring("zmod:6"), SYSTEMS["core"], {"a": -1})
+
+
+def test_solve_equations_rejects_an_element_past_the_ring():
+    with pytest.raises(PreconditionFailed, match="a = 7 is not an element of zmod:6"):
+        solve_equations(enumerate_ring("zmod:6"), SYSTEMS["core"], {"a": 7})
+
+
+def test_solve_equations_rejects_an_outside_element_of_a_pair():
+    with pytest.raises(PreconditionFailed, match="a = -1 is not an element"):
+        solve_equations(enumerate_ring("zmod:6"), SYSTEMS["w-core"], {"a": -1, "w": 1})
+
+
+def test_solve_equations_names_a_missing_letter():
+    with pytest.raises(PreconditionFailed, match="no value for letter 'w'"):
+        solve_equations(enumerate_ring("zmod:6"), SYSTEMS["w-core"], {"a": 1})
+
+
+@pytest.mark.parametrize("a, b, bad", [(-1, 2, "a = -1"), (6, 2, "a = 6"), (2, 6, "b = 6")])
+def test_green_relations_rejects_an_outside_element(a, b, bad):
+    with pytest.raises(PreconditionFailed, match=f"{bad} is not an element of zmod:6"):
+        green_relations(enumerate_ring("zmod:6"), a, b)
+
+
+def test_solve_equations_reads_each_scan_once(monkeypatch):
+    # the w-core lookups scan the whole ring once; solve_equations on the
+    # same letters reads that record, and a grid with a fixed lead value is
+    # scanned once for every value of the last letter
+    ring = enumerate_ring("mat:3:gf2")
+    ring.table("wcore_solutions")
+    scans, scan = [], FiniteStarRing._scan
+    monkeypatch.setattr(FiniteStarRing, "_scan", lambda *args: scans.append(args) or scan(*args))
+    for a, w in [(0, 0), (ring.one, ring.one), (5, 300), (300, 5), (511, 511)]:
+        got = solve_equations(ring, SYSTEMS["w-core"], {"a": a, "w": w})
+        assert got == list(ring.wcore_solutions(a, w)), (a, w)
+    assert not scans
+    for a in (ring.one, 7):  # the letters the other way round: w fixed, every a
+        got = solve_equations(ring, SYSTEMS["w-core"], {"w": ring.one, "a": a})
+        assert got == list(ring.wcore_solutions(a, ring.one)), a
+    assert len(scans) == 1
 
 
 def test_verify_theorem_examples():

@@ -10,10 +10,10 @@ definition."""
 from functools import partial
 
 import pytest
-from test_theorems import PLANTED, _plant
+from test_theorems import PLANTED, _plant, complements, w_units
 
 from ginv import enumerate_ring, verify_theorem
-from ginv.equations import SYSTEMS
+from ginv.equations import SYSTEMS, core_ep_system
 from ginv.theorems import _MAX_CE, CATALOG
 
 _B3 = SYSTEMS["bc"][2:]  # xax = x: x is an outer inverse of a
@@ -434,6 +434,66 @@ def loop_jacobson(ring, col):
                 col.fail("beta^{-1} != 1 + b alpha^{-1} a", a=a, b=b)
 
 
+def loop_core_another_1(ring, col):
+    for a in range(ring.size):
+        pc = ring.pseudo_core(a)
+        for n_exp in col.each((1, 2, 3)):
+            an = ring.pow(a, n_exp)
+            x0 = next(iter(ring.solve_system(core_ep_system(n_exp), {"a": a})), None)
+            pcn = x0 is not None
+            c2 = bool(ring.wcore_solutions(an, a))
+            c3 = ring.core_inv(an) is not None
+            if not (pcn == c2 == c3):
+                col.fail(f"n={n_exp}: (i)={pcn}, (ii)={c2}, (iii)={c3}", a=a)
+            if pcn != (pc is not None and pc[1] <= n_exp):
+                col.fail(f"n={n_exp}: solvability vs minimal index inconsistent", a=a)
+            if pcn:
+                if pc is None or x0 != pc[0]:
+                    col.fail(f"n={n_exp}: pseudo-core value drifted", a=a)
+                    continue
+                # each value formula only where its inverse exists
+                if c2 and ring.mul(an, ring.wcore(an, a)) != x0:
+                    col.fail(f"n={n_exp}: a^D != a^n (a^n)_a", a=a)
+                if c3 and ring.mul(ring.pow(a, n_exp - 1), ring.core_inv(an)) != x0:
+                    col.fail(f"n={n_exp}: a^D != a^(n-1) (a^n)_core", a=a)
+
+
+def loop_classical_mp_char(ring, col):
+    star = ring.star_t
+    for a in range(ring.size):
+        mp = ring.mp_inv(a)
+        for a_in in col.each(ring.inner_inverses(a)):
+            cp, cq = complements(ring, a, a_in)
+            u, v = ring.add(ring.mul(a, star[a]), cp), ring.add(ring.mul(star[a], a), cq)
+            if (mp is not None) != ring.is_unit(u) or (mp is not None) != ring.is_unit(v):
+                col.fail("MP unit criteria disagree with existence", a=a, a_inner=a_in)
+                continue
+            if mp is not None:
+                if star[ring.mul(ring.inv_unit(u), a)] != mp:
+                    col.fail("(u^{-1} a)* misses a^dag", a=a, a_inner=a_in)
+                if star[ring.mul(a, ring.inv_unit(v))] != mp:
+                    col.fail("(a v^{-1})* misses a^dag", a=a, a_inner=a_in)
+
+
+def loop_core_dual_core_units(ring, col):
+    for a in range(ring.size):
+        sa = ring.star_t[a]
+        joint = ring.core_inv(a) is not None and ring.dual_core_inv(a) is not None
+        c2 = ring.group_inv(a) is not None and ring.mp_inv(a) is not None
+        for a_in in col.each(ring.inner_inverses(a)):
+            # the core inverse is the w-core inverse at w = 1
+            u, t, s, v = w_units(ring, a, ring.one, a_in)
+            oks = tuple(ring.is_unit(x) for x in (u, v, s, t))
+            if joint != c2 or any(ok != joint for ok in oks):
+                col.fail(f"(i)={joint}, (ii)={c2}, units={oks}", a=a, a_inner=a_in)
+                continue
+            if joint:
+                if ring.mul(ring.inv_unit(t), a, sa) != ring.core_inv(a):
+                    col.fail("t^{-1} a a* misses a_core", a=a, a_inner=a_in)
+                if ring.mul(sa, a, ring.inv_unit(s)) != ring.dual_core_inv(a):
+                    col.fail("a* a s^{-1} misses a_dual_core", a=a, a_inner=a_in)
+
+
 LOOPS = {
     "uniqueness": loop_uniqueness,
     "added_lemma": loop_added_lemma,
@@ -457,6 +517,9 @@ LOOPS = {
     "along_product": loop_along_product,
     "idempotent": loop_idempotent,
     "jacobson": loop_jacobson,
+    "core_another_1": loop_core_another_1,
+    "classical_mp_char": loop_classical_mp_char,
+    "core_dual_core_units": loop_core_dual_core_units,
 }
 
 
@@ -477,6 +540,13 @@ def _replace(lookup, value):
         setattr(ring, lookup, lambda *args: value(*args))
 
     return plant
+
+
+def _flip_joint_core(ring):
+    # a has both a core and a dual core inverse exactly where it did not
+    core, dual = ring.core_inv, ring.dual_core_inv
+    ring.core_inv = lambda a: None if core(a) is not None and dual(a) is not None else 0
+    ring.dual_core_inv = lambda a: 0
 
 
 # a plant under which every instance of the check fails, or (for the
@@ -505,6 +575,9 @@ FAIL_EVERYWHERE = {
     "idempotent": _flip("wcore_solutions", (0,)),
     # every instance where 1 - ab is a unit: 1 + b 0 a = 1 is never 0
     "jacobson": _replace("inv_unit", lambda x: 0),
+    "core_another_1": _flip("core_inv", 0),
+    "classical_mp_char": _replace("mp_inv", lambda a: None),
+    "core_dual_core_units": _flip_joint_core,
 }
 RINGS = ("zmod:12", "mat:2:gf2", "prod(zmod:2,zmod:3)", "mat:2:gf3")
 TRIPLES = ("wv_core_char", "along_product")  # skipped on mat:2:gf3
@@ -581,4 +654,23 @@ def test_idempotent_matches_loop_when_several_projections_pass(monkeypatch, spec
     ring.projections = lambda: tuple(range(ring.size))
     got, want = reports(monkeypatch, ring, "idempotent")
     assert any("not unique" in ce["detail"] for ce in want.counterexamples)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        lambda ring: _plant(ring, "wcore_solutions", (0, 0), ()),
+        _replace("core_inv", lambda a: None),
+    ],
+    ids=["wcore_solutions(0, 0)=()", "core_inv=None"],
+)
+def test_core_another_1_reports_a_missing_inverse(monkeypatch, plant):
+    # (i) holds where (ii) or (iii) does not: the check reports the split and
+    # skips the value formula of the missing inverse
+    ring = enumerate_ring("zmod:12")
+    plant(ring)
+    got, want = reports(monkeypatch, ring, "core_another_1")
+    details = [ce["detail"] for ce in got.counterexamples]
+    assert any("(ii)=False" in d or "(iii)=False" in d for d in details), details
     assert got == want

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ginv import (
+    DomainMismatch,
     PreconditionFailed,
     StarMatrix,
     core_ep_inverse,
@@ -334,6 +335,13 @@ def test_integer_mod_scalar_wcore():
 def test_shape_validation():
     with pytest.raises(Exception):
         w_core(gm([[1, 2]]), gm([[1], [2]]))
+
+
+@pytest.mark.parametrize("entry", [w_core, dual_v_core, w_core_exists])
+def test_mixed_domains_raise_domain_mismatch(entry):
+    # as inverse_along, bc_inverse and the matrix operations do
+    with pytest.raises(DomainMismatch, match="inputs must share a domain"):
+        entry(qm([[1, 0], [0, 0]]), fm([[1, 0], [0, 1]]))
 
 
 def test_dual_routes_on_star_of_example(nilp2_g, w_ex1_g):
