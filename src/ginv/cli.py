@@ -128,8 +128,8 @@ def _tolerances(args) -> ToleranceThresholds:
     res = args.tol if args.tol is not None else DEFAULT_TOL.residual_rel_tol
     rnk = getattr(args, "rank_tol", None)
     rnk = rnk if rnk is not None else DEFAULT_TOL.rank_rel_tol
-    if res <= 0 or rnk <= 0:
-        raise GinvError("tolerance overrides must be positive")
+    if not (res > 0 and rnk > 0 and np.isfinite([res, rnk]).all()):  # NaN fails res > 0
+        raise GinvError("tolerance overrides must be positive and finite")
     return ToleranceThresholds(rank_rel_tol=rnk, residual_rel_tol=res)
 
 

@@ -1,17 +1,17 @@
 """Matrices over a scalar *-domain; adjoint is the conjugate transpose.
 
-Exact fields (rationals, Gaussian rationals, GF(p)) use deterministic
-Gaussian elimination with first-nonzero-column / first-nonzero-row pivoting,
-so factorizations and particular solutions are reproducible.  An exact
-matrix holds one integer payload: over Q and Q(i), integer arrays over one
-gcd-reduced positive denominator; over GF(p) and Z/nZ, one residue array.
-Products, fraction-free elimination, sums, adjoints and comparisons run on
-the payload, and the Fraction, GaussianRational or int entries of `.data`
-are built only when read.  ComplexFloat
-decisions (rank, solvability, projection tests) all go through SVD with
-ToleranceThresholds; Gaussian-elimination rank is never used in float.
-ComplexFloat matrices hold one read-only complex128 array, so their sums,
-products, adjoints and norms are numpy calls, not scalar loops.
+An exact matrix holds one integer payload: over Q and Q(i), integer arrays
+over one gcd-reduced positive denominator; over GF(p) and Z/nZ, one residue
+array.  Products, fraction-free elimination, sums, adjoints and comparisons
+run on it; the entries of `.data` are built only when read.  ComplexFloat
+matrices hold one read-only complex128 array, so their arithmetic and norms
+are numpy calls, and their decisions (rank, solvability, projection tests)
+all go through the SVD under ToleranceThresholds.  Each matrix keeps its
+factorization from `_factors` on the instance (never in a module cache):
+the thin SVD in float, which transposes and adjoints inherit, or over exact
+fields the echelon form from deterministic first-nonzero-column /
+first-nonzero-row Gauss-Jordan elimination, which a's first solve, rank or
+factorization leaves.  Neither holds a tolerance.
 Z/nZ with composite n is supported for small systems via exhaustive solving
 (division is only by units there, so elimination is unavailable).
 """
@@ -66,7 +66,7 @@ class StarMatrix:
     on first read.
     """
 
-    __slots__ = ("rows", "cols", "domain")
+    __slots__ = ("rows", "cols", "domain", "_f")
 
     def __new__(cls, rows=None, cols=None, data=None, domain=None):
         # the kernel is chosen once, here, from the domain
@@ -179,16 +179,16 @@ class _ComplexMatrix(StarMatrix):
     def __init__(self, rows, cols, data, domain):
         arr = np.array(data, dtype=np.complex128, order="C").reshape(rows, cols)
         arr.flags.writeable = False
-        self.rows, self.cols, self.domain, self.data = rows, cols, domain, arr
+        self.rows, self.cols, self.domain, self.data, self._f = rows, cols, domain, arr, None
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "_ComplexMatrix":
-        """Wrap a complex128 array that nothing else will write to."""
+    def _adopt(cls, arr: np.ndarray, svd=None) -> "_ComplexMatrix":
+        """Wrap a complex128 array that nothing else will write to (and its SVD)."""
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         m = object.__new__(cls)
         m.rows, m.cols = arr.shape
-        m.domain, m.data = COMPLEX_FLOAT, arr
+        m.domain, m.data, m._f = COMPLEX_FLOAT, arr, svd
         return m
 
     def _entrywise(self, other, op):
@@ -204,10 +204,12 @@ class _ComplexMatrix(StarMatrix):
         return self._adopt(self.domain.coerce(c) * self.data)
 
     def transpose(self) -> "StarMatrix":
-        return self._adopt(self.data.T)
+        f = self._f  # a = u s vh gives a.T = vh.T s u.T and a* = vh* s u*
+        return self._adopt(self.data.T, f and (f[2].T, f[1], f[0].T))
 
     def adjoint(self) -> "StarMatrix":
-        return self._adopt(self.data.T.conj())
+        f = self._f
+        return self._adopt(self.data.T.conj(), f and (f[2].T.conj(), f[1], f[0].T.conj()))
 
     def is_zero(self) -> bool:
         return not self.data.any()
@@ -265,7 +267,7 @@ class _ExactMatrix(StarMatrix):
         for x in ints:
             x.flags.writeable = False
         self.rows, self.cols = ints[0].shape
-        self.domain, self.ints, self.den, self._data = dom, ints, den, None
+        self.domain, self.ints, self.den, self._data, self._f = dom, ints, den, None, None
 
     @property
     def data(self):
@@ -532,6 +534,16 @@ def _rref(dom: ScalarDomain, ints: tuple, width: int):
     return _ELIMINATIONS[dom.kind](ints, dom.modulus, width)
 
 
+def _factors(a: StarMatrix):
+    """a's one factorization, kept on the instance and free of tolerances:
+    the thin SVD (u, s, vh) in float, else _rref's pivots, rows and den."""
+    if a._f is None and a.domain.kind == "complex_float":
+        a._f = np.linalg.svd(a.data, full_matrices=False)
+    elif a._f is None:
+        a._f = _rref(a.domain, a.ints, a.cols)[:3]
+    return a._f
+
+
 def _svd_cutoff(s: np.ndarray, a: StarMatrix, tol: ToleranceThresholds) -> float:
     """Singular values at or below this are numerically zero: the one rank
     cutoff rank_rel_tol * sigma_max * max(rows, cols).  s is descending, so a
@@ -545,11 +557,11 @@ def rank(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
         return 0
     dom = a.domain
     if dom.kind == "complex_float":
-        s = np.linalg.svd(a.data, compute_uv=False)
+        s = _factors(a)[1]
         return int(np.count_nonzero(s > _svd_cutoff(s, a, tol)))
     if not dom.field:
         raise UnsupportedDomain(f"rank is not defined over {dom!r}")
-    return len(_rref(dom, a.ints, a.cols)[0])
+    return len(_factors(a)[0])
 
 
 def full_rank_factorize(
@@ -558,18 +570,14 @@ def full_rank_factorize(
     """A = F G with inner dimension rank(A); rank 0 gives empty factors."""
     dom = a.domain
     if dom.kind == "complex_float":
-        if a.rows == 0 or a.cols == 0:
-            return RankFactorization(
-                StarMatrix.zeros(a.rows, 0, dom), StarMatrix.zeros(0, a.cols, dom), 0
-            )
-        u, s, vh = np.linalg.svd(a.data, full_matrices=False)
+        u, s, vh = _factors(a)
         r = int(np.count_nonzero(s > _svd_cutoff(s, a, tol)))
         f = _ComplexMatrix._adopt(u[:, :r] * s[:r])
         g = _ComplexMatrix._adopt(vh[:r, :])
         return RankFactorization(f, g, r)
     if not dom.field:
         raise UnsupportedDomain(f"full-rank factorization unavailable over {dom!r}")
-    pivots, rows, den, _ = _rref(dom, a.ints, a.cols)
+    pivots, rows, den = _factors(a)
     f = _exact(dom, tuple(x[:, pivots] for x in a.ints), a.den)
     return RankFactorization(f, _exact(dom, rows, den), len(pivots))
 
@@ -602,8 +610,8 @@ def solve_right(
     """Particular X with A X = B, or None when the system is inconsistent.
 
     Exact fields return the fixed-pivot particular solution (free variables
-    zero); ComplexFloat returns the minimum-norm solution and accepts it only
-    if the residual passes the tolerance test.
+    zero) and keep a's echelon form; ComplexFloat returns the minimum-norm
+    solution and accepts it only if the residual passes the tolerance test.
     """
     if a.domain != b.domain:
         raise DomainMismatch(f"{a.domain!r} vs {b.domain!r}")
@@ -623,6 +631,8 @@ def solve_right(
         return _brute_solve_right(a, b)
     x, y, _ = a._aligned(b)
     pivots, rows, den, consistent = _rref(dom, tuple(map(np.hstack, zip(x, y))), a.cols)
+    if a._f is None:  # the pivots depend on a's columns alone
+        a._f = pivots, tuple(r[:, : a.cols] for r in rows), den
     if not consistent:
         return None
     out = tuple(np.zeros((a.cols, b.cols), dtype=r.dtype) for r in rows)
@@ -663,9 +673,7 @@ def pinv(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix:
     """SVD pseudoinverse with the shared rank cutoff (ComplexFloat only)."""
     if a.domain.kind != "complex_float":
         raise UnsupportedDomain("pinv is the float path; exact domains use solve routes")
-    if a.rows == 0 or a.cols == 0:
-        return StarMatrix.zeros(a.cols, a.rows, a.domain)
-    u, s, vh = np.linalg.svd(a.data, full_matrices=False)
+    u, s, vh = _factors(a)
     keep = s > _svd_cutoff(s, a, tol)
     if not keep.any():
         return StarMatrix.zeros(a.cols, a.rows, a.domain)
@@ -678,9 +686,7 @@ def condition_number(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> f
     """sigma_max / sigma_min over the numerically nonzero spectrum (float only)."""
     if a.domain.kind != "complex_float":
         raise UnsupportedDomain("condition numbers are a float-path notion")
-    if a.rows == 0 or a.cols == 0:
-        return 1.0
-    s = np.linalg.svd(a.data, compute_uv=False)
+    s = _factors(a)[1]
     nz = s[s > _svd_cutoff(s, a, tol)]
     return float(s[0] / nz[-1]) if nz.size else 1.0
 
@@ -698,7 +704,7 @@ def right_nullspace(a: StarMatrix) -> StarMatrix:
     dom = a.domain
     if not (dom.exact and dom.field):
         raise UnsupportedDomain("nullspace basis requires an exact field")
-    pivots, rows, den, _ = _rref(dom, a.ints, a.cols)
+    pivots, rows, den = _factors(a)
     free = [c for c in range(a.cols) if c not in set(pivots)]
     out = tuple(np.zeros((a.cols, len(free)), dtype=r.dtype) for r in rows)
     out[0][free, range(len(free))] = den  # free variable f is 1 in column f

@@ -178,6 +178,31 @@ def test_compute_bad_tolerance(nilp):
     assert run(["compute", "--kind", "mp", "--a", nilp, "--tol", "-3"]) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--tol", "--rank-tol"])
+@pytest.mark.parametrize("command", ["compute", "check"])
+def test_non_finite_tolerance_is_bad_input(nilp, capsys, command, flag, value):
+    # unchecked, a NaN override reaches the numerics (exit 2) and an infinite
+    # one the JSON writer (exit 1 after computing); both are bad input
+    args = [command, "--kind", "mp", "--a", nilp, f"{flag}={value}"]
+    if command == "check":
+        args += ["--candidate", nilp]
+    assert run(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["ginv: error: tolerance overrides must be positive and finite"]
+
+
+@pytest.mark.parametrize("command", ["compute", "check"])
+def test_tolerance_is_checked_before_loading(tmp_path, capsys, command):
+    missing = str(tmp_path / "never_read.json")
+    args = [command, "--kind", "mp", "--a", missing, "--tol=nan"]
+    if command == "check":
+        args += ["--candidate", missing]
+    assert run(args) == 1
+    assert "tolerance overrides" in capsys.readouterr().err
+
+
 def test_verify_zmod6_all(capsys):
     assert run(["verify", "--ring", "zmod:6", "--all"]) == 0
     out = capsys.readouterr().out

@@ -7,8 +7,10 @@ import random
 import numpy as np
 import pytest
 
+import ginv.matrix
 from ginv import StarMatrix, matrix_from_json, matrix_to_json, w_core
 from ginv.domains import COMPLEX_FLOAT, ComplexFloatDomain
+from ginv.matrix import ToleranceThresholds, condition_number, pinv, rank, solve_left, solve_right
 
 SHAPES = [(3, 4), (1, 1), (0, 3), (3, 0), (0, 0)]
 
@@ -180,3 +182,90 @@ def test_residual_scales_match_factor_by_factor_norms():
                 scales.append(s)
             scale = max(1.0, norm_fro(left), norm_fro(right), *scales)
             assert got[name] == norm_fro(left - right) / scale
+
+
+# ---------------------------------------------------------------------------
+# the kept SVD: taken once per instance, handed to transposes and adjoints,
+# holding no tolerance and invisible to equality, hashing and the wire format
+
+FACTOR_SHAPES = [(4, 4), (5, 3), (3, 5), (0, 3), (3, 0)]
+
+
+def count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def reconstructs(factors, want):
+    u, s, vh = factors
+    k = min(want.shape)
+    assert u.shape == (want.shape[0], k) and s.shape == (k,) and vh.shape == (k, want.shape[1])
+    assert np.allclose(u.conj().T @ u, np.eye(k)) and np.allclose(vh @ vh.conj().T, np.eye(k))
+    assert np.allclose((u * s) @ vh, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", FACTOR_SHAPES)
+@pytest.mark.parametrize("zero", [False, True], ids=["generic", "rank-0"])
+def test_transpose_and_adjoint_carry_the_svd(m, n, zero, monkeypatch):
+    a = build(rand_lists(random.Random(m * 10 + n), m, n), m, n)
+    if zero:
+        a = StarMatrix.zeros(m, n, COMPLEX_FLOAT)
+    calls = count_svd(monkeypatch)
+    reconstructs(ginv.matrix._factors(a), a.data)
+    t, h = a.transpose(), a.adjoint()
+    reconstructs(t._f, a.data.T)
+    reconstructs(h._f, a.data.T.conj())
+    reconstructs(t.adjoint()._f, a.data.conj())
+    assert h.adjoint()._f is not None and t.transpose()._f is not None
+    for x in (a, t, h):
+        assert rank(x) == (0 if zero else min(m, n))
+        assert pinv(x).shape == (x.cols, x.rows) and condition_number(x) >= 1.0
+    assert len(calls) == 1
+
+
+def test_left_solves_reuse_the_right_solves_svd(monkeypatch):
+    rng = random.Random(5)
+    a, b = build(rand_lists(rng, 4, 4), 4, 4), build(rand_lists(rng, 4, 4), 4, 4)
+    calls = count_svd(monkeypatch)
+    x, y = solve_right(a, b), solve_left(a, b)
+    assert np.allclose((a @ x).data, b.data) and np.allclose((y @ a).data, b.data)
+    assert len(calls) == 1
+
+
+def sigma_ladder(n, sigmas):
+    g = np.random.default_rng(n)
+    q1, _ = np.linalg.qr(g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
+    return StarMatrix.from_numpy((q1 * sigmas) @ q2.conj().T)
+
+
+def test_the_kept_svd_holds_no_tolerance():
+    # sigma = 1, 1e-6, 1e-12: rank 2 at the default cutoff, rank 1 at 1e-4
+    a = sigma_ladder(3, np.array([1.0, 1e-6, 1e-12]))
+    loose, default = ToleranceThresholds(rank_rel_tol=1e-4), ToleranceThresholds()
+    assert rank(a, loose) == 1 and rank(a, default) == 2
+    for tol in (loose, default, loose):
+        fresh = StarMatrix.from_numpy(a.to_numpy())
+        assert rank(a, tol) == rank(fresh, tol)
+        assert pinv(a, tol) == pinv(fresh, tol)
+        assert condition_number(a, tol) == condition_number(fresh, tol)
+    assert condition_number(a, loose) < 10 < condition_number(a, default)
+
+
+def test_the_kept_svd_is_invisible():
+    rows = rand_lists(random.Random(9), 3, 4)
+    bare, factored = build(rows, 3, 4), build(rows, 3, 4)
+    rank(factored)
+    assert factored._f is not None and bare._f is None
+    for x, y in ((bare, factored), (bare.transpose(), factored.transpose())):
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        assert json.dumps(matrix_to_json(x)) == json.dumps(matrix_to_json(y))
+        assert np.array_equal(x.to_numpy(), y.to_numpy())
+    assert factored.transpose()._f is not None

@@ -13,12 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ginv.matrix
 from ginv import (
     StarMatrix,
     full_rank_factorize,
     matrix_from_json,
     matrix_to_json,
     rank,
+    solve_left,
     solve_right,
 )
 from ginv.domains import (
@@ -32,7 +34,7 @@ from ginv.domains import (
     integer_mod,
     prime_field,
 )
-from ginv.matrix import right_nullspace
+from ginv.matrix import inverse, right_nullspace
 
 GF7 = prime_field(7)
 GF_M31 = prime_field(2**31 - 1)  # int64 products up to 2 columns, then Python ints
@@ -535,3 +537,114 @@ def test_integer_mod_solve_matches_scalar_loop(n):
                     assert got is None
                 else:
                     same(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the kept echelon form: taken once per instance (by a rank, a factorization,
+# a null space or the first solve) and read by every later rank, factorization
+# and null space; solves still eliminate [a | b] and answer as before
+
+KEPT_FIELDS = [RATIONAL, GAUSSIAN_RATIONAL, GF7, GF_M31]
+KEPT_SHAPES = [(3, 3), (4, 2), (2, 5), (5, 3)]  # square, tall and wide
+
+
+def count_rref(monkeypatch):
+    calls = []
+    kernel = ginv.matrix._rref
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(ginv.matrix, "_rref", counted)
+    return calls
+
+
+def ref_solve_left(a, b):
+    xt = ref_solve_right(ref_transpose(a), ref_transpose(b))
+    return None if xt is None else ref_transpose(xt)
+
+
+def right_sides(dom, rng, a, k):
+    """Consistent and (for a rank-deficient a, almost surely) inconsistent
+    right-hand sides for A X = B, then for X A = B."""
+    m, n = a.shape
+    right = [ref_matmul(a, rand_matrix(dom, rng, n, k)), rand_matrix(dom, rng, m, k)]
+    left = [ref_matmul(rand_matrix(dom, rng, k, m), a), rand_matrix(dom, rng, k, n)]
+    return right, left
+
+
+def same_or_none(got, want):
+    if want is None:
+        assert got is None
+    else:
+        same(got, want)
+
+
+@pytest.mark.parametrize("dom", KEPT_FIELDS, ids=ids(KEPT_FIELDS))
+@pytest.mark.parametrize("m, n", KEPT_SHAPES)
+def test_kept_echelon_form_answers_like_a_fresh_elimination(dom, m, n):
+    rng = random.Random(m * 10 + n + 7)
+    r = min(m, n) - 1
+    for a in (rand_matrix(dom, rng, m, n), low_rank(dom, rng, m, n, r), StarMatrix.zeros(m, n, dom)):
+        right, left = right_sides(dom, rng, a, 3)
+        # every right side twice: the second solve meets a kept record
+        for b in right + right:
+            same_or_none(solve_right(a, b), ref_solve_right(a, b))
+        for b in left + left:
+            same_or_none(solve_left(a, b), ref_solve_left(a, b))
+        assert rank(a) == ref_rank(a)
+        same(right_nullspace(a), ref_nullspace(a))
+        fact, (f, g, k) = full_rank_factorize(a), ref_factorize(a)
+        assert fact.rank == k
+        same(fact.f, f)
+        same(fact.g, g)
+    # rank-deficient a: the random right sides miss the column and row spaces
+    a = low_rank(dom, rng, m, n, r)
+    right, left = right_sides(dom, rng, a, 3)
+    assert solve_right(a, right[1]) is None and solve_left(a, left[1]) is None
+
+
+@pytest.mark.parametrize("dom", KEPT_FIELDS, ids=ids(KEPT_FIELDS))
+def test_echelon_form_is_taken_once_per_matrix(dom, monkeypatch):
+    rng = random.Random(11)
+    calls = count_rref(monkeypatch)
+    # a fresh matrix: its null space eliminates a alone, once
+    a = low_rank(dom, rng, 4, 5, 2)
+    same(right_nullspace(a), ref_nullspace(a))
+    assert len(calls) == 1
+    for _ in range(2):
+        rank(a)
+        full_rank_factorize(a)
+        right_nullspace(a)
+    assert len(calls) == 1
+    # a solved matrix: the elimination of [a | b] leaves a's echelon form
+    a = low_rank(dom, rng, 4, 5, 2)
+    solve_right(a, ref_matmul(a, rand_matrix(dom, rng, 5, 2)))
+    assert len(calls) == 2
+    rank(a)
+    full_rank_factorize(a)
+    same(right_nullspace(a), ref_nullspace(a))
+    assert len(calls) == 2
+    solve_right(a, rand_matrix(dom, rng, 4, 2))  # each solve eliminates its own [a | b]
+    assert len(calls) == 3
+
+
+HUGE_MODULI = [prime_field(2**64 - 59), integer_mod(2**64)]
+
+
+@pytest.mark.parametrize("dom", HUGE_MODULI, ids=ids(HUGE_MODULI))
+def test_moduli_beyond_int64(dom):
+    # residues and their products pass 2**63: the payload is Python ints
+    ident = StarMatrix.identity(3, dom)
+    big = dom.modulus - 1
+    a = StarMatrix.from_rows([[big, 2, 0], [0, big, 5], [1, 0, big]], dom)
+    assert ident @ a == a == a @ ident and a.pow(0) == ident
+    assert (a @ a).data[0][0] == (big * big + 0 * 2) % dom.modulus
+    if dom.field:
+        x = inverse(a)
+        assert x @ a == ident and a @ x == ident
+        same(x, ref_solve_right(a, ident))
+        b = a @ StarMatrix.from_rows([[1, big], [2, 3], [big, 0]], dom)
+        same(solve_right(a, b), ref_solve_right(a, b))
+        assert rank(a) == 3 and right_nullspace(a).shape == (3, 0)

@@ -1,5 +1,7 @@
 """w-core and dual v-core inverses: routes, duality, special cases, units."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -28,8 +30,9 @@ from ginv import (
     wcore_as_along,
     wcore_as_bc,
 )
-from ginv.domains import GAUSSIAN_RATIONAL, GaussianRational, integer_mod
-from ginv.matrix import inverse, left_nullspace, rel_diff, right_nullspace
+import ginv.matrix
+from ginv.domains import GAUSSIAN_RATIONAL, RATIONAL, GaussianRational, integer_mod, prime_field
+from ginv.matrix import inverse, left_nullspace, matrix_to_json, rel_diff, right_nullspace
 from ginv import wcore
 from ginv.wcore import DUAL_V_CORE_ROUTES, W_CORE_ROUTES
 
@@ -420,3 +423,111 @@ def test_single_float_route_failing_certificate_carries_its_reason():
     assert res.reason == (None if cert.ok else cert.failure())
     if not cert.ok:
         assert res.reason.startswith("certificate fails equations [")
+
+
+# ---------------------------------------------------------------------------
+# pins: exact outputs byte for byte, and how often one call factors a matrix
+
+PIN_DOMAINS = {
+    "rational": RATIONAL,
+    "gaussian_rational": GAUSSIAN_RATIONAL,
+    "gf7": prime_field(7),
+    "zmod6": integer_mod(6),
+}
+
+
+def _pin_entry(dom, rng):
+    if dom is GAUSSIAN_RATIONAL:
+        return GaussianRational(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2), 2))
+    if dom is RATIONAL:
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+    return dom.from_int(rng.randrange(dom.modulus))
+
+
+def _pin_matrix(dom, rng, m, n):
+    return StarMatrix.from_rows([[_pin_entry(dom, rng) for _ in range(n)] for _ in range(m)], dom)
+
+
+def pin_pairs(dom, seed):
+    """Seeded (a, w) of sizes 2-4 (2-3 over Z/6): invertible-looking,
+    low-rank a, and low-rank a with lower-rank w."""
+    rng = random.Random(seed)
+    for n in (2, 3) if dom.modulus == 6 else (2, 3, 4):
+        for ra, rw in ((n, n), (n - 1, n), (n - 1, n - 2)):
+            a = _pin_matrix(dom, rng, n, ra) @ _pin_matrix(dom, rng, ra, n)
+            w = _pin_matrix(dom, rng, n, max(rw, 1)) @ _pin_matrix(dom, rng, max(rw, 1), n)
+            yield a, w
+
+
+def output_digest(dom, seed=7):
+    """sha256 of every w_core / dual_v_core output on the seeded pairs: the
+    existence flag, matrix_to_json(value), certificate.to_json() and reason."""
+    blob = []
+    for a, w in pin_pairs(dom, seed):
+        for call in (w_core, dual_v_core):
+            res = call(a, w)
+            value = None if res.value is None else matrix_to_json(res.value)
+            cert = None if res.certificate is None else res.certificate.to_json()
+            blob.append([res.exists, value, cert, res.reason])
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# taken from kernels that eliminate afresh at every call: keeping the
+# factorizations on the matrices must not change a byte
+OUTPUT_DIGESTS = {
+    "rational": "3a57458f4470be6a",
+    "gaussian_rational": "0a777d239cc369cf",
+    "gf7": "2f3a1a96040d76ef",
+    "zmod6": "2770bafe26314e37",
+}
+
+
+@pytest.mark.parametrize("name", PIN_DOMAINS)
+def test_exact_outputs_are_pinned_byte_for_byte(name):
+    assert output_digest(PIN_DOMAINS[name]) == OUTPUT_DIGESTS[name]
+
+
+def low_rank_float_pair(n=8, seed=3):
+    g = np.random.default_rng(seed)
+
+    def cgauss(m, k):
+        return g.standard_normal((m, k)) + 1j * g.standard_normal((m, k))
+
+    a = cgauss(n, n // 2) @ cgauss(n // 2, n)
+    return StarMatrix.from_numpy(a), StarMatrix.from_numpy(cgauss(n, n))
+
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# a complex matrix is decomposed once however many ranks, solves, transposes
+# and adjoints read it, and an exact one eliminated once for its ranks and
+# factorizations; factoring afresh at every call takes 33 and 21 SVDs and 51
+# eliminations here
+SVD_BUDGET = {"w_core": 12, "dual_v_core": 9}
+RREF_BUDGET = 45
+
+
+@pytest.mark.parametrize("call", [w_core, dual_v_core], ids=["w_core", "dual_v_core"])
+def test_svd_count_of_a_float_call_is_pinned(call, monkeypatch):
+    a, w = low_rank_float_pair()
+    svd = counting(monkeypatch, np.linalg, "svd")
+    res = call(a, w)
+    assert res.exists and res.certificate.ok
+    assert len(svd) <= SVD_BUDGET[call.__name__]
+
+
+def test_elimination_count_of_an_exact_pair_is_pinned(monkeypatch):
+    a, w = list(pin_pairs(GAUSSIAN_RATIONAL, 7))[4]  # n = 3, rank(a) = 2
+    rref = counting(monkeypatch, ginv.matrix, "_rref")
+    assert w_core(a, w).exists and dual_v_core(a, w).exists
+    assert len(rref) <= RREF_BUDGET
