@@ -1,10 +1,12 @@
 """Scalar *-rings: rationals, Gaussian rationals, GF(p), Z/nZ, complex floats.
 
-Arithmetic is routed through domain methods so matrix code stays generic.
-Values are plain immutable objects: Fraction, GaussianRational, canonical
-int residues in [0, n), or python complex.  Exact domains decide equality
-exactly; ComplexFloat equality is never used for logic (see matrix module
-tolerances).
+The matrix kernels compute on whole arrays (see the matrix module) and
+never call the scalar arithmetic here; the domain methods serve coercion,
+the JSON codec, and scalar arithmetic for callers and the benchmark's
+probes.  Values are plain immutable objects: Fraction, GaussianRational,
+canonical int residues in [0, n), or python complex.  Exact domains decide
+equality exactly; ComplexFloat equality is never used for logic (see matrix
+module tolerances).
 """
 
 from __future__ import annotations
@@ -294,6 +296,8 @@ class GaussianRationalDomain(ScalarDomain):
     def scalar_from_json(self, obj):
         what = "gaussian rational"
         if isinstance(obj, dict):
+            if not {"re", "im"} <= obj.keys():
+                raise DomainMismatch(f"bad {what} scalar {obj!r}: needs both 're' and 'im'")
             return GaussianRational(
                 _fraction_from_json(str(obj["re"]), what), _fraction_from_json(str(obj["im"]), what)
             )
@@ -399,12 +403,13 @@ class ComplexFloatDomain(ScalarDomain):
         return [a.real, a.imag]
 
     def scalar_from_json(self, obj):
-        if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            z = complex(float(obj[0]), float(obj[1]))
-        elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-            z = complex(obj)
-        else:
+        parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 else (obj, 0)
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
             raise DomainMismatch(f"bad complex scalar {obj!r}")
+        try:
+            z = complex(float(parts[0]), float(parts[1]))
+        except OverflowError:  # an integer part beyond the float range
+            z = complex(cmath.inf)
         if not cmath.isfinite(z):
             raise DomainMismatch(f"bad complex scalar {obj!r}: parts must be finite")
         return z
@@ -457,4 +462,9 @@ def domain_to_json(dom: ScalarDomain) -> dict:
 
 
 def domain_from_json(obj: dict) -> ScalarDomain:
-    return make_domain(obj["kind"], obj.get("modulus"))
+    if not isinstance(obj, dict):
+        raise DomainMismatch(f"domain must be a JSON object, got {obj!r}")
+    modulus = obj.get("modulus")
+    if modulus is not None and (isinstance(modulus, bool) or not isinstance(modulus, int)):
+        raise DomainMismatch(f"domain modulus must be an integer, got {modulus!r}")
+    return make_domain(obj.get("kind"), modulus)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import RouteDisagreement
+from .errors import PreconditionFailed, RouteDisagreement
 from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
@@ -229,6 +229,14 @@ def assert_system(
     bad = [n for n, v in res.items() if not all_within((v,), bound)]
     if bad:
         raise RouteDisagreement(f"{what}: equations {bad} fail with residuals {res}")
+
+
+def require_inner(a: StarMatrix, x: StarMatrix, tol: ToleranceThresholds, name: str = "a"):
+    """Caller guard on a supplied witness: x must be an inner inverse of a
+    (axa = a at the acceptance bound), else PreconditionFailed."""
+    res = system_residuals(SYSTEMS["one"], {"a": a, "x": x}, tol)
+    if not all_within(res.values(), acceptance_bound(a.domain, tol)):
+        raise PreconditionFailed(f"{name}_inner is not an inner inverse of {name}")
 
 
 def index_cap(a: StarMatrix) -> int:

@@ -33,7 +33,7 @@ from .domains import (
     domain_from_json,
     domain_to_json,
 )
-from .errors import DomainMismatch, ShapeMismatch, TooLarge, UnsupportedDomain
+from .errors import DomainMismatch, PreconditionFailed, ShapeMismatch, TooLarge, UnsupportedDomain
 
 _BRUTE_CAP = 2_000_000  # candidate vectors per exhaustive Z/nZ solve
 
@@ -732,10 +732,18 @@ def matrix_to_json(a: StarMatrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> StarMatrix:
-    dom = domain_from_json(obj["domain"])
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows or any(len(r) != cols for r in data):
+    if not isinstance(obj, dict):
+        raise PreconditionFailed(f"a matrix must be a JSON object, got {obj!r}")
+    for key in ("domain", "rows", "cols", "data"):
+        if key not in obj:
+            raise PreconditionFailed(f"matrix has no {key!r} field")
+    dom, rows, cols, data = domain_from_json(obj["domain"]), obj["rows"], obj["cols"], obj["data"]
+    for key, size in (("rows", rows), ("cols", cols)):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise ShapeMismatch(f"{key} must be a non-negative integer, got {size!r}")
+    if not isinstance(data, list) or len(data) != rows or any(
+        not isinstance(r, list) or len(r) != cols for r in data
+    ):
         raise ShapeMismatch("data does not match declared rows/cols")
     dec = dom.scalar_from_json
     return StarMatrix(rows, cols, tuple(tuple(dec(x) for x in r) for r in data), dom)

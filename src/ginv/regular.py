@@ -11,14 +11,12 @@ columns), which the solve decides honestly.
 
 from __future__ import annotations
 
-from .equations import SYSTEMS, assert_system, system_residuals
+from .equations import SYSTEMS, assert_system, require_inner
 from .errors import PreconditionFailed, RouteDisagreement, UnsupportedDomain
 from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
     ToleranceThresholds,
-    acceptance_bound,
-    all_within,
     full_rank_factorize,
     inverse,
     pinv,
@@ -93,9 +91,7 @@ def mp_via_unit(
     """
     if not a.is_square():
         raise PreconditionFailed("unit criterion lives in the square matrix ring")
-    res = system_residuals(SYSTEMS["one"], {"a": a, "x": a_inner}, tol)
-    if not all_within(res.values(), acceptance_bound(a.domain, tol)):
-        raise PreconditionFailed("a_inner is not an inner inverse of a")
+    require_inner(a, a_inner, tol)
     ident = StarMatrix.identity(a.rows, a.domain)
     u = a @ a.adjoint() + ident - a @ a_inner
     u_inv = inverse(u, tol)

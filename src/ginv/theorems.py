@@ -13,11 +13,13 @@ more ring elements are skipped, with a note, on rings larger than
 `TRIPLE_SIZE_LIMIT`.  Every checker is an array expression over all its
 instances at once, on the ring's whole-ring lookups (`FiniteStarRing.table`:
 solution arrays, ideal ids and memberships); five unit criteria take one
-outer letter at a time through a `_Frame`, the inner letters and inner
-inverses as array axes.  All report through `col.batch`, which counts the
-instances `col.each` would and records the failures in the order of the
-scalar loop it replaces, each with the instances up to its own counted: a
-check that ends at the cap reports what the loop did.  The loops are kept
+outer letter at a time, the inner letters and inner inverses as array axes.
+Each states its quantifiers once, as the instance grid it hands `col.batch`:
+the letters' coordinate arrays, whose broadcast shape gives the instance
+count and, in C order, the scalar loop's order, and which name a failing
+instance.  `col.batch` counts the instances `col.each` would and records the
+failures in the loop's order, each with the instances up to its own counted:
+a check that ends at the cap reports what the loop did.  The loops are kept
 as references in the tests.
 """
 
@@ -73,52 +75,63 @@ class _Collector:
             self.checked += 1
             yield item
 
-    def batch(self, size, elems, own, per_inner=()):
-        """Count size instances at once, as `each` would, and record their
-        failures in the order of the loop over them.
+    def batch(self, grid, own, per_inner=(), inner=None):
+        """Count the instances of grid at once, as `each` would, and record
+        their failures in the order of the loop over them.
 
-        own: (mask, detail) for each check of an instance itself, the mask
-        over the instances in loop order (raveled), or (mask, detail, names)
-        when names, not elems, names that check's elements.  per_inner:
-        (mask, detail) for each check repeated per inner inverse, the mask
-        over instances by inner inverses.  Within an instance the loop runs
+        grid: each quantified letter's coordinate array, in the order the
+        loop names them, broadcast to the instance grid: its size is the
+        instance count and its C order the loop's.  own: (mask, detail) for
+        each check of an instance itself, the mask over the grid, or (mask,
+        detail, names) when names, a grid of its own whose letters may be
+        functions of the position, names its elements.  per_inner: (mask,
+        detail) for each check repeated per inner inverse, the inner inverses
+        on a last axis, which inner names.  Within an instance the loop runs
         its own checks first, then each inner inverse's checks in turn, each
-        list in the order given.  A detail is a string or a function of the
-        position pos (and inner index i), elems(pos[, i]) names the elements,
-        and a failure is recorded with the instances up to its own counted.
+        list in order.  A detail is a string or a function of the position
+        (and inner index); a failure is recorded with the instances up to its
+        own counted.
         """
-        base = self.checked
-        own = [(np.ravel(mask), detail, *names) for mask, detail, *names in own]
-        hits = [mask for mask, *_ in own] + [mask.any(axis=1) for mask, _ in per_inner]
+        instances = np.broadcast(*grid.values())  # shapes only: no array is built
+        base, shape, size = self.checked, instances.shape, instances.size
+        own = [(np.ravel(m), detail, names[0] if names else grid) for m, detail, *names in own]
+        if any(m.size != size for m, *_ in own) or any(m.shape[:-1] != shape for m, _ in per_inner):
+            raise ValueError(f"a mask does not span the instance grid {shape}")
+        hits = [mask for mask, *_ in own] + [mask.any(axis=-1).ravel() for mask, _ in per_inner]
         for pos in np.flatnonzero(np.logical_or.reduce(hits)).tolist():
             self.checked = base + pos + 1
-            found = [((pos,), detail, *names) for mask, detail, *names in own if mask[pos]]
+            at = np.unravel_index(pos, shape)
+            for mask, detail, names in own:
+                if mask[pos]:
+                    self.fail(detail, pos, **_names(names, shape, at, pos))
             if per_inner:
-                at = np.logical_or.reduce([mask[pos] for mask, _ in per_inner])
-                for i in np.flatnonzero(at).tolist():
-                    found += [((pos, i), detail) for mask, detail in per_inner if mask[pos, i]]
-            for args, detail, *names in found:
-                detail = detail if isinstance(detail, str) else detail(*args)
-                self.fail(detail, **(names[0] if names else elems)(*args))
+                elems = _names(grid, shape, at, pos)
+                here = np.logical_or.reduce([mask[at] for mask, _ in per_inner])
+                for i in np.flatnonzero(here).tolist():
+                    for mask, detail in per_inner:
+                        if mask[(*at, i)]:
+                            named = elems | _names(inner, mask.shape, (*at, i), pos)
+                            self.fail(detail, pos, i, **named)
         self.checked = base + size
 
-    def fail(self, detail, **elems):
+    def fail(self, detail, *at, **elems):
+        """Record a counterexample: detail is a string or a function of at."""
+        detail = detail if isinstance(detail, str) else detail(*at)
         names = {k: self.ring.name(v) for k, v in elems.items()}
         self.ces.append({"elements": names, "detail": detail})
         if len(self.ces) >= _MAX_CE:
             raise _Full
 
 
+def _names(grid, shape, at, p):
+    """The elements of grid at index at of the broadcast shape, flat index p."""
+    return {k: int(v(p) if callable(v) else np.broadcast_to(v, shape)[at]) for k, v in grid.items()}
+
+
 def _runs(rows):
     """Start and end of each run of equal values of a sorted array."""
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     return starts, np.append(starts[1:], rows.size)
-
-
-def _at(n, second="w", **more):
-    """The names of the instance at position a * n + w of the (a, w) grid;
-    more names further elements, each a function of the position."""
-    return lambda pos, *_: {"a": pos // n, second: pos % n} | {k: f(pos) for k, f in more.items()}
 
 
 def _split(template, *conds):
@@ -141,22 +154,15 @@ def _miss_t(ring, sets, e, ys, want, left=False):
     return t
 
 
-def _holds(ring, equation, **env):
-    """Where an equation of SYSTEMS without starred letters holds, the letters
-    broadcast element arrays."""
-    _, lhs, rhs = equation
-    return _prod(ring.mul_arr, *map(env.get, lhs)) == _prod(ring.mul_arr, *map(env.get, rhs))
-
-
 def _all_solutions(ring, name):
-    """Every solution of a pair lookup per (a, b), in row a * n + b: the
-    first, then the others where there are several; -1 pads."""
+    """Every solution of a pair lookup per (a, b), on a last axis: the first,
+    then the others where there are several; -1 pads."""
     first, count = ring.table(name)
     sols = np.full((count.size, max(1, int(count.max()))), -1, dtype=first.dtype)
     sols[:, 0] = first.ravel()
     for pos in np.flatnonzero(count.ravel() > 1).tolist():
         sols[pos, : count.flat[pos]] = getattr(ring, name)(*divmod(pos, ring.size))
-    return sols
+    return sols.reshape(*count.shape, -1)
 
 
 def _some(cands, holds):
@@ -212,23 +218,22 @@ def _candidates(ring, dual=False):
 
 
 def _chk_uniqueness(ring: FiniteStarRing, col: _Collector):
-    count = ring.table("wcore_solutions")[1]
+    (a, w), count = np.indices((ring.size,) * 2, sparse=True), ring.table("wcore_solutions")[1]
     own = [(count > 1, lambda p: f"{count.flat[p]} distinct w-core inverses")]
-    col.batch(count.size, _at(ring.size), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_added_lemma(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    # instances (a, w) in rows, their w-core inverses x in columns
-    a, w = (v.reshape(-1, 1) for v in np.indices((n, n)))
-    xs = _all_solutions(ring, "wcore_solutions")
-    has, aw = xs >= 0, mul[a, w]
+    a, w = np.indices((n, n), sparse=True)
+    xs, a3, w3 = _all_solutions(ring, "wcore_solutions"), a[..., None], w[..., None]
+    has, aw = xs >= 0, mul[a3, w3]
     per_x = [
-        (has & (_prod(mul, aw, xs, a) != a), "derived equation awxa = a fails"),
+        (has & (_prod(mul, aw, xs, a3) != a3), "derived equation awxa = a fails"),
         (has & (_prod(mul, xs, aw, xs) != xs), "derived equation xawx = x fails"),
-        (has & ~ring.table("one23")[a, mul[w, xs]], "wx is not a {1,2,3}-inverse of a"),
+        (has & ~ring.table("one23")[a3, mul[w3, xs]], "wx is not a {1,2,3}-inverse of a"),
     ]
-    col.batch(n * n, lambda pos, i: _at(n)(pos) | {"x": int(xs[pos, i])}, [], per_x)
+    col.batch({"a": a, "w": w}, [], per_x, {"x": xs})
 
 
 def _chk_characteristic(ring: FiniteStarRing, col: _Collector, dual=False):
@@ -240,18 +245,19 @@ def _chk_characteristic(ring: FiniteStarRing, col: _Collector, dual=False):
     e4, e5 = SYSTEMS["dual-v-core-full" if dual else "w-core-full"][3:]
 
     def holds(equation, a, w, x):
-        return _holds(ring, equation, a=a, x=x, **{letter: w})
+        return ring._holds(equation, {"a": a, letter: w, "x": x}, "x")
 
-    a, w = (v.reshape(-1, 1) for v in np.indices((n, n)))
+    a, w = np.indices((n, n), sparse=True)
     xs = _all_solutions(ring, "dual_vcore_solutions" if dual else "wcore_solutions")
-    c1, c2 = xs[:, 0] >= 0, ((xs >= 0) & holds(e4, a, w, xs) & holds(e5, a, w, xs)).any(axis=1)
+    a3, w3, c1 = a[..., None], w[..., None], xs[..., 0] >= 0
+    c2 = ((xs >= 0) & holds(e4, a3, w3, xs) & holds(e5, a3, w3, xs)).any(axis=2)
     cands = _candidates(ring, dual)
     verdicts = {c.tobytes(): c for c in cands}  # equal masks share one verdict
-    verdicts = {k: _some(c, partial(holds, e4))[0].ravel() > 0 for k, c in verdicts.items()}
+    verdicts = {k: _some(c, partial(holds, e4))[0] > 0 for k, c in verdicts.items()}
     what = "dual conditions" if dual else "conditions"
     conds = [verdicts[c.tobytes()] for c in cands]
     split = _split(what + " (i)-(v) split as ({}, {}, {}, {}, {})", c1, c2, *conds)
-    col.batch(n * n, _at(n, letter), [split])
+    col.batch({"a": a, letter: w}, [split])
 
 
 def _chk_core_char(ring: FiniteStarRing, col: _Collector):
@@ -260,12 +266,12 @@ def _chk_core_char(ring: FiniteStarRing, col: _Collector):
     # (iii)-(v): some inner inverse meets the condition
     conds = [(inner & cand).any(axis=1) for cand in _candidates(ring)]
     split = _split("core conditions (i)-(v) split as ({}, {}, {}, {}, {})", c1, c2, *conds)
-    col.batch(n, lambda a: {"a": a}, [split])
+    col.batch({"a": np.arange(n)}, [split])
 
 
 def _chk_ideal_form(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    a, w = np.ogrid[:n, :n]
+    a, w = np.indices((n, n), sparse=True)
     aw, (first, count), core = mul, ring.table("wcore_solutions"), ring.table("core_inv")
     li, lhs = ring.table("left_ideal")[1], count > 0
     ideal = [li[mul[_prod(mul, *[star[aw]] * k), a], a] for k in (2, 3)]
@@ -279,14 +285,14 @@ def _chk_ideal_form(ring: FiniteStarRing, col: _Collector):
         _split("(i)={}, (ii,n=2)={}, (ii,n=3)={}, (iii)={}", lhs, n2, n3, c3),
         (lhs & (first != core[aw]), "a_w differs from (aw)_core"),
         (lhs & (wpa < 0), "w-core exists but w^{||a} does not"),
-        (misses, "w^{||a} w (aw)^{(1,3)} misses the value", _at(n, t=t)),
+        (misses, "w^{||a} w (aw)^{(1,3)} misses the value", {"a": a, "w": w, "t": t}),
     ]
-    col.batch(n * n, _at(n), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_relate_to_mary(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    a = np.arange(n)[:, None]
+    a, w = np.indices((n, n), sparse=True)
     (first, count), wpa = ring.table("wcore_solutions"), ring.table("along")[0].T
     t13 = ring.table("one_three_set")
     ex, has13 = count > 0, t13.any(axis=1)[a]
@@ -295,15 +301,15 @@ def _chk_relate_to_mary(ring: FiniteStarRing, col: _Collector):
     t = _miss_t(ring, ring.one_three_set, a, [wpa], first)
     own = [
         _split("existence {} vs (w^(||a)), a^(1,3) criterion {}", ex, rhs),
-        (misses, "w^{||a} a^{(1,3)} misses the value", _at(n, t=t)),
+        (misses, "w^{||a} a^{(1,3)} misses the value", {"a": a, "w": w, "t": t}),
         (both & (mul[first, a] != wpa), "w^{||a} != a_w a"),
     ]
-    col.batch(n * n, _at(n), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_relate_to_dual_mary(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    a, v = np.ogrid[:n, :n]
+    a, v = np.indices((n, n), sparse=True)
     (first, count), vpa = ring.table("dual_vcore_solutions"), ring.table("along")[0].T
     t14, g = ring.table("one_four_set"), ring.table("group_inv")
     ex, has14 = count > 0, t14.any(axis=1)[a]
@@ -316,16 +322,16 @@ def _chk_relate_to_dual_mary(ring: FiniteStarRing, col: _Collector):
     t = _miss_t(ring, ring.one_four_set, a, [vpa], first, left=True)
     own = [
         _split("existence {} vs (v^(||a)), a^(1,4) criterion {}", ex, rhs),
-        (misses, "a^{(1,4)} v^{||a} misses the value", _at(n, "v", t=t)),
+        (misses, "a^{(1,4)} v^{||a} misses the value", {"a": a, "v": v, "t": t}),
         (lost, "va or av lost group invertibility"),
         (both & ~lost & (t0 >= 0) & formulas, "dual group formulas miss the value"),
     ]
-    col.batch(n * n, _at(n, "v"), own)
+    col.batch({"a": a, "v": v}, own)
 
 
 def _chk_group_result(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    a, w = np.ogrid[:n, :n]
+    a, w = np.indices((n, n), sparse=True)
     aw, wa, wpa, g = mul, mul.T, ring.table("along")[0].T, ring.table("group_inv")
     ri, li = ring.table("right_ideal")[0], ring.table("left_ideal")[0]
     ex, left, right = wpa >= 0, mul[a, g[wa]], mul[g[aw], a]
@@ -335,12 +341,12 @@ def _chk_group_result(ring: FiniteStarRing, col: _Collector):
         _split("(i)={}, (ii)={}, (iii)={}", ex, c2, c3),
         (disagree, "a(wa)^# / (aw)^# a disagree with w^{||a}"),
     ]
-    col.batch(n * n, _at(n), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_extended_repre(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    a, w = np.ogrid[:n, :n]
+    a, w = np.indices((n, n), sparse=True)
     (first, count), g = ring.table("wcore_solutions"), ring.table("group_inv")
     t13 = ring.table("one_three_set")
     g_wa, g_aw = g[mul[w, a]], g[mul[a, w]]
@@ -351,9 +357,9 @@ def _chk_extended_repre(ring: FiniteStarRing, col: _Collector):
     t = _miss_t(ring, ring.one_three_set, a, [y1, y2], first)
     own = [
         (lost, "wa or aw lost group invertibility"),
-        (misses, "extended representations miss the value", _at(n, t=t)),
+        (misses, "extended representations miss the value", {"a": a, "w": w, "t": t}),
     ]
-    col.batch(n * n, _at(n), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_core_another(ring: FiniteStarRing, col: _Collector):
@@ -368,7 +374,7 @@ def _chk_core_another(ring: FiniteStarRing, col: _Collector):
         (both & (mul[a, acore] != core), "a_core != a a_a"),
         (both & (mul[g, core] != acore), "a_a != a^# a_core"),
     ]
-    col.batch(n, lambda a: {"a": a}, own)
+    col.batch({"a": a}, own)
 
 
 def _chk_core_another_1(ring: FiniteStarRing, col: _Collector):
@@ -395,7 +401,7 @@ def _chk_core_another_1(ring: FiniteStarRing, col: _Collector):
         (kept & c2 & (mul[an, first[an, a]] != x0), detail("a^D != a^n (a^n)_a")),
         (kept & c3 & (mul[prev, core] != x0), detail("a^D != a^(n-1) (a^n)_core")),
     ]
-    col.batch(3 * n, lambda p: {"a": p // 3}, own)
+    col.batch({"a": np.broadcast_to(a, an.shape)}, own)
 
 
 def _chk_star_core_another(ring: FiniteStarRing, col: _Collector):
@@ -410,45 +416,40 @@ def _chk_star_core_another(ring: FiniteStarRing, col: _Collector):
         (star_miss, "a^dag != (a_{a*} a)* or (a a_{a*,dual})*"),
         (value_miss, "a_{a*} != (a^+)* a^+ or dual != a^+ (a^+)*"),
     ]
-    col.batch(n, lambda a: {"a": a}, own)
-
-
-def _at3(n):
-    """The names of the instance at position (a * n + w) * n + v."""
-    return lambda pos: dict(zip("awv", map(int, np.unravel_index(pos, (n, n, n)))))
+    col.batch({"a": a}, own)
 
 
 def _chk_wv_core_char(ring: FiniteStarRing, col: _Collector):
-    n = ring.size
-    ew, ev = (ring.table(k)[1] > 0 for k in ("wcore_solutions", "dual_vcore_solutions"))
+    a, w, v = np.indices((ring.size,) * 3, sparse=True)
+    ew, ev = (ring.table(k)[1] > 0 for k in _PAIRS)
     in_a, mp = ring.table("along")[0].T >= 0, ring.table("mp_inv") >= 0  # [a, w]: w^{||a}
     joint = ew[:, :, None] & ev[:, None, :]
     crit = in_a[:, :, None] & in_a[:, None, :] & mp[:, None, None]
-    col.batch(n**3, _at3(n), [_split("joint existence {} vs criterion {}", joint, crit)])
+    col.batch({"a": a, "w": w, "v": v}, [_split("joint existence {} vs criterion {}", joint, crit)])
 
 
 def _chk_star_duality(ring: FiniteStarRing, col: _Collector):
     n, star = ring.size, ring.star_arr
-    sa, sw = np.ogrid[:n, :n]
-    sa, sw = star[sa], star[sw]
+    a, w = np.indices((n, n), sparse=True)
+    sa, sw = star[a], star[w]
     (first, count), (dual_first, dual_count) = map(ring.table, _PAIRS)
     ex, exd = count > 0, dual_count[sa, sw] > 0
     own = [
         _split("existence {} does not transfer across *", ex, exd),
         (ex & exd & (star[first] != dual_first[sa, sw]), "(a_w)* != (a*)_{w*,dual}"),
     ]
-    col.batch(n * n, _at(n), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_wcore_of_wcore(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    first, count = ring.table("wcore_solutions")
+    (a, w), (first, count) = np.indices((n, n), sparse=True), ring.table("wcore_solutions")
     ex, core = count > 0, ring.table("core_inv")[first]
     own = [
         (ex & (core < 0), "a_w is not core invertible"),
         (ex & (core >= 0) & (core != _prod(mul, mul, mul, first)), "(a_w)_core != (aw)^2 a_w"),
     ]
-    col.batch(n * n, _at(n), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_wv_mary(ring: FiniteStarRing, col: _Collector):
@@ -459,42 +460,41 @@ def _chk_wv_mary(ring: FiniteStarRing, col: _Collector):
     (first, count), (dual_first, dual_count) = ((x[sel] for x in ring.table(k)) for k in _PAIRS)
     al, ald = along[mul[a, w], mul[a, star[a]]], along[mul[w, a], mul[star[a], a]]
     ex, exd, has, hasd = count > 0, dual_count > 0, al >= 0, ald >= 0
-
-    def at(second):
-        return lambda pos: {"a": int(sel[pos // n]), second: pos % n}
-
+    dual = {"a": a, "v": w}  # the dual halves name their second letter v
     own = [
         _split("w-core {} vs (aw)^(||aa*) {}", ex, has),
         (ex & has & (first != al), "w-core value differs from (aw)^{||aa*}"),
-        (*_split("dual {} vs (va)^(||a*a) {}", exd, hasd), at("v")),
-        (exd & hasd & (dual_first != ald), "dual value differs from (va)^{||a*a}", at("v")),
+        (*_split("dual {} vs (va)^(||a*a) {}", exd, hasd), dual),
+        (exd & hasd & (dual_first != ald), "dual value differs from (va)^{||a*a}", dual),
     ]
-    col.batch(sel.size * n, at("w"), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_relations_bc(ring: FiniteStarRing, col: _Collector):
-    n, mul, b3 = ring.size, ring.mul_arr, SYSTEMS["bc"][2]  # xax = x: an outer inverse
+    n, mul = ring.size, ring.mul_arr
+    outer = partial(ring._holds, SYSTEMS["bc"][2], unknown="x")  # xax = x: an outer inverse
     # the outer inverses y of aw with yR = aR and Ry = Ra*, and those of va
     # with yR = a*R and Ry = Ra: the (a, a*)- and (a*, a)-inverses
-    bc, bc_first = _some(_candidates(ring)[0], lambda a, w, y: _holds(ring, b3, a=mul[a, w], x=y))
-    bcd, bcd_first = _some(
-        _candidates(ring, dual=True)[0], lambda a, v, y: _holds(ring, b3, a=mul[v, a], x=y)
-    )
+    cands, dual_cands = _candidates(ring)[0], _candidates(ring, dual=True)[0]
+    bc, bc_first = _some(cands, lambda a, w, y: outer({"a": mul[a, w], "x": y}))
+    bcd, bcd_first = _some(dual_cands, lambda a, v, y: outer({"a": mul[v, a], "x": y}))
+    a, w = np.indices((n, n), sparse=True)
     (first, count), (dual_first, dual_count) = map(ring.table, _PAIRS)
     ex, exd, has, hasd = count > 0, dual_count > 0, bc > 0, bcd > 0
     differs = exd & hasd & ((bcd != 1) | (bcd_first != dual_first))
     own = [
         _split("w-core {} vs (a,a*)-invertibility of aw {}", ex, has),
         (ex & has & ((bc != 1) | (bc_first != first)), "(a,a*)-inverse of aw differs from a_w"),
-        (*_split("dual {} vs (a*,a)-invertibility of va {}", exd, hasd), _at(n, "v")),
-        (differs, "(a*,a)-inverse of va differs from a_{v,dual}", _at(n, "v")),
+        (*_split("dual {} vs (a*,a)-invertibility of va {}", exd, hasd), {"a": a, "v": w}),
+        (differs, "(a*,a)-inverse of va differs from a_{v,dual}", {"a": a, "v": w}),
     ]
-    col.batch(n * n, _at(n), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_green_drazin(ring: FiniteStarRing, col: _Collector):
     kinds = ("right_ideal", "left_ideal", "right_ann", "left_ann")
     (_, r_sets), (_, l_sets), (ra, ra_sets), (la, la_sets) = map(ring.table, kinds)
+    a, b = np.indices((ring.size,) * 2, sparse=True)
     # [a, b]: a in bR, a in Rb, ^0 b in ^0 a, b^0 in a^0
     leq_r, leq_l = r_sets.T, l_sets.T
     la_in, ra_in = _subsets(la, la_sets)[la, la[:, None]], _subsets(ra, ra_sets)[ra, ra[:, None]]
@@ -504,7 +504,7 @@ def _chk_green_drazin(ring: FiniteStarRing, col: _Collector):
         (leq_r & r_sets & (la[:, None] != la), "a R b but left annihilators differ"),
         (leq_l & l_sets & (ra[:, None] != ra), "a L b but right annihilators differ"),
     ]
-    col.batch(ring.size**2, _at(ring.size, "b"), own)
+    col.batch({"a": a, "b": b}, own)
 
 
 # ---------------------------------------------------------------------------
@@ -534,63 +534,46 @@ def _prod(mul, *factors):
     return acc
 
 
-class _Frame:
-    """The outer letter a of a unit criterion, with a* and its inner inverses
-    a⁻, and read from the ring's whole-ring lookups: whether a^dag exists
-    (`mp`), x^{||a} for every x (`along`) and a_w and a_{w,dual} for every w
-    (`cores`), the rows -1 where they do not exist."""
-
-    def __init__(self, ring, a, inners):
-        self.ring, self.a, self.sa = ring, a, ring.star_t[a]
-        self.inners, self.k = inners, len(inners)
-        self.mp = bool(ring.table("mp_inv")[a] >= 0)
-        self.along = ring.table("along")[0][:, a]
-        self.cores = [ring.table(k)[0][a] for k in _PAIRS]
-
-    def names(self, n, w_rows=True):
-        """The names of the instance at position r * n + c, rows r the w and
-        columns c the v (or the other way round), with the inner inverse i."""
-
-        def elems(pos, *inner):
-            w, v = divmod(pos, n) if w_rows else divmod(pos, n)[::-1]
-            return {"a": self.a, "w": w, "v": v} | {"a_inner": self.inners[i] for i in inner}
-
-        return elems
-
-    def units(self, *words, **letters):
-        """`_units` of the frame's letter, with a last axis over a⁻."""
-        letters = {k: np.asarray(v)[..., None] for k, v in letters.items()}
-        return _units(self.ring, self.a, self.inners, *words, **letters)
+def _words(ring, words, **letters):
+    """Each word with its product over a, a* and the letters (elements or
+    element arrays) at every a, on a first axis before the letters' axes."""
+    a = np.arange(ring.size).reshape(-1, *[1] * max(map(np.ndim, letters.values()), default=0))
+    return [(word, ring._eval(word, {"a": a, **letters}, None)) for word in words]
 
 
-def _units(ring, a, inners, *words, **letters):
-    """The unit x + 1 - e of each word x over a, a* and the letters (elements
-    or element arrays, broadcast with a and its inner inverses a⁻): e is aa⁻
-    when x starts with a, so lies in aR, and a⁻a when it ends with a."""
+def _units(ring, a, inners, words):
+    """The unit x + 1 - e of each word of `_words`, x its product at a
+    (broadcast with a and its inner inverses a⁻): e is aa⁻ when the word
+    starts with a, so x lies in aR, and a⁻a when it ends with a."""
     mul, add, one_minus = ring.mul_arr, ring.add_arr, ring.add_arr[ring.one, ring.neg_arr]
     ends = one_minus[mul[a, inners]], one_minus[mul[inners, a]]  # 1 - aa⁻, 1 - a⁻a
-    env = {"a": a, "a*": ring.star_arr[a], **letters}
-    return [add[_prod(mul, *map(env.get, w)), ends[w[0] != "a"]] for w in map(str.split, words)]
+    return [add[x[a], ends[word[0] != "a"]] for word, x in words]
 
 
 # the units of the single-w criteria and of the (v, w) criteria
-_W_UNITS = ("a w a a*", "a a* a w", "w a a* a", "a* a w a")
-_VW_UNITS = ("a w a v a a*", "a v a w a a*", "w a v a a* a", "v a w a a* a")
+_W_UNITS = (
+    ("a", "w", "a", "a*"), ("a", "a*", "a", "w"), ("w", "a", "a*", "a"), ("a*", "a", "w", "a")
+)
+_VW_UNITS = (
+    ("a", "w", "a", "v", "a", "a*"), ("a", "v", "a", "w", "a", "a*"),
+    ("w", "a", "v", "a", "a*", "a"), ("v", "a", "w", "a", "a*", "a"),
+)
 
 
 def _frames(ring, regular=True):
-    """The frame of each element in turn; when regular, only of those with an
-    inner inverse."""
+    """Each element a in turn with its inner inverses a⁻; when regular, only
+    those with one."""
     inner = ring.table("inner_inverses")
     for a in range(ring.size):
-        inners = np.flatnonzero(inner[a]).tolist()
-        if inners or not regular:
-            yield _Frame(ring, a, inners)
+        inners = np.flatnonzero(inner[a])
+        if inners.size or not regular:
+            yield a, inners
 
 
 def _chk_idempotent(ring: FiniteStarRing, col: _Collector):
     n, mul, add = ring.size, ring.mul_arr, ring.add_arr
     units, (first, count) = _Units(ring), ring.table("wcore_solutions")
+    a, w = np.indices((n, n), sparse=True)
     # [a, w]: the projections p with pa = 0 and p + aw a unit, and the first
     found, p0 = np.zeros((n, n), dtype=np.int32), np.zeros((n, n), dtype=np.int32)
     for p in reversed(ring.projections()):
@@ -607,7 +590,7 @@ def _chk_idempotent(ring: FiniteStarRing, col: _Collector):
         (ex & crit & (found != 1), lambda pos: f"projection not unique ({found.flat[pos]} found)"),
         (miss, "u^{-1}(1-p) misses the w-core inverse"),
     ]
-    col.batch(n * n, _at(n), own)
+    col.batch({"a": a, "w": w}, own)
 
 
 def _chk_jacobson(ring: FiniteStarRing, col: _Collector):
@@ -621,40 +604,36 @@ def _chk_jacobson(ring: FiniteStarRing, col: _Collector):
     miss = np.zeros(n * n, dtype=bool)
     miss[need] = units.inv(beta.flat[need]) != expected
     own = [(ua & ~ub, "1-ab invertible but 1-ba is not"), (miss, "beta^{-1} != 1 + b alpha^{-1} a")]
-    col.batch(n * n, _at(n, "b"), own)
+    col.batch({"a": np.arange(n)[:, None], "b": np.arange(n)}, own)
 
 
 def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
-    n, mul = ring.size, ring.mul_arr
-    units = _Units(ring)
-    xs = np.arange(n)
-    for f in _frames(ring):
+    n, mul, units, along = ring.size, ring.mul_arr, _Units(ring), ring.table("along")[0]
+    xs = np.arange(n)[:, None]
+    words = _words(ring, (("a", "x"), ("x", "a")), x=xs)
+    for d, inners in _frames(ring):
         # the frame's letter is d; instances (a, d⁻): rows a, columns d⁻
-        d, k, ex = f.a, f.k, f.along
+        ex, k = along[:, d], inners.size
         has = (ex >= 0)[:, None]
-        u, v = f.units("a x", "x a", x=xs)
+        u, v = _units(ring, d, inners, words)
         bad = (has != units.bits[u]) | (has != units.bits[v])
         need = np.flatnonzero(~bad & has)
         miss = np.zeros(n * k, dtype=bool)
         miss[need] = (mul[units.inv(u.ravel()[need]), d] != ex[need // k]) | (
             mul[d, units.inv(v.ravel()[need])] != ex[need // k]
         )
-
-        def elems(pos):
-            a, i = divmod(pos, k)
-            return {"a": a, "d": d, "d_inner": f.inners[i]}
-
         own = [
-            (bad.ravel(), "unit criteria disagree with existence"),
+            (bad, "unit criteria disagree with existence"),
             (miss, "u^{-1} d / d v^{-1} miss a^{||d}"),
         ]
-        col.batch(n * k, elems, own)
+        col.batch({"a": xs, "d": d, "d_inner": inners}, own)
 
 
 def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
     mul, star = ring.mul_arr, ring.star_arr
     a, inner = np.nonzero(ring.table("inner_inverses"))  # instances (a, a⁻), a-major
-    (u, v), mp = _units(ring, a, inner, "a a*", "a* a"), ring.table("mp_inv")[a]
+    u, v = _units(ring, a, inner, _words(ring, (("a", "a*"), ("a*", "a"))))
+    mp = ring.table("mp_inv")[a]
     units, ex = _Units(ring), mp >= 0
     bad = (ex != units.bits[u]) | (ex != units.bits[v])
     need = np.flatnonzero(ex & ~bad)
@@ -666,148 +645,148 @@ def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
         (miss_u, "(u^{-1} a)* misses a^dag"),
         (miss_v, "(a v^{-1})* misses a^dag"),
     ]
-    col.batch(a.size, lambda p: {"a": int(a[p]), "a_inner": int(inner[p])}, own)
+    col.batch({"a": a, "a_inner": inner}, own)
 
 
 def _chk_mp_ideal_char(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    a, x = np.ogrid[:n, :n]
+    a, x = np.indices((n, n), sparse=True)
     e, mp = _prod(mul, a, star[a], a), ring.table("mp_inv")[:, None]
     c1, c2, c3 = mp >= 0, ring.table("right_ideal")[1][e, a], ring.table("left_ideal")[1][e, a]
     # the first x with ex = a and (ax)* != a^dag, or with xe = a and (xa)* != a^dag
     right = (mul[e, x] == a) & (star[mul[a, x]] != mp)
     miss = right | ((mul[x, e] == a) & (star[mul[x, a]] != mp))
-    first, split = miss.argmax(axis=1), _split("(i)={}, (ii)={}, (iii)={}", c1, c2, c3)
-    at_first, named = right[a[:, 0], first], lambda a: {"a": a, "x": int(first[a])}
+    first, split = miss.argmax(axis=1)[:, None], _split("(i)={}, (ii)={}, (iii)={}", c1, c2, c3)
+    at_first, named = right[a, first].ravel(), {"a": a, "x": first}
     found = ~split[0] & c1.ravel() & miss.any(axis=1)
     own = [
         split,
         (found & at_first, "(ax)* misses a^dag", named),
         (found & ~at_first, "(ya)* misses a^dag", named),
     ]
-    col.batch(n, lambda a: {"a": a}, own)
+    col.batch({"a": a}, own)
 
 
 def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    units = _Units(ring)
-    v, w = np.arange(n)[:, None], np.arange(n)[None, :]
-    for f in _frames(ring, regular=False):
-        a, sa, k, (wc, dv), in_a = f.a, f.sa, f.k, f.cores, f.along >= 0
+    units, mp, along = _Units(ring), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    (wcore, _), (dual, _) = map(ring.table, _PAIRS)
+    v, w = np.indices((n, n), sparse=True)
+    words = _words(ring, _VW_UNITS, w=w[..., None], v=v[..., None])
+    for a, inners in _frames(ring, regular=False):
+        sa, wc, dv, in_a = star[a], wcore[a], dual[a], along[:, a]
         # instances (v, w): rows v, columns w; the units add an axis for a⁻
         vpa = in_a[:, None]
         joint = (dv >= 0)[:, None] & (wc >= 0)
-        c2 = in_a & f.mp
-        u, r, s, t = f.units(*_VW_UNITS, w=w, v=v)
+        c2 = in_a & mp[a]
+        u, r, s, t = _units(ring, a, inners, words)
         oks = units.bits[np.stack([u, r, s, t])]
         bad = vpa[..., None] & (oks != joint[..., None]).any(axis=0)
         need = np.flatnonzero(vpa[..., None] & ~bad & joint[..., None])
         vn, wn, _ = np.unravel_index(need, bad.shape)
         mid = star[_prod(mul, units.inv(u.ravel()[need]), a, wn, a, vn, a)]
-        miss_w, miss_v = np.zeros((2, n * n * k), dtype=bool)
+        miss_w, miss_v = np.zeros((2, bad.size), dtype=bool)
         miss_w[need] = _prod(mul, a, vn, a, sa, a, units.inv(s.ravel()[need]), mid) != wc[wn]
         miss_v[need] = _prod(mul, mid, a, wn, a, sa, a, units.inv(t.ravel()[need])) != dv[vn]
-        oks = oks.reshape(4, n * n, k)
+        oks = oks.reshape(4, n * n, inners.size)
 
         own = [
-            ((~vpa & joint).ravel(), "joint existence without v in R^{||a}"),
-            (
-                (vpa & (joint != c2)).ravel(),
-                lambda pos: f"(i)={joint.flat[pos]} vs (ii)={c2[pos % n]}",
-            ),
+            (~vpa & joint, "joint existence without v in R^{||a}"),
+            (vpa & (joint != c2), lambda pos: f"(i)={joint.flat[pos]} vs (ii)={c2[pos % n]}"),
         ]
         per_inner = [
             (
-                bad.reshape(n * n, k),
+                bad,
                 lambda pos, i: f"units {tuple(oks[:, pos, i].tolist())} "
                 f"vs joint existence {joint.flat[pos]}",
             ),
-            (miss_w.reshape(n * n, k), "joint formula misses a_w"),
-            (miss_v.reshape(n * n, k), "joint formula misses a_{v,dual}"),
+            (miss_w.reshape(bad.shape), "joint formula misses a_w"),
+            (miss_v.reshape(bad.shape), "joint formula misses a_{v,dual}"),
         ]
-        col.batch(n * n, f.names(n, w_rows=False), own, per_inner)
+        col.batch({"a": a, "w": w, "v": v}, own, per_inner, {"a_inner": inners})
 
 
 def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    units = _Units(ring)
-    ws = np.arange(n)
-    for f in _frames(ring):
-        a, sa, k, (wc, dv), in_a = f.a, f.sa, f.k, f.cores, f.along >= 0
+    units, mp, along = _Units(ring), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    (wcore, _), (dual, _) = map(ring.table, _PAIRS)
+    w, v = np.indices((n, n), sparse=True)
+    words = _words(ring, _W_UNITS, w=w)
+    for a, inners in _frames(ring):
+        sa, wc, dv, in_a = star[a], wcore[a], dual[a], along[:, a]
         # instances (w, v): rows w, columns v; the units add an axis for a⁻
         joint = (wc >= 0)[:, None] & (dv >= 0)
-        c2 = in_a[:, None] & in_a & f.mp
-        u, r, s, t = f.units(*_W_UNITS, w=ws)
+        c2 = in_a[:, None] & in_a & mp[a]
+        u, r, s, t = _units(ring, a, inners, words)
         conds = in_a[:, None] & units.bits[np.stack([u, r, s, t])][:, :, None, :]
         bad = (conds != joint[..., None]).any(axis=0)
         need = np.flatnonzero(~bad & joint[..., None])
         wn, _, i_n = np.unravel_index(need, bad.shape)
         mid = star[_prod(mul, units.inv(u[wn, i_n]), a, wn, a)]
-        miss = np.zeros(n * n * k, dtype=bool)
-        miss[need] = _prod(mul, a, sa, a, units.inv(s[wn, i_n]), mid) != wc[wn]
-        conds = conds.reshape(4, n * n, k)
+        miss = np.zeros(bad.shape, dtype=bool)
+        miss.flat[need] = _prod(mul, a, sa, a, units.inv(s[wn, i_n]), mid) != wc[wn]
+        conds = conds.reshape(4, n * n, inners.size)
 
-        own = [((joint != c2).ravel(), lambda pos: f"(i)={joint.flat[pos]} vs (ii)={c2.flat[pos]}")]
+        own = [_split("(i)={} vs (ii)={}", joint, c2)]
         per_inner = [
             (
-                bad.reshape(n * n, k),
+                bad,
                 lambda pos, i: f"(iii)-(vi)={tuple(conds[:, pos, i].tolist())} "
                 f"vs (i)={joint.flat[pos]}",
             ),
-            (miss.reshape(n * n, k), "single-w unit formula misses a_w"),
+            (miss, "single-w unit formula misses a_w"),
         ]
-        col.batch(n * n, f.names(n), own, per_inner)
+        col.batch({"a": a, "w": w, "v": v}, own, per_inner, {"a_inner": inners})
 
 
 def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    units = _Units(ring)
-    w, v = np.arange(n)[:, None], np.arange(n)[None, :]
-    for f in _frames(ring, regular=False):
-        a, k, (wc, dv), in_a = f.a, f.k, f.cores, f.along >= 0
-        mp = f.mp
+    units, mp, along = _Units(ring), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    (wcore, _), (dual, _) = map(ring.table, _PAIRS)
+    w, v = np.indices((n, n), sparse=True)
+    words = _words(ring, _VW_UNITS, w=w[..., None], v=v[..., None])
+    for a, inners in _frames(ring, regular=False):
+        wc, dv, in_a = wcore[a], dual[a], along[:, a]
         # instances (w, v): rows w, columns v; the units add an axis for a⁻
         joint = (wc >= 0)[:, None] & (dv >= 0)
-        c2 = in_a[_prod(mul, w, a, v)] & mp
-        c3 = in_a[_prod(mul, v, a, w)] & mp
-        oks = units.bits[np.stack(f.units(*_VW_UNITS, w=w, v=v))]
+        c2 = in_a[_prod(mul, w, a, v)] & mp[a]
+        c3 = in_a[_prod(mul, v, a, w)] & mp[a]
+        oks = units.bits[np.stack(_units(ring, a, inners, words))]
         bad = (oks != joint[..., None]).any(axis=0)
-        oks = oks.reshape(4, n * n, k)
+        oks = oks.reshape(4, n * n, inners.size)
 
-        own = [
-            (
-                (~((joint == c2) & (c2 == c3))).ravel(),
-                lambda pos: f"(i)={joint.flat[pos]}, (ii)={c2.flat[pos]}, (iii)={c3.flat[pos]}",
-            )
-        ]
+        own = [_split("(i)={}, (ii)={}, (iii)={}", joint, c2, c3)]
         per_inner = [
             (
-                bad.reshape(n * n, k),
+                bad,
                 lambda pos, i: f"Dedekind units {tuple(oks[:, pos, i].tolist())} "
                 f"vs joint {joint.flat[pos]}",
             )
         ]
-        col.batch(n * n, f.names(n), own, per_inner)
+        col.batch({"a": a, "w": w, "v": v}, own, per_inner, {"a_inner": inners})
 
 
 def _chk_along_product(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    a, w, v = np.ogrid[:n, :n, :n]
+    a, w, v = np.indices((n, n, n), sparse=True)
     in_a = ring.table("along")[0] >= 0  # [x, d]: x^{||d}
     both, prod = in_a[w, a] & in_a[v, a], in_a[_prod(mul, w, a, v), a]
-    col.batch(n**3, _at3(n), [_split("w,v in R^(||a) = {} but wav criterion = {}", both, prod)])
+    split = _split("w,v in R^(||a) = {} but wav criterion = {}", both, prod)
+    col.batch({"a": a, "w": w, "v": v}, [split])
 
 
 def _chk_intersect(ring: FiniteStarRing, col: _Collector):
-    n, mul = ring.size, ring.mul_arr
-    units = _Units(ring)
-    ws = np.arange(n)
-    for f in _frames(ring):
-        a, sa, k, (wc, dv) = f.a, f.sa, f.k, f.cores
+    n, mul, star = ring.size, ring.mul_arr, ring.star_arr
+    units, mp, along = _Units(ring), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    (wcore, _), (dual, _) = map(ring.table, _PAIRS)
+    w = np.arange(n)[:, None]
+    words = _words(ring, _W_UNITS, w=w)
+    for a, inners in _frames(ring):
+        sa, wc, dv, k = star[a], wcore[a], dual[a], inners.size
         ew = wc >= 0
-        joint, c2, c3 = ew & (dv >= 0), (f.along >= 0) & f.mp, ew & (dv[sa] >= 0)
+        joint, c2, c3 = ew & (dv >= 0), along[:, a] & mp[a], ew & (dv[sa] >= 0)
         # instances (w, a⁻): rows w, columns a⁻
-        u, t, s, r = f.units(*_W_UNITS, w=ws)
+        u, t, s, r = _units(ring, a, inners, words)
         oks = units.bits[np.stack([u, r, s, t])]
         bad = ~((joint == c2) & (c2 == c3))[:, None] | (oks != joint[:, None]).any(axis=0)
         need = np.flatnonzero(~bad & joint[:, None])
@@ -816,28 +795,24 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
         miss_s[need] = _prod(mul, sa, a, units.inv(s.ravel()[need])) != dv[need // k]
         oks = oks.reshape(4, -1)
 
-        def elems(pos):
-            wi, i = divmod(pos, k)
-            return {"a": a, "w": wi, "a_inner": f.inners[i]}
-
         def split(pos):
             wi = pos // k
             units_ok = tuple(oks[:, pos].tolist())
             return f"(i)={joint[wi]}, (ii)={c2[wi]}, (iii)={c3[wi]}, units={units_ok}"
 
         own = [
-            (bad.ravel(), split),
+            (bad, split),
             (miss_t, "t^{-1} a a* misses a_w"),
             (miss_s, "a* a s^{-1} misses a_{w,dual}"),
         ]
-        col.batch(n * k, elems, own)
+        col.batch({"a": a, "w": w, "a_inner": inners}, own)
 
 
 def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
     mul, units = ring.mul_arr, _Units(ring)
     a, inner = np.nonzero(ring.table("inner_inverses"))  # instances (a, a⁻), a-major
     # the core inverse is the w-core inverse at w = 1
-    (u, t, s, v), sa = _units(ring, a, inner, *_W_UNITS, w=ring.one), ring.star_arr[a]
+    (u, t, s, v), sa = _units(ring, a, inner, _words(ring, _W_UNITS, w=ring.one)), ring.star_arr[a]
     core, dual = ring.table("core_inv")[a], ring.table("dual_core_inv")[a]
     joint = (core >= 0) & (dual >= 0)
     c2 = (ring.table("group_inv")[a] >= 0) & (ring.table("mp_inv")[a] >= 0)
@@ -852,7 +827,7 @@ def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
         (miss_t, "t^{-1} a a* misses a_core"),
         (miss_s, "a* a s^{-1} misses a_dual_core"),
     ]
-    col.batch(a.size, lambda p: {"a": int(a[p]), "a_inner": int(inner[p])}, own)
+    col.batch({"a": a, "a_inner": inner}, own)
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +876,7 @@ def search_ideal_form_n1(ring: FiniteStarRing) -> list[tuple[int, int]]:
     hits are reported for inspection and never treated as failures.
     """
     mul, star = ring.mul_arr, ring.star_arr
-    a, w = np.ogrid[: ring.size, : ring.size]
+    a, w = np.indices((ring.size,) * 2, sparse=True)
     hits = ring.table("left_ideal")[1][mul[star[mul[a, w]], a], a]
     hits &= ring.table("wcore_solutions")[1] == 0
     return [tuple(pair) for pair in np.argwhere(hits).tolist()]

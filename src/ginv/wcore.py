@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from .along import bc_inverse, inverse_along
 from .classical import core_ep_inverse, core_inverse, group_inverse
-from .equations import InverseResult, certify
+from .equations import InverseResult, certify, require_inner
 from .errors import (
     DomainMismatch,
     PreconditionFailed,
@@ -65,15 +65,6 @@ W_CORE_ROUTES = (
     "section3_unit",
     "as_along",
     "as_bc",
-)
-
-DUAL_V_CORE_ROUTES = (
-    "mary_14",
-    "dual_core_of_va",
-    "group_va",
-    "group_av",
-    "rank_formula",
-    "section3_unit",
 )
 
 # domains where the conjugate involution is definite: a* a = 0 forces a = 0,
@@ -320,6 +311,7 @@ _DUAL_FORM = _Form(
         "section3_unit": "section3_unit_dual",
     },
 )
+DUAL_V_CORE_ROUTES = tuple(_DUAL_FORM.routes)
 
 
 def _solve(
@@ -411,8 +403,13 @@ def w_core(
     tol: ToleranceThresholds = DEFAULT_TOL,
     a_inner: StarMatrix | None = None,
 ) -> InverseResult:
-    """The w-core inverse of a, certified against its defining equations."""
+    """The w-core inverse of a, certified against its defining equations.
+
+    a_inner, an inner inverse of a that the section3_unit route reads, is
+    checked when given: PreconditionFailed when a a_inner a != a."""
     _check_pair(a, w)
+    if a_inner is not None:
+        require_inner(a, a_inner, tol)
     return _solve(_W_FORM, a, w, route, _Context(a, w, tol, a_inner=a_inner))
 
 
@@ -604,6 +601,8 @@ def section3_units(
     _check_pair(a, v)
     if a_inner is None:
         a_inner = inner_inverse(a, tol)
+    else:
+        require_inner(a, a_inner, tol)
     ident = StarMatrix.identity(a.rows, a.domain)
     astar = a.adjoint()
     aa_in = a @ a_inner

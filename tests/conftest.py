@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import ginv.along
 from ginv import StarMatrix
 from ginv.domains import (
     COMPLEX_FLOAT,
@@ -116,6 +117,21 @@ def frac(p, q=1):
 
 def gr(re, im=0):
     return GaussianRational(re, im)
+
+
+@pytest.fixture
+def failing_bc_certificate(monkeypatch):
+    """bc_inverse's certificate reports a residual above every bound; the
+    certificates of other kinds are left alone."""
+    real = ginv.along.certify
+
+    def certify(kind, env, *args, **kwargs):
+        cert = real(kind, env, *args, **kwargs)
+        if kind == "bc":
+            cert.residuals = {**cert.residuals, "B3": 1.0}
+        return cert
+
+    monkeypatch.setattr(ginv.along, "certify", certify)
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ import pytest
 
 from ginv import (
     PreconditionFailed,
+    RouteDisagreement,
     StarMatrix,
+    ToleranceWarning,
     bc_inverse,
     green_leq,
     group_formula_along,
@@ -18,7 +20,7 @@ from ginv import (
     mp_inverse,
     one_along_a,
 )
-from ginv.domains import GAUSSIAN_RATIONAL, RATIONAL
+from ginv.domains import COMPLEX_FLOAT, GAUSSIAN_RATIONAL, RATIONAL
 from ginv.matrix import inverse, left_nullspace
 from ginv.regular import inner_inverse
 
@@ -215,3 +217,15 @@ def test_green_lemma_nullspace_inclusion():
         a = b @ y  # a <=_R b by construction
         lns = left_nullspace(b)
         assert (lns @ a).is_zero()
+
+
+def test_bc_inverse_failing_certificate_raises_in_exact_domains(failing_bc_certificate):
+    e = qm([[1, 0], [0, 0]])
+    with pytest.raises(RouteDisagreement, match="certificate failed"):
+        bc_inverse(StarMatrix.identity(2, RATIONAL), e, e)
+
+
+def test_bc_inverse_failing_certificate_warns_in_float(failing_bc_certificate):
+    e = cm([[1, 0], [0, 0]])
+    with pytest.warns(ToleranceWarning, match="certificate failed near tolerance"):
+        assert bc_inverse(StarMatrix.identity(2, COMPLEX_FLOAT), e, e) is None

@@ -472,3 +472,42 @@ def test_check_reports_a_numerical_breakdown_in_one_line(tmp_path, capsys, monke
     assert run(["check", "--kind", "mp", "--a", a, "--candidate", a]) == 3
     err = capsys.readouterr().err
     assert err == "ginv: numerical breakdown: SVD did not converge\n"
+
+
+def _doc(domain, data, rows=1):
+    return {"rows": rows, "cols": 1, "domain": domain, "data": data}
+
+
+# malformed matrix documents, each with the field its one-line message names
+MALFORMED = {
+    "list": ([1, 2], "JSON object"),
+    "string": ("hello", "JSON object"),
+    "null": (None, "JSON object"),
+    "domain string": (_doc("rational", [["1"]]), "domain"),
+    "modulus string": (_doc({"kind": "prime_field", "modulus": "7"}, [[1]]), "modulus"),
+    "modulus float": (_doc({"kind": "prime_field", "modulus": 7.0}, [[1]]), "modulus"),
+    "modulus fraction": (_doc({"kind": "integer_mod", "modulus": 6.5}, [[1]]), "modulus"),
+    "rows fraction": (_doc({"kind": "rational"}, [["1"]], rows=1.5), "rows"),
+    "gaussian without im": (_doc(GAUSSIAN, [[{"re": "1"}]]), "'re' and 'im'"),
+    "complex null part": (_doc({"kind": "complex_float"}, [[[None, 0]]]), "complex scalar"),
+    "complex string part": (_doc({"kind": "complex_float"}, [[["1", 0]]]), "complex scalar"),
+    "complex huge part": (_doc({"kind": "complex_float"}, [[[10**400, 0]]]), "finite"),
+}
+
+
+@pytest.mark.parametrize("doc, field", MALFORMED.values(), ids=list(MALFORMED))
+@pytest.mark.parametrize("role", ["a", "w", "candidate"])
+def test_malformed_matrix_document_exits_one_with_one_line(tmp_path, capsys, doc, field, role):
+    good = write_matrix(tmp_path / "good.json", [["1"]], domain={"kind": "rational"})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "a": ["compute", "--kind", "mp", "--a", str(bad)],
+        "w": ["compute", "--kind", "w-core", "--a", good, "--w", str(bad)],
+        "candidate": ["check", "--kind", "mp", "--a", good, "--candidate", str(bad)],
+    }[role]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("ginv: error:") and field in captured.err

@@ -4,10 +4,11 @@ runs, and a check ends at the counterexample cap.  The vectorized unit
 criteria give the same reports as the scalar loops they replaced, kept here
 as references: without a fault, under planted faults and at the cap."""
 
+import numpy as np
 import pytest
 
 from ginv import enumerate_ring, verify_theorem
-from ginv.theorems import _MAX_CE, CATALOG
+from ginv.theorems import _MAX_CE, CATALOG, _Collector
 
 # theorem id -> (ring, lookup the theorem reads, the input where the lookup
 # is corrupted, the wrong value it returns there instead)
@@ -413,3 +414,27 @@ def test_vectorized_checker_matches_loop_at_the_cap(monkeypatch, spec, tid):
     got, want = reports(monkeypatch, ring, tid)
     assert len(want.counterexamples) == _MAX_CE
     assert got == want
+
+
+def test_batch_names_failures_from_the_instance_grid():
+    col = _Collector(enumerate_ring("zmod:3"))
+    a, w = np.ogrid[:3, :3]
+    mask = (a == 2) & (w == 1)
+    inner = np.arange(2)  # two inner letters per instance
+    per_inner = [(mask[..., None] & (inner == 1), "x")]
+    col.batch({"a": a, "w": w}, [(mask, "own")], per_inner, {"x": inner})
+    assert col.checked == 9
+    assert col.ces == [
+        {"elements": {"a": "2", "w": "1"}, "detail": "own"},
+        {"elements": {"a": "2", "w": "1", "x": "1"}, "detail": "x"},
+    ]
+
+
+def test_batch_rejects_a_mask_off_the_instance_grid():
+    col = _Collector(enumerate_ring("zmod:3"))
+    a, w = np.ogrid[:3, :3]
+    with pytest.raises(ValueError, match="instance grid"):
+        col.batch({"a": a, "w": w}, [(np.zeros(3, dtype=bool), "own")])
+    with pytest.raises(ValueError, match="instance grid"):
+        col.batch({"a": a, "w": w}, [], [(np.zeros((3, 2), dtype=bool), "x")], {"x": np.arange(2)})
+    assert col.checked == 0

@@ -12,13 +12,16 @@ from ginv import (
     DomainMismatch,
     PreconditionFailed,
     StarMatrix,
+    ToleranceWarning,
     core_ep_inverse,
     core_inverse,
     dual_v_core,
     group_inverse,
     ideal_form_membership,
     inverse_along,
+    inverse_along_via_unit,
     mp_inverse,
+    mp_via_unit,
     rank,
     section3_units,
     special_cases,
@@ -531,3 +534,48 @@ def test_elimination_count_of_an_exact_pair_is_pinned(monkeypatch):
     rref = counting(monkeypatch, ginv.matrix, "_rref")
     assert w_core(a, w).exists and dual_v_core(a, w).exists
     assert len(rref) <= RREF_BUDGET
+
+
+def test_float_w_core_keeps_its_value_when_as_bc_fails_near_tolerance(failing_bc_certificate):
+    # the (a, a*)-inverse of aw fails its certificate; the other routes agree
+    a, w = cm([[1, 0], [0, 0]]), cm([[1, 0], [0, 1]])
+    with pytest.warns(ToleranceWarning):
+        res = w_core(a, w)
+    assert res.exists and rel_diff(res.value, a) < 1e-12
+    assert any(m.startswith("route as_bc failed near tolerance") for m in res.certificate.warnings)
+
+
+# a = diag(1, 0) over Q; x is not an inner inverse of a: axa = diag(5, 0)
+_BAD_INNER = qm([[5, 7], [1, 3]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, w: w_core(a, w, a_inner=_BAD_INNER),
+        lambda a, w: w_core(a, w, route="section3_unit", a_inner=_BAD_INNER),
+        lambda a, w: section3_units(a, w, w, a_inner=_BAD_INNER),
+        lambda a, w: mp_via_unit(a, _BAD_INNER),
+        lambda a, w: inverse_along_via_unit(w, a, _BAD_INNER),
+    ],
+    ids=["w_core", "w_core_section3_unit", "section3_units", "mp_via_unit", "along_via_unit"],
+)
+def test_a_supplied_witness_that_is_not_an_inner_inverse_is_rejected(call):
+    a, w = qm([[1, 0], [0, 0]]), StarMatrix.identity(2, RATIONAL)
+    with pytest.raises(PreconditionFailed, match="is not an inner inverse"):
+        call(a, w)
+
+
+@pytest.mark.parametrize("route", ["all", "section3_unit"])
+def test_a_non_canonical_inner_inverse_gives_the_same_w_core(route):
+    a, w = qm([[1, 0], [0, 0]]), qm([[2, 1], [1, 1]])
+    other = qm([[1, 4], [-3, 9]])  # a other a = a, and other is not inner_inverse(a)
+    assert a @ other @ a == a and other != wcore.inner_inverse(a)
+    got, want = w_core(a, w, route=route, a_inner=other), w_core(a, w, route=route)
+    assert got.exists and got.value == want.value
+
+
+def test_dual_v_core_route_names_keep_their_order():
+    # the public names, in the order the CLI's "choose from (...)" lists them
+    names = ("mary_14", "dual_core_of_va", "group_va", "group_av", "rank_formula", "section3_unit")
+    assert DUAL_V_CORE_ROUTES == names
