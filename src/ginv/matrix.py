@@ -418,12 +418,14 @@ def _fraction_free_rref(rows: list, width: int, lead, combine) -> list[int]:
     """Gauss-Jordan elimination without division, in place; returns the pivots.
 
     lead(row, c) is the entry in column c, falsy iff it is zero.
-    combine(row, ref, c) is a nonzero multiple of row - (row[c]/ref[c]) ref.
-    Every row therefore stays a nonzero multiple of the row that elimination
-    with division would hold: the zero patterns, pivots and swaps are the same.
+    combine(row, ref, c, prev) is a multiple of row - (row[c]/ref[c]) ref,
+    nonzero if row is; prev is the previous pivot's (row, column), or None.
+    Every row therefore stays a multiple of the row that elimination with
+    division would hold: the zero patterns, pivots and swaps are the same.
     """
     m = len(rows)
     pivots: list[int] = []
+    prev = None
     for c in range(width):
         r = len(pivots)
         pr = next((i for i in range(r, m) if lead(rows[i], c)), None)
@@ -432,15 +434,18 @@ def _fraction_free_rref(rows: list, width: int, lead, combine) -> list[int]:
         rows[r], rows[pr] = rows[pr], rows[r]
         ref = rows[r]
         for i in range(m):
-            if i != r and lead(rows[i], c):
-                rows[i] = combine(rows[i], ref, c)
+            if i != r:
+                rows[i] = combine(rows[i], ref, c, prev)
+        prev = ref, c
         pivots.append(c)
         if len(pivots) == m:
             break
     return pivots
 
 
-def _combine_integers(row, ref, c):
+def _combine_integers(row, ref, c, prev):
+    if not row[c]:
+        return row  # Q divides by no earlier pivot, so rows need not share a step
     g = math.gcd(row[c], ref[c])
     f, p = row[c] // g, ref[c] // g
     new = [p * v - f * w for v, w in zip(row, ref)]
@@ -448,16 +453,18 @@ def _combine_integers(row, ref, c):
     return [v // g for v in new] if g > 1 else new
 
 
-def _combine_gaussian(row, ref, c):
+def _combine_gaussian(row, ref, c, prev):
+    # Bareiss in Z[i]: (p x - f y) / d = (p d' x - f d' y) / |d|^2, with
+    # p = ref[c], f = row[c], d the previous pivot (1 at the first) and d' its
+    # conjugate; the division is exact, as every entry is a minor of the input
     (xr, xi), (yr, yi) = row, ref
-    g = math.gcd(xr[c], xi[c], yr[c], yi[c])
-    fr, fi, pr, pi = xr[c] // g, xi[c] // g, yr[c] // g, yi[c] // g
-    # (pr + pi i) x - (fr + fi i) y, entry by entry
-    re = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xr, xi, yr, yi)]
-    im = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xr, xi, yr, yi)]
-    g = math.gcd(*re, *im)
-    if g > 1:
-        re, im = [v // g for v in re], [v // g for v in im]
+    (dre, dim), pc = prev or (([1], [0]), 0)
+    dr, di = dre[pc], dim[pc]
+    pr, pi = yr[c] * dr + yi[c] * di, yi[c] * dr - yr[c] * di  # p d'
+    fr, fi = xr[c] * dr + xi[c] * di, xi[c] * dr - xr[c] * di  # f d'
+    n = dr * dr + di * di
+    re = [(pr * a - pi * b - fr * u + fi * v) // n for a, b, u, v in zip(xr, xi, yr, yi)]
+    im = [(pr * b + pi * a - fr * v - fi * u) // n for a, b, u, v in zip(xr, xi, yr, yi)]
     return re, im
 
 
@@ -481,15 +488,12 @@ def _gaussian_rref(ints, p, width):
         rows, width, lambda row, c: row[0][c] or row[1][c], _combine_gaussian
     )
     r = len(pivots)
-    norms = [re[c] * re[c] + im[c] * im[c] for (re, im), c in zip(rows, pivots)]
-    den = math.lcm(*norms)
-    out_re, out_im = [], []
-    for (re, im), c, n in zip(rows, pivots, norms):
-        pr, pi = re[c] * (den // n), im[c] * (den // n)  # v / p = v conj(p) / |p|^2
-        out_re.append([a * pr + b * pi for a, b in zip(re, im)])
-        out_im.append([b * pr - a * pi for a, b in zip(re, im)])
+    # every pivot ends as the last one, d: v / d = v conj(d) / |d|^2
+    dr, di = (rows[r - 1][0][pivots[-1]], rows[r - 1][1][pivots[-1]]) if r else (1, 0)
+    out_re = [[a * dr + b * di for a, b in zip(*row)] for row in rows[:r]]
+    out_im = [[b * dr - a * di for a, b in zip(*row)] for row in rows[:r]]
     out = (_object_rows(out_re, ints), _object_rows(out_im, ints))
-    return pivots, out, den, not any(any(re) or any(im) for re, im in rows[r:])
+    return pivots, out, dr * dr + di * di, not any(any(re) or any(im) for re, im in rows[r:])
 
 
 def _modular_rref(ints, p, width):
@@ -625,9 +629,7 @@ def solve_right(
         if _fro(an @ x - bn) > bound:
             return None
         return _ComplexMatrix._adopt(x)
-    if not dom.field:
-        if dom.kind != "integer_mod":
-            raise UnsupportedDomain(f"no solver for {dom!r}")
+    if not dom.field:  # Z/nZ, the one exact non-field
         return _brute_solve_right(a, b)
     x, y, _ = a._aligned(b)
     pivots, rows, den, consistent = _rref(dom, tuple(map(np.hstack, zip(x, y))), a.cols)
@@ -658,15 +660,8 @@ def inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix
         if rank(a, tol) < n:
             return None
         return _ComplexMatrix._adopt(np.linalg.inv(a.data))
-    ident = StarMatrix.identity(n, a.domain)
-    x = solve_right(a, ident, tol)
-    if x is None:
-        return None
-    if a.domain.field:
-        return x  # one-sided suffices over a field
-    if (x @ a) == ident and (a @ x) == ident:
-        return x
-    return None
+    # one-sided suffices: over a commutative ring, a x = 1 gives det(a) det(x) = 1
+    return solve_right(a, StarMatrix.identity(n, a.domain), tol)
 
 
 def pinv(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix:

@@ -871,9 +871,9 @@ CATALOG: dict[str, tuple] = {
 def search_ideal_form_n1(ring: FiniteStarRing) -> list[tuple[int, int]]:
     """Pairs (a, w) with a in S(aw)*a but a not w-core invertible.
 
-    The n = 1 variant of the ideal-form criterion fails in an infinite
-    matrix semigroup; whether a finite counterexample exists is open, so
-    hits are reported for inspection and never treated as failures.
+    The n = 1 variant of the ideal-form criterion is not a theorem: it fails
+    in 2 x 2 matrix rings already (a = e11, w = e12 on mat:2:gf2), so hits
+    are reported for inspection and never treated as failures.
     """
     mul, star = ring.mul_arr, ring.star_arr
     a, w = np.indices((ring.size,) * 2, sparse=True)

@@ -19,7 +19,7 @@ from ginv import (
     one_four_inverse,
     solve_right,
 )
-from ginv.domains import GAUSSIAN_RATIONAL, RATIONAL, GaussianRational
+from ginv.domains import GAUSSIAN_RATIONAL, RATIONAL, GaussianRational, integer_mod
 from ginv.matrix import inverse, rel_diff
 
 from conftest import adj_lists, assert_penrose, cm, eq_lists, fm, gm, gr, lists, mul_lists, qm, zm
@@ -73,6 +73,16 @@ def test_drazin_block_example():
     assert mul_lists(mul_lists(xl, al), xl) == xl
     a2 = mul_lists(al, al)
     assert mul_lists(mul_lists(a2, al), xl) == a2  # a^2 = a^3 x
+
+
+def test_zmod_drazin_index_can_exceed_the_dimension():
+    # over Z/8, a = [[2]] is nilpotent of index 3 > 1 = dim: the index search
+    # runs past the dimension (equations.index_cap's Z/n branch)
+    a = StarMatrix.from_rows([[2]], integer_mod(8))
+    res = drazin_inverse(a)
+    assert res.index == drazin_index(a) == 3 and res.value.is_zero()
+    cert = certify("drazin", {"a": a, "x": res.value})
+    assert cert.ok and cert.witnesses == {"index": 3}
 
 
 def test_drazin_index_one_iff_group():

@@ -127,6 +127,15 @@ def test_compute_drazin_reports_index(nilp, capsys):
     assert matrix_from_json(result["value"]).is_zero()
 
 
+def test_compute_drazin_index_beyond_the_dimension(tmp_path, capsys):
+    # over Z/8, [[2]] has Drazin index 3 > 1 = dim
+    a = write_matrix(tmp_path / "a.json", [[2]], domain={"kind": "integer_mod", "modulus": 8})
+    assert run(["compute", "--kind", "drazin", "--a", a]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["index"] == 3 and result["certificate"]["ok"] is True
+    assert matrix_from_json(result["value"]).is_zero()
+
+
 def test_compute_then_check_roundtrip(nilp, w1, tmp_path, capsys):
     out = tmp_path / "res.json"
     assert run(["compute", "--kind", "w-core", "--a", nilp, "--w", w1, "--out", str(out)]) == 0
@@ -159,6 +168,14 @@ def test_compute_missing_operand(nilp):
 
 def test_compute_route_invalid_for_kind(nilp):
     assert run(["compute", "--kind", "mp", "--a", nilp, "--route", "mary_13"]) == 1
+
+
+def test_compute_unknown_route_is_one_line(nilp, w1, capsys):
+    args = ["compute", "--kind", "w-core", "--a", nilp, "--w", w1, "--route", "no_such_route"]
+    assert run(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("ginv: error: unknown route 'no_such_route' for w-core")
 
 
 def test_compute_single_route(nilp, w1, capsys):
@@ -218,6 +235,14 @@ def test_verify_single_theorem(capsys, tmp_path):
     report = json.loads(out.read_text())
     assert report["counterexample_count"] == 0
     assert report["reports"][0]["instances_checked"] == 256
+
+
+def test_verify_skips_a_triple_check_on_a_large_ring(capsys):
+    # vw_intersect quantifies over triples: skipped above 16 elements, exit 0
+    assert run(["verify", "--ring", "mat:2:gf3", "--theorem", "vw_intersect"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    note = "SKIPPED (triple-quantified check skipped for |ring| > 16)"
+    assert line.split(None, 1) == ["vw_intersect", note]
 
 
 def test_verify_report_carries_the_ring_build_time(tmp_path):

@@ -336,6 +336,55 @@ def test_rref_rows_come_out_reduced():
     assert all(type(x) is GaussianRational for r in g.data for x in r)
 
 
+def gaussian_integers(rng, m, n):
+    return StarMatrix.from_rows(
+        [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)],
+        GAUSSIAN_RATIONAL,
+    )
+
+
+def test_gaussian_record_stays_within_the_hadamard_bound():
+    # Bareiss division keeps every entry a minor of the input, so the kept
+    # record's one denominator is |det|^2, at most the squared Hadamard bound
+    # (96 bits here); without it the denominator reached 74,198 bits
+    rng = random.Random(16)
+    rows = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(16)] for _ in range(16)]
+    a = StarMatrix.from_rows(rows, GAUSSIAN_RATIONAL)
+    hadamard_sq = math.prod(sum(re * re + im * im for re, im in row) for row in rows)
+    assert ginv.matrix._factors(a)[2].bit_length() <= math.ceil(math.log2(hadamard_sq)) == 96
+    assert full_rank_factorize(a).g == StarMatrix.identity(16, GAUSSIAN_RATIONAL)
+
+
+@pytest.mark.parametrize("m, n", [(6, 6), (8, 12), (12, 12), (12, 24), (10, 5)])
+def test_gaussian_elimination_at_larger_shapes(m, n):
+    # full-rank, rank-deficient and augmented ([a | b]) eliminations over Q(i)
+    rng = random.Random(m * 100 + n)
+    r = min(m, n) // 2
+    low = ref_matmul(gaussian_integers(rng, m, r), gaussian_integers(rng, r, n))
+    for a in (gaussian_integers(rng, m, n), low, low.scale(GaussianRational(Fraction(2, 3), 1))):
+        assert rank(a) == ref_rank(a)
+        fact, (f, g, k) = full_rank_factorize(a), ref_factorize(a)
+        assert fact.rank == k
+        same(fact.g, g)
+        same(right_nullspace(a), ref_nullspace(a))
+        consistent = ref_matmul(a, gaussian_integers(rng, n, 3))
+        for b in (consistent, gaussian_integers(rng, m, n)):
+            same_or_none(solve_right(a, b), ref_solve_right(a, b))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_integer_mod_inverse_exists_iff_the_determinant_is_a_unit(n):
+    # a x = 1 alone decides: over a commutative ring it gives det(a) det(x) = 1
+    dom = integer_mod(n)
+    ident = StarMatrix.identity(2, dom)
+    for p, q, r, s in itertools.product(range(n), repeat=4):
+        a = StarMatrix.from_rows([[p, q], [r, s]], dom)
+        x = inverse(a)
+        assert (x is None) == (math.gcd(p * s - q * r, n) != 1)
+        if x is not None:
+            assert a @ x == ident and x @ a == ident
+
+
 # ---------------------------------------------------------------------------
 # the kernels never fall back to the domains' scalar arithmetic
 

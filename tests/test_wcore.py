@@ -579,3 +579,40 @@ def test_dual_v_core_route_names_keep_their_order():
     # the public names, in the order the CLI's "choose from (...)" lists them
     names = ("mary_14", "dual_core_of_va", "group_va", "group_av", "rank_formula", "section3_unit")
     assert DUAL_V_CORE_ROUTES == names
+
+
+# the reason each single route gives for a = e12 over Q(i), w = v = 1: a is
+# nilpotent, so neither inverse exists and every route says why
+SINGLE_ROUTE_REASONS = {
+    "mary_13": "w is not invertible along a",
+    "core_of_aw": "aw has no core inverse",
+    "projection_unit": "aw has no core inverse",
+    "rank_formula": "rank(A) != rank(AWA)",
+    "section3_unit": "a a* a w + 1 - a a^- is not invertible",
+    "as_along": "aw is not invertible along aa*",
+    "as_bc": "aw is not (a, a*)-invertible",
+}
+DUAL_SINGLE_ROUTE_REASONS = {
+    "mary_14": "v is not invertible along a",
+    "dual_core_of_va": "va has no dual-core inverse",
+    "group_va": "va has no group inverse",
+    "group_av": "av has no group inverse",
+    "rank_formula": "rank(A) != rank(AVA)",
+    "section3_unit": "v a a* a + 1 - a^- a is not invertible",
+}
+
+
+def test_single_routes_name_why_no_inverse_exists():
+    a, one = gm([[0, 1], [0, 0]]), StarMatrix.identity(2, GAUSSIAN_RATIONAL)
+    got = {route: w_core(a, one, route=route) for route in W_CORE_ROUTES}
+    assert not any(res.exists for res in got.values())
+    assert {route: res.reason for route, res in got.items()} == SINGLE_ROUTE_REASONS
+    dual = {route: dual_v_core(a, one, route=route) for route in DUAL_V_CORE_ROUTES}
+    assert not any(res.exists for res in dual.values())
+    assert {route: res.reason for route, res in dual.items()} == DUAL_SINGLE_ROUTE_REASONS
+    # each dual reason is the wording image of its w-core-form route's reason
+    # on (a*, v*), the pair the dual routes run on
+    form = wcore._DUAL_FORM
+    ctx = wcore._Context(a.adjoint(), one.adjoint(), ginv.matrix.DEFAULT_TOL)
+    for route, reason in DUAL_SINGLE_ROUTE_REASONS.items():
+        assert form.wording[ctx.route(form.routes[route]).reason] == reason
