@@ -252,6 +252,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact entries, read or written, may have any number of digits this run
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         # stderr carries one line; the NaN-safe guards and certificates
         # already judge non-finite float values, so numpy stays quiet
@@ -277,6 +280,8 @@ def main(argv=None) -> int:
     except (GinvError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"ginv: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -157,7 +157,7 @@ class ScalarDomain:
     """Base scalar *-ring.  Subclasses fix the value representation."""
 
     kind = "?"
-    involution = "identity"  # "identity" or "conjugation"
+    definite = True  # A* A = 0 forces A = 0 (characteristic 0): MP inverses exist
     exact = True
     field = True
     modulus: int | None = None
@@ -263,7 +263,6 @@ class RationalDomain(ScalarDomain):
 
 class GaussianRationalDomain(ScalarDomain):
     kind = "gaussian_rational"
-    involution = "conjugation"
 
     def from_int(self, k):
         return GaussianRational(k)
@@ -308,6 +307,8 @@ class GaussianRationalDomain(ScalarDomain):
 
 class _ResidueDomain(ScalarDomain):
     """Canonical int residues in [0, modulus): the arithmetic GF(p) and Z/nZ share."""
+
+    definite = False
 
     def from_int(self, k):
         return k % self.modulus
@@ -372,7 +373,6 @@ class IntegerModDomain(_ResidueDomain):
 
 class ComplexFloatDomain(ScalarDomain):
     kind = "complex_float"
-    involution = "conjugation"
     exact = False
 
     def from_int(self, k):

@@ -18,6 +18,7 @@ Z/nZ with composite n is supported for small systems via exhaustive solving
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -261,9 +262,7 @@ class _ExactMatrix(StarMatrix):
             dtype = np.int64 if ints[0].shape[1] * (p - 1) ** 2 < 2**63 else object
             ints = ((ints[0] % p).astype(dtype, copy=False),)
         elif den != 1:
-            g = math.gcd(den, *itertools.chain.from_iterable(x.ravel().tolist() for x in ints))
-            if g != 1:
-                ints, den = tuple(x // g for x in ints), den // g
+            ints, den = _lowest(ints, den)
         for x in ints:
             x.flags.writeable = False
         self.rows, self.cols = ints[0].shape
@@ -468,6 +467,14 @@ def _combine_gaussian(row, ref, c, prev):
     return re, im
 
 
+def _lowest(ints: tuple, den: int):
+    """The integer arrays ints over den, in lowest terms (den = 1 already is)."""
+    if den == 1:
+        return ints, den
+    g = math.gcd(den, *itertools.chain.from_iterable(x.ravel().tolist() for x in ints))
+    return (tuple(x // g for x in ints), den // g) if g > 1 else (ints, den)
+
+
 def _object_rows(rows: list, ints: tuple) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(len(rows), ints[0].shape[1])
 
@@ -538,13 +545,20 @@ def _rref(dom: ScalarDomain, ints: tuple, width: int):
     return _ELIMINATIONS[dom.kind](ints, dom.modulus, width)
 
 
+def _record(pivots: list, rows: tuple, den: int):
+    return (pivots, *_lowest(rows, den))
+
+
 def _factors(a: StarMatrix):
     """a's one factorization, kept on the instance and free of tolerances:
-    the thin SVD (u, s, vh) in float, else _rref's pivots, rows and den."""
+    the thin SVD (u, s, vh) in float, else _rref's pivots and its rows over
+    den in lowest terms (I over 1 for a unit), reduced when first read."""
     if a._f is None and a.domain.kind == "complex_float":
         a._f = np.linalg.svd(a.data, full_matrices=False)
     elif a._f is None:
-        a._f = _rref(a.domain, a.ints, a.cols)[:3]
+        a._f = _record(*_rref(a.domain, a.ints, a.cols)[:3])
+    elif callable(a._f):
+        a._f = a._f()
     return a._f
 
 
@@ -633,8 +647,8 @@ def solve_right(
         return _brute_solve_right(a, b)
     x, y, _ = a._aligned(b)
     pivots, rows, den, consistent = _rref(dom, tuple(map(np.hstack, zip(x, y))), a.cols)
-    if a._f is None:  # the pivots depend on a's columns alone
-        a._f = pivots, tuple(r[:, : a.cols] for r in rows), den
+    if a._f is None:  # the pivots depend on a's columns alone; reduced only if read
+        a._f = functools.partial(_record, pivots, tuple(r[:, : a.cols] for r in rows), den)
     if not consistent:
         return None
     out = tuple(np.zeros((a.cols, b.cols), dtype=r.dtype) for r in rows)

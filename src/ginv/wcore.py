@@ -20,10 +20,10 @@ stars of (aw)^# a a^{(1,3)} and a (wa)^# a^{(1,3)}.  The value is certified
 against the dual equations on the original (a, v).
 
 All successful routes must agree; disagreement is an internal fault, never
-a normal result.  In ComplexFloat the rank criterion alone decides
-existence and algebraic-route hiccups at borderline rank become warnings.
-Over GF(p) the rank criterion is necessary but not sufficient (a {1,3}-
-inverse can be missing), so the algebraic path is authoritative there.
+a normal result.  Existence is the outcome of one deciding route:
+rank_formula in ComplexFloat, where algebraic-route hiccups at borderline
+rank become warnings, and mary_13 in exact domains, as over GF(p) the rank
+criterion misses a lacking {1,3}-inverse; over Q and Q(i) both must agree.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ W_CORE_ROUTES = (
     "as_bc",
 )
 
-# domains where the conjugate involution is definite: a* a = 0 forces a = 0,
-# so {1,3}/{1,4}/MP inverses always exist and the rank criterion
-# rank(A) = rank(AWA) is equivalent to w-core existence
-_DEFINITE_KINDS = ("rational", "gaussian_rational", "complex_float")
-
 
 def _check_pair(a: StarMatrix, w: StarMatrix):
     if not (a.is_square() and a.shape == w.shape):
@@ -111,7 +106,6 @@ class _Context:
     def __init__(self, a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds, **known):
         self.a, self.w, self.tol = a, w, tol
         self.exact = a.domain.exact
-        self.definite = a.domain.kind in _DEFINITE_KINDS
         self.outcomes: dict[str, _RouteOutcome | None] = {}
         self.__dict__.update((k, v) for k, v in known.items() if v is not None)
 
@@ -130,20 +124,12 @@ class _Context:
 
 
 def _missing(c: _Context) -> str | None:
-    """Why a has no w-core inverse, or None when it has one.
-
-    The rank criterion decides in float and Mary's criterion (w invertible
-    along a, a {1,3}-invertible) in exact domains; over definite exact
-    domains both apply and must agree.
+    """Why a has no w-core inverse, or None when it has one: the reason of the
+    deciding route, rank_formula in float and mary_13 (Mary's criterion) in
+    exact domains.  Over definite exact domains the rank criterion must agree.
     """
-    if not c.exact:
-        return None if c.rank_ok else "rank(A) != rank(AWA)"
-    reason = None
-    if not c.w_along_a.exists:
-        reason = "w is not invertible along a"
-    elif c.one_three is None:
-        reason = "a has no {1,3}-inverse"
-    if c.definite and c.rank_ok != (reason is None):
+    reason = c.route("mary_13" if c.exact else "rank_formula").reason
+    if c.exact and c.a.domain.definite and c.rank_ok != (reason is None):
         raise RouteDisagreement("rank criterion and algebraic criterion disagree on existence")
     return reason
 
@@ -190,7 +176,7 @@ def _route_projection_unit(c):
 
 
 def _route_rank_formula(c):
-    if not c.definite:
+    if not c.a.domain.definite:
         return None  # inapplicable
     if not c.rank_ok:
         return _RouteOutcome(reason="rank(A) != rank(AWA)")
@@ -201,7 +187,7 @@ def _route_rank_formula(c):
 
 
 def _route_section3_unit(c):
-    if not c.definite:
+    if not c.a.domain.definite:
         return None  # unit criterion characterizes the intersection only
     ident = StarMatrix.identity(c.a.rows, c.a.domain)
     t = c.aa_star @ c.a @ c.w + ident - c.a @ c.a_inner
@@ -334,11 +320,12 @@ def _solve(
         cert.warnings.extend(warnings)
         return x, cert
 
+    # existence is the deciding route's call, in float for single routes too:
+    # unit-style routes cannot tell singular from condition 1/eps
+    reason = _missing(ctx) if route == "all" or not exact else None
+    if reason is not None:
+        return InverseResult(False, reason=say(reason))
     if route != "all":
-        # float existence is the rank criterion's call even for single routes;
-        # unit-style routes cannot tell singular from condition 1/eps
-        if not exact and not ctx.rank_ok:
-            return InverseResult(False, reason=say("rank(A) != rank(AWA)"))
         out = ctx.route(form.routes[route])
         if out is None:
             return InverseResult(False, reason=f"route {route} not applicable here")
@@ -347,9 +334,6 @@ def _solve(
         x, cert = certified(out.value, out.witnesses, route)
         return InverseResult(cert.ok, value=x, certificate=cert, reason=cert.failure())
 
-    reason = _missing(ctx)
-    if reason is not None:
-        return InverseResult(False, reason=say(reason))
     values: dict[str, StarMatrix] = {}
     degraded: dict[str, StarMatrix] = {}
     witnesses: dict = {}
@@ -435,42 +419,38 @@ def w_core_via_projection(
     return w_core(a, w, route="projection_unit", tol=tol)
 
 
+def _checked_route(
+    a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds, route: str, inapplicable: Exception
+) -> StarMatrix | None:
+    """One w-core route's value, or None, checked against route=all on the same
+    context, which in an exact domain raises when a route finds nothing while
+    the inverse exists.  Raises `inapplicable` when the route does not apply."""
+    _check_pair(a, w)
+    ctx = _Context(a, w, tol)
+    out = ctx.route(route)
+    if out is None:
+        raise inapplicable
+    ref = _solve(_W_FORM, a, w, "all", ctx)
+    bound = acceptance_bound(a.domain, tol, guard=True)
+    if out.value is not None and (not ref.exists or disagree(out.value, ref.value, bound)):
+        raise RouteDisagreement(f"route {route} disagrees with the w-core inverse")
+    return out.value
+
+
 def wcore_as_along(
     a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
     """Inverse of aw along aa*; equals the w-core inverse when a is MP-invertible."""
-    _check_pair(a, w)
-    ctx = _Context(a, w, tol)
-    out = ctx.route("as_along")
-    if out is None:
-        raise PreconditionFailed("theorem hypothesis: a must be MP-invertible")
-    if out.value is None:
-        return None
-    ref = _solve(_W_FORM, a, w, "all", ctx)
-    bound = acceptance_bound(a.domain, tol, guard=True)
-    if not ref.exists or disagree(out.value, ref.value, bound):
-        raise RouteDisagreement("(aw)^{||aa*} disagrees with the w-core inverse")
-    return out.value
+    hypothesis = PreconditionFailed("theorem hypothesis: a must be MP-invertible")
+    return _checked_route(a, w, tol, "as_along", hypothesis)
 
 
 def wcore_as_bc(
     a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
     """(a, a*)-inverse of aw; equals the w-core inverse when either exists."""
-    _check_pair(a, w)
-    ctx = _Context(a, w, tol)
-    out = ctx.route("as_bc")
-    if out is None:
-        raise UnsupportedDomain(f"rank is not defined over {a.domain!r}")
-    ref = _solve(_W_FORM, a, w, "all", ctx)
-    if out.value is None:
-        if ref.exists and ctx.exact:
-            raise RouteDisagreement("w-core exists but the (a, a*)-inverse of aw does not")
-        return None  # float borderline; the route=all path warns instead
-    bound = acceptance_bound(a.domain, tol, guard=True)
-    if not ref.exists or disagree(out.value, ref.value, bound):
-        raise RouteDisagreement("(a, a*)-inverse of aw disagrees with the w-core inverse")
-    return out.value
+    unsupported = UnsupportedDomain(f"rank is not defined over {a.domain!r}")
+    return _checked_route(a, w, tol, "as_bc", unsupported)
 
 
 # ---------------------------------------------------------------------------

@@ -536,3 +536,42 @@ def test_malformed_matrix_document_exits_one_with_one_line(tmp_path, capsys, doc
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("ginv: error:") and field in captured.err
+
+
+def test_single_definite_route_is_inapplicable_over_gf7(tmp_path, capsys):
+    gf7 = {"kind": "prime_field", "modulus": 7}
+    a = write_matrix(tmp_path / "a.json", [[1, 2], [0, 0]], domain=gf7)
+    w = write_matrix(tmp_path / "w.json", [[1, 0], [0, 1]], domain=gf7)
+    args = ["compute", "--kind", "w-core", "--a", a, "--w", w, "--route", "rank_formula"]
+    assert run(args) == 3
+    result = json.loads(capsys.readouterr().out)
+    assert result["exists"] is False
+    assert result["reason"] == "route rank_formula not applicable here"
+
+
+RATIONAL = {"kind": "rational"}
+
+
+@pytest.mark.parametrize("kind", ["group", "mp"])
+def test_answers_beyond_the_int_str_digit_limit(kind, tmp_path):
+    # a = [[N, 1], [0, 0]] with N = 10^3000: a^# = a / N^2 and a^+ = a* / (N^2 + 1)
+    # have 6,001-digit entries, past Python's default 4,300-digit limit
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * 3000
+    a = write_matrix(tmp_path / "a.json", [[big, "1"], ["0", "0"]], domain=RATIONAL)
+    out = tmp_path / "x.json"
+    assert run(["compute", "--kind", kind, "--a", a, "--out", str(out)]) == 0
+    value = json.loads(out.read_text())["value"]
+    if kind == "group":
+        assert value["data"] == [["1/" + big, "1/1" + "0" * 6000], ["0", "0"]]
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps(value))
+    assert run(["check", "--kind", kind, "--a", a, "--candidate", str(cand)]) == 0
+    assert sys.get_int_max_str_digits() == limit  # restored after each run
+
+
+def test_an_input_entry_beyond_the_int_str_digit_limit_is_read(tmp_path, capsys):
+    huge = "1" + "0" * 5000
+    a = write_matrix(tmp_path / "a.json", [[huge]], domain=RATIONAL)
+    assert run(["compute", "--kind", "mp", "--a", a]) == 0
+    assert json.loads(capsys.readouterr().out)["value"]["data"] == [["1/" + huge]]

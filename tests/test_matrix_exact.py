@@ -343,16 +343,33 @@ def gaussian_integers(rng, m, n):
     )
 
 
-def test_gaussian_record_stays_within_the_hadamard_bound():
-    # Bareiss division keeps every entry a minor of the input, so the kept
-    # record's one denominator is |det|^2, at most the squared Hadamard bound
-    # (96 bits here); without it the denominator reached 74,198 bits
+def invertible_gaussian_16():
     rng = random.Random(16)
     rows = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(16)] for _ in range(16)]
-    a = StarMatrix.from_rows(rows, GAUSSIAN_RATIONAL)
+    return rows, StarMatrix.from_rows(rows, GAUSSIAN_RATIONAL)
+
+
+def test_gaussian_record_stays_within_the_hadamard_bound():
+    # Bareiss division keeps every entry a minor of the input, so the
+    # elimination's one denominator is |det|^2, at most the squared Hadamard
+    # bound (96 bits here); without it the denominator reached 74,198 bits
+    rows, a = invertible_gaussian_16()
     hadamard_sq = math.prod(sum(re * re + im * im for re, im in row) for row in rows)
-    assert ginv.matrix._factors(a)[2].bit_length() <= math.ceil(math.log2(hadamard_sq)) == 96
+    den = ginv.matrix._rref(a.domain, a.ints, a.cols)[2]
+    assert den.bit_length() <= math.ceil(math.log2(hadamard_sq)) == 96
     assert full_rank_factorize(a).g == StarMatrix.identity(16, GAUSSIAN_RATIONAL)
+
+
+def test_the_record_of_a_unit_is_the_identity_over_one():
+    # the kept record is in lowest terms: the RREF of an invertible matrix is
+    # I, whether the record comes from a rank or from a solve
+    ident = StarMatrix.identity(16, GAUSSIAN_RATIONAL)
+    for first in (rank, lambda a: solve_right(a, ident)):
+        _, a = invertible_gaussian_16()
+        first(a)
+        pivots, (re, im), den = ginv.matrix._factors(a)
+        assert den == 1 and pivots == list(range(16))
+        assert re.tolist() == np.eye(16, dtype=int).tolist() and not im.any()
 
 
 @pytest.mark.parametrize("m, n", [(6, 6), (8, 12), (12, 12), (12, 24), (10, 5)])

@@ -11,8 +11,10 @@ import pytest
 from ginv import (
     DomainMismatch,
     PreconditionFailed,
+    RouteDisagreement,
     StarMatrix,
     ToleranceWarning,
+    UnsupportedDomain,
     core_ep_inverse,
     core_inverse,
     dual_v_core,
@@ -616,3 +618,46 @@ def test_single_routes_name_why_no_inverse_exists():
     ctx = wcore._Context(a.adjoint(), one.adjoint(), ginv.matrix.DEFAULT_TOL)
     for route, reason in DUAL_SINGLE_ROUTE_REASONS.items():
         assert form.wording[ctx.route(form.routes[route]).reason] == reason
+
+
+def test_definite_only_routes_are_inapplicable_over_gf7():
+    # rank_formula and section3_unit need a definite involution, which GF(7)'s
+    # transpose is not: run alone, each says so instead of answering
+    a, one = fm([[1, 2], [0, 0]], p=7), StarMatrix.identity(2, prime_field(7))
+    res = w_core(a, one, route="rank_formula")
+    assert not res.exists and res.reason == "route rank_formula not applicable here"
+    res = dual_v_core(a, one, route="section3_unit")
+    assert not res.exists and res.reason == "route section3_unit not applicable here"
+
+
+def test_wcore_as_along_needs_an_mp_invertible_a():
+    # over GF(5), a a* = 0 for a = [[1, 2], [0, 0]], so a has no MP inverse
+    a = fm([[1, 2], [0, 0]], p=5)
+    assert mp_inverse(a) is None
+    with pytest.raises(PreconditionFailed, match="MP-invertible"):
+        wcore_as_along(a, StarMatrix.identity(2, prime_field(5)))
+
+
+def test_wcore_as_bc_is_unsupported_over_zmod():
+    a = zm([[3, 0], [0, 1]])
+    with pytest.raises(UnsupportedDomain):
+        wcore_as_bc(a, StarMatrix.identity(2, integer_mod(6)))
+
+
+@pytest.mark.parametrize("call, route", [(wcore_as_along, "as_along"), (wcore_as_bc, "as_bc")])
+def test_checked_route_that_finds_nothing_while_the_w_core_exists_raises(call, route, monkeypatch):
+    # over Q the w-core inverse of diag(1, 0) with w = 1 exists, so an exact
+    # route that finds none is an internal fault, for both checked routes
+    a, one = qm([[1, 0], [0, 0]]), StarMatrix.identity(2, RATIONAL)
+    assert call(a, one) == a
+    monkeypatch.setitem(wcore._ROUTES, route, lambda ctx: wcore._RouteOutcome(reason="none"))
+    with pytest.raises(RouteDisagreement):
+        call(a, one)
+
+
+@pytest.mark.parametrize("call, route", [(wcore_as_along, "as_along"), (wcore_as_bc, "as_bc")])
+def test_checked_route_whose_value_differs_raises(call, route, monkeypatch):
+    a, one = qm([[1, 0], [0, 0]]), StarMatrix.identity(2, RATIONAL)
+    monkeypatch.setitem(wcore._ROUTES, route, _failing_route(qm([[1, 1], [0, 0]])))
+    with pytest.raises(RouteDisagreement):
+        call(a, one)
