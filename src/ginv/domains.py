@@ -12,16 +12,26 @@ module tolerances).
 from __future__ import annotations
 
 import cmath
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainMismatch, NotInvertible
 
 
+# Fraction(str) and str(Fraction) fail past sys.get_int_max_str_digits() digits; Decimal does not
 def _fraction_from_json(obj, what: str) -> Fraction:
     try:
-        return Fraction(obj)
+        try:
+            return Fraction(obj)
+        except ValueError as exc:
+            if not str(exc).startswith("Exceeds the limit"):
+                raise
+            num, _, den = obj.partition("/")
+            return Fraction(Decimal(num)) / Fraction(Decimal(den or 1))
     except ZeroDivisionError:
         raise DomainMismatch(f"bad {what} scalar {obj!r}: zero denominator") from None
+    except (ArithmeticError, ValueError):
+        raise DomainMismatch(f"bad {what} scalar {obj!r}") from None
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly
@@ -251,7 +261,11 @@ class RationalDomain(ScalarDomain):
         return 1 / a
 
     def scalar_to_json(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # past the digit limit: see _fraction_from_json
+            num, den = Decimal(a.numerator), Decimal(a.denominator)
+            return str(num) if den == 1 else f"{num}/{den}"
 
     def scalar_from_json(self, obj):
         if isinstance(obj, bool):
@@ -290,7 +304,7 @@ class GaussianRationalDomain(ScalarDomain):
         return a.conjugate()
 
     def scalar_to_json(self, a):
-        return {"re": str(a.re), "im": str(a.im)}
+        return {"re": RATIONAL.scalar_to_json(a.re), "im": RATIONAL.scalar_to_json(a.im)}
 
     def scalar_from_json(self, obj):
         what = "gaussian rational"

@@ -3,8 +3,13 @@
 Supported specs: "zmod:n" (identity involution), "mat:k:gfp" (k x k matrices
 over GF(p), transpose involution), and "prod(spec,spec)" (componentwise).
 Elements are indices into the tables; ring axioms and involution laws are
-verified at construction (exhaustively up to 256 elements, on a fixed
-deterministic sample beyond that).
+verified at construction.  Up to 256 elements, the n^2 |G| triples whose
+middle g is 0 or an additive generator (`_generators`) prove the triple
+laws: (x+g)+z = x+(g+z) makes + associative (Light's test; Clifford and
+Preston I, 1.2), x(g+z) = xg+xz and (x+g)z = xz+gz make x distributive,
+then (xg)z = x(gz), additive in g, makes x associative.  If one fails, all
+n^3 triples are scanned for the first failure.  Beyond 256 elements a fixed
+deterministic sample is checked.
 
 Every inverse the oracle looks up (`group_inv`, `wcore_solutions`, `along`,
 ...) comes from one scanner over the equations of `equations.SYSTEMS`:
@@ -50,7 +55,7 @@ _FULL_AXIOM_CHECK_LIMIT = 256
 _AXIOM_SAMPLES = 20000
 # axiom-check grid points (or sampled triples) per numpy batch: bounds the
 # memory of the check; a batch holds at least one whole x-slice
-_AXIOM_BLOCK = 2048
+_AXIOM_BLOCK = 1 << 16
 # scanner grid points or candidates per numpy block, and table entries built
 # per block: bounds the memory of the scanner and of building the tables
 _BLOCK = 1 << 16
@@ -156,6 +161,18 @@ def _x_blocks(n: int, per_x: int):
         yield np.arange(x0, min(n, x0 + step))[:, None]
 
 
+def _generators(table, start) -> np.ndarray:
+    """start, then in index order each element that products of the earlier
+    picks do not reach: every element is a product of these."""
+    reached, picks = np.arange(len(table)) == start, [start]
+    while not reached.all():
+        picks.append(int(reached.argmin()))  # the first element not reached
+        reached[picks[-1]] = True
+        while not reached[products := table[reached][:, reached]].all():
+            reached[products] = True
+    return np.array(picks)
+
+
 def _raise_first(*checks):
     """checks: (mask, message) pairs that broadcast to one grid, True where a
     law fails.  Raise the message of the first failing law at the first
@@ -211,10 +228,9 @@ class FiniteStarRing:
         """Check the ring and involution laws over the int32 tables.
 
         The laws are checked on numpy grids in blocks of whole x-slices: the
-        element and pair laws for every x, then the triple laws for every x,
-        or for a fixed random sample of triples beyond
-        _FULL_AXIOM_CHECK_LIMIT elements.  The error names the first failing
-        law in x, y, z order, as a loop over the elements would.
+        element and pair laws for every x, then the triple laws (see the
+        module docstring).  The error names the first failing law in x, y, z
+        order, as a loop over the elements would.
         """
         n = self.size
         add, mul, star = self.add_arr, self.mul_arr, self.star_arr
@@ -230,8 +246,10 @@ class FiniteStarRing:
                 (star[mul[x, y]] != mul[star[y], star[x]], "involution is not anti-multiplicative"),
             )
         if n <= _FULL_AXIOM_CHECK_LIMIT:
-            for x in _x_blocks(n, n * n):
-                self._check_triples(x[:, :, None], y[:, None], y[None, :])
+            try:
+                self._check_middles(_generators(add, zero))
+            except PreconditionFailed:
+                self._check_middles(y)  # raises: a generator triple is one of these
             return
         # random.Random(0).randrange(n), drawn in bulk: each draw is the top
         # n.bit_length() bits of one 32-bit word, redrawn while it is >= n
@@ -244,6 +262,11 @@ class FiniteStarRing:
         triples = draws[:want].reshape(-1, 3)
         for start in range(0, _AXIOM_SAMPLES, _AXIOM_BLOCK):
             self._check_triples(*triples[start : start + _AXIOM_BLOCK].T)
+
+    def _check_middles(self, middles):
+        """The triple laws at every (x, y, z) with y in middles, in that order."""
+        for x in _x_blocks(self.size, len(middles) * self.size):
+            self._check_triples(x[:, :, None], middles[:, None], np.arange(self.size))
 
     def _check_triples(self, x, y, z):
         # x, y, z broadcast to one grid of triples
@@ -646,33 +669,32 @@ class FiniteStarRing:
 
 
 def _zmod_ring(n: int) -> FiniteStarRing:
-    add = [[(x + y) % n for y in range(n)] for x in range(n)]
-    mul = [[(x * y) % n for y in range(n)] for x in range(n)]
-    star = list(range(n))
-    names = [str(x) for x in range(n)]
-    return FiniteStarRing(f"zmod:{n}", n, add, mul, star, 0, 1 % n, names)
+    x = np.arange(n)
+    add, mul, names = (x[:, None] + x) % n, (x[:, None] * x) % n, [str(v) for v in range(n)]
+    return FiniteStarRing(f"zmod:{n}", n, add, mul, x, 0, 1 % n, names)
 
 
 def _mat_ring(k: int, p: int) -> FiniteStarRing:
     if not _is_prime(p):
         raise PreconditionFailed(f"gf{p}: {p} is not prime")
-    size = p ** (k * k)
-    # entry (i, j) of the element with index idx is base-p digit i*k + j of idx
-    weights = p ** np.arange(k * k)
-    mats = (np.arange(size)[:, None] // weights % p).reshape(size, k, k)
-
-    def encode(m):
-        return (m % p).reshape(m.shape[:-2] + (k * k,)) @ weights
-
-    add = np.empty((size, size), dtype=np.int64)
-    mul = np.empty((size, size), dtype=np.int64)
-    step = max(1, _BLOCK // (size * k * k))
-    for lo in range(0, size, step):
-        x = mats[lo : lo + step, None]
-        add[lo : lo + step] = encode(x + mats)
-        mul[lo : lo + step] = encode(x @ mats)
-    star = encode(mats.transpose(0, 2, 1))
-    one = encode(np.eye(k, dtype=np.int64))
+    q, size = p**k, p ** (k * k)
+    # entry (i, j) of the element with index idx is base-p digit i*k + j of
+    # idx, so row i is base-q digit i: a row vector, by its index below q
+    mats = (np.arange(size)[:, None] // p ** np.arange(k * k) % p).reshape(size, k, k)
+    row_code, row_weights = p ** np.arange(k), (q ** np.arange(k)).tolist()
+    rows, vecs = mats @ row_code, mats[:q, 0]  # row vectors rows[x, i] of x; entries vecs[r]
+    # row i of x y is (row i of x) y, and row i of x + y is the sum of rows i
+    row_times = np.empty((q, size), dtype=np.int32)
+    for lo in range(0, q, step := max(1, _BLOCK // (size * k))):
+        row_times[lo : lo + step] = np.einsum("rt,ytj->ryj", vecs[lo : lo + step], mats) % p @ row_code
+    row_sum = ((vecs[:, None] + vecs) % p @ row_code).astype(np.int32).ravel()
+    add, mul = np.zeros((2, size, size), dtype=np.int32)
+    for lo in range(0, size, step := max(1, _BLOCK // size)):
+        for i, (x, weight) in enumerate(zip(rows[lo : lo + step].T, row_weights)):
+            mul[lo : lo + step] += row_times[x] * weight
+            add[lo : lo + step] += row_sum[x[:, None] * q + rows[:, i]] * weight
+    star = mats.transpose(0, 2, 1) @ row_code @ row_weights
+    one = int(row_code @ row_weights)  # row i of the identity is row vector p^i
     names = [str(m) for m in mats.tolist()]
     return FiniteStarRing(f"mat:{k}:gf{p}", size, add, mul, star, 0, one, names)
 
@@ -716,11 +738,11 @@ def _spec_int(text: str, spec: str) -> int:
         raise PreconditionFailed(f"malformed number {text!r} in ring spec {spec!r}") from None
 
 
-def _parse_spec(spec: str):
+def _parse_spec(spec: str, cap: int):
     """(size, build) for a ring spec; build() constructs the ring."""
     spec = spec.strip()
     if spec.startswith("prod(") and spec.endswith(")"):
-        (n1, build1), (n2, build2) = map(_parse_spec, _split_product_args(spec[5:-1]))
+        (n1, build1), (n2, build2) = (_parse_spec(s, cap) for s in _split_product_args(spec[5:-1]))
         return n1 * n2, lambda: _product_ring(build1(), build2())
     parts = spec.split(":")
     if parts[0] == "zmod" and len(parts) == 2:
@@ -732,13 +754,16 @@ def _parse_spec(spec: str):
         k, p = _spec_int(parts[1], spec), _spec_int(parts[2][2:], spec)
         if k < 1:
             raise PreconditionFailed("matrix size must be >= 1")
+        # |p|^(k^2) > |p| cap, decided before the power is computed
+        if abs(p) >= 2 and k * k > math.log(max(cap, 1), abs(p)) + 1:
+            raise TooLarge(f"ring {spec} has {p}^{k * k} elements, cap is {cap}")
         return p ** (k * k), lambda: _mat_ring(k, p)
     raise PreconditionFailed(f"unknown ring spec {spec!r}")
 
 
 def enumerate_ring(spec: str, cap: int = DEFAULT_RING_CAP) -> FiniteStarRing:
     """Build the ring described by spec; refuses rings larger than cap."""
-    size, build = _parse_spec(spec)
+    size, build = _parse_spec(spec, cap)
     if size > cap:
         raise TooLarge(f"ring {spec} has {size} elements, cap is {cap}")
     return build()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -274,6 +275,17 @@ def test_verify_unknown_theorem():
 
 def test_verify_ring_over_cap():
     assert run(["verify", "--ring", "mat:2:gf3", "--cap", "50"]) == 1
+
+
+@pytest.mark.parametrize("k", [300, 3000])
+def test_verify_huge_ring_exits_one_with_one_short_line(capsys, k):
+    # the CLI lifts the int/str digit limit, so a computed 3^(k^2) would be
+    # printed in full; the size is named by its exponent instead
+    start = time.perf_counter()
+    assert run(["verify", "--ring", f"mat:{k}:gf3", "--theorem", "uniqueness"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"ginv verify: bad ring spec: ring mat:{k}:gf3 has 3^{k * k} elements, cap is 6561\n"
 
 
 def test_usage_error_exit_code():

@@ -1,12 +1,14 @@
 """Scalar domain arithmetic, involution laws, and JSON scalar codecs."""
 
+import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ginv import NotInvertible
+from ginv import NotInvertible, group_inverse, matrix_from_json, matrix_to_json
 from ginv.domains import (
     COMPLEX_FLOAT,
     GAUSSIAN_RATIONAL,
@@ -174,3 +176,54 @@ def test_coerce_rejects_foreign_values():
         prime_field(5).coerce("x")
     with pytest.raises(DomainMismatch):
         RATIONAL.coerce(1.5)
+
+
+# In-process, Python refuses int/str conversions past sys.get_int_max_str_digits()
+# (4,300 digits by default); the CLI lifts the limit for its run, the API
+# reads and writes such entries through Decimal.  The expected values below
+# come from integer arithmetic, never from a long str.
+
+
+def rational_doc(data):
+    return {"rows": len(data), "cols": len(data[0]), "domain": {"kind": "rational"}, "data": data}
+
+
+def test_group_inverse_beyond_the_int_str_digit_limit_round_trips():
+    # a = [[N, 1], [0, 0]] with N = 10^3000: a^# = a / N^2 has a 6,001-digit entry
+    assert 0 < sys.get_int_max_str_digits() < 6001
+    big = "1" + "0" * 3000
+    a = matrix_from_json(rational_doc([[big, "1"], ["0", "0"]]))
+    g = group_inverse(a)
+    doc = json.loads(json.dumps(matrix_to_json(g)))
+    assert doc["data"] == [["1/" + big, "1/1" + "0" * 6000], ["0", "0"]]
+    assert matrix_from_json(doc) == g
+
+
+def test_entries_beyond_the_int_str_digit_limit_are_read_exactly():
+    sevens = 7 * (10**5001 - 1) // 9  # 5,001 sevens
+    thirds = (10**5000 - 1) // 3  # 5,000 threes
+    assert RATIONAL.scalar_from_json("7" * 5001) == sevens
+    assert RATIONAL.scalar_from_json("-" + "7" * 5001 + "/" + "3" * 5000) == Fraction(-sevens, thirds)
+    # 1.5...5 with 5,000 fives after the point
+    fives = Fraction(10**5000 + 5 * (10**5000 - 1) // 9, 10**5000)
+    assert RATIONAL.scalar_from_json("1." + "5" * 5000) == fives
+    z = GAUSSIAN_RATIONAL.scalar_from_json({"re": "7" * 5001, "im": "1/" + "3" * 5000})
+    assert z == GaussianRational(sevens, Fraction(1, thirds))
+    assert GAUSSIAN_RATIONAL.scalar_to_json(z) == {"re": "7" * 5001, "im": "1/" + "3" * 5000}
+
+
+@pytest.mark.parametrize(
+    "entry, why",
+    [
+        ("abc", ""),
+        ("limit", ""),
+        ("3.5/2", ""),
+        ("1e" + "9" * 5000, ""),
+        ("1/" + "0" * 5000, ": zero denominator"),
+    ],
+)
+def test_malformed_rational_entry_is_a_domain_mismatch(entry, why):
+    for dom, what in ((RATIONAL, "rational"), (GAUSSIAN_RATIONAL, "gaussian rational")):
+        with pytest.raises(DomainMismatch) as exc:
+            dom.scalar_from_json(entry)
+        assert str(exc.value) == f"bad {what} scalar {entry!r}{why}"

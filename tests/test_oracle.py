@@ -69,6 +69,20 @@ def test_ring_cap():
         enumerate_ring("mat:2:gf3", cap=50)
 
 
+def test_huge_matrix_ring_is_refused_by_its_exponent():
+    # 3^90000 has more digits than Python converts to str by default, and
+    # 3^9000000 takes seconds to compute: the size is decided from k^2 log p
+    with pytest.raises(TooLarge) as exc:
+        enumerate_ring("mat:300:gf3")
+    assert str(exc.value) == "ring mat:300:gf3 has 3^90000 elements, cap is 6561"
+    with pytest.raises(TooLarge, match=r"ring mat:3000:gf3 has 3\^9000000 elements"):
+        enumerate_ring("prod(zmod:2,mat:3000:gf3)")
+    # near the cap the size is exact
+    with pytest.raises(TooLarge, match="^ring mat:2:gf3 has 81 elements, cap is 80$"):
+        enumerate_ring("mat:2:gf3", cap=80)
+    assert enumerate_ring("mat:2:gf3", cap=81).size == 81
+
+
 def test_solve_equations_core_z6():
     ring = enumerate_ring("zmod:6")
     # independent brute force: 3 x^2 = x, x 3^2 = 3 (identity involution)

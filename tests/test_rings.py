@@ -209,15 +209,39 @@ def naive_product(r1, r2):
     return naive_tables(add, mul, star, zero, one, names)
 
 
+def vectorised_mat(k, p):
+    """naive_mat's tables from one batched product per pair of matrices."""
+    size = p ** (k * k)
+    weights = p ** np.arange(k * k)
+    mats = (np.arange(size)[:, None] // weights % p).reshape(size, k, k)
+
+    def encode(m):
+        return (m % p).reshape(m.shape[:-2] + (k * k,)) @ weights
+
+    add = encode(mats[:, None] + mats[None]).tolist()
+    mul = encode(np.einsum("xit,ytj->xyij", mats, mats)).tolist()
+    star = encode(mats.transpose(0, 2, 1)).tolist()
+    one = int(encode(np.eye(k, dtype=np.int64)))
+    return naive_tables(add, mul, star, 0, one, [str(m) for m in mats.tolist()])
+
+
+def test_vectorised_reference_matches_nested_loops():
+    assert vectorised_mat(2, 3) == naive_mat(2, 3)
+    assert vectorised_mat(1, 5) == naive_mat(1, 5)
+
+
 @pytest.mark.parametrize(
     "spec, naive",
     [
         ("mat:2:gf3", lambda: naive_mat(2, 3)),
         ("mat:1:gf5", lambda: naive_mat(1, 5)),
+        ("mat:2:gf2", lambda: naive_mat(2, 2)),
+        # three row digits; the nested loops take seconds at 512 elements
+        ("mat:3:gf2", lambda: vectorised_mat(3, 2)),
         ("prod(zmod:2,mat:1:gf3)", lambda: naive_product(naive_zmod(2), naive_mat(1, 3))),
     ],
 )
-def test_tables_match_nested_loop_build(spec, naive):
+def test_tables_match_nested_loop_build(monkeypatch, spec, naive):
     ring = enumerate_ring(spec)
     got = {
         "add": ring.add_t,
@@ -233,6 +257,10 @@ def test_tables_match_nested_loop_build(spec, naive):
     values = [ring.zero, ring.one, *ring.star_t, *ring.neg_t]
     values += list(itertools.chain(*ring.add_t, *ring.mul_t))
     assert {type(v) for v in values} == {int}
+    # built a few rows at a time, the tables are the same
+    monkeypatch.setattr(rings, "_BLOCK", 50)
+    small = enumerate_ring(spec)
+    assert (small.add_t, small.mul_t, small.star_t) == (ring.add_t, ring.mul_t, ring.star_t)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +450,91 @@ def test_sampled_axioms_match_reference(monkeypatch, spec):
         assert axiom_message(t) == want
         seen.add(want)
     assert seen & TRIPLE_LAWS, seen
+
+
+# ---------------------------------------------------------------------------
+# the triple laws proved from the additive generators
+
+FOUR_ZMOD2 = "prod(prod(zmod:2,zmod:2),prod(zmod:2,zmod:2))"
+STANDARD_RINGS = [
+    "zmod:12",
+    "mat:2:gf2",
+    "mat:2:gf3",
+    "mat:3:gf2",
+    "mat:2:gf5",
+    "prod(zmod:2,zmod:3)",
+    FOUR_ZMOD2,
+]
+
+
+def generated(table, elems):
+    """Every product of elements of elems, bracketed in any way, one product at a time."""
+    out, todo = set(elems), list(elems)
+    while todo:
+        a = todo.pop()
+        for b in list(out):
+            for c in (table[a][b], table[b][a]):
+                if c not in out:
+                    out.add(c)
+                    todo.append(c)
+    return out
+
+
+@pytest.mark.parametrize("spec", STANDARD_RINGS)
+def test_generators_reach_every_element(spec):
+    # the proof of the triple laws rests on this closure of the addition
+    # table; the multiplication table, whose monoid needs many more picks,
+    # exercises the picking too
+    ring = enumerate_ring(spec)
+    for table, start in ((ring.add_t, ring.zero), (ring.mul_t, ring.one)):
+        picks = rings._generators(np.array(table), start).tolist()
+        assert picks[0] == start and picks[1:] == sorted(picks[1:])
+        assert generated(table, picks) == set(range(ring.size))
+        for i in range(1, len(picks) if ring.size <= 81 else 2):
+            # the first element that the earlier picks do not reach
+            assert picks[i] == min(set(range(ring.size)) - generated(table, picks[:i]))
+
+
+def test_additive_generators_are_the_unit_digits():
+    assert rings._generators(enumerate_ring("mat:2:gf3").add_arr, 0).tolist() == [0, 1, 3, 9, 27]
+    assert rings._generators(enumerate_ring("zmod:12").add_arr, 0).tolist() == [0, 1]
+    assert rings._generators(enumerate_ring(FOUR_ZMOD2).add_arr, 0).tolist() == [0, 1, 2, 4, 8]
+
+
+def brute_force_message(monkeypatch, tables):
+    """axiom_message with every element a middle: a scan of all triples."""
+    with monkeypatch.context() as m:
+        m.setattr(rings, "_generators", lambda table, start: np.arange(len(table)))
+        return axiom_message(tables)
+
+
+def break_add(t, x, y, v):
+    # change x + y, y + x and their star images together: the pair laws
+    # still hold
+    s = t["star"]
+    t["add"][x][y] = t["add"][y][x] = v
+    t["add"][s[x]][s[y]] = t["add"][s[y]][s[x]] = s[v]
+
+
+@pytest.mark.parametrize("spec", ["mat:2:gf3", "prod(zmod:2,zmod:3)", FOUR_ZMOD2])
+def test_generator_proof_matches_the_brute_force_scan(monkeypatch, spec):
+    # random corruptions, each with a sum or product x y of two elements
+    # that, with their star images, are neither a generator nor 1: the
+    # triples (x, y, z) and (w, x, y) that form it first have no generator
+    # in the middle
+    tables = ring_tables(spec)
+    n, star, one = len(tables["star"]), tables["star"], tables["one"]
+    gens = set(rings._generators(np.array(tables["add"]), tables["zero"]).tolist())
+    others = [x for x in range(n) if not {x, star[x]} & (gens | {one})]
+    rng = random.Random(5)
+    seen = set()
+    for trial in range(60):
+        t = corrupt(tables, rng, trial % 2)
+        rng.choice([break_add, break_mul])(t, rng.choice(others), rng.choice(others), rng.randrange(n))
+        want = brute_force_message(monkeypatch, t)
+        assert axiom_message(t) == want
+        seen.add(want)
+    assert len(seen & TRIPLE_LAWS) >= 2, seen
 
 
 # ---------------------------------------------------------------------------
