@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .classical import (
     group_inverse,
 )
 from .equations import InverseResult, certify
-from .errors import GinvError, RouteDisagreement
+from .errors import GinvError, RouteDisagreement, ToleranceWarning
 from .matrix import DEFAULT_TOL, ToleranceThresholds, matrix_from_json, matrix_to_json
 from .regular import inner_inverse, mp_inverse, one_four_inverse, one_three_inverse
 from .rings import DEFAULT_RING_CAP, enumerate_ring
@@ -171,14 +172,21 @@ def _cmd_compute(args) -> int:
             raise GinvError(f"unknown route {route!r} for {kind}; choose from {valid}")
 
     solve, why_not = _COMPUTE[kind]
-    res = solve(tol, route or "all", **mats)
+    # a certificate failing near tolerance inside the solver is a
+    # ToleranceWarning: kept off stderr, and the reason when no value comes back
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ToleranceWarning)
+        res = solve(tol, route or "all", **mats)
+    near = [str(w.message) for w in caught if issubclass(w.category, ToleranceWarning)]
     index = cert = reason = None
     if isinstance(res, InverseResult):
         exists, value, cert, reason = res.exists, res.value, res.certificate, res.reason
     else:
         value, index = res if isinstance(res, IndexedInverse) else (res, None)
         exists = value is not None
-        if not exists:
+        if near and not exists:
+            reason = near[-1]
+        elif not exists:
             reason = why_not(mats["a"], tol) if callable(why_not) else why_not
 
     if exists and cert is None:

@@ -12,15 +12,21 @@ module tolerances).
 from __future__ import annotations
 
 import cmath
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainMismatch, NotInvertible
 
 
-# Fraction(str) and str(Fraction) fail past sys.get_int_max_str_digits() digits; Decimal does not
+# Fraction(str) and str(Fraction) fail past sys.get_int_max_str_digits() digits; Decimal does not.
+# An exponent past the default digit limit is refused before 10**exponent is built: Fraction
+# would build it whatever the limit, and "1e99999999" alone runs for more than 20 s
 def _fraction_from_json(obj, what: str) -> Fraction:
     try:
+        _, e, exponent = obj.lower().rpartition("e") if isinstance(obj, str) else ("", "", "")
+        if e and abs(Decimal(exponent)) > sys.int_info.default_max_str_digits:
+            raise ValueError(obj)
         try:
             return Fraction(obj)
         except ValueError as exc:

@@ -11,9 +11,10 @@ then (xg)z = x(gz), additive in g, makes x associative.  If one fails, all
 n^3 triples are scanned for the first failure.  Beyond 256 elements a fixed
 deterministic sample is checked.
 
-Every inverse the oracle looks up (`group_inv`, `wcore_solutions`, `along`,
-...) comes from one scanner over the equations of `equations.SYSTEMS`:
-definitions only, never a theorem it checks.
+Every inverse the oracle looks up (`group_inv`, `inv_unit`,
+`wcore_solutions`, `along`, ...) comes from one scanner over the equations
+of `equations.SYSTEMS` (for units, ax = 1 = xa): definitions only, never a
+theorem it checks.  The unit criteria read units as `table("inv_unit")`.
 
 The scanner's grid has a row per value of the given letters and the
 unknown x along each row.  On a grid larger than one block, when an
@@ -53,11 +54,8 @@ from .errors import PreconditionFailed, TooLarge
 DEFAULT_RING_CAP = 6561
 _FULL_AXIOM_CHECK_LIMIT = 256
 _AXIOM_SAMPLES = 20000
-# axiom-check grid points (or sampled triples) per numpy batch: bounds the
-# memory of the check; a batch holds at least one whole x-slice
-_AXIOM_BLOCK = 1 << 16
-# scanner grid points or candidates per numpy block, and table entries built
-# per block: bounds the memory of the scanner and of building the tables
+# scanner grid points or candidates, table entries built and axiom-check grid
+# points (or sampled triples) per numpy block: bounds the memory of each
 _BLOCK = 1 << 16
 
 # the inverse x of a unit a: ax = 1 = xa (the empty word is 1)
@@ -78,6 +76,7 @@ _SCANS = {
 # FiniteStarRing.table: named lookup -> (shape, the scan or ideal it reads)
 _TABLES = {
     **{f"{k}_inv": ("element", k.replace("_", "-")) for k in ("group", "core", "mp", "dual_core")},
+    "inv_unit": ("element", "unit"),
     "inner_inverses": ("set", "one"),
     "one_three_set": ("set", "one3"),
     "one_four_set": ("set", "one4"),
@@ -154,9 +153,9 @@ def _fibre_form(system, unknown):
 
 
 def _x_blocks(n: int, per_x: int):
-    """Column vectors of consecutive x, each at most _AXIOM_BLOCK grid points
+    """Column vectors of consecutive x, each at most _BLOCK grid points
     unless one x alone has more."""
-    step = max(1, _AXIOM_BLOCK // per_x)
+    step = max(1, _BLOCK // per_x)
     for x0 in range(0, n, step):
         yield np.arange(x0, min(n, x0 + step))[:, None]
 
@@ -203,7 +202,6 @@ class FiniteStarRing:
         self.names = names
         self.neg_arr = self._build_neg()
         self._verify_axioms()
-        self._units: dict[int, int] | None = None
         self._ideals: dict = {}  # ideal kind -> members, (kind, "sets") -> frozensets
         self._scans: dict = {}  # scan key -> its _Record (see _record)
         self._tables: dict = {}  # named lookup -> (its override, its arrays)
@@ -260,8 +258,8 @@ class FiniteStarRing:
             vals = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4") >> shift
             draws = np.concatenate([draws, vals[vals < n]])
         triples = draws[:want].reshape(-1, 3)
-        for start in range(0, _AXIOM_SAMPLES, _AXIOM_BLOCK):
-            self._check_triples(*triples[start : start + _AXIOM_BLOCK].T)
+        for start in range(0, _AXIOM_SAMPLES, _BLOCK):
+            self._check_triples(*triples[start : start + _BLOCK].T)
 
     def _check_middles(self, middles):
         """The triple laws at every (x, y, z) with y in middles, in that order."""
@@ -317,17 +315,6 @@ class FiniteStarRing:
                 raise PreconditionFailed(f"{letter} = {x!r} is not an element of {self.spec}")
 
     # -- derived structure (cached) ------------------------------------------
-
-    def units(self) -> dict[int, int]:
-        if self._units is None:
-            self._units = {x: s[0] for x in range(self.size) if (s := self._named("unit").row(x))}
-        return self._units
-
-    def is_unit(self, x) -> bool:
-        return x in self.units()
-
-    def inv_unit(self, x) -> int:
-        return self.units()[x]
 
     # x R is row x of the multiplication table and R x is column x; x^0 is
     # where row x is zero and ^0 x where column x is
@@ -567,6 +554,12 @@ class FiniteStarRing:
     def dual_core_inv(self, a):
         return _first(self._named("dual-core").row(a))
 
+    def inv_unit(self, x):
+        return _first(self._named("unit").row(x))
+
+    def is_unit(self, x) -> bool:
+        return self.inv_unit(x) is not None
+
     def one_three_set(self, a) -> tuple:
         return self._named("one3").row(a)
 
@@ -593,8 +586,8 @@ class FiniteStarRing:
     def table(self, name):
         """The named lookup over the whole ring as arrays, built once per ring.
 
-        - group_inv, core_inv, mp_inv, dual_core_inv: the value at each a,
-          -1 where there is none;
+        - group_inv, core_inv, mp_inv, dual_core_inv, inv_unit: the value at
+          each a, -1 where there is none;
         - inner_inverses, one_three_set, one_four_set and one23 (the
           {1,2,3}-inverses, which have no scalar lookup): members[a, x];
         - wcore_solutions [a, w], dual_vcore_solutions [a, v] and along

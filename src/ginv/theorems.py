@@ -12,8 +12,10 @@ ends at its `_MAX_CE`-th counterexample.  Checkers quantifying over three or
 more ring elements are skipped, with a note, on rings larger than
 `TRIPLE_SIZE_LIMIT`.  Every checker is an array expression over all its
 instances at once, on the ring's whole-ring lookups (`FiniteStarRing.table`:
-solution arrays, ideal ids and memberships); five unit criteria take one
-outer letter at a time, the inner letters and inner inverses as array axes.
+solution arrays, ideal ids and memberships).  The unit criteria read units
+as `table("inv_unit")`: an element is a unit where its entry is >= 0, and the
+entry is its inverse.  Five of them take one outer letter at a time, the
+inner letters and inner inverses as array axes.
 Each states its quantifiers once, as the instance grid it hands `col.batch`:
 the letters' coordinate arrays, whose broadcast shape gives the instance
 count and, in C order, the scalar loop's order, and which name a failing
@@ -511,21 +513,6 @@ def _chk_green_drazin(ring: FiniteStarRing, col: _Collector):
 # ring-theoretic unit criteria
 
 
-class _Units:
-    """The is-unit bit of every element, read once through ring.is_unit, and
-    unit inverses, each read through ring.inv_unit when first needed."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.bits = np.array([ring.is_unit(x) for x in range(ring.size)], dtype=bool)
-        self._inv = np.full(ring.size, -1, dtype=np.int64)
-
-    def inv(self, xs):
-        for x in set(xs[self._inv[xs] < 0].tolist()):
-            self._inv[x] = self.ring.inv_unit(x)
-        return self._inv[xs]
-
-
 def _prod(mul, *factors):
     """The left-to-right product of elements and broadcast element arrays."""
     acc = factors[0]
@@ -572,19 +559,19 @@ def _frames(ring, regular=True):
 
 def _chk_idempotent(ring: FiniteStarRing, col: _Collector):
     n, mul, add = ring.size, ring.mul_arr, ring.add_arr
-    units, (first, count) = _Units(ring), ring.table("wcore_solutions")
+    inv, (first, count) = ring.table("inv_unit"), ring.table("wcore_solutions")
     a, w = np.indices((n, n), sparse=True)
     # [a, w]: the projections p with pa = 0 and p + aw a unit, and the first
     found, p0 = np.zeros((n, n), dtype=np.int32), np.zeros((n, n), dtype=np.int32)
     for p in reversed(ring.projections()):
-        ok = (mul[p] == ring.zero)[:, None] & units.bits[add[p, mul]]
+        ok = (mul[p] == ring.zero)[:, None] & (inv[add[p, mul]] >= 0)
         found += ok
         p0[ok] = p
     ex, crit = count > 0, found > 0
     need = np.flatnonzero(ex & crit)
     pn, miss = p0.flat[need], np.zeros(n * n, dtype=bool)
     one_minus = add[ring.one, ring.neg_arr]  # 1 - x
-    miss[need] = mul[units.inv(add[pn, mul.flat[need]]), one_minus[pn]] != first.flat[need]
+    miss[need] = mul[inv[add[pn, mul.flat[need]]], one_minus[pn]] != first.flat[need]
     own = [
         _split("existence {} vs projection criterion {}", ex, crit),
         (ex & crit & (found != 1), lambda pos: f"projection not unique ({found.flat[pos]} found)"),
@@ -595,20 +582,20 @@ def _chk_idempotent(ring: FiniteStarRing, col: _Collector):
 
 def _chk_jacobson(ring: FiniteStarRing, col: _Collector):
     n, mul, add = ring.size, ring.mul_arr, ring.add_arr
-    units, one_minus = _Units(ring), add[ring.one, ring.neg_arr]  # 1 - x
+    inv, one_minus = ring.table("inv_unit"), add[ring.one, ring.neg_arr]  # 1 - x
     alpha, beta = one_minus[mul], one_minus[mul.T]  # [a, b]: 1 - ab, 1 - ba
-    ua, ub = units.bits[alpha], units.bits[beta]
+    ua, ub = inv[alpha] >= 0, inv[beta] >= 0
     need = np.flatnonzero(ua & ub)
     a, b = np.divmod(need, n)
-    expected = add[ring.one, _prod(mul, b, units.inv(alpha.flat[need]), a)]
+    expected = add[ring.one, _prod(mul, b, inv[alpha.flat[need]], a)]
     miss = np.zeros(n * n, dtype=bool)
-    miss[need] = units.inv(beta.flat[need]) != expected
+    miss[need] = inv[beta.flat[need]] != expected
     own = [(ua & ~ub, "1-ab invertible but 1-ba is not"), (miss, "beta^{-1} != 1 + b alpha^{-1} a")]
     col.batch({"a": np.arange(n)[:, None], "b": np.arange(n)}, own)
 
 
 def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
-    n, mul, units, along = ring.size, ring.mul_arr, _Units(ring), ring.table("along")[0]
+    n, mul, inv, along = ring.size, ring.mul_arr, ring.table("inv_unit"), ring.table("along")[0]
     xs = np.arange(n)[:, None]
     words = _words(ring, (("a", "x"), ("x", "a")), x=xs)
     for d, inners in _frames(ring):
@@ -616,11 +603,11 @@ def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
         ex, k = along[:, d], inners.size
         has = (ex >= 0)[:, None]
         u, v = _units(ring, d, inners, words)
-        bad = (has != units.bits[u]) | (has != units.bits[v])
+        bad = (has != (inv[u] >= 0)) | (has != (inv[v] >= 0))
         need = np.flatnonzero(~bad & has)
         miss = np.zeros(n * k, dtype=bool)
-        miss[need] = (mul[units.inv(u.ravel()[need]), d] != ex[need // k]) | (
-            mul[d, units.inv(v.ravel()[need])] != ex[need // k]
+        miss[need] = (mul[inv[u.ravel()[need]], d] != ex[need // k]) | (
+            mul[d, inv[v.ravel()[need]]] != ex[need // k]
         )
         own = [
             (bad, "unit criteria disagree with existence"),
@@ -634,12 +621,12 @@ def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
     a, inner = np.nonzero(ring.table("inner_inverses"))  # instances (a, a⁻), a-major
     u, v = _units(ring, a, inner, _words(ring, (("a", "a*"), ("a*", "a"))))
     mp = ring.table("mp_inv")[a]
-    units, ex = _Units(ring), mp >= 0
-    bad = (ex != units.bits[u]) | (ex != units.bits[v])
+    inv, ex = ring.table("inv_unit"), mp >= 0
+    bad = (ex != (inv[u] >= 0)) | (ex != (inv[v] >= 0))
     need = np.flatnonzero(ex & ~bad)
     miss_u, miss_v = np.zeros((2, a.size), dtype=bool)
-    miss_u[need] = star[mul[units.inv(u[need]), a[need]]] != mp[need]
-    miss_v[need] = star[mul[a[need], units.inv(v[need])]] != mp[need]
+    miss_u[need] = star[mul[inv[u[need]], a[need]]] != mp[need]
+    miss_v[need] = star[mul[a[need], inv[v[need]]]] != mp[need]
     own = [
         (bad, "MP unit criteria disagree with existence"),
         (miss_u, "(u^{-1} a)* misses a^dag"),
@@ -669,7 +656,7 @@ def _chk_mp_ideal_char(ring: FiniteStarRing, col: _Collector):
 
 def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    units, mp, along = _Units(ring), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    inv, mp, along = ring.table("inv_unit"), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
     (wcore, _), (dual, _) = map(ring.table, _PAIRS)
     v, w = np.indices((n, n), sparse=True)
     words = _words(ring, _VW_UNITS, w=w[..., None], v=v[..., None])
@@ -680,14 +667,14 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
         joint = (dv >= 0)[:, None] & (wc >= 0)
         c2 = in_a & mp[a]
         u, r, s, t = _units(ring, a, inners, words)
-        oks = units.bits[np.stack([u, r, s, t])]
+        oks = inv[np.stack([u, r, s, t])] >= 0
         bad = vpa[..., None] & (oks != joint[..., None]).any(axis=0)
         need = np.flatnonzero(vpa[..., None] & ~bad & joint[..., None])
         vn, wn, _ = np.unravel_index(need, bad.shape)
-        mid = star[_prod(mul, units.inv(u.ravel()[need]), a, wn, a, vn, a)]
+        mid = star[_prod(mul, inv[u.ravel()[need]], a, wn, a, vn, a)]
         miss_w, miss_v = np.zeros((2, bad.size), dtype=bool)
-        miss_w[need] = _prod(mul, a, vn, a, sa, a, units.inv(s.ravel()[need]), mid) != wc[wn]
-        miss_v[need] = _prod(mul, mid, a, wn, a, sa, a, units.inv(t.ravel()[need])) != dv[vn]
+        miss_w[need] = _prod(mul, a, vn, a, sa, a, inv[s.ravel()[need]], mid) != wc[wn]
+        miss_v[need] = _prod(mul, mid, a, wn, a, sa, a, inv[t.ravel()[need]]) != dv[vn]
         oks = oks.reshape(4, n * n, inners.size)
 
         own = [
@@ -708,7 +695,7 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
 
 def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    units, mp, along = _Units(ring), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    inv, mp, along = ring.table("inv_unit"), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
     (wcore, _), (dual, _) = map(ring.table, _PAIRS)
     w, v = np.indices((n, n), sparse=True)
     words = _words(ring, _W_UNITS, w=w)
@@ -718,13 +705,13 @@ def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
         joint = (wc >= 0)[:, None] & (dv >= 0)
         c2 = in_a[:, None] & in_a & mp[a]
         u, r, s, t = _units(ring, a, inners, words)
-        conds = in_a[:, None] & units.bits[np.stack([u, r, s, t])][:, :, None, :]
+        conds = in_a[:, None] & (inv[np.stack([u, r, s, t])] >= 0)[:, :, None, :]
         bad = (conds != joint[..., None]).any(axis=0)
         need = np.flatnonzero(~bad & joint[..., None])
         wn, _, i_n = np.unravel_index(need, bad.shape)
-        mid = star[_prod(mul, units.inv(u[wn, i_n]), a, wn, a)]
+        mid = star[_prod(mul, inv[u[wn, i_n]], a, wn, a)]
         miss = np.zeros(bad.shape, dtype=bool)
-        miss.flat[need] = _prod(mul, a, sa, a, units.inv(s[wn, i_n]), mid) != wc[wn]
+        miss.flat[need] = _prod(mul, a, sa, a, inv[s[wn, i_n]], mid) != wc[wn]
         conds = conds.reshape(4, n * n, inners.size)
 
         own = [_split("(i)={} vs (ii)={}", joint, c2)]
@@ -741,7 +728,7 @@ def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
 
 def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    units, mp, along = _Units(ring), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    inv, mp, along = ring.table("inv_unit"), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
     (wcore, _), (dual, _) = map(ring.table, _PAIRS)
     w, v = np.indices((n, n), sparse=True)
     words = _words(ring, _VW_UNITS, w=w[..., None], v=v[..., None])
@@ -751,7 +738,7 @@ def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
         joint = (wc >= 0)[:, None] & (dv >= 0)
         c2 = in_a[_prod(mul, w, a, v)] & mp[a]
         c3 = in_a[_prod(mul, v, a, w)] & mp[a]
-        oks = units.bits[np.stack(_units(ring, a, inners, words))]
+        oks = inv[np.stack(_units(ring, a, inners, words))] >= 0
         bad = (oks != joint[..., None]).any(axis=0)
         oks = oks.reshape(4, n * n, inners.size)
 
@@ -777,7 +764,7 @@ def _chk_along_product(ring: FiniteStarRing, col: _Collector):
 
 def _chk_intersect(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    units, mp, along = _Units(ring), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    inv, mp, along = ring.table("inv_unit"), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
     (wcore, _), (dual, _) = map(ring.table, _PAIRS)
     w = np.arange(n)[:, None]
     words = _words(ring, _W_UNITS, w=w)
@@ -787,12 +774,12 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
         joint, c2, c3 = ew & (dv >= 0), along[:, a] & mp[a], ew & (dv[sa] >= 0)
         # instances (w, a⁻): rows w, columns a⁻
         u, t, s, r = _units(ring, a, inners, words)
-        oks = units.bits[np.stack([u, r, s, t])]
+        oks = inv[np.stack([u, r, s, t])] >= 0
         bad = ~((joint == c2) & (c2 == c3))[:, None] | (oks != joint[:, None]).any(axis=0)
         need = np.flatnonzero(~bad & joint[:, None])
         miss_t, miss_s = np.zeros((2, n * k), dtype=bool)
-        miss_t[need] = _prod(mul, units.inv(t.ravel()[need]), a, sa) != wc[need // k]
-        miss_s[need] = _prod(mul, sa, a, units.inv(s.ravel()[need])) != dv[need // k]
+        miss_t[need] = _prod(mul, inv[t.ravel()[need]], a, sa) != wc[need // k]
+        miss_s[need] = _prod(mul, sa, a, inv[s.ravel()[need]]) != dv[need // k]
         oks = oks.reshape(4, -1)
 
         def split(pos):
@@ -809,19 +796,19 @@ def _chk_intersect(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
-    mul, units = ring.mul_arr, _Units(ring)
+    mul, inv = ring.mul_arr, ring.table("inv_unit")
     a, inner = np.nonzero(ring.table("inner_inverses"))  # instances (a, a⁻), a-major
     # the core inverse is the w-core inverse at w = 1
     (u, t, s, v), sa = _units(ring, a, inner, _words(ring, _W_UNITS, w=ring.one)), ring.star_arr[a]
     core, dual = ring.table("core_inv")[a], ring.table("dual_core_inv")[a]
     joint = (core >= 0) & (dual >= 0)
     c2 = (ring.table("group_inv")[a] >= 0) & (ring.table("mp_inv")[a] >= 0)
-    oks = units.bits[np.stack([u, v, s, t])]
+    oks = inv[np.stack([u, v, s, t])] >= 0
     bad = (joint != c2) | (oks != joint).any(axis=0)
     need = np.flatnonzero(joint & ~bad)
     miss_t, miss_s = np.zeros((2, a.size), dtype=bool)
-    miss_t[need] = _prod(mul, units.inv(t[need]), a[need], sa[need]) != core[need]
-    miss_s[need] = _prod(mul, sa[need], a[need], units.inv(s[need])) != dual[need]
+    miss_t[need] = _prod(mul, inv[t[need]], a[need], sa[need]) != core[need]
+    miss_s[need] = _prod(mul, sa[need], a[need], inv[s[need]]) != dual[need]
     own = [
         (bad, lambda p: f"(i)={joint[p]}, (ii)={c2[p]}, units={tuple(oks[:, p].tolist())}"),
         (miss_t, "t^{-1} a a* misses a_core"),

@@ -500,6 +500,69 @@ def test_numerical_breakdown_in_a_process_has_no_traceback(tmp_path):
     assert json.loads(proc.stdout)["reason"] == "numerical breakdown: SVD did not converge"
 
 
+def _diag(tmp_path, name, *entries):
+    rows = [[[float(x), 0.0] if i == j else [0.0, 0.0] for j in range(2)] for i, x in enumerate(entries)]
+    return write_matrix(tmp_path / f"{name}.json", rows, domain={"kind": "complex_float"})
+
+
+@pytest.mark.parametrize(
+    "kind, operands, code",
+    [
+        ("bc", {"a": (1, 1), "b": (1, 0), "c": (1, 0)}, 3),
+        # as_bc fails near tolerance, the other routes carry the value
+        ("w-core", {"a": (1, 0), "w": (1, 1)}, 0),
+    ],
+)
+def test_a_failing_bc_certificate_stays_off_stderr(
+    failing_bc_certificate, tmp_path, capsys, kind, operands, code
+):
+    args = ["compute", "--kind", kind]
+    for name, entries in operands.items():
+        args += [f"--{name}", _diag(tmp_path, name, *entries)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(args) == code
+    assert caught == []  # nothing that Python would print on stderr
+    out, err = capsys.readouterr()
+    assert err == ""
+    result = json.loads(out)
+    if kind == "bc":
+        # the rank criterion holds: the reason names the failed certificate
+        assert result["value"] is None and result["certificate"] is None
+        assert result["reason"].startswith("(b,c)-inverse certificate failed near tolerance")
+
+
+def test_a_failing_bc_certificate_in_a_process_leaves_stderr_empty(tmp_path):
+    # 1e-300 I with b = c = I: the B3 residual is NaN at this scale, so the
+    # certificate fails, though a is invertible
+    a, i = _diag(tmp_path, "a", 1e-300, 1e-300), _diag(tmp_path, "i", 1, 1)
+    src = os.path.dirname(os.path.dirname(ginv.cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ginv.cli", "compute", "--kind", "bc", "--a", a, "--b", i, "--c", i],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stderr == ""
+    result = json.loads(proc.stdout)
+    assert result["value"] is None
+    assert result["reason"].startswith("(b,c)-inverse certificate failed near tolerance")
+
+
+@pytest.mark.parametrize("entry", ["1e99999999", "1e" + "9" * 5000], ids=["8-digit", "5000-digit"])
+def test_an_entry_with_a_huge_exponent_exits_one_at_once(tmp_path, capsys, entry):
+    # 10^exponent is never built: the CLI lifts the digit limit, so nothing
+    # else would stop it
+    a = write_matrix(tmp_path / "a.json", [[entry]], domain=RATIONAL)
+    start = time.perf_counter()
+    assert run(["compute", "--kind", "mp", "--a", a]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"ginv: error: bad rational scalar {entry!r}\n"
+
+
 def test_check_reports_a_numerical_breakdown_in_one_line(tmp_path, capsys, monkeypatch):
     def breaks(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,27 @@ def test_entries_beyond_the_int_str_digit_limit_are_read_exactly():
     z = GAUSSIAN_RATIONAL.scalar_from_json({"re": "7" * 5001, "im": "1/" + "3" * 5000})
     assert z == GaussianRational(sevens, Fraction(1, thirds))
     assert GAUSSIAN_RATIONAL.scalar_to_json(z) == {"re": "7" * 5001, "im": "1/" + "3" * 5000}
+
+
+@pytest.mark.parametrize("entry", ["1e99999999", "1e" + "9" * 5000, "1e-99999999"])
+def test_an_exponent_past_the_digit_limit_is_refused_before_any_power(entry):
+    gaussian = "gaussian rational"
+    cases = [(RATIONAL, "rational", entry), (GAUSSIAN_RATIONAL, gaussian, entry)]
+    cases.append((GAUSSIAN_RATIONAL, gaussian, {"re": "0", "im": entry}))
+    start = time.perf_counter()
+    for dom, what, obj in cases:
+        with pytest.raises(DomainMismatch) as exc:
+            dom.scalar_from_json(obj)
+        assert str(exc.value) == f"bad {what} scalar {entry!r}"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exponents_at_the_digit_limit_are_read_exactly():
+    assert RATIONAL.scalar_from_json("1e4300") == 10**4300
+    assert RATIONAL.scalar_from_json("1e-4300") == Fraction(1, 10**4300)
+    assert GAUSSIAN_RATIONAL.scalar_from_json({"re": "1e4300", "im": "-1E-4300"}) == GaussianRational(
+        10**4300, Fraction(-1, 10**4300)
+    )
 
 
 @pytest.mark.parametrize(

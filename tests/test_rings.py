@@ -401,11 +401,11 @@ def corrupt(tables, rng, entries):
 
 @pytest.mark.parametrize("spec", ["zmod:12", "mat:2:gf2", "prod(zmod:2,zmod:3)"])
 @pytest.mark.parametrize("entries", [1, 2])
-@pytest.mark.parametrize("block", [rings._AXIOM_BLOCK, 20])
+@pytest.mark.parametrize("block", [rings._BLOCK, 20])
 def test_broken_axioms_match_reference(monkeypatch, spec, entries, block):
     # one broken entry, or two whose first failures the order must rank;
     # with a small block every x-slice is checked on its own
-    monkeypatch.setattr(rings, "_AXIOM_BLOCK", block)
+    monkeypatch.setattr(rings, "_BLOCK", block)
     tables = ring_tables(spec)
     assert axiom_message(tables) is None
     rng = random.Random(entries)
@@ -437,7 +437,7 @@ def test_sampled_axioms_match_reference(monkeypatch, spec):
     # above the limit a fixed random sample of triples is checked, in batches
     monkeypatch.setattr(rings, "_FULL_AXIOM_CHECK_LIMIT", 8)
     monkeypatch.setattr(rings, "_AXIOM_SAMPLES", 400)
-    monkeypatch.setattr(rings, "_AXIOM_BLOCK", 7)
+    monkeypatch.setattr(rings, "_BLOCK", 7)
     tables = ring_tables(spec)
     assert axiom_message(tables) is None
     rng = random.Random(11)
@@ -545,7 +545,7 @@ def scalar_tables(ring):
     """Every whole-ring lookup built from its scalar named lookup, one call per
     element or pair."""
     n, out = ring.size, {}
-    for name in ("group_inv", "core_inv", "mp_inv", "dual_core_inv"):
+    for name in ("group_inv", "core_inv", "mp_inv", "dual_core_inv", "inv_unit"):
         out[name] = [-1 if y is None else y for y in map(getattr(ring, name), range(n))]
     one23 = [ring.solve_system(SYSTEMS["one23"], {"a": a}) for a in range(n)]
     for name, sets in [
@@ -571,7 +571,7 @@ def scalar_tables(ring):
 def array_tables(ring):
     """The same, read from ring.table; ideal ids as equality of ids."""
     out = {}
-    for name in ("group_inv", "core_inv", "mp_inv", "dual_core_inv"):
+    for name in ("group_inv", "core_inv", "mp_inv", "dual_core_inv", "inv_unit"):
         out[name] = ring.table(name).tolist()
     for name in ("inner_inverses", "one_three_set", "one_four_set", "one23"):
         out[name] = ring.table(name).tolist()
@@ -602,9 +602,10 @@ def test_whole_ring_lookups_read_a_replaced_lookup_pointwise():
     ring.wcore_solutions = lambda a, w: (0, 1) if a == w else ()
     ring.left_ann = lambda e: frozenset({e})
     ring.core_inv = lambda a: a
+    ring.inv_unit = lambda x: None if x == ring.one else x
     got = array_tables(ring)
     assert got == scalar_tables(ring) and got != fresh
-    for name in ("along", "wcore_solutions", "left_ann", "core_inv"):
+    for name in ("along", "wcore_solutions", "left_ann", "core_inv", "inv_unit"):
         delattr(ring, name)
     assert array_tables(ring) == fresh
 

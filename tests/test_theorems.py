@@ -7,7 +7,7 @@ as references: without a fault, under planted faults and at the cap."""
 import numpy as np
 import pytest
 
-from ginv import enumerate_ring, verify_theorem
+from ginv import enumerate_ring, theorems, verify_theorem
 from ginv.theorems import _MAX_CE, CATALOG, _Collector
 
 # theorem id -> (ring, lookup the theorem reads, the input where the lookup
@@ -40,7 +40,7 @@ PLANTED = {
     "mp_ideal_char": ("zmod:12", "mp_inv", (0,), 1),
     "vw_intersect": ("zmod:12", "inv_unit", (1,), 2),
     "joint_w_units": ("zmod:12", "inv_unit", (1,), 2),
-    "vw_intersect_dedekind": ("zmod:12", "is_unit", (1,), False),
+    "vw_intersect_dedekind": ("zmod:12", "inv_unit", (5,), None),
     "along_product": ("zmod:12", "along", (0, 1), 0),
     "intersect": ("zmod:12", "inv_unit", (1,), 2),
     "core_dual_core_units": ("zmod:12", "dual_core_inv", (0,), 1),
@@ -155,6 +155,23 @@ def test_check_ends_at_the_counterexample_cap():
     assert len(rep.counterexamples) == _MAX_CE
     assert rep.instances_checked == _MAX_CE
     assert rep.counterexamples[-1]["elements"] == {"a": "0", "w": str(_MAX_CE - 1)}
+
+
+def test_triple_checkers_run_on_mat_2_gf3_with_the_limit_raised(monkeypatch):
+    # 81 elements: every element of a matrix ring over a field is regular, so
+    # each triple checker has 81^3 instances; with 1 read as a non-unit, each
+    # joint unit criterion reports counterexamples up to the cap
+    monkeypatch.setattr(theorems, "TRIPLE_SIZE_LIMIT", 81)
+    ring = enumerate_ring("mat:2:gf3")
+    triples = [tid for tid, (_, quantified) in CATALOG.items() if quantified >= 3]
+    assert len(triples) == 5
+    for tid in triples:
+        rep = verify_theorem(ring, tid)
+        assert not rep.skipped and rep.counterexamples == [], tid
+        assert rep.instances_checked == 81**3, tid
+    _plant(ring, "inv_unit", (ring.one,), None)
+    for tid in ("vw_intersect", "joint_w_units", "vw_intersect_dedekind"):
+        assert len(verify_theorem(ring, tid).counterexamples) == _MAX_CE, tid
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +369,16 @@ LOOPS = {
 
 
 def _flip_units(ring):
-    # every unit test answers wrong: no unit inverse is ever needed
-    is_unit = ring.is_unit
-    ring.is_unit = lambda x: not is_unit(x)
+    # every unit test answers wrong: units read as None, non-units as 0
+    inv_unit = ring.inv_unit
+    ring.inv_unit = lambda x: None if inv_unit(x) is not None else 0
 
 
 def _joint_without_units(ring):
     # every w-core and dual v-core inverse exists, and nothing is a unit
     ring.wcore_solutions = lambda a, w: (0,)
     ring.dual_vcore_solutions = lambda a, v: (0,)
-    ring.is_unit = lambda x: False
+    ring.inv_unit = lambda x: None
 
 
 # a plant under which every instance of the check fails
