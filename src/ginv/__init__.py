@@ -3,7 +3,9 @@
 Computes and certifies {1}/{1,3}/{1,4}/Moore-Penrose, group, Drazin, core,
 dual-core, pseudo-core (core-EP), inverse-along-an-element, (b,c)-, w-core
 and dual v-core inverses over exact scalar domains and complex floats, and
-exhaustively verifies the governing theorems on small finite *-rings.
+exhaustively verifies the governing theorems on small finite *-rings.  That
+oracle (rings, theorems) loads on first use of `ginv verify` or of one of its
+names; `ginv compute` and `ginv check` load only the inverse engine.
 """
 
 from .along import (
@@ -69,8 +71,6 @@ from .regular import (
     one_four_inverse,
     one_three_inverse,
 )
-from .rings import FiniteStarRing, enumerate_ring, green_relations, solve_equations
-from .theorems import CATALOG, TheoremReport, verify_all, verify_theorem
 from .wcore import (
     UnitReport,
     dual_v_core,
@@ -87,3 +87,19 @@ from .wcore import (
 )
 
 __version__ = "0.1.0"
+
+_RINGS = ("FiniteStarRing", "enumerate_ring", "green_relations", "solve_equations")
+_THEOREMS = ("CATALOG", "TheoremReport", "verify_all", "verify_theorem")
+__all__ = [n for n in globals() if not n.startswith("_")] + [*_RINGS, *_THEOREMS]
+
+
+def __getattr__(name):  # PEP 562: runs only for unbound names; later reads are plain hits
+    if name not in _RINGS + _THEOREMS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(".rings" if name in _RINGS else ".theorems", __name__)
+    return globals().setdefault(name, getattr(module, name))
+
+
+def __dir__():
+    return sorted(globals().keys() | {*_RINGS, *_THEOREMS})

@@ -172,13 +172,12 @@ def bc_inverse(
         return None
     y = b @ inner_inverse(cab, tol) @ c
     residuals = certify("bc", {"a": a, "b": b, "c": c, "x": y}, tol).residuals
-    if not all_within(residuals.values(), acceptance_bound(a.domain, tol, guard=True)):
+    bound = acceptance_bound(a.domain, tol, guard=True)
+    if failed := [n for n, v in residuals.items() if not all_within((v,), bound)]:
         if a.domain.exact:
-            raise RouteDisagreement(f"(b,c)-inverse certificate failed: {residuals}")
-        warnings.warn(
-            f"(b,c)-inverse certificate failed near tolerance: {residuals}",
-            ToleranceWarning,
-        )
+            raise RouteDisagreement(f"(b,c)-inverse certificate failed on equations {failed}")
+        msg = f"(b,c)-inverse certificate failed near tolerance on equations {failed}"
+        warnings.warn(msg, ToleranceWarning)
         return None
     return y
 

@@ -35,8 +35,6 @@ from .equations import InverseResult, certify
 from .errors import GinvError, RouteDisagreement, ToleranceWarning
 from .matrix import DEFAULT_TOL, ToleranceThresholds, matrix_from_json, matrix_to_json
 from .regular import inner_inverse, mp_inverse, one_four_inverse, one_three_inverse
-from .rings import DEFAULT_RING_CAP, enumerate_ring
-from .theorems import verify_all, verify_theorem
 from .wcore import DUAL_V_CORE_ROUTES, W_CORE_ROUTES, dual_v_core, w_core
 
 
@@ -111,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--ring", required=True, help='ring spec, e.g. "zmod:6" or "mat:2:gf2"')
     pv.add_argument("--theorem", default=None, help="single theorem id")
     pv.add_argument("--all", action="store_true", help="run the full catalog")
-    pv.add_argument("--cap", type=int, default=DEFAULT_RING_CAP, help="largest allowed ring size")
+    pv.add_argument("--cap", type=int, default=None, help="largest allowed ring size")
     pv.add_argument("--out", default=None, help="write the JSON report here")
 
     pk = sub.add_parser("check", help="re-certify a candidate inverse")
@@ -209,9 +207,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .rings import DEFAULT_RING_CAP, enumerate_ring  # only verify loads the oracle
+    from .theorems import verify_all, verify_theorem
     start = time.perf_counter()
     try:
-        ring = enumerate_ring(args.ring, cap=args.cap)
+        ring = enumerate_ring(args.ring, cap=DEFAULT_RING_CAP if args.cap is None else args.cap)
     except GinvError as exc:
         print(f"ginv verify: bad ring spec: {exc}", file=sys.stderr)
         return 1

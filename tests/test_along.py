@@ -229,3 +229,15 @@ def test_bc_inverse_failing_certificate_warns_in_float(failing_bc_certificate):
     e = cm([[1, 0], [0, 0]])
     with pytest.warns(ToleranceWarning, match="certificate failed near tolerance"):
         assert bc_inverse(StarMatrix.identity(2, COMPLEX_FLOAT), e, e) is None
+
+
+def test_bc_inverse_certificate_failures_name_the_failing_equations(failing_bc_certificate):
+    e = qm([[1, 0], [0, 0]])
+    with pytest.raises(RouteDisagreement) as exc:
+        bc_inverse(StarMatrix.identity(2, RATIONAL), e, e)
+    assert str(exc.value) == "(b,c)-inverse certificate failed on equations ['B3']"
+    e = cm([[1, 0], [0, 0]])
+    with pytest.warns(ToleranceWarning) as record:
+        bc_inverse(StarMatrix.identity(2, COMPLEX_FLOAT), e, e)
+    expected = "(b,c)-inverse certificate failed near tolerance on equations ['B3']"
+    assert [str(w.message) for w in record] == [expected]

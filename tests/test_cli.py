@@ -551,6 +551,15 @@ def test_a_failing_bc_certificate_in_a_process_leaves_stderr_empty(tmp_path):
     assert result["reason"].startswith("(b,c)-inverse certificate failed near tolerance")
 
 
+def test_a_nan_bc_residual_is_named_not_printed(tmp_path, capsys):
+    # the same case in-process: the reason names B3, whose residual is NaN
+    a, i = _diag(tmp_path, "a", 1e-300, 1e-300), _diag(tmp_path, "i", 1, 1)
+    assert run(["compute", "--kind", "bc", "--a", a, "--b", i, "--c", i]) == 3
+    reason = json.loads(capsys.readouterr().out)["reason"]
+    assert reason == "(b,c)-inverse certificate failed near tolerance on equations ['B3']"
+    assert "nan" not in reason
+
+
 @pytest.mark.parametrize("entry", ["1e99999999", "1e" + "9" * 5000], ids=["8-digit", "5000-digit"])
 def test_an_entry_with_a_huge_exponent_exits_one_at_once(tmp_path, capsys, entry):
     # 10^exponent is never built: the CLI lifts the digit limit, so nothing
