@@ -2,7 +2,8 @@
 
 The inverse of a along d exists iff d <=_H d a d; when it does, any solution
 x of d = d a d x gives the value d x (and any y with d = y d a d gives y d,
-the same element).  The (b,c)-inverse is built as b (c a b)^- c and is
+the same element).  The (b,c)-inverse exists iff b is in S cab and c in
+cab S (Drazin); any u with b = u cab then gives the value u c, which is
 accepted only after its definitional certificate passes.
 """
 
@@ -24,10 +25,10 @@ from .matrix import (
     inverse,
     norm_fro,
     rank,
+    require_square,
     solve_left,
     solve_right,
 )
-from .regular import inner_inverse
 
 # beyond this condition number an SVD-based solve loses more than the
 # route-agreement slack (eps * kappa ~ 1e-8), so values get flagged
@@ -53,8 +54,7 @@ def inverse_along(
     a: StarMatrix, d: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> InverseResult:
     """Inverse of a along d; exists iff d <=_H d a d."""
-    if not (a.is_square() and a.shape == d.shape):
-        raise ShapeMismatch("inverse along an element needs square, same-size inputs")
+    require_square(a, d)
     dad = d @ a @ d
     if not a.domain.exact:
         # float existence by rank: d <=_H dad over a field iff the ranks
@@ -140,8 +140,7 @@ def group_formula_along(
     w: StarMatrix, a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
     """w^{||a} = a (w a)^# = (a w)^# a; exists iff a w is group invertible and R-equivalent to a."""
-    if not (w.is_square() and w.shape == a.shape):
-        raise ShapeMismatch("square, same-size inputs required")
+    require_square(w, a)
     aw = a @ w
     if not (green_leq(aw, a, "R", tol) and green_leq(a, aw, "R", tol)):
         return None
@@ -164,13 +163,15 @@ def bc_inverse(
     c: StarMatrix,
     tol: ToleranceThresholds = DEFAULT_TOL,
 ) -> StarMatrix | None:
-    """(b,c)-inverse of a as b (c a b)^- c, accepted via its definitional certificate."""
-    if not (a.is_square() and a.shape == b.shape == c.shape):
-        raise ShapeMismatch("square, same-size inputs required")
+    """(b,c)-inverse of a by Drazin's criterion: u c when c = cab v and b = u cab
+    are solvable, else None; accepted via its definitional certificate."""
+    require_square(a, b, c)
     cab = c @ a @ b
-    if not (rank(cab, tol) == rank(b, tol) == rank(c, tol)):
+    # c = cab v first: in float, b = u cab then reuses cab's SVD through the transpose
+    u = None if solve_right(cab, c, tol) is None else solve_left(cab, b, tol)
+    if u is None:
         return None
-    y = b @ inner_inverse(cab, tol) @ c
+    y = u @ c
     residuals = certify("bc", {"a": a, "b": b, "c": c, "x": y}, tol).residuals
     bound = acceptance_bound(a.domain, tol, guard=True)
     if failed := [n for n, v in residuals.items() if not all_within((v,), bound)]:
@@ -189,8 +190,7 @@ def jacobson_partner(
     tol: ToleranceThresholds = DEFAULT_TOL,
 ) -> StarMatrix:
     """beta^{-1} = 1 + b alpha^{-1} a for the Jacobson pair (1-ab, 1-ba)."""
-    if not (a.is_square() and a.shape == b.shape):
-        raise ShapeMismatch("square, same-size inputs required")
+    require_square(a, b)
     ident = StarMatrix.identity(a.rows, a.domain)
     alpha = ident - a @ b
     bound = acceptance_bound(a.domain, tol)

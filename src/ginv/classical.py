@@ -20,7 +20,7 @@ from .equations import (
     index_cap,
     system_residuals,
 )
-from .errors import RouteDisagreement, ShapeMismatch
+from .errors import RouteDisagreement
 from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
@@ -28,6 +28,7 @@ from .matrix import (
     acceptance_bound,
     all_within,
     rank,
+    require_square,
     solve_left,
     solve_right,
 )
@@ -41,14 +42,9 @@ class IndexedInverse(NamedTuple):
     index: int
 
 
-def _require_square(a: StarMatrix):
-    if not a.is_square():
-        raise ShapeMismatch("this inverse is defined for square matrices only")
-
-
 def group_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix | None:
     """Group inverse via a = a^2 x = y a^2; None when a is not group invertible."""
-    _require_square(a)
+    require_square(a)
     a2 = a @ a
     x = solve_right(a2, a, tol)
     if x is None:
@@ -63,7 +59,7 @@ def group_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Star
 
 def drazin_index(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
     """Smallest k >= 1 with a^k group invertible (rank stabilization in float)."""
-    _require_square(a)
+    require_square(a)
     if a.domain.kind == "complex_float":
         k = 1
         p = a
@@ -84,7 +80,7 @@ def drazin_index(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
 
 def drazin_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> IndexedInverse:
     """Drazin inverse a^D = a^{n-1} (a^n)^# with n the Drazin index."""
-    _require_square(a)
+    require_square(a)
     n = drazin_index(a, tol)
     g = group_inverse(a.pow(n), tol)
     if g is None:
@@ -96,7 +92,7 @@ def drazin_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Ind
 
 def core_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix | None:
     """Core inverse a^# a a^{(1,3)}; exists iff both factors do."""
-    _require_square(a)
+    require_square(a)
     g = group_inverse(a, tol)
     if g is None:
         return None
@@ -124,7 +120,7 @@ def core_ep_inverse(
     Over GF(p) the needed {1,3}-inverse of a^m can be missing; that is a
     NotExists outcome, not an error.
     """
-    _require_square(a)
+    require_square(a)
     dz = drazin_inverse(a, tol)
     m = dz.index
     t = one_three_inverse(a.pow(m), tol)

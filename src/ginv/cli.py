@@ -69,7 +69,7 @@ _COMPUTE = {
     "dual-v-core": (lambda tol, route, a, v: dual_v_core(a, v, route=route, tol=tol), None),
     "bc": (
         lambda tol, route, a, b, c: bc_inverse(a, b, c, tol),
-        "rank(cab) != rank(b) = rank(c) criterion fails",
+        "b is not in S cab or c is not in cab S",
     ),
 }
 KINDS = tuple(_COMPUTE)

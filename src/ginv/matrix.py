@@ -665,6 +665,12 @@ def solve_left(
     return None if xt is None else xt.transpose()
 
 
+def require_square(a: StarMatrix, *others: StarMatrix) -> None:
+    """ShapeMismatch unless a is square and every other operand has its shape."""
+    if not a.is_square() or any(m.shape != a.shape for m in others):
+        raise ShapeMismatch("square, same-size operands required")
+
+
 def inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix | None:
     """Two-sided inverse, or None when a is not a unit of the matrix ring."""
     if not a.is_square():

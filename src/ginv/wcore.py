@@ -38,8 +38,6 @@ from .errors import (
     DomainMismatch,
     PreconditionFailed,
     RouteDisagreement,
-    ShapeMismatch,
-    UnsupportedDomain,
 )
 from .matrix import (
     DEFAULT_TOL,
@@ -52,6 +50,7 @@ from .matrix import (
     is_projection,
     rank,
     rel_diff,
+    require_square,
     solve_left,
     solve_right,
 )
@@ -69,8 +68,7 @@ W_CORE_ROUTES = (
 
 
 def _check_pair(a: StarMatrix, w: StarMatrix):
-    if not (a.is_square() and a.shape == w.shape):
-        raise ShapeMismatch("w-core inverses need square, same-size inputs")
+    require_square(a, w)
     if a.domain != w.domain:
         raise DomainMismatch("inputs must share a domain")
 
@@ -209,8 +207,6 @@ def _route_as_along(c):
 
 
 def _route_as_bc(c):
-    if c.a.domain.kind == "integer_mod":
-        return None  # needs rank machinery
     y = bc_inverse(c.aw, c.a, c.a_star, c.tol)
     if y is None:
         return _RouteOutcome(reason="aw is not (a, a*)-invertible")
@@ -420,16 +416,16 @@ def w_core_via_projection(
 
 
 def _checked_route(
-    a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds, route: str, inapplicable: Exception
+    a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds, route: str, hypothesis: str = ""
 ) -> StarMatrix | None:
     """One w-core route's value, or None, checked against route=all on the same
     context, which in an exact domain raises when a route finds nothing while
-    the inverse exists.  Raises `inapplicable` when the route does not apply."""
+    the inverse exists.  PreconditionFailed when the route's `hypothesis` is unmet."""
     _check_pair(a, w)
     ctx = _Context(a, w, tol)
     out = ctx.route(route)
     if out is None:
-        raise inapplicable
+        raise PreconditionFailed(f"theorem hypothesis: {hypothesis}")
     ref = _solve(_W_FORM, a, w, "all", ctx)
     bound = acceptance_bound(a.domain, tol, guard=True)
     if out.value is not None and (not ref.exists or disagree(out.value, ref.value, bound)):
@@ -441,16 +437,14 @@ def wcore_as_along(
     a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
     """Inverse of aw along aa*; equals the w-core inverse when a is MP-invertible."""
-    hypothesis = PreconditionFailed("theorem hypothesis: a must be MP-invertible")
-    return _checked_route(a, w, tol, "as_along", hypothesis)
+    return _checked_route(a, w, tol, "as_along", "a must be MP-invertible")
 
 
 def wcore_as_bc(
     a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
     """(a, a*)-inverse of aw; equals the w-core inverse when either exists."""
-    unsupported = UnsupportedDomain(f"rank is not defined over {a.domain!r}")
-    return _checked_route(a, w, tol, "as_bc", unsupported)
+    return _checked_route(a, w, tol, "as_bc")
 
 
 # ---------------------------------------------------------------------------

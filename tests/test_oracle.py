@@ -11,6 +11,7 @@ from ginv import (
     StarMatrix,
     TooLarge,
     UnknownTheorem,
+    bc_inverse,
     core_ep_inverse,
     dual_v_core,
     enumerate_ring,
@@ -21,7 +22,7 @@ from ginv import (
     verify_theorem,
     w_core,
 )
-from ginv.domains import prime_field
+from ginv.domains import integer_mod, prime_field
 from ginv.equations import SYSTEMS
 from ginv.theorems import CATALOG
 
@@ -240,6 +241,45 @@ def test_oracle_supremacy_wcore_gf2():
             assert res.exists == bool(sols)
             if sols:
                 assert enc[res.value] == sols[0]
+
+
+def _bc_scan(ring):
+    """members[a, b, c, y]: y is the (b,c)-inverse of a by definition: B1-B3
+    (yab = b, cay = c, yay = y), y R b and y L c, read from the ideal lookups."""
+    mul = ring.mul_arr
+    right, left = ring.table("right_ideal")[1], ring.table("left_ideal")[1]
+    a, b, c, y = np.indices((ring.size,) * 4, sparse=True)
+    ya = mul[y, a]
+    return (
+        (mul[ya, b] == b)
+        & (mul[mul[c, a], y] == c)
+        & (mul[ya, y] == y)
+        & right[b, y]  # y in bS
+        & right[y, b]  # b in yS
+        & left[c, y]  # y in Sc
+        & left[y, c]  # c in Sy
+    )
+
+
+@pytest.mark.parametrize("spec", ["mat:2:gf2", "zmod:12"])
+def test_bc_inverse_matches_its_definition_on_every_triple(spec):
+    # Drazin's criterion against a scan of the definition, on all n^3 triples
+    ring = enumerate_ring(spec)
+    if spec == "zmod:12":
+        dom = integer_mod(12)
+        mats = [StarMatrix(1, 1, ((i,),), dom) for i in range(ring.size)]
+    else:
+        mats = _gf2_matrices(ring)
+    enc = {m: i for i, m in enumerate(mats)}
+    members = _bc_scan(ring)
+    found = 0
+    for (a, b, c), sols in np.ndenumerate(members.any(axis=3)):
+        y = bc_inverse(mats[a], mats[b], mats[c])
+        assert (y is not None) == sols, (a, b, c)
+        if y is not None:
+            assert members[a, b, c, enc[y]], (a, b, c)
+            found += 1
+    assert 0 < found < ring.size**3
 
 
 def test_oracle_supremacy_dual_vcore_gf2():

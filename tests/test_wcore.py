@@ -12,9 +12,9 @@ from ginv import (
     DomainMismatch,
     PreconditionFailed,
     RouteDisagreement,
+    ShapeMismatch,
     StarMatrix,
     ToleranceWarning,
-    UnsupportedDomain,
     core_ep_inverse,
     core_inverse,
     dual_v_core,
@@ -352,6 +352,13 @@ def test_mixed_domains_raise_domain_mismatch(entry):
         entry(qm([[1, 0], [0, 0]]), fm([[1, 0], [0, 1]]))
 
 
+def test_a_non_square_dual_v_core_operand_raises_a_shape_mismatch_naming_no_kind():
+    # one shape guard serves every kind, so its message names none of them
+    with pytest.raises(ShapeMismatch) as exc:
+        dual_v_core(qm([[1, 0]]), StarMatrix.identity(2, RATIONAL))
+    assert "w-core" not in str(exc.value)
+
+
 def test_dual_routes_on_star_of_example(nilp2_g, w_ex1_g):
     # every dual route alone on (a*, w*) gives the adjoint of the example value
     a, v = nilp2_g.adjoint(), w_ex1_g.adjoint()
@@ -638,10 +645,26 @@ def test_wcore_as_along_needs_an_mp_invertible_a():
         wcore_as_along(a, StarMatrix.identity(2, prime_field(5)))
 
 
-def test_wcore_as_bc_is_unsupported_over_zmod():
-    a = zm([[3, 0], [0, 1]])
-    with pytest.raises(UnsupportedDomain):
-        wcore_as_bc(a, StarMatrix.identity(2, integer_mod(6)))
+def test_wcore_as_bc_over_zmod_equals_the_w_core_inverse():
+    # Drazin's criterion for the (a, a*)-inverse of aw needs solves only, so
+    # the route runs over Z/n; 3 is a self-adjoint idempotent of Z/6
+    a, one = zm([[3, 0], [0, 1]]), StarMatrix.identity(2, integer_mod(6))
+    ref = w_core(a, one)
+    assert ref.exists and wcore_as_bc(a, one) == ref.value == a
+    w = zm([[0, 1], [1, 1]])
+    assert wcore_as_bc(a, w) == w_core(a, w).value == zm([[3, 3], [3, 4]])
+    nilp = zm([[0, 1], [0, 0]])
+    assert not w_core(nilp, one).exists and wcore_as_bc(nilp, one) is None
+
+
+def test_w_core_over_zmod_runs_the_as_bc_route(monkeypatch):
+    ran = []
+    real = wcore._ROUTES["as_bc"]
+    monkeypatch.setitem(wcore._ROUTES, "as_bc", lambda ctx: ran.append(ctx) or real(ctx))
+    a, w = zm([[3, 0], [0, 1]]), zm([[0, 1], [1, 1]])
+    res = w_core(a, w, route="all")
+    assert res.exists and len(ran) == 1
+    assert ran[0].outcomes["as_bc"].value == res.value
 
 
 @pytest.mark.parametrize("call, route", [(wcore_as_along, "as_along"), (wcore_as_bc, "as_bc")])
