@@ -4,7 +4,8 @@ The inverse of a along d exists iff d <=_H d a d; when it does, any solution
 x of d = d a d x gives the value d x (and any y with d = y d a d gives y d,
 the same element).  The (b,c)-inverse exists iff b is in S cab and c in
 cab S (Drazin); any u with b = u cab then gives the value u c, which is
-accepted only after its definitional certificate passes.
+accepted only after its definitional certificate passes.  Complex floats
+decide both by SVD rank first.
 """
 
 from __future__ import annotations
@@ -167,6 +168,8 @@ def bc_inverse(
     are solvable, else None; accepted via its definitional certificate."""
     require_square(a, b, c)
     cab = c @ a @ b
+    if not a.domain.exact and not (rank(cab, tol) == rank(b, tol) == rank(c, tol)):
+        return None  # as in inverse_along: solves alone accept a lossy pinv(cab)
     # c = cab v first: in float, b = u cab then reuses cab's SVD through the transpose
     u = None if solve_right(cab, c, tol) is None else solve_left(cab, b, tol)
     if u is None:

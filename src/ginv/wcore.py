@@ -415,19 +415,13 @@ def w_core_via_projection(
     return w_core(a, w, route="projection_unit", tol=tol)
 
 
-def _checked_route(
-    a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds, route: str, hypothesis: str = ""
-) -> StarMatrix | None:
-    """One w-core route's value, or None, checked against route=all on the same
-    context, which in an exact domain raises when a route finds nothing while
-    the inverse exists.  PreconditionFailed when the route's `hypothesis` is unmet."""
-    _check_pair(a, w)
-    ctx = _Context(a, w, tol)
+def _checked_route(ctx: _Context, route: str) -> StarMatrix | None:
+    """One w-core route's value on ctx, or None, checked against route=all on the
+    same context, which in an exact domain raises when a route finds nothing
+    while the inverse exists."""
     out = ctx.route(route)
-    if out is None:
-        raise PreconditionFailed(f"theorem hypothesis: {hypothesis}")
-    ref = _solve(_W_FORM, a, w, "all", ctx)
-    bound = acceptance_bound(a.domain, tol, guard=True)
+    ref = _solve(_W_FORM, ctx.a, ctx.w, "all", ctx)
+    bound = acceptance_bound(ctx.a.domain, ctx.tol, guard=True)
     if out.value is not None and (not ref.exists or disagree(out.value, ref.value, bound)):
         raise RouteDisagreement(f"route {route} disagrees with the w-core inverse")
     return out.value
@@ -437,14 +431,19 @@ def wcore_as_along(
     a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
     """Inverse of aw along aa*; equals the w-core inverse when a is MP-invertible."""
-    return _checked_route(a, w, tol, "as_along", "a must be MP-invertible")
+    _check_pair(a, w)
+    ctx = _Context(a, w, tol)
+    if ctx.route("as_along") is None:
+        raise PreconditionFailed("theorem hypothesis: a must be MP-invertible")
+    return _checked_route(ctx, "as_along")
 
 
 def wcore_as_bc(
     a: StarMatrix, w: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
     """(a, a*)-inverse of aw; equals the w-core inverse when either exists."""
-    return _checked_route(a, w, tol, "as_bc")
+    _check_pair(a, w)
+    return _checked_route(_Context(a, w, tol), "as_bc")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from ginv import (
     one_along_a,
 )
 from ginv.domains import COMPLEX_FLOAT, GAUSSIAN_RATIONAL, RATIONAL
-from ginv.matrix import inverse, left_nullspace
+from ginv.matrix import inverse, left_nullspace, rel_diff
 from ginv.regular import inner_inverse
 
 from conftest import cm, gm, lists, mul_lists, qm
@@ -117,8 +117,6 @@ def test_inverse_along_via_unit_agrees_with_solve_route():
 def test_inverse_along_via_unit_float():
     import numpy as np
 
-    from ginv.matrix import rel_diff
-
     rng = np.random.default_rng(8)
     a = cm((rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))).tolist())
     x = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
@@ -172,6 +170,24 @@ def test_bc_inverse_identity_pair():
 def test_bc_inverse_not_exists():
     a = qm([[0, 1], [0, 0]])
     assert bc_inverse(a, a, a) is None  # rank(a a a) = 0 < rank a
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # b has rank 2 under the SVD cutoff, cab = diag(1, 1e-18) has rank 1
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1e-9]]),
+        # cab = a^3 underflows to 0 though a is invertible
+        ([[1e-300, 0], [0, 1e-300]], [[1e-300, 0], [0, 1e-300]]),
+    ],
+)
+def test_float_bc_inverse_returns_no_value_its_residual_solves_alone_accept(a, b):
+    # pinv(cab) drops the small singular value and both solves of Drazin's
+    # criterion pass their residual test, so u c would be diag(1, 0) or 0; the
+    # true (b,c)-inverse is a^{-1} in both cases
+    a, b = cm(a), cm(b)
+    y = bc_inverse(a, b, b)
+    assert y is None or rel_diff(y, inverse(a)) < 1e-6
 
 
 def test_jacobson_scalar_example():
