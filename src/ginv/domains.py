@@ -374,7 +374,8 @@ class PrimeFieldDomain(_ResidueDomain):
 
 
 class IntegerModDomain(_ResidueDomain):
-    """Z/nZ as a ring: division only by units, rank machinery unsupported."""
+    """Z/nZ as a ring: division only by units.  Matrix solves run on a Howell
+    form; rank, factorizations and inner inverses stay unsupported."""
 
     kind = "integer_mod"
     field = False

@@ -39,7 +39,7 @@ class RouteDisagreement(GinvError):
 
 
 class TooLarge(GinvError):
-    """Requested finite ring or brute-force search exceeds the configured cap."""
+    """Requested finite ring exceeds the configured cap."""
 
 
 class UnknownTheorem(GinvError):

@@ -11,9 +11,8 @@ factorization from `_factors` on the instance (never in a module cache):
 the thin SVD in float, which transposes and adjoints inherit, or over exact
 fields the echelon form from deterministic first-nonzero-column /
 first-nonzero-row Gauss-Jordan elimination, which a's first solve, rank or
-factorization leaves.  Neither holds a tolerance.
-Z/nZ with composite n is supported for small systems via exhaustive solving
-(division is only by units there, so elimination is unavailable).
+factorization leaves.  Neither holds a tolerance.  Z/nZ shares the GF(p)
+kernel, which folds non-unit pivots by Bezout steps into a Howell form.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ from .domains import (
     domain_from_json,
     domain_to_json,
 )
-from .errors import DomainMismatch, PreconditionFailed, ShapeMismatch, TooLarge, UnsupportedDomain
-
-_BRUTE_CAP = 2_000_000  # candidate vectors per exhaustive Z/nZ solve
+from .errors import DomainMismatch, PreconditionFailed, RouteDisagreement, ShapeMismatch
+from .errors import UnsupportedDomain
 
 
 @dataclass(frozen=True)
@@ -408,9 +406,9 @@ def disagree(a: StarMatrix, b: StarMatrix, bound: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: one kernel per exact field kind, on the integer payload
-# (Q, Q(i)) or the residue array (GF(p)), never calling the domain's scalar
-# operations.
+# exact elimination: one kernel per exact kind, on the integer payload (Q,
+# Q(i)) or the residue array (GF(p) and Z/n), never calling the domain's
+# scalar operations.
 
 
 def _fraction_free_rref(rows: list, width: int, lead, combine) -> list[int]:
@@ -503,24 +501,38 @@ def _gaussian_rref(ints, p, width):
     return pivots, out, dr * dr + di * di, not any(any(re) or any(im) for re, im in rows[r:])
 
 
-def _modular_rref(ints, p, width):
+def _modular_rref(ints, n, width):
+    # a Howell form over Z/n (Howell, Lin. Multilin. Alg. 19, 1986; Storjohann and
+    # Mulders, ESA 1998), the RREF over GF(p); products stay in int64 payloads
     t = ints[0].copy()
-    m = len(t)
     pivots: list[int] = []
     for c in range(width):
         r = len(pivots)
         nz = t[r:, c].nonzero()[0]
         if not nz.size:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            t[[r, pr]] = t[[pr, r]]
-        t[r] = t[r] * pow(int(t[r, c]), -1, p) % p
-        f = t[:, c].copy()
-        f[r] = 0
-        t = (t - f[:, None] * t[r]) % p
+        pr = r + int(nz[0])  # the first unit of the column: over GF(p), the first nonzero
+        if math.gcd(int(t[pr, c]), n) > 1:
+            pr = next((r + i for i in nz[1:].tolist() if math.gcd(int(t[r + i, c]), n) == 1), None)
+        if pr is None:  # no unit: fold the column into its first entry
+            t[[r, r + nz[0]]] = t[[r + nz[0], r]]
+            for i in r + nz[1:]:  # s a + u b = g, with 0 <= s < b/g and -a < u <= 1
+                a, b = int(t[r, c]), int(t[i, c])
+                g = math.gcd(a, b)
+                s = pow(a // g, -1, b // g)
+                u = (g - s * a) // b
+                t[r], t[i] = (s * t[r] + u * t[i]) % n, (b // g * t[r] - a // g * t[i]) % n
+            # n/g times the pivot row is zero in column c: later columns reduce it
+            t = np.vstack((t, t[r] * (n // math.gcd(int(t[r, c]), n)) % n))
+        else:
+            if pr != r:
+                t[[r, pr]] = t[[pr, r]]
+            t[r] = t[r] * pow(int(t[r, c]), -1, n) % n
+            f = t[:, c].copy()
+            f[r] = 0
+            t = (t - f[:, None] * t[r]) % n
         pivots.append(c)
-        if len(pivots) == m:
+        if len(pivots) == len(t):
             break
     r = len(pivots)
     return pivots, (t[:r],), 1, not np.count_nonzero(t[r:])
@@ -530,17 +542,18 @@ _ELIMINATIONS = {
     "rational": _rational_rref,
     "gaussian_rational": _gaussian_rref,
     "prime_field": _modular_rref,
+    "integer_mod": _modular_rref,
 }
 
 
 def _rref(dom: ScalarDomain, ints: tuple, width: int):
-    """Reduced row echelon form, over an exact field, of the matrix with
-    integer payload `ints`, on its first `width` columns.
+    """Echelon form, on its first `width` columns, of the matrix with integer
+    payload `ints`: the RREF over an exact field, a Howell form over Z/n.
 
     Columns >= width (augmented part) are carried along.  Returns the pivot
-    columns, the pivot rows of the RREF as integer arrays over one
-    denominator, that denominator, and whether every other row is zero.
-    Deterministic: first nonzero column, first nonzero row.
+    columns, the pivot rows as integer arrays over one denominator, that
+    denominator, and whether every other row is zero.  Deterministic: first
+    nonzero column; first nonzero row, over Z/n the first unit.
     """
     return _ELIMINATIONS[dom.kind](ints, dom.modulus, width)
 
@@ -600,34 +613,12 @@ def full_rank_factorize(
     return RankFactorization(f, _exact(dom, rows, den), len(pivots))
 
 
-def _brute_solve_right(a: StarMatrix, b: StarMatrix):
-    """Exhaustive column-wise solve over Z/nZ (small systems only)."""
-    dom = a.domain
-    n = dom.modulus
-    k = a.cols
-    if n**k > _BRUTE_CAP:
-        raise TooLarge(f"exhaustive solve over Z/{n} with {k} unknowns per column")
-    cols_x = []
-    for j in range(b.cols):
-        eqs = [(r, t[j]) for r, t in zip(a.data, b.data)]  # row . x = target, mod n
-        for x in itertools.product(range(n), repeat=k):
-            for r, t in eqs:
-                if sum(map(operator.mul, r, x)) % n != t:
-                    break
-            else:
-                cols_x.append(x)
-                break
-        else:
-            return None
-    return StarMatrix(k, b.cols, tuple(tuple(x[i] for x in cols_x) for i in range(k)), dom)
-
-
 def solve_right(
     a: StarMatrix, b: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
     """Particular X with A X = B, or None when the system is inconsistent.
 
-    Exact fields return the fixed-pivot particular solution (free variables
+    Exact domains return the fixed-pivot particular solution (free variables
     zero) and keep a's echelon form; ComplexFloat returns the minimum-norm
     solution and accepts it only if the residual passes the tolerance test.
     """
@@ -643,8 +634,6 @@ def solve_right(
         if _fro(an @ x - bn) > bound:
             return None
         return _ComplexMatrix._adopt(x)
-    if not dom.field:  # Z/nZ, the one exact non-field
-        return _brute_solve_right(a, b)
     x, y, _ = a._aligned(b)
     pivots, rows, den, consistent = _rref(dom, tuple(map(np.hstack, zip(x, y))), a.cols)
     if a._f is None:  # the pivots depend on a's columns alone; reduced only if read
@@ -652,9 +641,19 @@ def solve_right(
     if not consistent:
         return None
     out = tuple(np.zeros((a.cols, b.cols), dtype=r.dtype) for r in rows)
-    for o, r in zip(out, rows):
-        o[pivots] = r[:, a.cols :]  # free variables zero
-    return _exact(dom, out, den)
+    if dom.field:
+        for o, r in zip(out, rows):
+            o[pivots] = r[:, a.cols :]  # free variables zero
+        return _exact(dom, out, den)
+    # Z/n: upwards over the Howell rows, e x = rhs gives x = (rhs/g)(e/g)^-1 mod n/g
+    (x,), (h,), n = out, rows, dom.modulus
+    for row, c in zip(h[::-1], pivots[::-1]):
+        rhs = (row[a.cols :] - row[c + 1 : a.cols] @ x[c + 1 :]) % n
+        e, g = int(row[c]), math.gcd(int(row[c]), n)
+        if (rhs % g).any():  # the Howell property rules this out
+            raise RouteDisagreement(f"Howell form over Z/{n}: {rhs} is not a multiple of {g}")
+        x[c] = rhs // g * pow(e // g, -1, n // g) % (n // g)
+    return _exact(dom, out)
 
 
 def solve_left(

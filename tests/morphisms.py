@@ -4,12 +4,12 @@ Let phi: R -> S be a ring homomorphism with phi(a*) = phi(a)*.  If x solves
 a kind's defining equations for (a, w, ...) in R, then phi(x) solves them for
 (phi(a), phi(w), ...) in S.  For the kinds in UNIQUE_KINDS the answer is
 unique, so phi(x) is the answer in S: existence transfers forward and values
-commute.  Every row of MORPHISMS is an isomorphism so far, so existence and
-the Drazin / pseudo-core index agree both ways; a row that is only a
-homomorphism (Z/n -> Z/d, Q -> GF(p)) needs existence forward only, and its
-index may drop.
+commute, and the Drazin / pseudo-core index may only drop.  S may be a
+product S_1 x ... x S_k, where each holds componentwise.  When phi is an
+isomorphism onto S, existence holds in R iff it holds in every S_i, and the
+index in R is the largest index among the S_i.
 
-Each row names its source and target domains, as functions of one
+Each row names its source domain and its target factors, as functions of one
 parameter, and the map on entries.  Operands come from `operand_rows`,
 integer rows of a product B C of random rank, read into the source domain.
 """
@@ -41,24 +41,51 @@ from ginv.equations import InverseResult
 
 @dataclass(frozen=True)
 class Morphism:
-    """An isomorphism source(param) -> target(param), applied entrywise by `entry`."""
+    """A *-homomorphism source(param) -> the product of targets(param),
+    applied entrywise by `entry` into each factor; `iso` if it is onto and
+    one-to-one.  `examples` is the number of hypothesis examples per kind."""
 
     name: str
     source: Callable[[int], ScalarDomain]
-    target: Callable[[int], ScalarDomain]
+    targets: Callable[[int], tuple[ScalarDomain, ...]]
     params: tuple[int, ...]
     entry: Callable
+    iso: bool = True
+    examples: int = 50
 
     def lift(self, rows: list, param: int) -> StarMatrix:
         return StarMatrix.from_rows(rows, self.source(param))
 
-    def __call__(self, m: StarMatrix, param: int) -> StarMatrix:
-        return StarMatrix.from_rows([[self.entry(x) for x in r] for r in m.data], self.target(param))
+    def __call__(self, m: StarMatrix, param: int) -> tuple[StarMatrix, ...]:
+        rows = [[self.entry(x) for x in r] for r in m.data]
+        return tuple(StarMatrix.from_rows(rows, dom) for dom in self.targets(param))
 
+
+# n = 6, 12, 36 as products of coprime prime powers
+CRT_FACTORS = {6: (2, 3), 12: (4, 3), 36: (4, 9)}
 
 MORPHISMS = (
-    # one ring, two kernels: exhaustive solves over Z/p, modular RREF over GF(p)
-    Morphism("Z/p = GF(p)", integer_mod, prime_field, (3, 5, 7), int),
+    # one ring, one kernel: Z/p and GF(p) differ only in the substitution step
+    Morphism("Z/p = GF(p)", integer_mod, lambda p: (prime_field(p),), (3, 5, 7), int),
+    # the Chinese remainder theorem: Z/n = Z/d1 x Z/d2, reduction mod each d
+    Morphism(
+        "Z/n = Z/d1 x Z/d2",
+        integer_mod,
+        lambda n: tuple(map(integer_mod, CRT_FACTORS[n])),
+        tuple(CRT_FACTORS),
+        int,
+        examples=30,
+    ),
+    # reduction Z/2d -> Z/d along Z/8 -> Z/4 -> Z/2: onto, not one-to-one
+    Morphism(
+        "Z/2d -> Z/d",
+        lambda d: integer_mod(2 * d),
+        lambda d: (integer_mod(d),),
+        (4, 2),
+        int,
+        iso=False,
+        examples=20,
+    ),
 )
 
 # the kinds whose answer is unique: solver, then its operands after a

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -659,3 +660,24 @@ def test_an_input_entry_beyond_the_int_str_digit_limit_is_read(tmp_path, capsys)
     a = write_matrix(tmp_path / "a.json", [[huge]], domain=RATIONAL)
     assert run(["compute", "--kind", "mp", "--a", a]) == 0
     assert json.loads(capsys.readouterr().out)["value"]["data"] == [["1/" + huge]]
+
+
+# a random 6x6 pair over Z/12: 12**6 candidates per column ended each of these
+# kinds with exit 1 while Z/n was solved by exhaustive search
+Z12_KINDS = ["mp", "group", "drazin", "core", "core-ep", "w-core", "dual-v-core", "one3"]
+
+
+@pytest.mark.parametrize("kind", Z12_KINDS)
+def test_a_6x6_pair_over_z12_gets_an_answer(tmp_path, capsys, kind):
+    rng = random.Random(7)
+    z12 = {"kind": "integer_mod", "modulus": 12}
+    rows = [[[rng.randrange(12) for _ in range(6)] for _ in range(6)] for _ in "aw"]
+    a, w = (write_matrix(tmp_path / f"{name}.json", r, z12) for name, r in zip("aw", rows))
+    second = {"w-core": ["--w", w], "dual-v-core": ["--v", w]}.get(kind, [])
+    code = run(["compute", "--kind", kind, "--a", a, *second])
+    out, err = capsys.readouterr()
+    assert code in (0, 3) and err == ""
+    result = _strict_json(out)
+    assert result["exists"] is (code == 0)
+    if code == 0:
+        assert result["certificate"]["ok"] is True

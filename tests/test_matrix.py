@@ -15,7 +15,6 @@ from ginv import (
     PreconditionFailed,
     ShapeMismatch,
     StarMatrix,
-    TooLarge,
     UnsupportedDomain,
     full_rank_factorize,
     is_projection,
@@ -169,17 +168,22 @@ def test_is_projection():
     assert is_projection(StarMatrix.identity(3, RATIONAL))
 
 
-def test_integer_mod_brute_solve():
+def test_integer_mod_solve():
     a = zm([[3]])
     x = solve_right(a, zm([[3]]))
     assert x is not None and (3 * x.data[0][0]) % 6 == 3
     assert solve_right(zm([[2]]), zm([[1]])) is None  # 2x=1 has no solution mod 6
 
 
-def test_integer_mod_brute_solve_cap():
+def test_integer_mod_solve_has_no_size_cap():
+    # 12**9 candidates per column: beyond any exhaustive search
     big = zm([[1] * 9 for _ in range(9)], n=12)
-    with pytest.raises(TooLarge):
-        solve_right(big, big)
+    x = solve_right(big, big)
+    assert x is not None and big @ x == big
+    # every entry of big x is x1 + ... + x9: a right side with two values has no solution
+    b = zm([[1], [2], [3], [4], [5], [6], [7], [8], [9]], n=12)
+    assert solve_right(big, b) is None
+    assert solve_right(big.scale(2), zm([[1]] * 9, n=12)) is None  # 2 (x1 + ... + x9) = 1
 
 
 def test_shape_and_domain_mismatch():

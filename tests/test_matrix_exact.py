@@ -424,13 +424,13 @@ def test_kernels_never_use_scalar_arithmetic(monkeypatch):
         RATIONAL.add(Fraction(1), Fraction(2))
     for dom, a, b, ab, r in cases:
         assert (a @ b) == ab
+        x = solve_right(a, ab)
+        assert x is not None and x.shape == (5, 3) and a @ x == ab
         if not dom.field:
             continue
         assert rank(a) == r
         rf = full_rank_factorize(a)
         assert rf.rank == r and rf.f.shape == (4, r) and rf.g.shape == (r, 5)
-        x = solve_right(a, ab)
-        assert x is not None and x.shape == (5, 3)
         assert right_nullspace(a).shape == (5, 5 - r)
 
 
@@ -591,18 +591,62 @@ def test_distinct_values_have_distinct_payloads():
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_integer_mod_solve_matches_scalar_loop(n):
-    # includes systems solvable only through a wrap-around mod n
+    # includes systems solvable only through a wrap-around mod n; a solution
+    # over Z/n need not be unique, so any x with a x = b answers
     dom, rng = integer_mod(n), random.Random(n)
     for m, k in ((2, 2), (3, 2), (2, 3), (3, 3)):
         for _ in range(6):
             a = rand_matrix(dom, rng, m, k)
             for b in (ref_matmul(a, rand_matrix(dom, rng, k, 2)), rand_matrix(dom, rng, m, 2)):
-                want = ref_brute_solve(a, b)
                 got = solve_right(a, b)
-                if want is None:
-                    assert got is None
-                else:
-                    same(got, want)
+                assert (got is None) == (ref_brute_solve(a, b) is None)
+                if got is not None:
+                    same(ref_matmul(a, got), b)
+
+
+def ref_solvable(a, b):
+    """A brute scan, vectorized: for each column of b, whether a x = b mod n
+    for some x among all n**k vectors."""
+    n, k = a.domain.modulus, a.cols
+    xs = np.indices((n,) * k).reshape(k, -1)  # every x, as a column
+    ax = np.array(a.data, dtype=np.int64).reshape(a.rows, k) @ xs % n
+    bs = np.array(b.data, dtype=np.int64).reshape(b.rows, b.cols)
+    return (ax[:, :, None] == bs[:, None, :]).all(axis=0).any(axis=0)
+
+
+def check_against_the_scan(a, b):
+    # the solvable columns in one solve, each other column alone
+    dom, ok = a.domain, ref_solvable(a, b)
+    cols = list(zip(*b.data))
+    inside = StarMatrix(b.rows, int(ok.sum()), tuple(zip(*[c for c, y in zip(cols, ok) if y])), dom)
+    x = solve_right(a, inside)
+    assert x is not None and a @ x == inside
+    for c in (c for c, y in zip(cols, ok) if not y):
+        assert solve_right(a, StarMatrix(b.rows, 1, tuple((v,) for v in c), dom)) is None
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_integer_mod_solvability_on_every_2x2_system(n):
+    dom = integer_mod(n)
+    every_b = StarMatrix.from_rows(np.indices((n, n)).reshape(2, -1).tolist(), dom)
+    for p, q, r, t in itertools.product(range(n), repeat=4):
+        check_against_the_scan(StarMatrix.from_rows([[p, q], [r, t]], dom), every_b)
+
+
+@pytest.mark.parametrize("n", [8, 12, 18, 36])
+def test_integer_mod_solvability_on_seeded_3x3_and_3x2_systems(n):
+    # entries drawn mostly from zero divisors, so that columns often hold no
+    # unit and the Bezout steps and the Howell rows decide
+    dom, rng = integer_mod(n), random.Random(n)
+    divisors = [d for d in range(2, n) if n % d == 0]
+    for k in (3, 2):
+        for _ in range(12):
+            rows = [[rng.choice(divisors) * rng.randrange(n) for _ in range(k)] for _ in range(3)]
+            a = StarMatrix.from_rows(rows, dom)
+            # two consistent columns, then four random ones
+            inside, other = ref_matmul(a, rand_matrix(dom, rng, k, 2)), rand_matrix(dom, rng, 3, 4)
+            b = StarMatrix.from_rows([r + s for r, s in zip(inside.data, other.data)], dom)
+            check_against_the_scan(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +751,35 @@ def test_moduli_beyond_int64(dom):
     a = StarMatrix.from_rows([[big, 2, 0], [0, big, 5], [1, 0, big]], dom)
     assert ident @ a == a == a @ ident and a.pow(0) == ident
     assert (a @ a).data[0][0] == (big * big + 0 * 2) % dom.modulus
+    x = inverse(a)
+    assert x @ a == ident and a @ x == ident
+    xs = StarMatrix.from_rows([[1, big], [2, 3], [big, 0]], dom)
     if dom.field:
-        x = inverse(a)
-        assert x @ a == ident and a @ x == ident
         same(x, ref_solve_right(a, ident))
-        b = a @ StarMatrix.from_rows([[1, big], [2, 3], [big, 0]], dom)
+        b = a @ xs
         same(solve_right(a, b), ref_solve_right(a, b))
         assert rank(a) == 3 and right_nullspace(a).shape == (3, 0)
+    else:
+        # an even first column holds no unit mod 2**64: Bezout steps fold it
+        e = StarMatrix.from_rows([[2, big, 0], [6, 3, 5], [4, 0, big]], dom)
+        b = e @ xs
+        assert e @ solve_right(e, b) == b
+        assert solve_right(e.scale(2), ident) is None  # 2 e x is even in every entry
+
+
+def test_bezout_steps_at_the_int64_bound():
+    # one column keeps (n - 1)**2 < 2**63, so [a | b] stays int64 while the
+    # Bezout steps and the Howell rows n/g (pivot row) run near that bound
+    n = 3_000_000_000
+    dom = integer_mod(n)
+    for col in ([n - 2, n - 3, n - 4], [n - 2, n - 4, 6], [n - 3, n - 6], [n - 5, 10]):
+        assert all(math.gcd(v, n) > 1 for v in col)  # no unit to pivot on
+        a = StarMatrix.from_rows([[v] for v in col], dom)
+        assert a.ints[0].dtype == np.int64
+        for v in (1, 2, n - 1, n // 2 + 1, 1_234_567_891):
+            b = a @ StarMatrix.from_rows([[v]], dom)
+            x = solve_right(a, b)
+            assert x is not None and all(c * x.data[0][0] % n == r for c, (r,) in zip(col, b.data))
+        g = math.gcd(n, *col)
+        if g > 1:  # every a x is a multiple of g
+            assert solve_right(a, StarMatrix.from_rows([[1]] + [[0]] * (len(col) - 1), dom)) is None
