@@ -167,18 +167,22 @@ def _all_solutions(ring, name):
     return sols.reshape(*count.shape, -1)
 
 
-def _some(cands, holds):
+def _some(ring, cands, p, q, r):
     """count[a, w] and first[a, w] (-1 for none) of the candidates x of a,
-    those with cands[a, x], for which holds(a, w, x), x ascending; the
-    candidate pairs are taken in blocks, each with every w."""
-    n, step, (pa, px) = len(cands), max(1, _BLOCK // len(cands)), np.nonzero(cands)
-    count, first = np.zeros((n, n), dtype=np.int32), np.full((n, n), n, dtype=np.int32)
-    for lo in range(0, pa.size, step):
-        ca, cx = pa[lo : lo + step], px[lo : lo + step, None]
-        hit, (at, _) = holds(ca[:, None], np.arange(n), cx), _runs(ca)
-        count[ca[at]] += np.add.reduceat(hit, at, axis=0, dtype=np.int32)
-        first[ca[at]] = np.minimum(first[ca[at]], np.minimum.reduceat(np.where(hit, cx, n), at))
-    return count, np.where(first < n, first, -1)
+    those with cands[a, x], for which p w q = r; p, q and r are [a, x]
+    arrays, or broadcast to them.  The w are read from the fibre indexes,
+    not tested: at each candidate, the z with z q = r from the column index,
+    then the w with p w = z from the row index, at most _BLOCK at a time."""
+    n, (pa, px) = ring.size, np.nonzero(cands)
+    p, q, r = (np.broadcast_to(v, cands.shape)[pa, px] for v in (p, q, r))
+    count, first = np.zeros(n * n, dtype=np.int32), np.full(n * n, n, dtype=np.int32)
+    for c, z in ring._fibre_slices("col", q * n + r):
+        for at, w in ring._fibre_slices("row", p[c] * n + z):
+            key, lo = pa[c[at]] * n + w, pa[c[at[0]]] * n  # keys ascend with a
+            hits = np.bincount(key - lo)
+            count[lo : lo + hits.size] += hits.astype(np.int32)
+            np.minimum.at(first, key, px[c[at]])
+    return count.reshape(n, n), np.where(first < n, first, -1).reshape(n, n)
 
 
 def _subsets(ids, members):
@@ -243,7 +247,7 @@ def _chk_characteristic(ring: FiniteStarRing, col: _Collector, dual=False):
     of the dual v-core one.  (ii) holds where a solution of E1-E3 satisfies
     E4-E5 (F1-F3, F4-F5), and (iii)-(v) where some x meeting the condition
     satisfies E4 (F4); equal candidate masks share one verdict."""
-    n, letter = ring.size, "v" if dual else "w"
+    n, mul, letter = ring.size, ring.mul_arr, "v" if dual else "w"
     e4, e5 = SYSTEMS["dual-v-core-full" if dual else "w-core-full"][3:]
 
     def holds(equation, a, w, x):
@@ -254,8 +258,10 @@ def _chk_characteristic(ring: FiniteStarRing, col: _Collector, dual=False):
     a3, w3, c1 = a[..., None], w[..., None], xs[..., 0] >= 0
     c2 = ((xs >= 0) & holds(e4, a3, w3, xs) & holds(e5, a3, w3, xs)).any(axis=2)
     cands = _candidates(ring, dual)
+    # [a, x]: E4 a w (x a) = a, F4 (a x) v a = a
+    p, q = (mul, a) if dual else (a, mul.T)
     verdicts = {c.tobytes(): c for c in cands}  # equal masks share one verdict
-    verdicts = {k: _some(c, partial(holds, e4))[0] > 0 for k, c in verdicts.items()}
+    verdicts = {k: _some(ring, c, p, q, a)[0] > 0 for k, c in verdicts.items()}
     what = "dual conditions" if dual else "conditions"
     conds = [verdicts[c.tobytes()] for c in cands]
     split = _split(what + " (i)-(v) split as ({}, {}, {}, {}, {})", c1, c2, *conds)
@@ -474,12 +480,13 @@ def _chk_wv_mary(ring: FiniteStarRing, col: _Collector):
 
 def _chk_relations_bc(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    outer = partial(ring._holds, SYSTEMS["bc"][2], unknown="x")  # xax = x: an outer inverse
     # the outer inverses y of aw with yR = aR and Ry = Ra*, and those of va
-    # with yR = a*R and Ry = Ra: the (a, a*)- and (a*, a)-inverses
+    # with yR = a*R and Ry = Ra: the (a, a*)- and (a*, a)-inverses, where
+    # (y a) w y = y and y v (a y) = y, p w q = r with p, q, r [a, y] arrays
+    y = np.arange(n)
     cands, dual_cands = _candidates(ring)[0], _candidates(ring, dual=True)[0]
-    bc, bc_first = _some(cands, lambda a, w, y: outer({"a": mul[a, w], "x": y}))
-    bcd, bcd_first = _some(dual_cands, lambda a, v, y: outer({"a": mul[v, a], "x": y}))
+    bc, bc_first = _some(ring, cands, mul.T, y, y)
+    bcd, bcd_first = _some(ring, dual_cands, y, mul, y)
     a, w = np.indices((n, n), sparse=True)
     (first, count), (dual_first, dual_count) = map(ring.table, _PAIRS)
     ex, exd, has, hasd = count > 0, dual_count > 0, bc > 0, bcd > 0

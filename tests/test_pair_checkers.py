@@ -9,12 +9,14 @@ definition."""
 
 from functools import partial
 
+import numpy as np
 import pytest
 from test_theorems import PLANTED, _plant, complements, w_units
 
-from ginv import enumerate_ring, verify_theorem
+from ginv import enumerate_ring, rings, verify_theorem
 from ginv.equations import SYSTEMS, core_ep_system
-from ginv.theorems import _MAX_CE, CATALOG
+from ginv.rings import _BLOCK
+from ginv.theorems import _MAX_CE, CATALOG, _candidates, _runs, _some
 
 _B3 = SYSTEMS["bc"][2:]  # xax = x: x is an outer inverse of a
 
@@ -674,3 +676,59 @@ def test_core_another_1_reports_a_missing_inverse(monkeypatch, plant):
     details = [ce["detail"] for ce in got.counterexamples]
     assert any("(ii)=False" in d or "(iii)=False" in d for d in details), details
     assert got == want
+
+
+def dense_some(cands, holds):
+    """count[a, w] and first[a, w] (-1 for none) of the candidates x of a,
+    those with cands[a, x], for which holds(a, w, x), x ascending; the
+    candidate pairs are taken in blocks, each with every w.  The reference
+    for the fibre reads of `theorems._some`."""
+    n, step, (pa, px) = len(cands), max(1, _BLOCK // len(cands)), np.nonzero(cands)
+    count, first = np.zeros((n, n), dtype=np.int32), np.full((n, n), n, dtype=np.int32)
+    for lo in range(0, pa.size, step):
+        ca, cx = pa[lo : lo + step], px[lo : lo + step, None]
+        hit, (at, _) = holds(ca[:, None], np.arange(n), cx), _runs(ca)
+        count[ca[at]] += np.add.reduceat(hit, at, axis=0, dtype=np.int32)
+        first[ca[at]] = np.minimum(first[ca[at]], np.minimum.reduceat(np.where(hit, cx, n), at))
+    return count, np.where(first < n, first, -1)
+
+
+def some_calls(ring):
+    """(name, candidates, (p, q, r), holds) for each form that the checkers
+    hand `_some`: E4 a w (x a) = a and F4 (a x) v a = a under the candidates
+    of (iii), and the outer inverses y (aw) y = y and y (va) y = y under the
+    (a, a*)- and (a*, a)-inverse conditions.  On these rings each has at
+    most one hit per (a, w), so E4 at every x is added, where a = 0 has n."""
+    n, mul = ring.size, ring.mul_arr
+    a, y = np.arange(n)[:, None], np.arange(n)
+    e4, f4 = SYSTEMS["w-core-full"][3], SYSTEMS["dual-v-core-full"][3]
+
+    def holds(equation, k):
+        return lambda a, w, x: ring._holds(equation, {"a": k(a, w), "w": w, "v": w, "x": x}, "x")
+
+    cands, dual = _candidates(ring)[0], _candidates(ring, dual=True)[0]
+    return [
+        ("E4", cands, (a, mul.T, a), holds(e4, lambda a, w: a)),
+        ("F4", dual, (mul, a, a), holds(f4, lambda a, v: a)),
+        ("bc", cands, (mul.T, y, y), holds(_B3[0], lambda a, w: mul[a, w])),
+        ("bc-dual", dual, (y, mul, y), holds(_B3[0], lambda a, v: mul[v, a])),
+        ("E4, every x", np.ones((n, n), dtype=bool), (a, mul.T, a), holds(e4, lambda a, w: a)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, block",
+    [("zmod:12", None), ("mat:2:gf2", None), ("mat:2:gf3", None), ("mat:3:gf2", None)]
+    + [("mat:2:gf3", 50)],
+)
+def test_some_reads_the_w_that_the_dense_loop_finds(monkeypatch, spec, block):
+    # with blocks of 50 fibre entries, a candidate's z and its w span blocks;
+    # E4 at every x of mat:3:gf2 would take the dense loop 134M points
+    if block:
+        monkeypatch.setattr(rings, "_BLOCK", block)
+    ring = enumerate_ring(spec)
+    for name, cands, pqr, holds in some_calls(ring)[: 4 if spec == "mat:3:gf2" else 5]:
+        count, first = _some(ring, cands, *pqr)
+        want_count, want_first = dense_some(cands, holds)
+        assert want_count.max() > (name == "E4, every x"), name
+        assert np.array_equal(count, want_count) and np.array_equal(first, want_first), name

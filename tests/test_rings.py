@@ -725,3 +725,34 @@ def test_pair_scans_on_mat3_gf2_match_brute_force(monkeypatch, mat3_gf2, scan):
     for block in (rings._BLOCK, 4096):
         monkeypatch.setattr(rings, "_BLOCK", block)
         assert np.array_equal(enumerate_ring("mat:3:gf2")._survivors(scan), want), block
+
+
+@pytest.mark.parametrize("scan", [s for s, (_, given) in rings._SCANS.items() if len(given) == 1])
+def test_one_letter_scans_on_mat3_gf2_match_brute_force(mat3_gf2, scan):
+    # 512 rows of 512 points: read from fibres, each group of rows scanned once
+    assert np.array_equal(mat3_gf2._survivors(scan), brute_survivors(mat3_gf2, scan))
+
+
+def test_rows_alike_but_in_a_keep_their_own_solutions(mat3_gf2):
+    # at w = 0 the runs aw, awa and w*a* of E1-E3 are 0 at every a: only
+    # the run a tells the rows (0, 0) and (e11, 0) apart, and their solutions
+    # differ, as E2 reads x 0 = 0 at every x and x 0 = e11 at none
+    e11 = mat3_gf2.names.index("[[1, 0, 0], [0, 0, 0], [0, 0, 0]]")
+    assert mat3_gf2.wcore_solutions(0, 0) == (0,)
+    assert mat3_gf2.wcore_solutions(e11, 0) == ()
+
+
+def test_groups_are_the_classes_of_equal_run_values():
+    # 21 runs a w^k: their values, one base-12 digit each, pass 2^63 unless
+    # the number so far is folded into group numbers on the way
+    ring, n = enumerate_ring("zmod:12"), 12
+    system = tuple((f"T{k}", ("a",) + ("w",) * k + ("x",), ("x",)) for k in range(21))
+    runs = rings._known_runs(system, "x")
+    assert len(runs) == 21 and n ** len(runs) > 2**63
+    rows = dict(zip("aw", (v.ravel().astype(np.int32) for v in np.indices((n, n)))))
+    reps, group = ring._groups(system, rows, "x")
+    values = np.stack([ring._eval(run, rows, "x") for run in runs], axis=1)
+    want = np.unique(values, axis=0, return_inverse=True)[1].ravel()
+    assert len(set(zip(group.tolist(), want.tolist()))) == reps.size == want.max() + 1
+    assert np.array_equal(group[reps], np.arange(reps.size))
+    assert np.array_equal(reps, np.unique(group, return_index=True)[1])  # each group's first row
