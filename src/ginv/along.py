@@ -24,7 +24,6 @@ from .matrix import (
     condition_number,
     disagree,
     inverse,
-    norm_fro,
     rank,
     require_square,
     solve_left,
@@ -70,20 +69,12 @@ def inverse_along(
         return InverseResult(False, reason="d is not below dad in the L-preorder")
     b = d @ x
     exact = a.domain.exact
-    yd = y @ d
-    if exact:
-        if b != yd:
-            raise RouteDisagreement("d x and y d disagree for the inverse along d")
-    else:
-        # dx - yd = y(d - dad x) - (y dad - d)x: the allowed gap follows the
-        # solve acceptance bound, so ill-conditioned dad does not false-alarm
-        nx, ny = norm_fro(x), norm_fro(y)
-        nd, ndad = norm_fro(d), norm_fro(dad)
-        allowed = acceptance_bound(a.domain, tol) * max(
-            1.0, ny * (ndad * nx + nd) + nx * (ndad * ny + nd)
-        )
-        if norm_fro(b - yd) > allowed:
-            raise RouteDisagreement("d x and y d disagree for the inverse along d")
+    # dx - yd = y(dad x - d) - (y dad - d)x, and in float both solves passed
+    # ||dad z - d|| <= tol(||dad|| ||z|| + ||d||): the triangle inequality
+    # bounds the gap by the same terms, so a float check of it could fire
+    # only through rounding or overflow in its own norms
+    if exact and b != y @ d:
+        raise RouteDisagreement("d x and y d disagree for the inverse along d")
     cert = certify("along", {"a": a, "d": d, "x": b}, tol, route="solve")
     cert.witnesses = {"x": x, "y": y}
     if not exact and condition_number(dad, tol) > _KAPPA_DEGRADED:

@@ -60,21 +60,23 @@ def group_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Star
 def drazin_index(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
     """Smallest k >= 1 with a^k group invertible (rank stabilization in float)."""
     require_square(a)
+    p = a  # a^k, each power formed once and factored once
     if a.domain.kind == "complex_float":
-        k = 1
-        p = a
-        while k < a.rows:
-            if rank(p, tol) == rank(p @ a, tol):
+        for k in range(1, a.rows):
+            q = p @ a
+            if rank(p, tol) == rank(q, tol):
                 return k
-            p = p @ a
-            k += 1
+            p = q
         return max(1, a.rows)
     cap = index_cap(a)
     for k in range(1, cap + 1):
-        p = a.pow(k)
-        p2 = p @ a
-        if solve_right(p2, p, tol) is not None and solve_left(p2, p, tol) is not None:
+        q = p @ a
+        # a^k = a^{k+1} x gives a^k S = a^{k+1} S, and one side suffices: over
+        # a field the ranks agree, so S a^k = S a^{k+1}; over Z/n the matrix
+        # ring is finite, hence stable, and a^k R a a^k forces a^k L a^{k+1}
+        if solve_right(q, p, tol) is not None:
             return k
+        p = q
     raise RouteDisagreement(f"no Drazin index found up to cap {cap}")
 
 
@@ -82,10 +84,11 @@ def drazin_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Ind
     """Drazin inverse a^D = a^{n-1} (a^n)^# with n the Drazin index."""
     require_square(a)
     n = drazin_index(a, tol)
-    g = group_inverse(a.pow(n), tol)
+    below = a.pow(n - 1)
+    g = group_inverse(below @ a, tol)
     if g is None:
         raise RouteDisagreement(f"a^{n} lost group invertibility at the found index")
-    value = a.pow(n - 1) @ g
+    value = below @ g
     assert_system(drazin_system(n), {"a": a, "x": value}, tol, "Drazin inverse")
     return IndexedInverse(value, n)
 
@@ -94,8 +97,11 @@ def core_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarM
     """Core inverse a^# a a^{(1,3)}; exists iff both factors do."""
     require_square(a)
     g = group_inverse(a, tol)
-    if g is None:
-        return None
+    return None if g is None else _core_from_group(a, g, tol)
+
+
+def _core_from_group(a: StarMatrix, g: StarMatrix, tol: ToleranceThresholds) -> StarMatrix | None:
+    """The core inverse g a a^{(1,3)} from a's group inverse g; None without a^{(1,3)}."""
     t = one_three_inverse(a, tol)
     if t is None:
         return None
@@ -123,10 +129,11 @@ def core_ep_inverse(
     require_square(a)
     dz = drazin_inverse(a, tol)
     m = dz.index
-    t = one_three_inverse(a.pow(m), tol)
+    am = a.pow(m)
+    t = one_three_inverse(am, tol)
     if t is None:
         return None
-    x = dz.value @ a.pow(m) @ t
+    x = dz.value @ am @ t
     assert_system(core_ep_system(m), {"a": a, "x": x}, tol, "pseudo-core inverse")
     if m > 1:
         # minimality: the same x must fail the exponent-(m-1) equation

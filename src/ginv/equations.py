@@ -193,9 +193,11 @@ def system_residuals(
     env: dict[str, StarMatrix],
     tol: ToleranceThresholds = DEFAULT_TOL,
 ) -> dict[str, float]:
-    """Residuals per equation: exact 0.0/inf, float relative to the
-    evaluation scale (larger of the side norms and the factor-norm products,
-    matching the solve acceptance bound ||AX-B|| <= tol(||A|| ||X|| + ||B||))."""
+    """Residuals per equation: exact 0.0/inf, float relative to the larger of
+    the two sides' factor-norm products, each norm floored at 1 (matching the
+    solve acceptance bound ||AX-B|| <= tol(||A|| ||X|| + ||B||)).  A product
+    bounds its side's norm, as ||m*|| = ||m|| and the Frobenius norm is
+    submultiplicative, so neither 1 nor a side's own norm could raise it."""
     out, memo = {}, {}
     a = env["a"]
     if not a.domain.exact:
@@ -208,13 +210,7 @@ def system_residuals(
         if a.domain.exact:
             out[name] = rel_diff(left, right)
         else:
-            scale = max(
-                1.0,
-                norm_fro(left),
-                norm_fro(right),
-                math.prod(norms[sym.rstrip("*")] for sym in lhs),
-                math.prod(norms[sym.rstrip("*")] for sym in rhs),
-            )
+            scale = max(math.prod(norms[sym.rstrip("*")] for sym in side) for side in (lhs, rhs))
             out[name] = norm_fro(left - right) / scale
     return out
 

@@ -676,9 +676,8 @@ def inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix
         raise ShapeMismatch("only square matrices can be inverted")
     n = a.rows
     if a.domain.kind == "complex_float":
-        if rank(a, tol) < n:
-            return None
-        return _ComplexMatrix._adopt(np.linalg.inv(a.data))
+        # full rank: the pseudoinverse from a's kept SVD is the inverse
+        return pinv(a, tol) if rank(a, tol) == n else None
     # one-sided suffices: over a commutative ring, a x = 1 gives det(a) det(x) = 1
     return solve_right(a, StarMatrix.identity(n, a.domain), tol)
 

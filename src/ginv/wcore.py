@@ -7,7 +7,7 @@ and wx is a {1,2,3}-inverse of a.  Routes implemented:
   mary_13          w^{||a} a^{(1,3)}
   core_of_aw       core inverse of aw (requires a in awS)
   projection_unit  u^{-1}(1-p) with p = 1 - (aw)(aw)_core, u = p + aw
-  rank_formula     A (AWA)^+ A A^+           (rank(A) = rank(AWA) criterion)
+  rank_formula     A (AWA)^+                 (rank(A) = rank(AWA) criterion)
   section3_unit    t^{-1} a a*  with t = a a* a w + 1 - a a^-
   as_along         inverse of aw along a a*  (needs a MP-invertible)
   as_bc            (a, a*)-inverse of aw
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
 from .along import bc_inverse, inverse_along
-from .classical import core_ep_inverse, core_inverse, group_inverse
+from .classical import _core_from_group, core_ep_inverse, core_inverse, group_inverse
 from .equations import InverseResult, certify, require_inner
 from .errors import (
     DomainMismatch,
@@ -92,7 +92,8 @@ _SHARED: dict[str, Callable] = {
     # canonical {1,3}-inverse: the MP inverse when it exists
     "one_three": lambda c: c.mp if c.mp is not None else one_three_inverse(c.a, c.tol),
     "w_along_a": lambda c: inverse_along(c.w, c.a, c.tol),
-    "core_aw": lambda c: core_inverse(c.aw, c.tol),
+    "group_aw": lambda c: group_inverse(c.aw, c.tol),
+    "core_aw": lambda c: None if c.group_aw is None else _core_from_group(c.aw, c.group_aw, c.tol),
     "a_inner": lambda c: inner_inverse(c.a, c.tol),
 }
 
@@ -159,9 +160,8 @@ def _route_projection_unit(c):
         return _RouteOutcome(reason="aw has no core inverse")
     ident = StarMatrix.identity(a.rows, a.domain)
     p = ident - aw @ c.core_aw
-    if not is_projection(p, c.tol):
-        if c.exact:
-            raise RouteDisagreement("1 - (aw)(aw)_core is not a projection")
+    # exact: the core5 guard made (aw)(aw)_core Hermitian (C5) and idempotent (P2)
+    if not c.exact and not is_projection(p, c.tol):
         return _RouteOutcome(reason="projection construction lost precision")
     zero = StarMatrix.zeros(a.rows, a.cols, a.domain)
     if disagree(p @ a, zero, acceptance_bound(a.domain, c.tol)):
@@ -179,9 +179,11 @@ def _route_rank_formula(c):
     if not c.rank_ok:
         return _RouteOutcome(reason="rank(A) != rank(AWA)")
     mp_awa = mp_inverse(c.awa, c.tol)
-    if mp_awa is None or c.mp is None:
+    if mp_awa is None:
         raise RouteDisagreement("MP inverse missing over a definite domain")
-    return _RouteOutcome(c.a @ mp_awa @ c.a @ c.mp)
+    # = A (AWA)^+ A A^+ in any *-ring, as p = a a^+ is Hermitian with pa = a:
+    # (awa)^+ p = (awa)^+ ((awa)^+)* (awa)* p = (awa)^+ ((awa)^+)* (p awa)* = (awa)^+
+    return _RouteOutcome(c.a @ mp_awa)
 
 
 def _route_section3_unit(c):
@@ -217,10 +219,9 @@ def _route_group_aw(c):
     # (aw)^# a a^{(1,3)}: the star of the dual's group_va
     if c.one_three is None:
         return _RouteOutcome(reason="a has no {1,3}-inverse")
-    g = group_inverse(c.aw, c.tol)
-    if g is None:
+    if c.group_aw is None:
         return _RouteOutcome(reason="aw has no group inverse")
-    return _RouteOutcome(g @ c.a @ c.one_three)
+    return _RouteOutcome(c.group_aw @ c.a @ c.one_three)
 
 
 def _route_group_wa(c):

@@ -150,6 +150,15 @@ def test_group_formula_along():
     assert group_formula_along(inv_a, inv_a) == inverse(inv_a) @ inverse(inv_a) @ inv_a
 
 
+def test_group_formula_along_no_inverse():
+    i2, e12 = StarMatrix.identity(2, RATIONAL), qm([[0, 1], [0, 0]])
+    # aw = 0 is not R-equivalent to a = 1
+    assert group_formula_along(StarMatrix.zeros(2, 2, RATIONAL), i2) is None
+    # aw = a = e12, R-equivalent to a, but nilpotent: no group inverse
+    assert group_formula_along(i2, e12) is None
+    assert not inverse_along(i2, e12).exists
+
+
 def test_bc_inverse_star_pair_is_mp():
     a = gm([[0, 1], [0, 0]])
     y = bc_inverse(a, a.adjoint(), a.adjoint())

@@ -681,3 +681,27 @@ def test_a_6x6_pair_over_z12_gets_an_answer(tmp_path, capsys, kind):
     assert result["exists"] is (code == 0)
     if code == 0:
         assert result["certificate"]["ok"] is True
+
+
+# complex a with d invertible, so the inverse of a along d is a^{-1}: the float
+# dx - yd cross-check these once met overflowed in its own norms (exit 2)
+EXTREME_ALONG = [
+    (1e-300 * np.eye(2), np.array([[1.0, 2.0], [3.0, 4.0]])),
+    (1e-250 * np.eye(2), np.array([[1.0, 2.0], [3.0, 4.0]])),
+    (1e-200 * np.array([[1.0, 2.0], [3.0, 4.0]]), np.eye(2)),
+]
+
+
+@pytest.mark.parametrize("a, d", EXTREME_ALONG, ids=["1e-300", "1e-250", "1e-200"])
+def test_along_at_extreme_scales_is_the_inverse(tmp_path, capsys, a, d):
+    cf = {"kind": "complex_float"}
+
+    def rows(m):
+        return [[[float(z.real), float(z.imag)] for z in r] for r in m.astype(complex)]
+
+    pa = write_matrix(tmp_path / "a.json", rows(a), domain=cf)
+    pd = write_matrix(tmp_path / "d.json", rows(d), domain=cf)
+    assert run(["compute", "--kind", "along", "--a", pa, "--d", pd]) == 0
+    got = np.array(matrix_from_json(_strict_json(capsys.readouterr().out)["value"]).data)
+    want = np.linalg.inv(a)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

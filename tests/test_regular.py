@@ -142,6 +142,14 @@ def test_mp_via_unit_example():
     assert mp_via_unit(i2, i2) == i2
 
 
+def test_mp_via_unit_singular_unit_is_none():
+    # over GF(5), a a* = 0 for a = [[1, 2], [0, 0]]: u = 1 - a a^- is singular,
+    # and a has no MP inverse
+    a = fm([[1, 2], [0, 0]])
+    assert mp_via_unit(a, inner_inverse(a)) is None
+    assert mp_inverse(a) is None
+
+
 def test_mp_via_unit_invertible_case():
     a = qm([[2, 1], [1, 1]])
     assert mp_via_unit(a, inverse(a)) == inverse(a)

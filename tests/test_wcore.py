@@ -18,6 +18,7 @@ from ginv import (
     core_ep_inverse,
     core_inverse,
     dual_v_core,
+    enumerate_ring,
     group_inverse,
     ideal_form_membership,
     inverse_along,
@@ -539,18 +540,21 @@ def counting(monkeypatch, owner, name):
 # a complex matrix is decomposed once however many ranks, solves, transposes
 # and adjoints read it, and an exact one eliminated once for its ranks and
 # factorizations; factoring afresh at every call takes 33 and 21 SVDs and 51
-# eliminations here
-SVD_BUDGET = {"w_core": 12, "dual_v_core": 9}
-RREF_BUDGET = 45
+# eliminations here.  (aw)^# is computed once per call, and a float inverse
+# is read from the kept SVD, with no LU factorization
+SVD_BUDGET = {"w_core": 12, "dual_v_core": 8}
+RREF_BUDGET = 41
 
 
 @pytest.mark.parametrize("call", [w_core, dual_v_core], ids=["w_core", "dual_v_core"])
 def test_svd_count_of_a_float_call_is_pinned(call, monkeypatch):
     a, w = low_rank_float_pair()
     svd = counting(monkeypatch, np.linalg, "svd")
+    inv = counting(monkeypatch, np.linalg, "inv")
     res = call(a, w)
     assert res.exists and res.certificate.ok
     assert len(svd) <= SVD_BUDGET[call.__name__]
+    assert not inv
 
 
 def test_elimination_count_of_an_exact_pair_is_pinned(monkeypatch):
@@ -699,3 +703,43 @@ def test_checked_route_whose_value_differs_raises(call, route, monkeypatch):
     monkeypatch.setitem(wcore._ROUTES, route, _failing_route(qm([[1, 1], [0, 0]])))
     with pytest.raises(RouteDisagreement):
         call(a, one)
+
+
+# ---------------------------------------------------------------------------
+# the rank_formula value A (AWA)^+: the identity behind dropping A A^+
+
+
+@pytest.mark.parametrize("spec", ["zmod:12", "mat:2:gf2", "mat:2:gf3", "mat:3:gf2", "mat:2:gf5"])
+def test_a_awa_mp_absorbs_every_one_three_projection(spec):
+    # a (awa)^+ a t = a (awa)^+ for every {1,3}-inverse t of a wherever awa
+    # has an MP inverse: p = a t is Hermitian with pa = a, so (awa)^+ p =
+    # (awa)^+ ((awa)^+)* (p awa)* = (awa)^+.  The rank_formula route adds
+    # aR = awaR, which the identity does not need.  And a (awa)^+ is a_w
+    # wherever both exist
+    ring = enumerate_ring(spec)
+    mul, mp, t13 = ring.mul_arr, ring.table("mp_inv"), ring.table("one_three_set")
+    ids, (first, count) = ring.table("right_ideal")[0], ring.table("wcore_solutions")
+    a, w = np.indices((ring.size,) * 2, sparse=True)
+    awa = mul[mul[a, w], a]
+    x = mul[a, np.maximum(mp[awa], 0)]  # read only where mp[awa] >= 0
+    hyp = (mp[awa] >= 0) & t13.any(axis=1)[:, None]
+    assert (hyp & (ids[a] == ids[awa]) & (count > 0)).any()
+    at, tt = np.nonzero(t13)  # every (a, t) with t a {1,3}-inverse of a
+    xa = x[at]  # one row of w per (a, t)
+    held = mul[mul[xa, at[:, None]], tt[:, None]] == xa
+    assert held[hyp[at]].all()
+    both = (count > 0) & (mp[awa] >= 0)
+    assert (x[both] == first[both]).all() and both.any()
+
+
+@pytest.mark.parametrize("dom", [RATIONAL, GAUSSIAN_RATIONAL], ids=["rational", "gaussian"])
+@pytest.mark.parametrize("call", [w_core, dual_v_core], ids=["w_core", "dual_v_core"])
+def test_rank_formula_route_equals_route_all_exactly(dom, call):
+    seen = 0
+    for a, w in pin_pairs(dom, 7):
+        ref, one = call(a, w), call(a, w, route="rank_formula")
+        assert one.exists == ref.exists
+        if ref.exists:
+            assert one.value == ref.value and one.certificate.ok
+            seen += 1
+    assert seen
