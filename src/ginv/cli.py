@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -206,9 +207,20 @@ def _cmd_compute(args) -> int:
     return 0 if exists else 3
 
 
+def _writable(path: str):
+    """Refuse a path that cannot be written before any work, leaving no file behind."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_verify(args) -> int:
     from .rings import DEFAULT_RING_CAP, enumerate_ring  # only verify loads the oracle
-    from .theorems import verify_all, verify_theorem
+    from .theorems import CATALOG, verify_theorem
+    if args.out:
+        _writable(args.out)
     start = time.perf_counter()
     try:
         ring = enumerate_ring(args.ring, cap=DEFAULT_RING_CAP if args.cap is None else args.cap)
@@ -216,12 +228,11 @@ def _cmd_verify(args) -> int:
         print(f"ginv verify: bad ring spec: {exc}", file=sys.stderr)
         return 1
     build_s = time.perf_counter() - start
-    if args.theorem is not None:
-        reports = [verify_theorem(ring, args.theorem)]
-    else:
-        reports = verify_all(ring)
-    bad = 0
-    for rep in reports:
+    reports, bad = [], 0
+    # each status line goes out as soon as its theorem has run
+    for tid in [args.theorem] if args.theorem is not None else CATALOG:
+        rep = verify_theorem(ring, tid)
+        reports.append(rep)
         if rep.skipped:
             status = f"SKIPPED ({rep.note})"
         elif rep.ok():
@@ -229,7 +240,7 @@ def _cmd_verify(args) -> int:
         else:
             status = f"FAIL ({len(rep.counterexamples)} counterexamples)"
             bad += len(rep.counterexamples)
-        print(f"{rep.theorem_id:24s} {status}")
+        print(f"{rep.theorem_id:24s} {status}", flush=True)
     report_obj = {
         "schema": 1,
         "ring": ring.spec,

@@ -14,8 +14,11 @@ more ring elements are skipped, with a note, on rings larger than
 instances at once, on the ring's whole-ring lookups (`FiniteStarRing.table`:
 solution arrays, ideal ids and memberships).  The unit criteria read units
 as `table("inv_unit")`: an element is a unit where its entry is >= 0, and the
-entry is its inverse.  Five of them take one outer letter at a time, the
-inner letters and inner inverses as array axes.
+entry is its inverse.  Five of them see an inner inverse a⁻ of a only through
+the complement e, 1 - aa⁻ or 1 - a⁻a, of a unit x + e: they check each key
+(a, e) once, in blocks over all a, count the outer letters whose frame holds
+no failure at once, and name a failure from the masks of its frame, gathered
+through each a⁻'s key.
 Each states its quantifiers once, as the instance grid it hands `col.batch`:
 the letters' coordinate arrays, whose broadcast shape gives the instance
 count and, in C order, the scalar loop's order, and which name a failing
@@ -30,7 +33,7 @@ from __future__ import annotations
 import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -535,33 +538,77 @@ def _words(ring, words, **letters):
     return [(word, ring._eval(word, {"a": a, **letters}, None)) for word in words]
 
 
-def _units(ring, a, inners, words):
-    """The unit x + 1 - e of each word of `_words`, x its product at a
-    (broadcast with a and its inner inverses a⁻): e is aa⁻ when the word
-    starts with a, so x lies in aR, and a⁻a when it ends with a."""
-    mul, add, one_minus = ring.mul_arr, ring.add_arr, ring.add_arr[ring.one, ring.neg_arr]
-    ends = one_minus[mul[a, inners]], one_minus[mul[inners, a]]  # 1 - aa⁻, 1 - a⁻a
-    return [add[x[a], ends[word[0] != "a"]] for word, x in words]
+def _ends(ring, a, inners):
+    """1 - aa⁻ and 1 - a⁻a for inner inverses a⁻ of a (broadcast together)."""
+    mul, one_minus = ring.mul_arr, ring.add_arr[ring.one, ring.neg_arr]
+    return one_minus[mul[a, inners]], one_minus[mul[inners, a]]
+
+
+def _inverses(ring, a, ends, words):
+    """The inverse (-1: none) of the unit x + e of each word of `_words`, x
+    its product at a, broadcast with the ends of a: e is the first, 1 - aa⁻,
+    when the word starts with a, so x lies in aR, else the second, 1 - a⁻a."""
+    inv, add = ring.table("inv_unit"), ring.add_arr
+    return [inv[add[x[a], ends[word[0] != "a"]]] for word, x in words]
+
+
+def _side(ring, want, words, gate=True, value=None, expect=None):
+    """A side of `_by_complements`: where each word's unit x + e, read as
+    gate[a] and the unit, disagrees with want[a]; given value, also where
+    want[a] holds and value(a, i), i the last unit's inverse, misses expect[a]."""
+
+    def masks_at(a, e):  # the words of a side all read its e
+        e, j, g = e.reshape(-1, *[1] * (want.ndim - 1)), want[a], gate if gate is True else gate[a]
+        invs = _inverses(ring, a, (e, e), words)
+        last, misses = invs[-1], [] if value is None else [value(a[:, None], invs[-1]) != expect[a]]
+        return [(g & (i >= 0)) != j for i in invs] + [j & (last >= 0) & m for m in misses]
+
+    return masks_at
+
+
+def _by_complements(ring, col, sides, own, counts):
+    """The frames of a unit criterion that hold a failure, checked per key.
+
+    Each side maps keys (a, e) on a first axis, e 1 - aa⁻ on side "L", 1 - a⁻a
+    on "R", both on "LR", to failure masks [key, *grid]; own[a, *grid] masks a
+    frame's own failures, counts[a] its instances (0: no frame).  Blocks of
+    about _BLOCK entries flag frames; the rest are counted at once.  Yields a
+    flagged frame, its inner inverses and its masks gathered through each
+    a⁻'s key, a⁻ on a last axis, for the checker to hand col.batch."""
+    n, (a, inner) = ring.size, np.nonzero(ring.table("inner_inverses"))  # a-major
+    ends, flagged, keyed = dict(zip("LR", _ends(ring, a, inner))), own.reshape(n, -1).any(1), []
+    for side, masks_at in sides.items():
+        code, at = np.unique(reduce(lambda c, s: c * n + ends[s], side, a), return_inverse=True)
+        digits = [code // n**i % n for i in range(len(side), -1, -1)]  # a, then each e
+        for lo in range(0, code.size, step := max(1, _BLOCK // own[0].size)):
+            masks = masks_at(*(d[lo : lo + step] for d in digits))
+            hit = np.logical_or.reduce([m.reshape(len(m), -1).any(axis=1) for m in masks])
+            flagged[digits[0][lo : lo + step][hit]] = True
+        keyed.append((masks_at, digits, at.ravel()))
+    base, before, starts = col.checked, np.cumsum(counts) - counts, np.searchsorted(a, range(n + 1))
+    for x in np.flatnonzero(flagged & (counts > 0)).tolist():
+        pairs, masks = slice(starts[x], starts[x + 1]), []
+        for f, digits, at in keyed:  # each side's masks at the frame's keys
+            lo, hi = np.searchsorted(digits[0], [x, x + 1])
+            masks += [np.moveaxis(m[at[pairs] - lo], 0, -1) for m in f(*(d[lo:hi] for d in digits))]
+        col.checked = base + int(before[x])
+        yield x, inner[pairs], masks
+    col.checked = base + int(counts.sum())
+
+
+def _batch_joint(col, grid, own, joint, inners, bads, text, *misses):
+    """Batch a frame of a joint unit criterion: bads, where each unit
+    disagrees with joint, named by text.format(the units, joint); each
+    (miss, detail) fails only where no unit disagrees."""
+    bad = np.logical_or.reduce(bads)
+    oks = np.stack([joint[..., None] ^ m for m in bads]).reshape(len(bads), joint.size, -1)
+    per_inner = [(bad, lambda p, i: text.format(tuple(oks[:, p, i].tolist()), joint.flat[p]))]
+    col.batch(grid, own, per_inner + [(~bad & m, d) for m, d in misses], {"a_inner": inners})
 
 
 # the units of the single-w criteria and of the (v, w) criteria
-_W_UNITS = (
-    ("a", "w", "a", "a*"), ("a", "a*", "a", "w"), ("w", "a", "a*", "a"), ("a*", "a", "w", "a")
-)
-_VW_UNITS = (
-    ("a", "w", "a", "v", "a", "a*"), ("a", "v", "a", "w", "a", "a*"),
-    ("w", "a", "v", "a", "a*", "a"), ("v", "a", "w", "a", "a*", "a"),
-)
-
-
-def _frames(ring, regular=True):
-    """Each element a in turn with its inner inverses a⁻; when regular, only
-    those with one."""
-    inner = ring.table("inner_inverses")
-    for a in range(ring.size):
-        inners = np.flatnonzero(inner[a])
-        if inners.size or not regular:
-            yield a, inners
+_W_UNITS = [w.split() for w in ("a w a a*", "a a* a w", "w a a* a", "a* a w a")]
+_VW_UNITS = [w.split() for w in ("a w a v a a*", "a v a w a a*", "w a v a a* a", "v a w a a* a")]
 
 
 def _chk_idempotent(ring: FiniteStarRing, col: _Collector):
@@ -602,38 +649,31 @@ def _chk_jacobson(ring: FiniteStarRing, col: _Collector):
 
 
 def _chk_mary_inverse_unit(ring: FiniteStarRing, col: _Collector):
-    n, mul, inv, along = ring.size, ring.mul_arr, ring.table("inv_unit"), ring.table("along")[0]
-    xs = np.arange(n)[:, None]
-    words = _words(ring, (("a", "x"), ("x", "a")), x=xs)
-    for d, inners in _frames(ring):
-        # the frame's letter is d; instances (a, d⁻): rows a, columns d⁻
-        ex, k = along[:, d], inners.size
-        has = (ex >= 0)[:, None]
-        u, v = _units(ring, d, inners, words)
-        bad = (has != (inv[u] >= 0)) | (has != (inv[v] >= 0))
-        need = np.flatnonzero(~bad & has)
-        miss = np.zeros(n * k, dtype=bool)
-        miss[need] = (mul[inv[u.ravel()[need]], d] != ex[need // k]) | (
-            mul[d, inv[v.ravel()[need]]] != ex[need // k]
-        )
-        own = [
-            (bad, "unit criteria disagree with existence"),
-            (miss, "u^{-1} d / d v^{-1} miss a^{||d}"),
-        ]
-        col.batch({"a": xs, "d": d, "d_inner": inners}, own)
+    n, mul, ex = ring.size, ring.mul_arr, ring.table("along")[0].T  # [d, a]: a^{||d}
+    # u = da + 1 - dd⁻ gives u⁻¹d, v = ad + 1 - d⁻d gives dv⁻¹
+    da, ad = _words(ring, (("a", "x"), ("x", "a")), x=np.arange(n))
+    left = _side(ring, ex >= 0, (da,), value=lambda d, i: mul[i, d], expect=ex)
+    right = _side(ring, ex >= 0, (ad,), value=lambda d, i: mul[d, i], expect=ex)
+    no_own, counts = np.broadcast_to(False, (n, n)), n * ring.table("inner_inverses").sum(axis=1)
+    # the frame's letter is d; instances (a, d⁻): rows a, columns d⁻
+    frames = _by_complements(ring, col, {"L": left, "R": right}, no_own, counts)
+    for d, inners, (bad_u, miss_u, bad_v, miss_v) in frames:
+        bad, text = bad_u | bad_v, "u^{-1} d / d v^{-1} miss a^{||d}"
+        own = [(bad, "unit criteria disagree with existence"), (~bad & (miss_u | miss_v), text)]
+        col.batch({"a": np.arange(n)[:, None], "d": d, "d_inner": inners}, own)
 
 
 def _chk_classical_mp_char(ring: FiniteStarRing, col: _Collector):
     mul, star = ring.mul_arr, ring.star_arr
     a, inner = np.nonzero(ring.table("inner_inverses"))  # instances (a, a⁻), a-major
-    u, v = _units(ring, a, inner, _words(ring, (("a", "a*"), ("a*", "a"))))
+    iu, iv = _inverses(ring, a, _ends(ring, a, inner), _words(ring, (("a", "a*"), ("a*", "a"))))
     mp = ring.table("mp_inv")[a]
-    inv, ex = ring.table("inv_unit"), mp >= 0
-    bad = (ex != (inv[u] >= 0)) | (ex != (inv[v] >= 0))
+    ex = mp >= 0
+    bad = (ex != (iu >= 0)) | (ex != (iv >= 0))
     need = np.flatnonzero(ex & ~bad)
     miss_u, miss_v = np.zeros((2, a.size), dtype=bool)
-    miss_u[need] = star[mul[inv[u[need]], a[need]]] != mp[need]
-    miss_v[need] = star[mul[a[need], inv[v[need]]]] != mp[need]
+    miss_u[need] = star[mul[iu[need], a[need]]] != mp[need]
+    miss_v[need] = star[mul[a[need], iv[need]]] != mp[need]
     own = [
         (bad, "MP unit criteria disagree with existence"),
         (miss_u, "(u^{-1} a)* misses a^dag"),
@@ -663,101 +703,76 @@ def _chk_mp_ideal_char(ring: FiniteStarRing, col: _Collector):
 
 def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    inv, mp, along = ring.table("inv_unit"), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    mp, in_a = ring.table("mp_inv") >= 0, ring.table("along")[0].T >= 0  # [a, x]: x^{||a}
     (wcore, _), (dual, _) = map(ring.table, _PAIRS)
     v, w = np.indices((n, n), sparse=True)
-    words = _words(ring, _VW_UNITS, w=w[..., None], v=v[..., None])
-    for a, inners in _frames(ring, regular=False):
-        sa, wc, dv, in_a = star[a], wcore[a], dual[a], along[:, a]
-        # instances (v, w): rows v, columns w; the units add an axis for a⁻
-        vpa = in_a[:, None]
-        joint = (dv >= 0)[:, None] & (wc >= 0)
-        c2 = in_a & mp[a]
-        u, r, s, t = _units(ring, a, inners, words)
-        oks = inv[np.stack([u, r, s, t])] >= 0
-        bad = vpa[..., None] & (oks != joint[..., None]).any(axis=0)
-        need = np.flatnonzero(vpa[..., None] & ~bad & joint[..., None])
-        vn, wn, _ = np.unravel_index(need, bad.shape)
-        mid = star[_prod(mul, inv[u.ravel()[need]], a, wn, a, vn, a)]
-        miss_w, miss_v = np.zeros((2, bad.size), dtype=bool)
-        miss_w[need] = _prod(mul, a, vn, a, sa, a, inv[s.ravel()[need]], mid) != wc[wn]
-        miss_v[need] = _prod(mul, mid, a, wn, a, sa, a, inv[t.ravel()[need]]) != dv[vn]
-        oks = oks.reshape(4, n * n, inners.size)
+    # [a, v, w]; the units u, r with 1 - aa⁻, s, t with 1 - a⁻a
+    vpa, c2 = in_a[:, :, None], (in_a & mp[:, None])[:, None, :]
+    joint = (dual >= 0)[:, :, None] & (wcore >= 0)[:, None, :]
+    u, r, s, t = _words(ring, _VW_UNITS, w=w, v=v)
 
-        own = [
-            (~vpa & joint, "joint existence without v in R^{||a}"),
-            (vpa & (joint != c2), lambda pos: f"(i)={joint.flat[pos]} vs (ii)={c2[pos % n]}"),
-        ]
-        per_inner = [
-            (
-                bad,
-                lambda pos, i: f"units {tuple(oks[:, pos, i].tolist())} "
-                f"vs joint existence {joint.flat[pos]}",
-            ),
-            (miss_w.reshape(bad.shape), "joint formula misses a_w"),
-            (miss_v.reshape(bad.shape), "joint formula misses a_{v,dual}"),
-        ]
-        col.batch({"a": a, "w": w, "v": v}, own, per_inner, {"a_inner": inners})
+    def formulas(k, e_l, e_r):
+        iu, i_s, it = _inverses(ring, k, (e_l[:, None, None], e_r[:, None, None]), (u, s, t))
+        a, sa, ok = k[:, None, None], star[k][:, None, None], vpa[k] & joint[k] & (iu >= 0)
+        mid = star[_prod(mul, iu, a, w, a, v, a)]
+        miss_w = _prod(mul, a, v, a, sa, a, i_s, mid) != wcore[k][:, None, :]
+        miss_v = _prod(mul, mid, a, w, a, sa, a, it) != dual[k][:, :, None]
+        return [ok & (i_s >= 0) & miss_w, ok & (it >= 0) & miss_v]
+
+    units, fails = partial(_side, ring, vpa & joint, gate=vpa), ~vpa & joint | vpa & (joint != c2)
+    sides = {"L": units((u, r)), "R": units((s, t)), "LR": formulas}
+    # instances (v, w): rows v, columns w
+    for a, inners, masks in _by_complements(ring, col, sides, fails, np.full(n, n * n)):
+        j, c = joint[a], c2[a, 0]
+        own = [(~vpa[a] & j, "joint existence without v in R^{||a}")]
+        own += [(vpa[a] & (j != c), lambda p: f"(i)={j.flat[p]} vs (ii)={c[p % n]}")]
+        misses = zip(masks[4:], ("joint formula misses a_w", "joint formula misses a_{v,dual}"))
+        text = "units {} vs joint existence {}"
+        _batch_joint(col, {"a": a, "w": w, "v": v}, own, j, inners, masks[:4], text, *misses)
 
 
 def _chk_joint_w_units(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    inv, mp, along = ring.table("inv_unit"), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    mp, in_a = ring.table("mp_inv") >= 0, ring.table("along")[0].T >= 0  # [a, x]: x^{||a}
     (wcore, _), (dual, _) = map(ring.table, _PAIRS)
     w, v = np.indices((n, n), sparse=True)
-    words = _words(ring, _W_UNITS, w=w)
-    for a, inners in _frames(ring):
-        sa, wc, dv, in_a = star[a], wcore[a], dual[a], along[:, a]
-        # instances (w, v): rows w, columns v; the units add an axis for a⁻
-        joint = (wc >= 0)[:, None] & (dv >= 0)
-        c2 = in_a[:, None] & in_a & mp[a]
-        u, r, s, t = _units(ring, a, inners, words)
-        conds = in_a[:, None] & (inv[np.stack([u, r, s, t])] >= 0)[:, :, None, :]
-        bad = (conds != joint[..., None]).any(axis=0)
-        need = np.flatnonzero(~bad & joint[..., None])
-        wn, _, i_n = np.unravel_index(need, bad.shape)
-        mid = star[_prod(mul, inv[u[wn, i_n]], a, wn, a)]
-        miss = np.zeros(bad.shape, dtype=bool)
-        miss.flat[need] = _prod(mul, a, sa, a, inv[s[wn, i_n]], mid) != wc[wn]
-        conds = conds.reshape(4, n * n, inners.size)
+    # [a, w, v]; the units [a, w, 1] u, r with 1 - aa⁻, s, t with 1 - a⁻a;
+    # (iii)-(vi) read each as v in R^{||a} and the unit
+    joint, vpa = (wcore >= 0)[:, :, None] & (dual >= 0)[:, None, :], in_a[:, None, :]
+    c2 = in_a[:, :, None] & vpa & mp[:, None, None]
+    u, r, s, t = _words(ring, _W_UNITS, w=w)
 
-        own = [_split("(i)={} vs (ii)={}", joint, c2)]
-        per_inner = [
-            (
-                bad,
-                lambda pos, i: f"(iii)-(vi)={tuple(conds[:, pos, i].tolist())} "
-                f"vs (i)={joint.flat[pos]}",
-            ),
-            (miss, "single-w unit formula misses a_w"),
-        ]
-        col.batch({"a": a, "w": w, "v": v}, own, per_inner, {"a_inner": inners})
+    def formula(k, e_l, e_r):
+        iu, i_s = _inverses(ring, k, (e_l[:, None, None], e_r[:, None, None]), (u, s))
+        a, sa = k[:, None, None], star[k][:, None, None]
+        miss = _prod(mul, a, sa, a, i_s, star[_prod(mul, iu, a, w, a)]) != wcore[k][:, :, None]
+        return [joint[k] & (iu >= 0) & (i_s >= 0) & miss]
+
+    units, regular = partial(_side, ring, joint, gate=vpa), ring.table("inner_inverses").any(1)
+    sides = {"L": units((u, r)), "R": units((s, t)), "LR": formula}
+    # instances (w, v): rows w, columns v
+    for a, inners, masks in _by_complements(ring, col, sides, joint != c2, n * n * regular):
+        own, text = [_split("(i)={} vs (ii)={}", joint[a], c2[a])], "(iii)-(vi)={} vs (i)={}"
+        miss = (masks[4], "single-w unit formula misses a_w")
+        _batch_joint(col, {"a": a, "w": w, "v": v}, own, joint[a], inners, masks[:4], text, miss)
 
 
 def _chk_vw_intersect_dedekind(ring: FiniteStarRing, col: _Collector):
     n, mul = ring.size, ring.mul_arr
-    inv, mp, along = ring.table("inv_unit"), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    mp, in_a = ring.table("mp_inv") >= 0, ring.table("along")[0].T >= 0  # [a, x]: x^{||a}
     (wcore, _), (dual, _) = map(ring.table, _PAIRS)
-    w, v = np.indices((n, n), sparse=True)
-    words = _words(ring, _VW_UNITS, w=w[..., None], v=v[..., None])
-    for a, inners in _frames(ring, regular=False):
-        wc, dv, in_a = wcore[a], dual[a], along[:, a]
-        # instances (w, v): rows w, columns v; the units add an axis for a⁻
-        joint = (wc >= 0)[:, None] & (dv >= 0)
-        c2 = in_a[_prod(mul, w, a, v)] & mp[a]
-        c3 = in_a[_prod(mul, v, a, w)] & mp[a]
-        oks = inv[np.stack(_units(ring, a, inners, words))] >= 0
-        bad = (oks != joint[..., None]).any(axis=0)
-        oks = oks.reshape(4, n * n, inners.size)
-
-        own = [_split("(i)={}, (ii)={}, (iii)={}", joint, c2, c3)]
-        per_inner = [
-            (
-                bad,
-                lambda pos, i: f"Dedekind units {tuple(oks[:, pos, i].tolist())} "
-                f"vs joint {joint.flat[pos]}",
-            )
-        ]
-        col.batch({"a": a, "w": w, "v": v}, own, per_inner, {"a_inner": inners})
+    (w, v), a = np.indices((n, n), sparse=True), np.arange(n)[:, None, None]
+    # [a, w, v]; the units u, r with 1 - aa⁻, s, t with 1 - a⁻a
+    joint = (wcore >= 0)[:, :, None] & (dual >= 0)[:, None, :]
+    c2, c3 = (in_a[a, _prod(mul, x, a, y)] & mp[a] for x, y in ((w, v), (v, w)))
+    u, r, s, t = _words(ring, _VW_UNITS, w=w, v=v)
+    sides = {"L": _side(ring, joint, (u, r)), "R": _side(ring, joint, (s, t))}
+    frames = _by_complements(ring, col, sides, (joint != c2) | (c2 != c3), np.full(n, n * n))
+    # instances (w, v): rows w, columns v
+    for a, inners, bads in frames:
+        own = [_split("(i)={}, (ii)={}, (iii)={}", joint[a], c2[a], c3[a])]
+        text = "Dedekind units {} vs joint {}"
+        _batch_joint(col, {"a": a, "w": w, "v": v}, own, joint[a], inners, bads, text)
 
 
 def _chk_along_product(ring: FiniteStarRing, col: _Collector):
@@ -771,51 +786,46 @@ def _chk_along_product(ring: FiniteStarRing, col: _Collector):
 
 def _chk_intersect(ring: FiniteStarRing, col: _Collector):
     n, mul, star = ring.size, ring.mul_arr, ring.star_arr
-    inv, mp, along = ring.table("inv_unit"), ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
+    mp, along = ring.table("mp_inv") >= 0, ring.table("along")[0] >= 0
     (wcore, _), (dual, _) = map(ring.table, _PAIRS)
-    w = np.arange(n)[:, None]
-    words = _words(ring, _W_UNITS, w=w)
-    for a, inners in _frames(ring):
-        sa, wc, dv, k = star[a], wcore[a], dual[a], inners.size
-        ew = wc >= 0
-        joint, c2, c3 = ew & (dv >= 0), along[:, a] & mp[a], ew & (dv[sa] >= 0)
-        # instances (w, a⁻): rows w, columns a⁻
-        u, t, s, r = _units(ring, a, inners, words)
-        oks = inv[np.stack([u, r, s, t])] >= 0
-        bad = ~((joint == c2) & (c2 == c3))[:, None] | (oks != joint[:, None]).any(axis=0)
-        need = np.flatnonzero(~bad & joint[:, None])
-        miss_t, miss_s = np.zeros((2, n * k), dtype=bool)
-        miss_t[need] = _prod(mul, inv[t.ravel()[need]], a, sa) != wc[need // k]
-        miss_s[need] = _prod(mul, sa, a, inv[s.ravel()[need]]) != dv[need // k]
-        oks = oks.reshape(4, -1)
-
-        def split(pos):
-            wi = pos // k
-            units_ok = tuple(oks[:, pos].tolist())
-            return f"(i)={joint[wi]}, (ii)={c2[wi]}, (iii)={c3[wi]}, units={units_ok}"
-
+    ew, a = wcore >= 0, np.arange(n)
+    # [a, w]; the units u, t with 1 - aa⁻, s, r with 1 - a⁻a
+    joint, c2, c3 = ew & (dual >= 0), along.T & mp[:, None], ew & (dual[a, star] >= 0)[:, None]
+    u, t, s, r = _words(ring, _W_UNITS, w=a)
+    sides = {
+        "L": _side(ring, joint, (u, t), value=lambda a, i: _prod(mul, i, a, star[a]), expect=wcore),
+        "R": _side(ring, joint, (r, s), value=lambda a, i: _prod(mul, star[a], a, i), expect=dual),
+    }
+    split, counts = ~((joint == c2) & (c2 == c3)), n * ring.table("inner_inverses").sum(axis=1)
+    # instances (w, a⁻): rows w, columns a⁻
+    frames = _by_complements(ring, col, sides, split, counts)
+    for a, inners, (bad_u, bad_t, miss_t, bad_r, bad_s, miss_s) in frames:
+        j, bad = joint[a][:, None], split[a][:, None] | bad_u | bad_r | bad_s | bad_t
+        oks = (j ^ m for m in (bad_u, bad_r, bad_s, bad_t))
+        template = "(i)={}, (ii)={}, (iii)={}, units=({}, {}, {}, {})"
+        _, detail = _split(template, j, c2[a][:, None], c3[a][:, None], *oks)
         own = [
-            (bad, split),
-            (miss_t, "t^{-1} a a* misses a_w"),
-            (miss_s, "a* a s^{-1} misses a_{w,dual}"),
+            (bad, detail),
+            (~bad & miss_t, "t^{-1} a a* misses a_w"),
+            (~bad & miss_s, "a* a s^{-1} misses a_{w,dual}"),
         ]
-        col.batch({"a": a, "w": w, "a_inner": inners}, own)
+        col.batch({"a": a, "w": np.arange(n)[:, None], "a_inner": inners}, own)
 
 
 def _chk_core_dual_core_units(ring: FiniteStarRing, col: _Collector):
-    mul, inv = ring.mul_arr, ring.table("inv_unit")
+    mul, words = ring.mul_arr, _words(ring, _W_UNITS, w=ring.one)
     a, inner = np.nonzero(ring.table("inner_inverses"))  # instances (a, a⁻), a-major
     # the core inverse is the w-core inverse at w = 1
-    (u, t, s, v), sa = _units(ring, a, inner, _words(ring, _W_UNITS, w=ring.one)), ring.star_arr[a]
+    (iu, it, i_s, iv), sa = _inverses(ring, a, _ends(ring, a, inner), words), ring.star_arr[a]
     core, dual = ring.table("core_inv")[a], ring.table("dual_core_inv")[a]
     joint = (core >= 0) & (dual >= 0)
     c2 = (ring.table("group_inv")[a] >= 0) & (ring.table("mp_inv")[a] >= 0)
-    oks = inv[np.stack([u, v, s, t])] >= 0
+    oks = np.stack([iu, iv, i_s, it]) >= 0
     bad = (joint != c2) | (oks != joint).any(axis=0)
     need = np.flatnonzero(joint & ~bad)
     miss_t, miss_s = np.zeros((2, a.size), dtype=bool)
-    miss_t[need] = _prod(mul, inv[t[need]], a[need], sa[need]) != core[need]
-    miss_s[need] = _prod(mul, sa[need], a[need], inv[s[need]]) != dual[need]
+    miss_t[need] = _prod(mul, it[need], a[need], sa[need]) != core[need]
+    miss_s[need] = _prod(mul, sa[need], a[need], i_s[need]) != dual[need]
     own = [
         (bad, lambda p: f"(i)={joint[p]}, (ii)={c2[p]}, units={tuple(oks[:, p].tolist())}"),
         (miss_t, "t^{-1} a a* misses a_core"),
@@ -882,13 +892,8 @@ def verify_theorem(ring: FiniteStarRing, theorem_id: str) -> TheoremReport:
         raise UnknownTheorem(f"{theorem_id!r}; known: {', '.join(sorted(CATALOG))}")
     checker, quantified = CATALOG[theorem_id]
     if quantified >= 3 and ring.size > TRIPLE_SIZE_LIMIT:
-        return TheoremReport(
-            theorem_id,
-            ring.spec,
-            0,
-            skipped=True,
-            note=f"triple-quantified check skipped for |ring| > {TRIPLE_SIZE_LIMIT}",
-        )
+        note = f"triple-quantified check skipped for |ring| > {TRIPLE_SIZE_LIMIT}"
+        return TheoremReport(theorem_id, ring.spec, 0, skipped=True, note=note)
     col = _Collector(ring)
     start = time.perf_counter()
     with suppress(_Full):

@@ -278,6 +278,53 @@ def test_verify_ring_over_cap():
     assert run(["verify", "--ring", "mat:2:gf3", "--cap", "50"]) == 1
 
 
+def test_verify_refuses_an_unwritable_out_before_any_theorem_runs(capsys, monkeypatch, tmp_path):
+    import ginv.theorems
+
+    def no_theorem(*args):
+        raise AssertionError("a theorem ran before the output path was refused")
+
+    monkeypatch.setattr(ginv.theorems, "verify_theorem", no_theorem)
+    out = tmp_path / "missing" / "report.json"
+    assert run(["verify", "--ring", "zmod:4", "--theorem", "uniqueness", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert "No such file or directory" in captured.err
+
+
+def test_verify_bad_ring_leaves_no_out_file_behind(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--ring", "zmod:1", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_verify_prints_each_line_as_its_theorem_finishes(monkeypatch):
+    import io
+
+    import ginv.theorems
+
+    class Stdout(io.StringIO):
+        flushed = ""
+
+        def flush(self):
+            self.flushed = self.getvalue()
+
+    stdout, seen, real = Stdout(), [], ginv.theorems.verify_theorem
+
+    def spy(ring, tid):
+        seen.append(stdout.flushed)  # what had reached stdout when tid started
+        return real(ring, tid)
+
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(ginv.theorems, "verify_theorem", spy)
+    assert run(["verify", "--ring", "zmod:2", "--all"]) == 0
+    lines = stdout.getvalue().splitlines()
+    assert len(seen) == len(lines) == len(ginv.theorems.CATALOG)
+    assert seen[1] == lines[0] + "\n" and lines[0].startswith("uniqueness ")
+    assert all(seen[k] == "".join(line + "\n" for line in lines[:k]) for k in range(len(seen)))
+
+
 @pytest.mark.parametrize("k", [300, 3000])
 def test_verify_huge_ring_exits_one_with_one_short_line(capsys, k):
     # the CLI lifts the int/str digit limit, so a computed 3^(k^2) would be

@@ -455,3 +455,66 @@ def test_batch_rejects_a_mask_off_the_instance_grid():
     with pytest.raises(ValueError, match="instance grid"):
         col.batch({"a": a, "w": w}, [], [(np.zeros((3, 2), dtype=bool), "x")], {"x": np.arange(2)})
     assert col.checked == 0
+
+
+# ---------------------------------------------------------------------------
+# the unit criteria checked once per complement key
+
+
+def test_complement_keys_are_fewer_than_inner_inverses():
+    # a unit x + 1 - e sees an inner inverse a⁻ of a only through e, so the
+    # checkers work per key (a, 1 - aa⁻) or (a, 1 - a⁻a); a rank-one 2 x 2
+    # matrix has several keys, so blocks of one key split its frame
+    counts = {}
+    for spec in ("mat:2:gf2", "mat:2:gf3"):
+        ring = enumerate_ring(spec)
+        a, inner = np.nonzero(ring.table("inner_inverses"))
+        keys = [np.unique(a * ring.size + e) for e in theorems._ends(ring, a, inner)]
+        keys = [np.unique(k // ring.size, return_counts=True)[1] for k in keys]  # per frame
+        counts[spec] = (a.size, *(k.sum() for k in keys), max(k.max() for k in keys))
+    assert counts == {"mat:2:gf2": (94, 25, 25, 2), "mat:2:gf3": (993, 145, 145, 3)}
+
+
+BLOCK_CASES = [(spec, tid) for spec in ("zmod:12", "mat:2:gf2") for tid in LOOPS]
+BLOCK_CASES += [("mat:2:gf3", "intersect"), ("mat:2:gf3", "mary_inverse_unit")]
+
+
+@pytest.mark.parametrize("block", [1, 40])
+@pytest.mark.parametrize("spec, tid", BLOCK_CASES)
+def test_key_blocks_that_split_frames_match_the_loop(monkeypatch, spec, tid, block):
+    # one or a few keys per block: a frame's keys fall in several blocks
+    monkeypatch.setattr(theorems, "_BLOCK", block)
+    ring = enumerate_ring(spec)
+    got, want = reports(monkeypatch, ring, tid)
+    assert want.ok() and got == want
+    spec, lookup, at, wrong = PLANTED[tid]
+    if spec == ring.spec:
+        _plant(ring, lookup, at, wrong)
+        got, want = reports(monkeypatch, ring, tid)
+        assert want.counterexamples and got == want
+    ring = enumerate_ring(ring.spec)
+    FAIL_EVERYWHERE[tid](ring)
+    got, want = reports(monkeypatch, ring, tid)
+    assert len(want.counterexamples) == _MAX_CE and got == want
+
+
+def _swap_an_inner_inverse(ring):
+    """The element with the most inner inverses short of all loses its first
+    one and gains the last element that is not one; returns both."""
+    inner = ring.table("inner_inverses")
+    a = int(np.argmax(np.where(inner.all(axis=1), -1, inner.sum(axis=1))))
+    true, extra = ring.inner_inverses(a), int(np.flatnonzero(~inner[a])[-1])
+    _plant(ring, "inner_inverses", (a,), tuple(sorted(set(true[1:]) | {extra})))
+    return a, extra
+
+
+@pytest.mark.parametrize("spec, tid", BLOCK_CASES)
+def test_a_wrong_inner_inverse_table_is_followed_not_the_keys(monkeypatch, spec, tid):
+    # counts and names come from the inner inverses the table lists, also
+    # for an element that is not one and whose complement is no true key
+    ring = enumerate_ring(spec)
+    _, extra = _swap_an_inner_inverse(ring)
+    got, want = reports(monkeypatch, ring, tid)
+    assert got == want and want.counterexamples
+    inner = "d_inner" if tid == "mary_inverse_unit" else "a_inner"
+    assert any(ce["elements"].get(inner) == ring.name(extra) for ce in want.counterexamples)
