@@ -33,8 +33,16 @@ point, every word's value depends on the row only through the values of its
 maximal runs of given letters (aw, awa, a and w*a* for E1-E3), and the
 fibre's k and r are among them.  So rows that agree on every run have the
 same solutions: one row per group is scanned, and its solutions are copied
-to the others.  On `mat:3:gf2` the w-core scan reads 105,225 of its
-262,144 rows.
+to the others.
+
+A *-automorphism φ maps solutions to solutions: x solves a system at (a, w)
+exactly when φx does at (φa, φw).  `_automorphisms` finds φ(a) = u a u⁻¹ for
+the units u with c = u*u central: u* = c u⁻¹ and (u⁻¹)* = u c⁻¹, so φ(a)* =
+u c⁻¹ a* c u⁻¹ = u a* u⁻¹ = φ(a*).  A whole-ring grid larger than one block
+scans only the rows whose first letter is its orbit's least element.  Each
+a = g(rep) reads row (a, w) as g applied to row (rep, g⁻¹w): one image per
+row, not the union of every map's, sorted once.  On `mat:3:gf2` (6 maps, 104
+orbits) the w-core scan reads 20,649 of its 262,144 rows.
 
 Every scan is kept once, as the ascending flat indices of its survivors, in
 one memo keyed by system, unknown, given letters and the fixed values of all
@@ -100,6 +108,20 @@ def _first(sols):
     return sols[0] if sols else None
 
 
+def _starts(v):
+    """Where each run of equal values of v begins: at 0 and where v[i] != v[i - 1]."""
+    return np.concatenate(([True], v[1:] != v[:-1]))[: v.size]
+
+
+def _classes(ids):
+    """np.unique(ids, return_index=True, return_inverse=True)[1:] by one sort: reps[g]
+    the first index of group g, numbered by ascending id, and group[i] that of ids[i]."""
+    order = np.argsort(ids)
+    new, group = _starts(ids[order]), np.empty(ids.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return np.minimum.reduceat(order, np.flatnonzero(new)) if ids.size else order, group
+
+
 class _Record:
     """A scan's survivors, `found`: the flat indices row * n + x, ascending,
     of the points of its grid of size rows where the system holds.  A row's
@@ -118,8 +140,8 @@ class _Record:
     def first(self) -> np.ndarray:
         """The first solution of each row, -1 for none."""
         rows, xs = np.divmod(self.found, self.n)
-        first, (rs, at) = np.full(self.size, -1, dtype=np.int32), np.unique(rows, return_index=True)
-        first[rs] = xs[at]
+        first, at = np.full(self.size, -1, dtype=np.int32), _starts(rows)  # rows ascend
+        first[rows[at]] = xs[at]
         return first
 
 
@@ -182,6 +204,23 @@ def _x_blocks(n: int, per_x: int):
         yield np.arange(x0, min(n, x0 + step))[:, None]
 
 
+def _slices(order, starts, at):
+    """The slices order[starts[i] : starts[i + 1]] for i = at[q] laid end to end: the
+    pairs (q, entry), q ascending and each slice in order, at most _BLOCK at a time."""
+    count = starts[at + 1] - starts[at]
+    ends = np.cumsum(count)
+    shift = starts[at] - (ends - count)  # entry g of slice q is order[g + shift[q]]
+    last = int(ends[-1]) if ends.size else 0
+    for g0 in range(0, last, _BLOCK):
+        g1 = min(g0 + _BLOCK, last)
+        i, j = np.searchsorted(ends, (g0, g1 - 1), side="right")
+        end = ends[i : j + 1]
+        # how many entries of each slice i..j fall in [g0, g1)
+        cut = np.minimum(end, g1) - np.maximum(end - count[i : j + 1], g0)
+        q = np.repeat(np.arange(i, j + 1), cut)
+        yield q, order[shift[q] + np.arange(g0, g1)]
+
+
 def _generators(table, start) -> np.ndarray:
     """start, then in index order each element that products of the earlier
     picks do not reach: every element is a product of these."""
@@ -228,6 +267,7 @@ class FiniteStarRing:
         self._scans: dict = {}  # scan key -> its _Record (see _record)
         self._tables: dict = {}  # named lookup -> (its override, its arrays)
         self._fibres: dict = {}  # side -> the fibre index (see _fibre_index)
+        self._group = None  # see _automorphisms
 
     add_t = functools.cached_property(lambda self: self.add_arr.tolist())
     mul_t = functools.cached_property(lambda self: self.mul_arr.tolist())
@@ -381,6 +421,23 @@ class FiniteStarRing:
     def left_ann(self, e) -> frozenset:
         return self._sets("left_ann")[e]
 
+    def _automorphisms(self) -> tuple:
+        """(perms, reps, orbit, g), built once: each distinct map a -> u a u⁻¹, u a
+        unit with u*u central, sorted (each fixes 0, so the identity is first); each
+        orbit's least element; per a, its orbit in reps and g with a = perms[g][rep]."""
+        if self._group is None:
+            n, mul, star = self.size, self.mul_arr, self.star_arr
+            right, central = mul == self.one, (mul == mul.T).all(axis=1)
+            u = np.flatnonzero(right.any(axis=1))  # units: in a finite ring xy = 1 gives yx = 1
+            u = u[central[mul[star[u], u]] & ~central[u]]  # a central u fixes every a
+            maps = mul[mul[u], right[u].argmax(axis=1)[:, None]]
+            perms = np.unique(np.vstack([np.arange(n, dtype=np.int64), maps]), axis=0)
+            low = perms.min(axis=0)
+            reps = np.flatnonzero(low == np.arange(n))
+            g = (perms[:, low] == np.arange(n)).argmax(axis=0)  # the first with g(rep) = a
+            self._group = perms, reps, np.searchsorted(reps, low), g
+        return self._group
+
     def projections(self) -> tuple:
         ps = np.arange(self.size)
         fixed = (self.mul_arr.diagonal() == ps) & (self.star_arr == ps)
@@ -440,21 +497,31 @@ class FiniteStarRing:
         every value of the unknown, an axis each in that order.  Return the
         record of the flat indices, ascending, of the grid points where every
         equation holds: c * n + x for the c-th combination of given values
-        (in itertools.product order) and unknown x.
-
-        The rows c are taken in blocks; see the module docstring.  Where fibres
-        are read, only the first row of each group of `_groups` is scanned.
+        (in itertools.product order) and unknown x.  See the module docstring.
         """
-        n, order = self.size, _scan_order(system, unknown)
+        n, order, none = self.size, _scan_order(system, unknown), np.zeros(0, dtype=np.int64)
         shape = tuple(map(len, values.values()))
         total = math.prod(shape)
+        if total * n > _BLOCK and all(isinstance(vs, range) for vs in values.values()):
+            perms, reps, orbit, g = self._automorphisms()
+            if reps.size < n:  # the representatives' rows, then each a's through its map
+                part = self._scan(system, {**values, next(iter(values)): reps}, unknown).found
+                found, starts = [none], np.searchsorted(part, np.arange(reps.size + 1) * total)
+                for a, tail in _slices(np.remainder(part, total, out=part), starts, orbit):
+                    flat, gn = a * total, g[a] * n  # a, read from its representative's rows
+                    for i in range(len(shape)):  # x, then each later letter, from the last
+                        tail, digit = np.divmod(tail, n)
+                        flat += perms.ravel()[gn + digit] * n**i
+                    found.append(flat)
+                (found := np.concatenate(found)).sort()  # in place, once the pieces are freed
+                return _Record(found, n, total)
         # a grid of one block is one pass: cheaper than building and reading fibres
         fibre = _fibre_form(system, unknown) if total * n > _BLOCK else None
         first = fibre[0] if fibre else order[0]
         rest = [eq for eq in order if eq is not first]
         arrays = [np.asarray(vs, dtype=np.int32) for vs in values.values()]
         step = _BLOCK if fibre else max(1, _BLOCK // n)
-        found = [none := np.zeros(0, dtype=np.int64)]
+        found = [none]
         for lo in range(0, total, step):
             coords = np.unravel_index(np.arange(lo, min(total, lo + step)), shape)
             rows = {k: vs[c] for k, vs, c in zip(values, arrays, coords)}
@@ -492,11 +559,10 @@ class FiniteStarRing:
         ids, bound = np.zeros(size, dtype=np.int64), 1
         for run in _known_runs(system, unknown):
             if bound > (1 << 62) // n:
-                ids, bound = np.unique(ids, return_inverse=True)[1].reshape(-1), size
+                ids, bound = _classes(ids)[1], size
             ids = ids * n + self._eval(run, rows, unknown)
             bound *= n
-        _, reps, group = np.unique(ids, return_index=True, return_inverse=True)
-        return reps, group.reshape(-1)
+        return _classes(ids)
 
     def _spread(self, found, groups, group):
         """The flat indices c * n + x, ascending, of every row c of a block
@@ -524,25 +590,8 @@ class FiniteStarRing:
         = r), k and r the fibre equation's words in the row: the fibre of r over k."""
         _, k, r, side = fibre
         at = self._eval(k, rows, unknown) * self.size + self._eval(r, rows, unknown)
-        return self._fibre_slices(side, np.broadcast_to(at, len(next(iter(rows.values())))))
-
-    def _fibre_slices(self, side, at):
-        """The fibres at[q] = k * n + r of `_fibre_index` laid end to end: the
-        pairs (q, x), q ascending and each fibre's x ascending, at most _BLOCK
-        at a time."""
-        order, starts = self._fibre_index(side)
-        count = starts[at + 1] - starts[at]
-        ends = np.cumsum(count)
-        shift = starts[at] - (ends - count)  # entry g of fibre q is order[g + shift[q]]
-        last = int(ends[-1]) if ends.size else 0
-        for g0 in range(0, last, _BLOCK):
-            g1 = min(g0 + _BLOCK, last)
-            i, j = np.searchsorted(ends, (g0, g1 - 1), side="right")
-            end = ends[i : j + 1]
-            # how many entries of each fibre i..j fall in [g0, g1)
-            cut = np.minimum(end, g1) - np.maximum(end - count[i : j + 1], g0)
-            q = np.repeat(np.arange(i, j + 1), cut)
-            yield q, order[shift[q] + np.arange(g0, g1)]
+        at = np.broadcast_to(at, len(next(iter(rows.values()))))
+        return _slices(*self._fibre_index(side), at)
 
     def _fibre_index(self, side) -> tuple:
         """(order, starts) for the products x k (side "col") or k x ("row"):
@@ -697,9 +746,9 @@ class FiniteStarRing:
             members = np.bincount(found, minlength=n * n).reshape(n, n) > 0
             if kind == "set":
                 return members
-            # rows packed to bits sort as the rows do: the same ids, an eighth of the bytes
-            ids = np.unique(np.packbits(members, axis=1), axis=0, return_inverse=True)[1].reshape(n)
-            return ids.astype(np.int32), members
+            # rows packed to bits, as byte strings, sort as the rows do: the same ids
+            packed = np.packbits(members, axis=1)
+            return _classes(packed.view(f"V{packed.shape[1]}").ravel())[1].astype(np.int32), members
         if kind == "element":
             return _Record(found, n, n).first()
         first = _Record(found, n, n * n).first().reshape(n, n)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .equations import SYSTEMS, core_ep_system
 from .errors import UnknownTheorem
-from .rings import _BLOCK, FiniteStarRing
+from .rings import _BLOCK, FiniteStarRing, _classes, _slices, _starts
 
 _MAX_CE = 10
 TRIPLE_SIZE_LIMIT = 16
@@ -135,7 +135,7 @@ def _names(grid, shape, at, p):
 
 def _runs(rows):
     """Start and end of each run of equal values of a sorted array."""
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    starts = np.flatnonzero(_starts(rows))
     return starts, np.append(starts[1:], rows.size)
 
 
@@ -179,8 +179,8 @@ def _some(ring, cands, p, q, r):
     n, (pa, px) = ring.size, np.nonzero(cands)
     p, q, r = (np.broadcast_to(v, cands.shape)[pa, px] for v in (p, q, r))
     count, first = np.zeros(n * n, dtype=np.int32), np.full(n * n, n, dtype=np.int32)
-    for c, z in ring._fibre_slices("col", q * n + r):
-        for at, w in ring._fibre_slices("row", p[c] * n + z):
+    for c, z in _slices(*ring._fibre_index("col"), q * n + r):
+        for at, w in _slices(*ring._fibre_index("row"), p[c] * n + z):
             key, lo = pa[c[at]] * n + w, pa[c[at[0]]] * n  # keys ascend with a
             hits = np.bincount(key - lo)
             count[lo : lo + hits.size] += hits.astype(np.int32)
@@ -190,7 +190,7 @@ def _some(ring, cands, p, q, r):
 
 def _subsets(ids, members):
     """sub[i, j]: the set with id i lies in the set with id j."""
-    rows = members[np.unique(ids, return_index=True)[1]].astype(np.float32)
+    rows = members[_classes(ids)[0]].astype(np.float32)
     return rows @ (1 - rows).T == 0
 
 
@@ -578,13 +578,13 @@ def _by_complements(ring, col, sides, own, counts):
     n, (a, inner) = ring.size, np.nonzero(ring.table("inner_inverses"))  # a-major
     ends, flagged, keyed = dict(zip("LR", _ends(ring, a, inner))), own.reshape(n, -1).any(1), []
     for side, masks_at in sides.items():
-        code, at = np.unique(reduce(lambda c, s: c * n + ends[s], side, a), return_inverse=True)
-        digits = [code // n**i % n for i in range(len(side), -1, -1)]  # a, then each e
-        for lo in range(0, code.size, step := max(1, _BLOCK // own[0].size)):
+        reps, at = _classes(keys := reduce(lambda c, s: c * n + ends[s], side, a))
+        digits = [keys[reps] // n**i % n for i in range(len(side), -1, -1)]  # a, then each e
+        for lo in range(0, reps.size, step := max(1, _BLOCK // own[0].size)):
             masks = masks_at(*(d[lo : lo + step] for d in digits))
             hit = np.logical_or.reduce([m.reshape(len(m), -1).any(axis=1) for m in masks])
             flagged[digits[0][lo : lo + step][hit]] = True
-        keyed.append((masks_at, digits, at.ravel()))
+        keyed.append((masks_at, digits, at))
     base, before, starts = col.checked, np.cumsum(counts) - counts, np.searchsorted(a, range(n + 1))
     for x in np.flatnonzero(flagged & (counts > 0)).tolist():
         pairs, masks = slice(starts[x], starts[x + 1]), []
@@ -713,11 +713,12 @@ def _chk_vw_intersect(ring: FiniteStarRing, col: _Collector):
 
     def formulas(k, e_l, e_r):
         iu, i_s, it = _inverses(ring, k, (e_l[:, None, None], e_r[:, None, None]), (u, s, t))
-        a, sa, ok = k[:, None, None], star[k][:, None, None], vpa[k] & joint[k] & (iu >= 0)
-        mid = star[_prod(mul, iu, a, w, a, v, a)]
-        miss_w = _prod(mul, a, v, a, sa, a, i_s, mid) != wcore[k][:, None, :]
-        miss_v = _prod(mul, mid, a, w, a, sa, a, it) != dual[k][:, :, None]
-        return [ok & (i_s >= 0) & miss_w, ok & (it >= 0) & miss_v]
+        q, pv, pw = at = np.nonzero(vpa[k] & joint[k] & (iu >= 0) & ((i_s >= 0) | (it >= 0)))
+        misses, a, ps, pt = np.zeros((2, *iu.shape), dtype=bool), k[q], i_s[at], it[at]
+        mid = star[_prod(mul, iu[at], a, pw, a, pv, a)]  # only where a formula can miss
+        misses[0][at] = (ps >= 0) & (_prod(mul, a, pv, a, star[a], a, ps, mid) != wcore[a, pw])
+        misses[1][at] = (pt >= 0) & (_prod(mul, mid, a, pw, a, star[a], a, pt) != dual[a, pv])
+        return list(misses)
 
     units, fails = partial(_side, ring, vpa & joint, gate=vpa), ~vpa & joint | vpa & (joint != c2)
     sides = {"L": units((u, r)), "R": units((s, t)), "LR": formulas}

@@ -756,3 +756,85 @@ def test_groups_are_the_classes_of_equal_run_values():
     assert len(set(zip(group.tolist(), want.tolist()))) == reps.size == want.max() + 1
     assert np.array_equal(group[reps], np.arange(reps.size))
     assert np.array_equal(reps, np.unique(group, return_index=True)[1])  # each group's first row
+
+
+GROUP_COUNTS = {  # spec -> (|G|, element orbits)
+    "mat:2:gf2": (2, 10),
+    "mat:2:gf3": (8, 18),
+    "mat:3:gf2": (6, 104),
+    "mat:2:gf5": (8, 100),
+    "zmod:12": (1, 12),
+    "prod(zmod:2,zmod:3)": (1, 6),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GROUP_COUNTS))
+def test_automorphisms_are_star_automorphisms_with_pinned_orbits(spec):
+    ring = enumerate_ring(spec)
+    n, add, mul, star = ring.size, ring.add_arr, ring.mul_arr, ring.star_arr
+    perms, reps, orbit, g = ring._automorphisms()
+    assert (len(perms), reps.size) == GROUP_COUNTS[spec]
+    assert np.array_equal(perms[0], np.arange(n))
+    assert len({p.tobytes() for p in perms}) == len(perms)
+    for p in perms:
+        assert np.array_equal(np.sort(p), np.arange(n))
+        assert p[ring.zero] == ring.zero and p[ring.one] == ring.one
+        assert np.array_equal(p[add], add[p[:, None], p])
+        assert np.array_equal(p[mul], mul[p[:, None], p])
+        assert np.array_equal(p[star], star[p])
+    # each representative is the least element of its orbit, and g carries it to a
+    assert np.array_equal(perms[g, reps[orbit]], np.arange(n))
+    assert np.array_equal(reps[orbit], perms.min(axis=0))
+
+
+def identity_group(ring):
+    n = ring.size
+    return np.arange(n)[None], np.arange(n), np.arange(n), np.zeros(n, dtype=np.intp)
+
+
+FILLED_SCANS = dict(rings._SCANS)
+FILLED_SCANS.update({f"core-ep({m})": (core_ep_system(m), ("a",)) for m in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("block", [rings._BLOCK, 50])
+@pytest.mark.parametrize("spec", ["mat:2:gf3", "mat:3:gf2"])
+def test_orbit_filled_records_equal_the_full_scan(monkeypatch, spec, block):
+    # the scan of the orbit representatives' rows, read through each
+    # element's map, against the scan of every row (the identity alone)
+    monkeypatch.setattr(rings, "_BLOCK", block)
+    filled, full = enumerate_ring(spec), enumerate_ring(spec)
+    monkeypatch.setattr(full, "_automorphisms", lambda: identity_group(full))
+    reps = filled._automorphisms()[1]
+    scan, leads = filled._scan, []
+
+    def spy(system, values, unknown):
+        leads.append(len(next(iter(values.values()))))
+        return scan(system, values, unknown)
+
+    monkeypatch.setattr(filled, "_scan", spy)
+    for name, (system, given) in FILLED_SCANS.items():
+        key, leads[:] = (system, "x", given, None), []
+        want, got = full._record(key), filled._record(key)
+        # past one block, the whole grid's scan scans the representatives' rows alone
+        fills = filled.size ** (len(given) + 1) > block
+        assert leads == [filled.size, reps.size] if fills else [filled.size], name
+        assert got.size == want.size and got.found.dtype == want.found.dtype, name
+        assert np.array_equal(got.found, want.found), name
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        np.random.default_rng(0).integers(0, 50, 1000),
+        np.random.default_rng(1).integers(-(2**62), 2**62, 5000),
+        np.full(300, 7, dtype=np.int64),
+        np.array([3]),
+        np.zeros(0, dtype=np.int64),
+    ],
+    ids=["few", "wide", "equal", "one", "empty"],
+)
+def test_classes_are_what_numpy_unique_returns(ids):
+    _, want_reps, want_group = np.unique(ids, return_index=True, return_inverse=True)
+    reps, group = rings._classes(ids)
+    assert np.array_equal(reps, want_reps) and np.array_equal(group, want_group.reshape(-1))
+    assert group.shape == ids.shape
