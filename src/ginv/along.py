@@ -51,11 +51,11 @@ def green_leq(
 
 
 def inverse_along(
-    a: StarMatrix, d: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
+    a: StarMatrix, d: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL, *, dad=None
 ) -> InverseResult:
-    """Inverse of a along d; exists iff d <=_H d a d."""
+    """Inverse of a along d; exists iff d <=_H d a d.  dad, when given, is d a d."""
     require_square(a, d)
-    dad = d @ a @ d
+    dad = d @ a @ d if dad is None else dad
     if not a.domain.exact:
         # float existence by rank: d <=_H dad over a field iff the ranks
         # match, and the SVD rank is robust where residual solves are not

@@ -1,11 +1,15 @@
 """Group, Drazin, core, dual-core, and pseudo-core (core-EP) inverses.
 
-Existence goes through the membership criteria (a in a^2 S and S a^2 for the
-group inverse, and their power versions for Drazin), which work uniformly
-over fields and over Z/nZ; certificates re-verify the original defining
-equations rather than the construction route.  The dual-core inverse is the
-star of the core inverse of a*, whose guard checks the dual equations up to
-the star.
+Exact domains decide existence by the membership criteria (a in a^2 S and
+S a^2 for the group inverse, and their power versions for Drazin), which work
+uniformly over fields and over Z/nZ.  Complex floats read a's kept SVD as
+a = FG (F = U_r S_r, G = V_r*) and never solve against a^2, whose condition
+number is the square of a's: a^# = F (GF)^-2 G (Cline), existing iff the
+r x r matrix GF is invertible, and the core inverse a^# a a^+ takes a^+ from
+the same SVD.  Float Drazin indices compare the ranks of formed powers.
+Certificates re-verify the original defining equations rather than the
+construction route.  The dual-core inverse is the star of the core inverse
+of a*, whose guard checks the dual equations up to the star.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .matrix import (
     ToleranceThresholds,
     acceptance_bound,
     all_within,
+    full_rank_factorize,
+    inverse,
     rank,
     require_square,
     solve_left,
@@ -43,16 +49,22 @@ class IndexedInverse(NamedTuple):
 
 
 def group_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix | None:
-    """Group inverse via a = a^2 x = y a^2; None when a is not group invertible."""
+    """Group inverse via a = a^2 x = y a^2, in float F (GF)^-2 G; None when a
+    is not group invertible."""
     require_square(a)
-    a2 = a @ a
-    x = solve_right(a2, a, tol)
-    if x is None:
-        return None
-    y = solve_left(a2, a, tol)
-    if y is None:
-        return None
-    g = y @ a @ x
+    if a.domain.kind == "complex_float":
+        frf = full_rank_factorize(a, tol)
+        k = inverse(frf.g @ frf.f, tol)
+        if k is None:
+            return None
+        g = frf.f @ k @ k @ frf.g
+    else:
+        a2 = a @ a
+        x = solve_right(a2, a, tol)
+        y = None if x is None else solve_left(a2, a, tol)
+        if y is None:
+            return None
+        g = y @ a @ x
     assert_system(SYSTEMS["group"], {"a": a, "x": g}, tol, "group inverse")
     return g
 

@@ -567,7 +567,10 @@ def _factors(a: StarMatrix):
     the thin SVD (u, s, vh) in float, else _rref's pivots and its rows over
     den in lowest terms (I over 1 for a unit), reduced when first read."""
     if a._f is None and a.domain.kind == "complex_float":
-        a._f = np.linalg.svd(a.data, full_matrices=False)
+        f = np.linalg.svd(a.data, full_matrices=False)
+        if not np.isfinite(f[1]).all():  # numpy answers an inf entry with NaN, no error
+            raise np.linalg.LinAlgError("SVD did not converge")
+        a._f = f
     elif a._f is None:
         a._f = _record(*_rref(a.domain, a.ints, a.cols)[:3])
     elif callable(a._f):

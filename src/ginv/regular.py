@@ -1,12 +1,14 @@
 """{1}, {1,3}, {1,4} inverses and the Moore-Penrose inverse.
 
-Constructions follow the solvability criteria: a is {1,3}-invertible iff
-a = x a* a is solvable (then x* is a {1,3}-inverse), and a is MP-invertible
-iff a = y a a* a is solvable (then (y a)* is the MP inverse); the {1,4}
-constructions are the stars of the {1,3} ones run on a*.  Over
-conjugate-involution characteristic-zero domains these always succeed; over
-GF(p) with the transpose involution they can genuinely fail (isotropic
-columns), which the solve decides honestly.
+Exact constructions follow the solvability criteria: a is {1,3}-invertible
+iff a = x a* a is solvable (then x* is a {1,3}-inverse), and a is
+MP-invertible iff a = y a a* a is solvable (then (y a)* is the MP inverse);
+the {1,4} constructions are the stars of the {1,3} ones run on a*.  Over Q
+and Q(i) these always succeed; over GF(p) with the transpose involution they
+can genuinely fail (isotropic columns), which the solve decides honestly.
+Complex floats never solve against a* a, whose condition number is the
+square of a's: the inner, {1,3}-, {1,4}- and MP inverses are all a^+, read
+from a's kept SVD.
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ def inner_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Star
 def one_three_inverse(
     a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:
-    """A {1,3}-inverse of a, or None when a is not in S a* a."""
-    x = solve_left(a.adjoint() @ a, a, tol)
-    if x is None:
+    """A {1,3}-inverse of a, or None when a is not in S a* a; a^+ in float."""
+    if a.domain.kind == "complex_float":
+        out = pinv(a, tol)
+    elif (x := solve_left(a.adjoint() @ a, a, tol)) is None:
         return None
-    out = x.adjoint()
+    else:
+        out = x.adjoint()
     assert_system(SYSTEMS["one3"], {"a": a, "x": out}, tol, "{1,3}-inverse")
     return out
 

@@ -91,7 +91,7 @@ _SHARED: dict[str, Callable] = {
     "mp": lambda c: mp_inverse(c.a, c.tol),
     # canonical {1,3}-inverse: the MP inverse when it exists
     "one_three": lambda c: c.mp if c.mp is not None else one_three_inverse(c.a, c.tol),
-    "w_along_a": lambda c: inverse_along(c.w, c.a, c.tol),
+    "w_along_a": lambda c: inverse_along(c.w, c.a, c.tol, dad=c.awa),
     "group_aw": lambda c: group_inverse(c.aw, c.tol),
     "core_aw": lambda c: None if c.group_aw is None else _core_from_group(c.aw, c.group_aw, c.tol),
     "a_inner": lambda c: inner_inverse(c.a, c.tol),

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: compute / verify / check, exit codes, JSON output."""
 
+import itertools
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import ginv.cli
 from ginv import InverseResult, StarMatrix, certify
 from ginv.cli import main
 from ginv.errors import RouteDisagreement
-from ginv.matrix import matrix_from_json
+from ginv.matrix import matrix_from_json, matrix_to_json
 
 GAUSSIAN = {"kind": "gaussian_rational"}
 
@@ -546,6 +547,53 @@ def test_numerical_breakdown_in_a_process_has_no_traceback(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr and proc.stderr == ""
     assert json.loads(proc.stdout)["reason"] == "numerical breakdown: SVD did not converge"
+
+
+def graded(kappa, n, seed):
+    """U diag(geomspace(1, 1/kappa, n)) V*, invertible with condition number
+    kappa; U and V in that order from bench/workloads.py's _unitary."""
+    g = np.random.default_rng(seed)
+
+    def unitary():
+        z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    u, v = unitary(), unitary()
+    return u @ np.diag(np.geomspace(1, 1 / kappa, n)) @ v.conj().T
+
+
+def compute_graded(tmp_path, capsys, kind, a):
+    """The exit code and, when it is 0, the value's relative distance from a^-1."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(matrix_to_json(StarMatrix.from_numpy(a))))
+    code = run(["compute", "--kind", kind, "--a", str(path)])
+    out = capsys.readouterr().out
+    if code != 0:
+        return code, None
+    x, inv = matrix_from_json(json.loads(out)["value"]).to_numpy(), np.linalg.inv(a)
+    return code, np.linalg.norm(x - inv) / np.linalg.norm(inv)
+
+
+# a is invertible, so a^-1 is its only {1,3}-, {1,4}-, group, core and dual-core
+# inverse.  Normal equations against a*a or a^2 see kappa^2: at kappa = 1e5
+# they certified a {1,3}-inverse 98 % away from a^-1 and exited 2 on the others
+GRADED_KINDS = ["one3", "one4", "group", "core", "dual-core"]
+
+
+@pytest.mark.parametrize("kind", GRADED_KINDS + ["mp", "one"])
+def test_graded_float_input_gives_its_inverse(kind, tmp_path, capsys):
+    code, distance = compute_graded(tmp_path, capsys, kind, graded(1e5, 8, 0))
+    assert code == 0 and distance < 1e-10
+
+
+@pytest.mark.parametrize("kappa, n, seed", itertools.product((1e4, 1e6, 1e8), (8, 16), range(4)))
+def test_graded_float_sweep_is_accurate_or_exits_3(kappa, n, seed, tmp_path, capsys):
+    a = graded(kappa, n, seed)
+    for kind in GRADED_KINDS:
+        code, distance = compute_graded(tmp_path, capsys, kind, a)
+        assert code in (0, 3), kind
+        assert code == 3 or distance <= 10 * kappa * np.finfo(float).eps, kind
 
 
 def _diag(tmp_path, name, *entries):

@@ -98,6 +98,15 @@ def test_complex_involution_within_ulp():
     assert d.star(d.star(x)) == x
 
 
+def test_complex_inverse():
+    d = COMPLEX_FLOAT
+    assert d.inv(2 + 1j) == 1 / (2 + 1j)
+    for z in (2 + 1j, -0.75 + 3e-3j, 1e-5j):
+        assert abs(d.mul(d.inv(z), z) - 1) <= 4 * sys.float_info.epsilon
+    with pytest.raises(NotInvertible):
+        d.inv(0)
+
+
 def test_prime_field_rejects_composites():
     with pytest.raises(ValueError):
         prime_field(6)

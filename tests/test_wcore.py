@@ -541,9 +541,12 @@ def counting(monkeypatch, owner, name):
 # and adjoints read it, and an exact one eliminated once for its ranks and
 # factorizations; factoring afresh at every call takes 33 and 21 SVDs and 51
 # eliminations here.  (aw)^# is computed once per call, and a float inverse
-# is read from the kept SVD, with no LU factorization
-SVD_BUDGET = {"w_core": 12, "dual_v_core": 8}
-RREF_BUDGET = 41
+# is read from the kept SVD, with no LU factorization.  In float the {1,3}-
+# and core inverses of aw read aw's kept SVD, (aw)^# is Cline's formula on its
+# factors (one r x r SVD), and the inverse of w along a reads the context's
+# awa, factored once
+SVD_BUDGET = {"w_core": 10, "dual_v_core": 7}
+RREF_BUDGET = 39
 
 
 @pytest.mark.parametrize("call", [w_core, dual_v_core], ids=["w_core", "dual_v_core"])
@@ -703,6 +706,26 @@ def test_checked_route_whose_value_differs_raises(call, route, monkeypatch):
     monkeypatch.setitem(wcore._ROUTES, route, _failing_route(qm([[1, 1], [0, 0]])))
     with pytest.raises(RouteDisagreement):
         call(a, one)
+
+
+# (aw)_core replaced by x = [[1, 1], [0, 0]] for a = diag(1, 0), w = 1: then
+# p = 1 - aw x = [[0, -1], [0, 1]] is idempotent with pa = 0 but not Hermitian
+
+
+def test_float_projection_unit_refuses_a_lossy_projection(monkeypatch):
+    monkeypatch.setitem(wcore._SHARED, "core_aw", lambda c: cm([[1, 1], [0, 0]]))
+    res = w_core(cm([[1, 0], [0, 0]]), cm([[1, 0], [0, 1]]), route="projection_unit")
+    assert not res.exists and res.value is None
+    assert res.reason == "projection construction lost precision"
+
+
+def test_exact_projection_unit_leaves_the_projection_to_the_certificate(monkeypatch):
+    # exact: the core5 guard already made p a projection, so the route does not
+    # test it again; this p passes pa = 0, and the certificate refuses the value
+    monkeypatch.setitem(wcore._SHARED, "core_aw", lambda c: qm([[1, 1], [0, 0]]))
+    res = w_core(qm([[1, 0], [0, 0]]), qm([[1, 0], [0, 1]]), route="projection_unit")
+    assert not res.exists and res.value == qm([[1, 1], [0, 0]])
+    assert res.reason == "certificate fails equations ['E3']"  # (awx)* = awx
 
 
 # ---------------------------------------------------------------------------
