@@ -69,13 +69,10 @@ def inverse_along(
         return InverseResult(False, reason="d is not below dad in the L-preorder")
     b = d @ x
     exact = a.domain.exact
-    # dx - yd = y(dad x - d) - (y dad - d)x, and in float both solves passed
-    # ||dad z - d|| <= tol(||dad|| ||z|| + ||d||): the triangle inequality
-    # bounds the gap by the same terms, so a float check of it could fire
-    # only through rounding or overflow in its own norms
-    if exact and b != y @ d:
-        raise RouteDisagreement("d x and y d disagree for the inverse along d")
-    cert = certify("along", {"a": a, "d": d, "x": b}, tol, route="solve")
+    # b = d x, and b = y d as dx - yd = y(dad x - d) - (y dad - d)x: exact
+    # witnesses, so an exact certificate fails, and raises below, iff b != y d
+    members = {"x_leq_R_d": x, "x_leq_L_d": y}
+    cert = certify("along", {"a": a, "d": d, "x": b}, tol, route="solve", members=members)
     cert.witnesses = {"x": x, "y": y}
     if not exact and condition_number(dad, tol) > _KAPPA_DEGRADED:
         # small residuals do not imply small value error at this conditioning
@@ -158,17 +155,19 @@ def bc_inverse(
     """(b,c)-inverse of a by Drazin's criterion: u c when c = cab v and b = u cab
     are solvable, else None; accepted via its definitional certificate."""
     require_square(a, b, c)
-    cab = c @ a @ b
+    cab = (ca := c @ a) @ b
     if not a.domain.exact and not (rank(cab, tol) == rank(b, tol) == rank(c, tol)):
         return None  # as in inverse_along: solves alone accept a lossy pinv(cab)
     # c = cab v first: in float, b = u cab then reuses cab's SVD through the transpose
-    u = None if solve_right(cab, c, tol) is None else solve_left(cab, b, tol)
-    if u is None:
+    if (v := solve_right(cab, c, tol)) is None or (u := solve_left(cab, b, tol)) is None:
         return None
     y = u @ c
-    residuals = certify("bc", {"a": a, "b": b, "c": c, "x": y}, tol).residuals
+    members = None
+    if a.domain.exact:  # y = u c = u cab v = b v, b = u cab = y ab, c = cab v = ca y
+        members = {"x_leq_R_b": v, "b_leq_R_x": a @ b, "x_leq_L_c": u, "c_leq_L_x": ca}
+    residuals = certify("bc", {"a": a, "b": b, "c": c, "x": y}, tol, members=members).residuals
     bound = acceptance_bound(a.domain, tol, guard=True)
-    if failed := [n for n, v in residuals.items() if not all_within((v,), bound)]:
+    if failed := [n for n, r in residuals.items() if not all_within((r,), bound)]:
         if a.domain.exact:
             raise RouteDisagreement(f"(b,c)-inverse certificate failed on equations {failed}")
         msg = f"(b,c)-inverse certificate failed near tolerance on equations {failed}"

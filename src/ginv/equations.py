@@ -138,8 +138,9 @@ class Certificate:
 
     Residuals are relative Frobenius distances (0.0 for exact equality,
     math.inf for exact inequality in exact domains).  Boolean side
-    conditions (memberships, Green relations) are encoded 0.0/inf.  In JSON
-    a non-finite residual is null.
+    conditions (memberships, Green relations) are encoded 0.0/inf; an exact
+    membership is decided by a construction witness when one is given, else
+    by a solve.  In JSON a non-finite residual is null.
     """
 
     kind: str
@@ -252,6 +253,12 @@ def _bool_residual(ok: bool) -> float:
 # only the kind's own defining equations decide
 _FULL_SYSTEMS = {"w-core": "w-core-full", "dual-v-core": "dual-v-core-full"}
 
+# membership residuals "t_leq_S_m": t = m z for S = R, t = z m for S = L
+_MEMBERSHIPS = {
+    "along": ("x_leq_L_d", "x_leq_R_d"),
+    "bc": ("x_leq_R_b", "b_leq_R_x", "x_leq_L_c", "c_leq_L_x"),
+}
+
 
 def certify(
     kind: str,
@@ -259,11 +266,14 @@ def certify(
     tol: ToleranceThresholds = DEFAULT_TOL,
     index: int | None = None,
     route: str = "direct",
+    members: dict[str, StarMatrix] | None = None,
 ) -> Certificate:
     """Re-certify env["x"] as a `kind`-inverse against the defining equations.
 
     For drazin/core-ep with no index supplied, the smallest passing exponent
-    up to the dimension-based cap is searched.
+    up to the dimension-based cap is searched.  An exact membership with a
+    construction witness z in members is decided by one exact product, a
+    proof (a wrong z gives inf); without one (`check`), and in float, by a solve.
     """
     a = env["a"]
     bound = acceptance_bound(a.domain, tol)
@@ -284,16 +294,15 @@ def certify(
     else:
         cert_index = index
         residuals = system_residuals(SYSTEMS[_FULL_SYSTEMS.get(kind, kind)], env, tol)
-        if kind == "along":
-            d, x = env["d"], env["x"]
-            residuals["x_leq_L_d"] = _bool_residual(solve_left(d, x, tol) is not None)
-            residuals["x_leq_R_d"] = _bool_residual(solve_right(d, x, tol) is not None)
-        elif kind == "bc":
-            b, c, x = env["b"], env["c"], env["x"]
-            residuals["x_leq_R_b"] = _bool_residual(solve_right(b, x, tol) is not None)
-            residuals["b_leq_R_x"] = _bool_residual(solve_right(x, b, tol) is not None)
-            residuals["x_leq_L_c"] = _bool_residual(solve_left(c, x, tol) is not None)
-            residuals["c_leq_L_x"] = _bool_residual(solve_left(x, c, tol) is not None)
+        known = (members or {}) if a.domain.exact else {}
+        for name in _MEMBERSHIPS.get(kind, ()):
+            t, _, side, m = name.split("_")
+            t, m, z = env[t], env[m], known.get(name)
+            if z is None:
+                held = (solve_right if side == "R" else solve_left)(m, t, tol) is not None
+            else:
+                held = (m @ z if side == "R" else z @ m) == t
+            residuals[name] = _bool_residual(held)
     deciding = residuals.values()
     if kind in _FULL_SYSTEMS:
         deciding = [residuals[name] for name, _, _ in SYSTEMS[kind]]

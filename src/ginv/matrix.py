@@ -616,6 +616,15 @@ def full_rank_factorize(
     return RankFactorization(f, _exact(dom, rows, den), len(pivots))
 
 
+def pivot_right_inverse(a: StarMatrix) -> StarMatrix:
+    """solve_right(G, 1) for G = full_rank_factorize(a).g over an exact field,
+    read off: G is a's RREF, so 1's rows at G's pivots, zero elsewhere, solve G X = 1."""
+    pivots = _factors(a)[0]
+    e = np.zeros((a.cols, len(pivots)), dtype=object)
+    e[pivots, range(len(pivots))] = 1
+    return _from_ints(a.domain, e)
+
+
 def solve_right(
     a: StarMatrix, b: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL
 ) -> StarMatrix | None:

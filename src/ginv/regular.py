@@ -22,8 +22,8 @@ from .matrix import (
     full_rank_factorize,
     inverse,
     pinv,
+    pivot_right_inverse,
     solve_left,
-    solve_right,
 )
 
 
@@ -37,11 +37,9 @@ def inner_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Star
     if dom.kind == "complex_float":
         return pinv(a, tol)
     frf = full_rank_factorize(a, tol)
-    r = frf.rank
-    ident = StarMatrix.identity(r, dom)
-    g_right = solve_right(frf.g, ident, tol)  # G (n x r) right inverse
-    f_left = solve_left(frf.f, ident, tol)  # F (r x m) left inverse
-    if g_right is None or f_left is None:
+    g_right = pivot_right_inverse(a)  # G (n x r) right inverse
+    f_left = solve_left(frf.f, StarMatrix.identity(frf.rank, dom), tol)  # F (r x m) left inverse
+    if f_left is None:
         raise RouteDisagreement("full-rank factors lost one-sided invertibility")
     x = g_right @ f_left
     assert_system(SYSTEMS["one"], {"a": a, "x": x}, tol, "inner inverse")

@@ -1,16 +1,19 @@
 """Green preorders, inverse along an element, (b,c)-inverses, Jacobson pairs."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import ginv.along
 from ginv import (
     PreconditionFailed,
     RouteDisagreement,
     StarMatrix,
     ToleranceWarning,
     bc_inverse,
+    certify,
     green_leq,
     group_formula_along,
     group_inverse,
@@ -24,7 +27,7 @@ from ginv.domains import COMPLEX_FLOAT, GAUSSIAN_RATIONAL, RATIONAL
 from ginv.matrix import inverse, left_nullspace, rel_diff
 from ginv.regular import inner_inverse
 
-from conftest import cm, gm, lists, mul_lists, qm
+from conftest import cm, fm, gm, lists, mul_lists, qm, zm
 
 
 def test_green_reflexive():
@@ -266,3 +269,81 @@ def test_bc_inverse_certificate_failures_name_the_failing_equations(failing_bc_c
         bc_inverse(StarMatrix.identity(2, COMPLEX_FLOAT), e, e)
     expected = "(b,c)-inverse certificate failed near tolerance on equations ['B3']"
     assert [str(w.message) for w in record] == [expected]
+
+
+# one exact example per domain kind: a = [[1, 1], [0, 1]], d = b = e = diag(1, 0)
+# and c = [[1, 0], [1, 0]]; the inverse of a along e and the (e, c)-inverse of a
+# are both e, and every membership residual holds through some z
+EXACT_KINDS = {"Q": qm, "Q(i)": gm, "GF(7)": lambda rows: fm(rows, 7), "Z/6": zm}
+ALONG_MEMBERS = ["x_leq_L_d", "x_leq_R_d"]
+BC_MEMBERS = ["x_leq_R_b", "b_leq_R_x", "x_leq_L_c", "c_leq_L_x"]
+
+
+def witness_example(make):
+    return make([[1, 1], [0, 1]]), make([[1, 0], [0, 0]]), make([[1, 0], [1, 0]])
+
+
+def off_by_one(z):
+    # z + 1 is a wrong witness: t = m z, so m (z + 1) = t + m != t for m != 0
+    return z + StarMatrix.identity(z.rows, z.domain)
+
+
+@pytest.mark.parametrize("make", EXACT_KINDS.values(), ids=EXACT_KINDS)
+@pytest.mark.parametrize("name", ALONG_MEMBERS + BC_MEMBERS)
+def test_a_wrong_membership_witness_fails_the_exact_certificate(make, name):
+    a, e, c = witness_example(make)
+    kind, env = "along", {"a": a, "d": e, "x": e}
+    right = {"x_leq_L_d": e, "x_leq_R_d": e}
+    if name in BC_MEMBERS:
+        kind, env = "bc", {"a": a, "b": e, "c": c, "x": e}
+        right = {"x_leq_R_b": e, "b_leq_R_x": e, "x_leq_L_c": e, "c_leq_L_x": c @ a}
+    solved = certify(kind, env)
+    assert solved.ok and set(solved.residuals.values()) == {0.0}
+    assert certify(kind, env, members=right).residuals == solved.residuals
+    cert = certify(kind, env, members={**right, name: off_by_one(right[name])})
+    assert cert.residuals == {**solved.residuals, name: math.inf}  # never solved again
+    out = cert.to_json()
+    assert not cert.ok and out["ok"] is False and out["residuals"][name] is None
+
+
+def test_float_memberships_are_solved_whatever_the_witness():
+    a, e, c = witness_example(cm)
+    zero = StarMatrix.zeros(2, 2, COMPLEX_FLOAT)
+    along = certify("along", {"a": a, "d": e, "x": e}, members=dict.fromkeys(ALONG_MEMBERS, zero))
+    bc = certify("bc", {"a": a, "b": e, "c": c, "x": e}, members=dict.fromkeys(BC_MEMBERS, zero))
+    assert along.ok and bc.ok
+    assert set(along.residuals.values()) | set(bc.residuals.values()) == {0.0}
+
+
+@pytest.fixture
+def wrong_witness(monkeypatch):
+    """Once wrong_witness["name"] is set, the membership witness of that name
+    that inverse_along or bc_inverse passes to its certificate becomes z + 1;
+    wrong_witness["hits"] counts the replacements."""
+    real, state = ginv.along.certify, {"name": None, "hits": 0}
+
+    def certify(kind, env, *args, members=None, **kwargs):
+        if state["name"] in (members or {}):
+            members = {**members, state["name"]: off_by_one(members[state["name"]])}
+            state["hits"] += 1
+        return real(kind, env, *args, members=members, **kwargs)
+
+    monkeypatch.setattr(ginv.along, "certify", certify)
+    return state
+
+
+@pytest.mark.parametrize("make", EXACT_KINDS.values(), ids=EXACT_KINDS)
+@pytest.mark.parametrize("name", ALONG_MEMBERS + BC_MEMBERS)
+def test_a_wrong_construction_witness_is_a_route_disagreement(make, name, wrong_witness):
+    a, e, c = witness_example(make)
+    assert inverse_along(a, e).value == e and bc_inverse(a, e, c) == e  # right witnesses
+    wrong_witness["name"] = name
+    if name in ALONG_MEMBERS:
+        failed = rf"^inverse-along certificate failed: .*'{name}': inf"
+        with pytest.raises(RouteDisagreement, match=failed):
+            inverse_along(a, e)
+    else:
+        failed = rf"^\(b,c\)-inverse certificate failed on equations \['{name}'\]$"
+        with pytest.raises(RouteDisagreement, match=failed):
+            bc_inverse(a, e, c)
+    assert wrong_witness["hits"] == 1

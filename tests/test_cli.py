@@ -757,6 +757,28 @@ def test_an_input_entry_beyond_the_int_str_digit_limit_is_read(tmp_path, capsys)
     assert json.loads(capsys.readouterr().out)["value"]["data"] == [["1/" + huge]]
 
 
+# ginv check has no construction witnesses, so it solves for each membership:
+# the candidate 1 meets A1-A2 / B1-B3 for a = 1 and b = c = d = diag(1, 0) but
+# lies in neither d R nor R d, b R nor R c
+@pytest.mark.parametrize(
+    "kind, passing, failing",
+    [
+        ("along", ["A1", "A2"], ["x_leq_L_d", "x_leq_R_d"]),
+        ("bc", ["B1", "B2", "B3", "b_leq_R_x", "c_leq_L_x"], ["x_leq_R_b", "x_leq_L_c"]),
+    ],
+)
+def test_check_solves_the_memberships_it_has_no_witness_for(
+    kind, passing, failing, tmp_path, capsys
+):
+    one = write_matrix(tmp_path / "one.json", [["1", "0"], ["0", "1"]], domain=RATIONAL)
+    e = write_matrix(tmp_path / "e.json", [["1", "0"], ["0", "0"]], domain=RATIONAL)
+    operands = ["--d", e] if kind == "along" else ["--b", e, "--c", e]
+    assert run(["check", "--kind", kind, "--a", one, *operands, "--candidate", one]) == 3
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["ok"] is False
+    assert cert["residuals"] == {**dict.fromkeys(passing, 0.0), **dict.fromkeys(failing)}
+
+
 # a random 6x6 pair over Z/12: 12**6 candidates per column ended each of these
 # kinds with exit 1 while Z/n was solved by exhaustive search
 Z12_KINDS = ["mp", "group", "drazin", "core", "core-ep", "w-core", "dual-v-core", "one3"]

@@ -34,7 +34,7 @@ from ginv.domains import (
     integer_mod,
     prime_field,
 )
-from ginv.matrix import inverse, right_nullspace
+from ginv.matrix import inverse, pivot_right_inverse, right_nullspace
 
 GF7 = prime_field(7)
 GF_M31 = prime_field(2**31 - 1)  # int64 products up to 2 columns, then Python ints
@@ -299,6 +299,28 @@ def test_solve_right_matches_scalar_loop(dom, m, n):
             else:
                 same(got, want)
         assert ref_solve_right(a, consistent) is not None
+
+
+PIVOT_FIELDS = [RATIONAL, GAUSSIAN_RATIONAL, GF7]
+
+
+@pytest.mark.parametrize("dom", PIVOT_FIELDS, ids=ids(PIVOT_FIELDS))
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 3), (4, 4), (3, 5), (5, 3), (2, 6)])
+def test_the_pivot_right_inverse_is_the_solved_one(dom, m, n):
+    # G is a's RREF, so the right inverse read from G's pivots is solve_right's
+    # particular solution of G X = 1, to the payload
+    rng = random.Random(m * 10 + n)
+    for r in range(min(m, n) + 1):
+        for a in (low_rank(dom, rng, m, n, r), low_rank(dom, rng, m, n, r)):
+            got = pivot_right_inverse(a)
+            g = full_rank_factorize(a).g
+            ident = StarMatrix.identity(g.rows, dom)
+            want = solve_right(g, ident)
+            same(got, want)
+            assert got.den == want.den
+            assert [x.dtype for x in got.ints] == [x.dtype for x in want.ints]
+            assert [x.tolist() for x in got.ints] == [x.tolist() for x in want.ints]
+            assert g @ got == ident
 
 
 @pytest.mark.parametrize("dom", FIELDS, ids=ids(FIELDS))

@@ -15,12 +15,14 @@ from ginv import (
     ShapeMismatch,
     StarMatrix,
     ToleranceWarning,
+    bc_inverse,
     core_ep_inverse,
     core_inverse,
     dual_v_core,
     enumerate_ring,
     group_inverse,
     ideal_form_membership,
+    inner_inverse,
     inverse_along,
     inverse_along_via_unit,
     mp_inverse,
@@ -544,9 +546,15 @@ def counting(monkeypatch, owner, name):
 # is read from the kept SVD, with no LU factorization.  In float the {1,3}-
 # and core inverses of aw read aw's kept SVD, (aw)^# is Cline's formula on its
 # factors (one r x r SVD), and the inverse of w along a reads the context's
-# awa, factored once
+# awa, factored once.  An exact certificate decides the along and bc
+# memberships by the construction's witnesses, and G's right inverse in the
+# inner inverse is read from its pivots: 39 eliminations before both
 SVD_BUDGET = {"w_core": 10, "dual_v_core": 7}
-RREF_BUDGET = 39
+RREF_BUDGET = 29
+# eliminations of one call on fresh operands: inverse_along and bc_inverse
+# solve twice against dad / cab, the inner inverse factors a and solves X F = 1;
+# 4, 6 and 3 if the witnesses were solved for again
+ELIMINATIONS = {"inverse_along": 2, "bc_inverse": 2, "inner_inverse": 2}
 
 
 @pytest.mark.parametrize("call", [w_core, dual_v_core], ids=["w_core", "dual_v_core"])
@@ -565,6 +573,20 @@ def test_elimination_count_of_an_exact_pair_is_pinned(monkeypatch):
     rref = counting(monkeypatch, ginv.matrix, "_rref")
     assert w_core(a, w).exists and dual_v_core(a, w).exists
     assert len(rref) <= RREF_BUDGET
+
+
+@pytest.mark.parametrize("name", ELIMINATIONS)
+def test_elimination_count_of_one_construction_is_pinned(name, monkeypatch):
+    a, _ = list(pin_pairs(GAUSSIAN_RATIONAL, 7))[4]
+    s = a.adjoint()  # a fresh matrix: along s and (s, s) give the MP inverse
+    calls = {
+        "inverse_along": lambda: inverse_along(a, s).value,
+        "bc_inverse": lambda: bc_inverse(a, s, s),
+        "inner_inverse": lambda: inner_inverse(a),
+    }
+    rref = counting(monkeypatch, ginv.matrix, "_rref")
+    assert calls[name]() is not None
+    assert len(rref) == ELIMINATIONS[name]
 
 
 def test_float_w_core_keeps_its_value_when_as_bc_fails_near_tolerance(failing_bc_certificate):
