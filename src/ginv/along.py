@@ -154,26 +154,31 @@ def bc_inverse(
 ) -> StarMatrix | None:
     """(b,c)-inverse of a by Drazin's criterion: u c when c = cab v and b = u cab
     are solvable, else None; accepted via its definitional certificate."""
+    return _bc_certified(a, b, c, tol).value
+
+
+def _bc_certified(a, b, c, tol) -> InverseResult:
+    """bc_inverse's value and accepting certificate; where it gives None, neither."""
     require_square(a, b, c)
     cab = (ca := c @ a) @ b
     if not a.domain.exact and not (rank(cab, tol) == rank(b, tol) == rank(c, tol)):
-        return None  # as in inverse_along: solves alone accept a lossy pinv(cab)
+        return InverseResult(False)  # as in inverse_along: solves alone accept a lossy pinv(cab)
     # c = cab v first: in float, b = u cab then reuses cab's SVD through the transpose
     if (v := solve_right(cab, c, tol)) is None or (u := solve_left(cab, b, tol)) is None:
-        return None
+        return InverseResult(False)
     y = u @ c
     members = None
     if a.domain.exact:  # y = u c = u cab v = b v, b = u cab = y ab, c = cab v = ca y
         members = {"x_leq_R_b": v, "b_leq_R_x": a @ b, "x_leq_L_c": u, "c_leq_L_x": ca}
-    residuals = certify("bc", {"a": a, "b": b, "c": c, "x": y}, tol, members=members).residuals
+    cert = certify("bc", {"a": a, "b": b, "c": c, "x": y}, tol, members=members)
     bound = acceptance_bound(a.domain, tol, guard=True)
-    if failed := [n for n, r in residuals.items() if not all_within((r,), bound)]:
+    if failed := [n for n, r in cert.residuals.items() if not all_within((r,), bound)]:
         if a.domain.exact:
             raise RouteDisagreement(f"(b,c)-inverse certificate failed on equations {failed}")
         msg = f"(b,c)-inverse certificate failed near tolerance on equations {failed}"
         warnings.warn(msg, ToleranceWarning)
-        return None
-    return y
+        return InverseResult(False)
+    return InverseResult(True, value=y, certificate=cert)
 
 
 def jacobson_partner(

@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .along import bc_inverse, inverse_along
+from .along import _bc_certified, inverse_along
 from .classical import (
     IndexedInverse,
     core_ep_inverse,
@@ -49,9 +49,9 @@ def _missing_factor(one_sided):
 
 # kind -> (solver of the loaded operands, the tolerances and the route; reason
 # when it finds no inverse).  A solver returns an InverseResult, which carries
-# its own reason, an IndexedInverse, a matrix or None, and looks up the
-# module-level function it calls when it runs.  A reason may be a function of
-# (a, tol); kinds without one always have an inverse.
+# its own reason (bc's only its certificate), an IndexedInverse, a matrix or
+# None, and looks up the module-level function it calls when it runs.  A reason
+# may be a function of (a, tol); kinds without one always have an inverse.
 _COMPUTE = {
     "one": (lambda tol, route, a: inner_inverse(a, tol), None),
     "one3": (lambda tol, route, a: one_three_inverse(a, tol), "a is not in S a* a"),
@@ -69,7 +69,7 @@ _COMPUTE = {
     "w-core": (lambda tol, route, a, w: w_core(a, w, route=route, tol=tol), None),
     "dual-v-core": (lambda tol, route, a, v: dual_v_core(a, v, route=route, tol=tol), None),
     "bc": (
-        lambda tol, route, a, b, c: bc_inverse(a, b, c, tol),
+        lambda tol, route, a, b, c: _bc_certified(a, b, c, tol),
         "b is not in S cab or c is not in cab S",
     ),
 }
@@ -183,10 +183,8 @@ def _cmd_compute(args) -> int:
     else:
         value, index = res if isinstance(res, IndexedInverse) else (res, None)
         exists = value is not None
-        if near and not exists:
-            reason = near[-1]
-        elif not exists:
-            reason = why_not(mats["a"], tol) if callable(why_not) else why_not
+    if not exists and reason is None:
+        reason = near[-1] if near else (why_not(mats["a"], tol) if callable(why_not) else why_not)
 
     if exists and cert is None:
         env = dict(mats)

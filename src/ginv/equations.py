@@ -12,16 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import PreconditionFailed, RouteDisagreement
+from .errors import DomainMismatch, PreconditionFailed, RouteDisagreement, ShapeMismatch
 from .matrix import (
     DEFAULT_TOL,
     StarMatrix,
     ToleranceThresholds,
+    _fro,
+    _payload_matrix,
+    _payload_product,
     acceptance_bound,
     all_within,
     matrix_to_json,
     norm_fro,
-    rel_diff,
     solve_left,
     solve_right,
 )
@@ -117,19 +119,26 @@ def core_ep_system(m: int) -> tuple[Equation, ...]:
     )
 
 
-def eval_word(word: Word, env: dict[str, StarMatrix], memo: dict | None = None) -> StarMatrix:
-    """The product of the word's letters, left to right.  memo maps words to
-    values; sharing it across calls evaluates each prefix and starred letter
-    once, in the same order, so results are bit-identical to a fresh call."""
-    memo = {} if memo is None else memo
+def _word(word: Word, env: dict[str, StarMatrix], memo: dict, dom) -> tuple:
     acc = None
     for k, sym in enumerate(word, 1):
         if (sym,) not in memo:
-            memo[(sym,)] = env[sym[:-1]].adjoint() if sym.endswith("*") else env[sym]
+            if (m := env[sym.rstrip("*")]).domain != dom:
+                raise DomainMismatch(f"{dom!r} vs {m.domain!r}")
+            memo[(sym,)] = m._payload(sym.endswith("*"))
         if word[:k] not in memo:
-            memo[word[:k]] = acc @ memo[(sym,)]
+            memo[word[:k]] = _payload_product(dom, acc, memo[(sym,)])
         acc = memo[word[:k]]
     return acc
+
+
+def eval_word(word: Word, env: dict[str, StarMatrix], memo: dict | None = None) -> StarMatrix:
+    """The product of the word's letters, left to right, run on the kernels'
+    payloads with no matrix built for a product.  memo maps words to payloads;
+    sharing it across calls evaluates each prefix and starred letter once, in
+    the same order, so results are bit-identical to a fresh call."""
+    dom = env[word[0].rstrip("*")].domain
+    return _payload_matrix(dom, _word(word, env, {} if memo is None else memo, dom))
 
 
 @dataclass
@@ -198,21 +207,26 @@ def system_residuals(
     the two sides' factor-norm products, each norm floored at 1 (matching the
     solve acceptance bound ||AX-B|| <= tol(||A|| ||X|| + ||B||)).  A product
     bounds its side's norm, as ||m*|| = ||m|| and the Frobenius norm is
-    submultiplicative, so neither 1 nor a side's own norm could raise it."""
+    submultiplicative, so neither 1 nor a side's own norm could raise it.
+    Words run on payloads (`_word`); exact sides over unreduced denominators
+    d and e are equal iff left e == right d."""
     out, memo = {}, {}
-    a = env["a"]
-    if not a.domain.exact:
-        # max(1, ||m||) per letter, once per call; the product of a word's
-        # factor norms is the forward-error magnitude of evaluating it
+    dom = env["a"].domain
+    if not dom.exact:
+        # max(1, ||m||) per letter, each matrix's kept norm; the product of a
+        # word's factor norms is the forward-error magnitude of evaluating it
         letters = {sym.rstrip("*") for _, lhs, rhs in system for sym in lhs + rhs}
         norms = {k: max(1.0, norm_fro(env[k])) for k in letters}
     for name, lhs, rhs in system:
-        left, right = eval_word(lhs, env, memo), eval_word(rhs, env, memo)
-        if a.domain.exact:
-            out[name] = rel_diff(left, right)
+        (left, d), (right, e) = _word(lhs, env, memo, dom), _word(rhs, env, memo, dom)
+        if dom.exact:
+            same = all((x * e).tolist() == (y * d).tolist() for x, y in zip(left, right))
+            out[name] = _bool_residual(same)
+        elif left[0].shape != right[0].shape:
+            raise ShapeMismatch(f"{left[0].shape} - {right[0].shape}")
         else:
             scale = max(math.prod(norms[sym.rstrip("*")] for sym in side) for side in (lhs, rhs))
-            out[name] = norm_fro(left - right) / scale
+            out[name] = _fro(left[0] - right[0]) / scale
     return out
 
 

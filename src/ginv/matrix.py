@@ -11,7 +11,9 @@ factorization from `_factors` on the instance (never in a module cache):
 the thin SVD in float, which transposes and adjoints inherit, or over exact
 fields the echelon form from deterministic first-nonzero-column /
 first-nonzero-row Gauss-Jordan elimination, which a's first solve, rank or
-factorization leaves.  Neither holds a tolerance.  Z/nZ shares the GF(p)
+factorization leaves.  Neither holds a tolerance.  A float matrix also keeps
+its Frobenius norm, and its pseudoinverse with the ToleranceThresholds it was
+formed under; transposes and adjoints inherit neither.  Z/nZ shares the GF(p)
 kernel, which folds non-unit pivots by Bezout steps into a Howell form.
 """
 
@@ -173,22 +175,25 @@ class _ComplexMatrix(StarMatrix):
     """ComplexFloat kernel: `data` is a read-only C-contiguous complex128
     array and every operation is one numpy call on it."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_norm", "_pinv")  # norm_fro and pinv keep theirs here
 
     def __init__(self, rows, cols, data, domain):
-        arr = np.array(data, dtype=np.complex128, order="C").reshape(rows, cols)
-        arr.flags.writeable = False
-        self.rows, self.cols, self.domain, self.data, self._f = rows, cols, domain, arr, None
+        self._set(np.array(data, dtype=np.complex128, order="C").reshape(rows, cols))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, svd=None) -> "_ComplexMatrix":
         """Wrap a complex128 array that nothing else will write to (and its SVD)."""
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
         m = object.__new__(cls)
-        m.rows, m.cols = arr.shape
-        m.domain, m.data, m._f = COMPLEX_FLOAT, arr, svd
+        m._set(np.ascontiguousarray(arr), svd)
         return m
+
+    def _set(self, arr, svd=None):
+        arr.flags.writeable = False
+        (self.rows, self.cols), self.domain, self.data = arr.shape, COMPLEX_FLOAT, arr
+        self._f, self._norm, self._pinv = svd, None, None
+
+    def _payload(self, star=False):
+        return (np.ascontiguousarray(self.data.T.conj()) if star else self.data,), 1
 
     def _entrywise(self, other, op):
         return self._adopt(op(self.data, other.data))
@@ -314,6 +319,9 @@ class _ExactMatrix(StarMatrix):
         t = tuple(x.T for x in self.ints)
         return _exact(self.domain, t[:1] + tuple(-x for x in t[1:]), self.den)
 
+    def _payload(self, star=False):
+        return (m := self.adjoint() if star else self).ints, m.den
+
     def is_zero(self) -> bool:
         return not any(x.any() for x in self.ints)
 
@@ -339,6 +347,19 @@ def _from_ints(dom: ScalarDomain, arr: np.ndarray) -> StarMatrix:
     return _exact(dom, (arr, np.zeros_like(arr)) if dom.kind == "gaussian_rational" else (arr,))
 
 
+def _payload_product(dom: ScalarDomain, x: tuple, y: tuple) -> tuple:
+    """x y on `_payload` pairs (arrays, den): dens multiply unreduced, residues mod n."""
+    (xs, xd), (ys, yd) = x, y
+    if xs[0].shape[1] != ys[0].shape[0]:
+        raise ShapeMismatch(f"{xs[0].shape} @ {ys[0].shape}")
+    zs = _times(xs, ys, operator.matmul)
+    return (zs if dom.modulus is None else tuple(z % dom.modulus for z in zs)), xd * yd
+
+
+def _payload_matrix(dom: ScalarDomain, x: tuple) -> StarMatrix:
+    return _ComplexMatrix._adopt(x[0][0]) if dom.kind == "complex_float" else _exact(dom, *x)
+
+
 def _times(x: tuple, y: tuple, op) -> tuple:
     """Integer payload of a product: op is @ (matrix) or * (by a 1x1 scalar);
     (re, im) pairs multiply as Gaussian integers."""
@@ -358,12 +379,17 @@ class RankFactorization:
 
 
 def _fro(arr: np.ndarray) -> float:
-    # the one Frobenius norm behind every float residual, bound and distance
-    return float(np.linalg.norm(arr))
+    # the one Frobenius norm behind every float residual, bound and distance:
+    # np.linalg.norm's own sum for a complex array, bit for bit, minus its dispatch
+    v = arr.ravel(order="K")
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def norm_fro(a: StarMatrix) -> float:
-    return _fro(a._array())
+    if a.domain.exact:
+        return _fro(a._array())
+    a._norm = _fro(a.data) if a._norm is None else a._norm  # kept on the instance
+    return a._norm
 
 
 def rel_diff(a: StarMatrix, b: StarMatrix) -> float:
@@ -372,8 +398,7 @@ def rel_diff(a: StarMatrix, b: StarMatrix) -> float:
         return math.inf
     if a.domain.exact:
         return 0.0 if a == b else math.inf
-    na, nb = a._array(), b._array()
-    return _fro(na - nb) / max(1.0, _fro(na), _fro(nb))
+    return _fro(a._array() - b._array()) / max(1.0, norm_fro(a), norm_fro(b))
 
 
 def acceptance_bound(
@@ -640,12 +665,9 @@ def solve_right(
         raise ShapeMismatch(f"{a.shape} X = {b.shape}")
     dom = a.domain
     if dom.kind == "complex_float":
-        an, bn = a.data, b.data
-        x = pinv(a, tol).data @ bn
-        bound = acceptance_bound(dom, tol) * (_fro(an) * _fro(x) + _fro(bn))
-        if _fro(an @ x - bn) > bound:
-            return None
-        return _ComplexMatrix._adopt(x)
+        x = _ComplexMatrix._adopt(pinv(a, tol).data @ b.data)
+        bound = acceptance_bound(dom, tol) * (norm_fro(a) * norm_fro(x) + norm_fro(b))
+        return None if _fro(a.data @ x.data - b.data) > bound else x
     x, y, _ = a._aligned(b)
     pivots, rows, den, consistent = _rref(dom, tuple(map(np.hstack, zip(x, y))), a.cols)
     if a._f is None:  # the pivots depend on a's columns alone; reduced only if read
@@ -695,16 +717,17 @@ def inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix
 
 
 def pinv(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix:
-    """SVD pseudoinverse with the shared rank cutoff (ComplexFloat only)."""
+    """SVD pseudoinverse with the shared rank cutoff (ComplexFloat only), kept per tol."""
     if a.domain.kind != "complex_float":
         raise UnsupportedDomain("pinv is the float path; exact domains use solve routes")
-    u, s, vh = _factors(a)
-    keep = s > _svd_cutoff(s, a, tol)
-    if not keep.any():
-        return StarMatrix.zeros(a.cols, a.rows, a.domain)
-    with np.errstate(divide="ignore"):
-        s_inv = np.where(keep, 1.0 / s, 0.0)
-    return _ComplexMatrix._adopt((vh.conj().T * s_inv) @ u.conj().T)
+    if a._pinv is None or a._pinv[0] != tol:
+        u, s, vh = _factors(a)
+        keep = s > _svd_cutoff(s, a, tol)
+        with np.errstate(divide="ignore"):
+            s_inv = np.where(keep, 1.0 / s, 0.0)
+        p = (vh.conj().T * s_inv) @ u.conj().T if keep.any() else np.zeros(a.shape[::-1], complex)
+        a._pinv = tol, _ComplexMatrix._adopt(p)
+    return a._pinv[1]
 
 
 def condition_number(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> float:

@@ -383,6 +383,43 @@ def test_bc_kind(nilp, tmp_path, capsys):
     assert code == 0
 
 
+def count_solves(monkeypatch):
+    """solve_right calls, in every ginv module that holds the function (solve_left
+    calls it through ginv.matrix)."""
+    calls = []
+    real = ginv.matrix.solve_right
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ginv") and getattr(mod, "solve_right", None) is real:
+            monkeypatch.setattr(mod, "solve_right", counted)
+    return calls
+
+
+def test_compute_bc_keeps_the_certificate_of_its_construction(tmp_path, capsys, monkeypatch):
+    # the CLI reports the certificate that accepted the (b,c)-inverse: two
+    # solves (c = cab v, b = u cab), where certifying again solved four more
+    # for the memberships; the JSON is byte-equal to a fresh certificate's
+    q = {"kind": "rational"}
+    mats = {"a": [[1, 1], [0, 1]], "b": [[1, 0], [0, 0]], "c": [[1, 0], [1, 0]]}
+    rows = {k: [[str(v) for v in r] for r in m] for k, m in mats.items()}
+    args = ["compute", "--kind", "bc"]
+    for k in mats:
+        args += [f"--{k}", write_matrix(tmp_path / f"{k}.json", rows[k], domain=q)]
+    solves = count_solves(monkeypatch)
+    assert run(args) == 0
+    assert len(solves) == 2
+    out = capsys.readouterr().out
+    env = {k: StarMatrix.from_rows(m, ginv.domains.RATIONAL) for k, m in mats.items()}
+    env["x"] = ginv.bc_inverse(env["a"], env["b"], env["c"])
+    want = {"schema": 1, "kind": "bc", "exists": True, "value": matrix_to_json(env["x"])}
+    want |= {"index": None, "reason": None, "certificate": certify("bc", env).to_json()}
+    assert out == json.dumps(want, indent=2, allow_nan=False) + "\n"
+
+
 def test_complex_float_cli(tmp_path, capsys):
     a = write_matrix(
         tmp_path / "cf.json",

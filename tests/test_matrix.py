@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ginv.equations
 import ginv.matrix
 from ginv import (
     DomainMismatch,
@@ -24,7 +25,14 @@ from ginv import (
     solve_left,
     solve_right,
 )
-from ginv.domains import COMPLEX_FLOAT, GAUSSIAN_RATIONAL, RATIONAL, integer_mod, prime_field
+from ginv.domains import (
+    COMPLEX_FLOAT,
+    GAUSSIAN_RATIONAL,
+    RATIONAL,
+    GaussianRational,
+    integer_mod,
+    prime_field,
+)
 from ginv.along import inverse_along_via_unit
 from ginv.matrix import (
     DEFAULT_TOL,
@@ -336,6 +344,79 @@ def test_unit_routes_refuse_nan_inner_inverse():
             inverse_along_via_unit(a, a, bad)
 
 
+def _reference_residuals(system, env):
+    """Residuals from StarMatrix products and adjoints, each word afresh."""
+    out = {}
+    for name, lhs, rhs in system:
+        sides = []
+        for word in (lhs, rhs):
+            mats = [env[s[:-1]].adjoint() if s.endswith("*") else env[s] for s in word]
+            acc = mats[0]
+            for m in mats[1:]:
+                acc = acc @ m
+            sides.append(acc)
+        if env["a"].domain.exact:
+            out[name] = rel_diff(*sides)
+        else:
+            norms = {k: max(1.0, ginv.matrix.norm_fro(m)) for k, m in env.items()}
+            scale = max(math.prod(norms[s.rstrip("*")] for s in word) for word in (lhs, rhs))
+            out[name] = ginv.matrix.norm_fro(sides[0] - sides[1]) / scale
+    return out
+
+
+RESIDUAL_DOMAINS = [RATIONAL, GAUSSIAN_RATIONAL, prime_field(7), integer_mod(6), COMPLEX_FLOAT]
+
+
+@pytest.mark.parametrize("dom", RESIDUAL_DOMAINS, ids=repr)
+def test_residuals_on_payloads_equal_the_matrix_level_words(dom):
+    # every defining system, on random letters (most exact residuals inf) and
+    # on letters where many equations hold: a unit a with x its inverse, the
+    # other letters 1 (exact residuals 0.0, float ones of rounding size)
+    from ginv.equations import SYSTEMS, core_ep_system, drazin_system, system_residuals
+
+    rng = random.Random(13)
+
+    def entry():
+        if dom.modulus is not None:
+            return rng.randint(0, dom.modulus - 1)
+        q = [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 6])) for _ in range(2)]
+        if dom.kind == "rational":
+            return q[0]
+        return GaussianRational(*q) if dom.exact else complex(*map(float, q))
+
+    def rand():
+        return StarMatrix.from_rows([[entry() for _ in range(3)] for _ in range(3)], dom)
+
+    randoms = {k: rand() for k in "awvdbcx"}
+    while (a_inv := inverse(a := rand())) is None:
+        pass
+    one = StarMatrix.identity(3, dom)
+    held = {k: one for k in "wvdbc"} | {"a": a, "x": a_inv}
+    systems = list(SYSTEMS.values())
+    systems += [drazin_system(k) for k in (1, 2, 3)] + [core_ep_system(k) for k in (1, 2, 3)]
+    held_count = 0
+    for env in (randoms, held):
+        for system in systems:
+            got = system_residuals(system, env)
+            assert got == _reference_residuals(system, env)
+            held_count += sum(v <= 1e-12 for v in got.values())
+    assert held_count > 30
+
+
+@pytest.mark.parametrize("dom", RESIDUAL_DOMAINS, ids=repr)
+def test_residual_words_refuse_mismatched_shapes_and_domains(dom):
+    from ginv.equations import SYSTEMS, system_residuals
+
+    other = COMPLEX_FLOAT if dom.exact else RATIONAL
+    a = StarMatrix.identity(2, dom)
+    with pytest.raises(ShapeMismatch):
+        system_residuals(SYSTEMS["one"], {"a": a, "x": StarMatrix.identity(3, dom)})
+    with pytest.raises(DomainMismatch):
+        system_residuals(SYSTEMS["one"], {"a": a, "x": StarMatrix.identity(2, other)})
+    with pytest.raises(ShapeMismatch):  # A1's sides are 1 x 2 and 2 x 2, A2 has no product
+        system_residuals(SYSTEMS["along"], {"a": a, "d": a, "x": StarMatrix.zeros(1, 2, dom)})
+
+
 @pytest.mark.parametrize("dom", [GAUSSIAN_RATIONAL, prime_field(7), COMPLEX_FLOAT], ids=repr)
 def test_residuals_evaluate_each_prefix_and_starred_letter_once(dom, monkeypatch):
     from ginv.equations import SYSTEMS, eval_word, system_residuals
@@ -345,7 +426,9 @@ def test_residuals_evaluate_each_prefix_and_starred_letter_once(dom, monkeypatch
     env = {k: StarMatrix.from_rows(r, dom) for k, r in rows.items()}
     system = SYSTEMS["w-core-full"]
     fresh = {name: (eval_word(lhs, env), eval_word(rhs, env)) for name, lhs, rhs in system}
-    calls = {"matmul": 0, "adjoint": 0}
+    # words run on the kernels' payloads: count the payload products and the
+    # starred payloads, and check that no matrix product is taken
+    calls = {"product": 0, "star": 0, "matmul": 0}
     kernel = type(env["a"])
 
     def counted(name, fn):
@@ -355,12 +438,19 @@ def test_residuals_evaluate_each_prefix_and_starred_letter_once(dom, monkeypatch
 
         return wrapper
 
+    def payload(m, star=False, real=kernel._payload):
+        calls["star"] += star
+        return real(m, star)
+
+    product = ginv.equations._payload_product
+    monkeypatch.setattr(ginv.equations, "_payload_product", counted("product", product))
+    monkeypatch.setattr(kernel, "_payload", payload)
     monkeypatch.setattr(StarMatrix, "__matmul__", counted("matmul", StarMatrix.__matmul__))
-    monkeypatch.setattr(kernel, "adjoint", counted("adjoint", kernel.adjoint))
     res = system_residuals(system, env)
     words = [w for _, lhs, rhs in system for w in (lhs, rhs)]
     prefixes = {w[:k] for w in words for k in range(2, len(w) + 1)}
     starred = {sym for w in words for sym in w if sym.endswith("*")}
-    assert calls == {"matmul": len(prefixes), "adjoint": len(starred)} == {"matmul": 10, "adjoint": 3}
+    expected = {"product": len(prefixes), "star": len(starred), "matmul": 0}
+    assert calls == expected == {"product": 10, "star": 3, "matmul": 0}
     if dom.exact:  # float residuals are checked against fresh words in test_matrix_complex
         assert res == {name: rel_diff(left, right) for name, (left, right) in fresh.items()}

@@ -259,11 +259,64 @@ def test_the_kept_svd_holds_no_tolerance():
     assert condition_number(a, loose) < 10 < condition_number(a, default)
 
 
+def test_the_frobenius_norm_is_numpys_bit_for_bit():
+    # every float residual, bound and distance divides or compares this norm
+    rng = np.random.default_rng(2)
+    cases = []
+    for m, n in [(0, 3), (3, 0), (1, 1), (4, 4), (5, 3), (33, 17)]:
+        for e in (-300, -160, 0, 160, 300):  # 1e160 squared overflows, 1e-160 underflows
+            x = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) * 10.0**e
+            cases += [x, x.T, x.T.conj(), np.asfortranarray(x), x[::2], x.real.copy()]
+    cases += [np.array([[np.nan, 1]]), np.array([[np.inf, 1j]]), np.array([[np.inf, np.nan]])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in cases:
+            got, want = ginv.matrix._fro(x), float(np.linalg.norm(x))
+            assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_the_kept_norm_and_pseudoinverse_are_per_instance_and_per_tolerance():
+    # sigma = 1, 1e-6, 1e-12: rank 2 at the default cutoff, rank 1 at 1e-4
+    a = sigma_ladder(3, np.array([1.0, 1e-6, 1e-12]))
+    b = build(rand_lists(random.Random(4), 3, 3), 3, 3)
+    loose, default = ToleranceThresholds(rank_rel_tol=1e-4), ToleranceThresholds()
+    norm, kept = ginv.matrix.norm_fro(a), pinv(a, loose)
+    assert norm == float(np.linalg.norm(a.data)) and ginv.matrix.norm_fro(a) == norm
+    assert pinv(a, loose) is kept  # read back, not formed again
+    for tol in (default, loose, default):
+        fresh = StarMatrix.from_numpy(a.to_numpy())
+        assert np.array_equal(pinv(a, tol).data, pinv(fresh, tol).data)
+        assert a._pinv[0] == tol
+        x, y = solve_right(a, b, tol), solve_right(fresh, b, tol)
+        assert (x is None) == (y is None) and (x is None or np.array_equal(x.data, y.data))
+    assert pinv(a, loose) is not kept and pinv(a, loose) == kept
+    # a transpose or an adjoint keeps the SVD it is handed, and forms its own
+    # norm and pseudoinverse
+    for t in (a.transpose(), a.adjoint()):
+        assert t._f is not None and t._norm is None and t._pinv is None
+
+
+def test_a_float_call_under_other_thresholds_equals_the_call_on_fresh_copies():
+    a = sigma_ladder(4, np.array([1.0, 1e-3, 1e-7, 0.0]))
+    w = build(rand_lists(random.Random(8), 4, 4), 4, 4)
+    loose = ToleranceThresholds(rank_rel_tol=1e-5, residual_rel_tol=1e-6)
+
+    def outcome(res):
+        value = None if res.value is None else matrix_to_json(res.value)
+        cert = None if res.certificate is None else res.certificate.to_json()
+        return json.dumps([res.exists, res.reason, value, cert])
+
+    for tol in (ToleranceThresholds(), loose, ToleranceThresholds()):
+        fresh = [StarMatrix.from_numpy(m.to_numpy()) for m in (a, w)]
+        assert outcome(w_core(a, w, tol=tol)) == outcome(w_core(*fresh, tol=tol))
+
+
 def test_the_kept_svd_is_invisible():
+    # and so are the kept norm and pseudoinverse
     rows = rand_lists(random.Random(9), 3, 4)
     bare, factored = build(rows, 3, 4), build(rows, 3, 4)
-    rank(factored)
+    rank(factored), ginv.matrix.norm_fro(factored), pinv(factored)
     assert factored._f is not None and bare._f is None
+    assert factored._norm is not None and factored._pinv is not None and bare._pinv is None
     for x, y in ((bare, factored), (bare.transpose(), factored.transpose())):
         assert x == y and hash(x) == hash(y) and len({x, y}) == 1
         assert json.dumps(matrix_to_json(x)) == json.dumps(matrix_to_json(y))

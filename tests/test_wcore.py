@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -550,6 +551,10 @@ def counting(monkeypatch, owner, name):
 # memberships by the construction's witnesses, and G's right inverse in the
 # inner inverse is read from its pivots: 39 eliminations before both
 SVD_BUDGET = {"w_core": 10, "dual_v_core": 7}
+# pseudoinverses formed per call (distinct matrices pinv returns): each float
+# matrix keeps its pseudoinverse for its thresholds, so a second pinv of one
+# instance reads it back; 22 and 12 when every call forms it again
+PINV_BUDGET = {"w_core": 17, "dual_v_core": 8}
 RREF_BUDGET = 29
 # eliminations of one call on fresh operands: inverse_along and bc_inverse
 # solve twice against dad / cab, the inner inverse factors a and solves X F = 1;
@@ -566,6 +571,26 @@ def test_svd_count_of_a_float_call_is_pinned(call, monkeypatch):
     assert res.exists and res.certificate.ok
     assert len(svd) <= SVD_BUDGET[call.__name__]
     assert not inv
+
+
+@pytest.mark.parametrize("call", [w_core, dual_v_core], ids=["w_core", "dual_v_core"])
+def test_pinv_count_of_a_float_call_is_pinned(call, monkeypatch):
+    formed = []
+    real = ginv.matrix.pinv
+
+    def counted(*args, **kwargs):
+        p = real(*args, **kwargs)
+        if not any(p is q for q in formed):  # formed holds p, so no id is reused
+            formed.append(p)
+        return p
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ginv") and getattr(mod, "pinv", None) is real:
+            monkeypatch.setattr(mod, "pinv", counted)
+    a, w = low_rank_float_pair()
+    res = call(a, w)
+    assert res.exists and res.certificate.ok
+    assert len(formed) <= PINV_BUDGET[call.__name__]
 
 
 def test_elimination_count_of_an_exact_pair_is_pinned(monkeypatch):
