@@ -1,6 +1,10 @@
 """Command-line front end: compute certified inverses, verify theorem
 catalogs on finite rings, and re-certify third-party candidates.
 
+Each command loads only what it uses: compute the module of its kind, check
+the equations, verify the finite-ring oracle.  Every operand file is read as
+JSON first, so a missing or malformed one exits 1 before numpy loads.
+
 Exit codes (stable contract):
   compute: 0 inverse exists and its certificate passes, 3 it does not exist
            or its certificate fails (value and certificate are kept, and
@@ -16,62 +20,46 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 import warnings
 
-import numpy as np
-
-from .along import _bc_certified, inverse_along
-from .classical import (
-    IndexedInverse,
-    core_ep_inverse,
-    core_inverse,
-    drazin_inverse,
-    dual_core_inverse,
-    group_inverse,
-)
-from .equations import InverseResult, certify
+# the engine and numpy load when a command reaches them: each kind imports
+# its own module, and bad input exits before either loads
 from .errors import GinvError, RouteDisagreement, ToleranceWarning
-from .matrix import DEFAULT_TOL, ToleranceThresholds, matrix_from_json, matrix_to_json
-from .regular import inner_inverse, mp_inverse, one_four_inverse, one_three_inverse
-from .wcore import DUAL_V_CORE_ROUTES, W_CORE_ROUTES, dual_v_core, w_core
 
 
 def _missing_factor(one_sided):
     # the core inverse is a^# a a^(1,3), the dual-core inverse a^(1,4) a a^#
     def reason(a, tol):
+        from .classical import group_inverse
         return "no group inverse" if group_inverse(a, tol) is None else f"no {one_sided}-inverse"
 
     return reason
 
 
-# kind -> (solver of the loaded operands, the tolerances and the route; reason
-# when it finds no inverse).  A solver returns an InverseResult, which carries
+# kind -> (module, function, reason when it finds no inverse).  The function,
+# looked up when the kind runs, takes the operands in order and tol (and the
+# route for the two w-core kinds) and returns an InverseResult, which carries
 # its own reason (bc's only its certificate), an IndexedInverse, a matrix or
-# None, and looks up the module-level function it calls when it runs.  A reason
-# may be a function of (a, tol); kinds without one always have an inverse.
+# None.  A reason may be a function of (a, tol); kinds without one always
+# have an inverse.
 _COMPUTE = {
-    "one": (lambda tol, route, a: inner_inverse(a, tol), None),
-    "one3": (lambda tol, route, a: one_three_inverse(a, tol), "a is not in S a* a"),
-    "one4": (lambda tol, route, a: one_four_inverse(a, tol), "a is not in a a* S"),
-    "mp": (lambda tol, route, a: mp_inverse(a, tol), "a is not in S a a* a"),
-    "group": (lambda tol, route, a: group_inverse(a, tol), "a is not in a^2 S and S a^2"),
-    "drazin": (lambda tol, route, a: drazin_inverse(a, tol), None),
-    "core": (lambda tol, route, a: core_inverse(a, tol), _missing_factor("{1,3}")),
-    "dual-core": (lambda tol, route, a: dual_core_inverse(a, tol), _missing_factor("{1,4}")),
-    "core-ep": (
-        lambda tol, route, a: core_ep_inverse(a, tol),
-        "a^m has no {1,3}-inverse at the Drazin index m",
-    ),
-    "along": (lambda tol, route, a, d: inverse_along(a, d, tol), None),
-    "w-core": (lambda tol, route, a, w: w_core(a, w, route=route, tol=tol), None),
-    "dual-v-core": (lambda tol, route, a, v: dual_v_core(a, v, route=route, tol=tol), None),
-    "bc": (
-        lambda tol, route, a, b, c: _bc_certified(a, b, c, tol),
-        "b is not in S cab or c is not in cab S",
-    ),
+    "one": ("regular", "inner_inverse", None),
+    "one3": ("regular", "one_three_inverse", "a is not in S a* a"),
+    "one4": ("regular", "one_four_inverse", "a is not in a a* S"),
+    "mp": ("regular", "mp_inverse", "a is not in S a a* a"),
+    "group": ("classical", "group_inverse", "a is not in a^2 S and S a^2"),
+    "drazin": ("classical", "drazin_inverse", None),
+    "core": ("classical", "core_inverse", _missing_factor("{1,3}")),
+    "dual-core": ("classical", "dual_core_inverse", _missing_factor("{1,4}")),
+    "core-ep": ("classical", "core_ep_inverse", "a^m has no {1,3}-inverse at the Drazin index m"),
+    "along": ("along", "inverse_along", None),
+    "w-core": ("wcore", "w_core", None),
+    "dual-v-core": ("wcore", "dual_v_core", None),
+    "bc": ("along", "_bc_certified", "b is not in S cab or c is not in cab S"),
 }
 KINDS = tuple(_COMPUTE)
 
@@ -81,6 +69,9 @@ _EXTRA_OPERANDS = {
     "dual-v-core": ("v",),
     "bc": ("b", "c"),
 }
+
+# kinds with single routes -> their route names in ginv.wcore
+_ROUTES = {"w-core": "W_CORE_ROUTES", "dual-v-core": "DUAL_V_CORE_ROUTES"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,28 +115,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _tolerances(args) -> ToleranceThresholds:
-    res = args.tol if args.tol is not None else DEFAULT_TOL.residual_rel_tol
-    rnk = getattr(args, "rank_tol", None)
-    rnk = rnk if rnk is not None else DEFAULT_TOL.rank_rel_tol
-    if not (res > 0 and rnk > 0 and np.isfinite([res, rnk]).all()):  # NaN fails res > 0
+def _module(name: str):
+    # by the import statement's own path, which `python -X importtime` logs
+    return __import__(f"{__package__}.{name}", fromlist=["*"])
+
+
+def _read_inputs(args) -> tuple[dict, dict]:
+    """The tolerance overrides and every operand file parsed as JSON, before
+    numpy or the engine loads: bad input exits 1 at interpreter-plus-json cost."""
+    given = {"residual_rel_tol": args.tol, "rank_rel_tol": args.rank_tol}
+    given = {k: t for k, t in given.items() if t is not None}
+    if not all(t > 0 and math.isfinite(t) for t in given.values()):  # NaN fails t > 0
         raise GinvError("tolerance overrides must be positive and finite")
-    return ToleranceThresholds(rank_rel_tol=rnk, residual_rel_tol=res)
-
-
-def _load_matrix(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
-
-
-def _load_operands(args, kind: str) -> dict:
-    mats = {"a": _load_matrix(args.a)}
-    for name in _EXTRA_OPERANDS.get(kind, ()):
+    docs = {"a": _read(args.a)}
+    for name in _EXTRA_OPERANDS.get(args.kind, ()):
         path = getattr(args, name)
         if path is None:
-            raise GinvError(f"--{name} is required for kind {kind}")
-        mats[name] = _load_matrix(path)
-    return mats
+            raise GinvError(f"--{name} is required for kind {args.kind}")
+        docs[name] = _read(path)
+    if args.command == "check":
+        docs["x"] = _read(args.candidate)
+    return given, docs
+
+
+def _read(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _matrices(given: dict, docs: dict):
+    from .matrix import ToleranceThresholds, matrix_from_json
+    return ToleranceThresholds(**given), {k: matrix_from_json(doc) for k, doc in docs.items()}
 
 
 def _emit(obj: dict, out_path: str | None):
@@ -158,30 +158,35 @@ def _emit(obj: dict, out_path: str | None):
         print(text)
 
 
-def _cmd_compute(args) -> int:
-    tol = _tolerances(args)
-    kind = args.kind
-    mats = _load_operands(args, kind)
-    route = args.route
-    if route is not None:
-        valid = {"w-core": W_CORE_ROUTES, "dual-v-core": DUAL_V_CORE_ROUTES}.get(kind)
-        if valid is None:
-            raise GinvError(f"--route is not valid for kind {kind}")
-        if route != "all" and route not in valid:
-            raise GinvError(f"unknown route {route!r} for {kind}; choose from {valid}")
+def _cmd_compute(args, given: dict, docs: dict) -> int:
+    from .equations import InverseResult, certify
+    from .matrix import matrix_to_json
 
-    solve, why_not = _COMPUTE[kind]
+    tol, mats = _matrices(given, docs)
+    kind, route = args.kind, args.route
+    extra = {}
+    if kind in _ROUTES:
+        valid = getattr(_module("wcore"), _ROUTES[kind])
+        if route not in (None, "all", *valid):
+            raise GinvError(f"unknown route {route!r} for {kind}; choose from {valid}")
+        extra["route"] = route or "all"
+    elif route is not None:
+        raise GinvError(f"--route is not valid for kind {kind}")
+
+    module, name, why_not = _COMPUTE[kind]
+    solve = getattr(_module(module), name)
     # a certificate failing near tolerance inside the solver is a
     # ToleranceWarning: kept off stderr, and the reason when no value comes back
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ToleranceWarning)
-        res = solve(tol, route or "all", **mats)
+        res = solve(*mats.values(), tol=tol, **extra)
     near = [str(w.message) for w in caught if issubclass(w.category, ToleranceWarning)]
     index = cert = reason = None
     if isinstance(res, InverseResult):
         exists, value, cert, reason = res.exists, res.value, res.certificate, res.reason
     else:
-        value, index = res if isinstance(res, IndexedInverse) else (res, None)
+        # an IndexedInverse is a (value, index) tuple
+        value, index = res if isinstance(res, tuple) else (res, None)
         exists = value is not None
     if not exists and reason is None:
         reason = near[-1] if near else (why_not(mats["a"], tol) if callable(why_not) else why_not)
@@ -234,7 +239,9 @@ def _cmd_verify(args) -> int:
         if rep.skipped:
             status = f"SKIPPED ({rep.note})"
         elif rep.ok():
-            status = f"ok ({rep.instances_checked} instances, {rep.elapsed:.2f}s)"
+            n, dt = rep.instances_checked, rep.elapsed  # dt is 0 on a coarse clock
+            rate = f", {n / dt:.0f} instances/s" if dt > 0 else ""
+            status = f"ok ({n} instances, {dt:.2f}s{rate})"
         else:
             status = f"FAIL ({len(rep.counterexamples)} counterexamples)"
             bad += len(rep.counterexamples)
@@ -253,14 +260,19 @@ def _cmd_verify(args) -> int:
     return 4 if bad else 0
 
 
-def _cmd_check(args) -> int:
-    tol = _tolerances(args)
-    kind = args.kind
-    env = _load_operands(args, kind)
-    env["x"] = _load_matrix(args.candidate)
-    cert = certify(kind, env, tol, route="check")
-    _emit({"schema": 1, "kind": kind, "certificate": cert.to_json()}, None)
+def _cmd_check(args, given: dict, docs: dict) -> int:
+    from .equations import certify
+
+    tol, env = _matrices(given, docs)
+    cert = certify(args.kind, env, tol, route="check")
+    _emit({"schema": 1, "kind": args.kind, "certificate": cert.to_json()}, None)
     return 0 if cert.ok else 3
+
+
+def _breakdown():
+    """numpy's LinAlgError once numpy has loaded; nothing can raise it before."""
+    np = sys.modules.get("numpy")
+    return np.linalg.LinAlgError if np is not None else ()
 
 
 def main(argv=None) -> int:
@@ -273,18 +285,21 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        inputs = () if args.command == "verify" else _read_inputs(args)
+        import numpy as np
+
         # stderr carries one line; the NaN-safe guards and certificates
         # already judge non-finite float values, so numpy stays quiet
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if args.command == "compute":
-                return _cmd_compute(args)
+                return _cmd_compute(args, *inputs)
             if args.command == "verify":
                 return _cmd_verify(args)
-            return _cmd_check(args)
+            return _cmd_check(args, *inputs)
     except RouteDisagreement as exc:
         print(f"ginv: internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:
+    except _breakdown() as exc:
         # numpy's LinAlgError is a ValueError, but a numerical breakdown is an
         # answer (no inverse found), not a usage error
         reason = f"numerical breakdown: {exc}"

@@ -257,14 +257,14 @@ class _ExactMatrix(StarMatrix):
         ints = np.array(flat, dtype=object).reshape(1 + gaussian, rows, cols)
         self._set(domain, tuple(ints), den)
 
-    def _set(self, dom, ints, den):
+    def _set(self, dom, ints, den, lowest=False):
         # the canonical payload: residues reduced mod p in their dtype, or
-        # integers and denominator divided by their gcd
+        # integers and denominator divided by their gcd unless already lowest
         p = dom.modulus
         if p is not None:
             dtype = np.int64 if ints[0].shape[1] * (p - 1) ** 2 < 2**63 else object
             ints = ((ints[0] % p).astype(dtype, copy=False),)
-        elif den != 1:
+        elif den != 1 and not lowest:
             ints, den = _lowest(ints, den)
         for x in ints:
             x.flags.writeable = False
@@ -299,8 +299,9 @@ class _ExactMatrix(StarMatrix):
         x, y, den = self._aligned(other)
         return _exact(self.domain, tuple(map(op, x, y)), den)
 
+    # a sign change, a transpose and an adjoint keep the gcd of a lowest payload
     def __neg__(self):
-        return _exact(self.domain, tuple(-x for x in self.ints), self.den)
+        return _exact(self.domain, tuple(-x for x in self.ints), self.den, lowest=True)
 
     def _matmul(self, other):
         ints = _times(self.ints, other.ints, operator.matmul)
@@ -312,12 +313,12 @@ class _ExactMatrix(StarMatrix):
 
     def transpose(self) -> "StarMatrix":
         # plain transpose, no conjugation (internal: used to dualize solves)
-        return _exact(self.domain, tuple(x.T for x in self.ints), self.den)
+        return _exact(self.domain, tuple(x.T for x in self.ints), self.den, lowest=True)
 
     def adjoint(self) -> "StarMatrix":
         """Conjugate transpose: the *-involution of the matrix ring."""
         t = tuple(x.T for x in self.ints)
-        return _exact(self.domain, t[:1] + tuple(-x for x in t[1:]), self.den)
+        return _exact(self.domain, t[:1] + tuple(-x for x in t[1:]), self.den, lowest=True)
 
     def _payload(self, star=False):
         return (m := self.adjoint() if star else self).ints, m.den
@@ -334,9 +335,9 @@ class _ExactMatrix(StarMatrix):
         return hash((self.shape, self.den, *(tuple(x.ravel().tolist()) for x in self.ints)))
 
 
-def _exact(dom: ScalarDomain, ints: tuple, den: int = 1) -> _ExactMatrix:
+def _exact(dom: ScalarDomain, ints: tuple, den: int = 1, lowest: bool = False) -> _ExactMatrix:
     m = object.__new__(_ExactMatrix)
-    m._set(dom, ints, den)
+    m._set(dom, ints, den, lowest)
     return m
 
 

@@ -326,6 +326,35 @@ def test_verify_prints_each_line_as_its_theorem_finishes(monkeypatch):
     assert all(seen[k] == "".join(line + "\n" for line in lines[:k]) for k in range(len(seen)))
 
 
+@pytest.mark.parametrize("elapsed", [None, 0.0])
+def test_verify_ok_lines_carry_the_instance_rate(capsys, monkeypatch, elapsed):
+    import dataclasses
+
+    import ginv.theorems
+
+    reports, real = [], ginv.theorems.verify_theorem
+
+    def timed(ring, tid):
+        rep = real(ring, tid)
+        reports.append(rep if elapsed is None else dataclasses.replace(rep, elapsed=elapsed))
+        return reports[-1]
+
+    monkeypatch.setattr(ginv.theorems, "verify_theorem", timed)
+    assert run(["verify", "--ring", "mat:2:gf2", "--theorem", "uniqueness"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    (rep,) = reports
+    assert rep.instances_checked == 256
+    status = line.split(None, 1)[1]
+    if elapsed == 0.0:  # a coarse clock read no time: no rate, no division by zero
+        assert status == "ok (256 instances, 0.00s)"
+        return
+    assert rep.elapsed > 0
+    head, rate = status.rsplit(", ", 1)
+    assert head == f"ok (256 instances, {rep.elapsed:.2f}s"
+    assert rate.endswith(" instances/s)")
+    assert int(rate.split()[0]) == round(256 / rep.elapsed)
+
+
 @pytest.mark.parametrize("k", [300, 3000])
 def test_verify_huge_ring_exits_one_with_one_short_line(capsys, k):
     # the CLI lifts the int/str digit limit, so a computed 3^(k^2) would be
@@ -346,7 +375,7 @@ def test_invariant_violation_exit_code(nilp, w1, monkeypatch):
     def boom(*args, **kwargs):
         raise RouteDisagreement("injected fault")
 
-    monkeypatch.setattr(ginv.cli, "w_core", boom)
+    monkeypatch.setattr(ginv.wcore, "w_core", boom)
     assert run(["compute", "--kind", "w-core", "--a", nilp, "--w", w1]) == 2
 
 
@@ -358,7 +387,7 @@ def test_single_route_failing_certificate_names_the_equations(nilp, w1, monkeypa
         cert = certify("w-core", {"a": a, "w": w, "x": x}, tol, route=route)
         return InverseResult(cert.ok, value=x, certificate=cert)
 
-    monkeypatch.setattr(ginv.cli, "w_core", failing)
+    monkeypatch.setattr(ginv.wcore, "w_core", failing)
     assert run(["compute", "--kind", "w-core", "--a", nilp, "--w", w1, "--route", "mary_13"]) == 3
     out = json.loads(capsys.readouterr().out)
     assert out["exists"] is False and out["value"] is not None
@@ -514,7 +543,7 @@ def test_unprovable_prime_modulus_exits_one(tmp_path):
 def test_nonfinite_value_is_never_printed(tmp_path, monkeypatch, capsys):
     # a value the JSON wire format cannot carry fails with exit 1, not NaN
     nan = StarMatrix.from_numpy(np.array([[np.nan]]))
-    monkeypatch.setattr(ginv.cli, "inner_inverse", lambda a, tol: nan)
+    monkeypatch.setattr(ginv.regular, "inner_inverse", lambda a, tol: nan)
     a = write_matrix(tmp_path / "one.json", [[[1.0, 0.0]]], domain={"kind": "complex_float"})
     assert run(["compute", "--kind", "one", "--a", a]) == 1
     captured = capsys.readouterr()
@@ -709,7 +738,7 @@ def test_check_reports_a_numerical_breakdown_in_one_line(tmp_path, capsys, monke
     def breaks(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(ginv.cli, "certify", breaks)
+    monkeypatch.setattr(ginv.equations, "certify", breaks)
     a = write_matrix(tmp_path / "a.json", nilp_rows())
     assert run(["check", "--kind", "mp", "--a", a, "--candidate", a]) == 3
     err = capsys.readouterr().err

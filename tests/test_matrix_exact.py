@@ -805,3 +805,21 @@ def test_bezout_steps_at_the_int64_bound():
         g = math.gcd(n, *col)
         if g > 1:  # every a x is a multiple of g
             assert solve_right(a, StarMatrix.from_rows([[1]] + [[0]] * (len(col) - 1), dom)) is None
+
+
+@pytest.mark.parametrize("dom", RINGS, ids=lambda d: d.kind + str(d.modulus or ""))
+def test_sign_changes_and_transposes_keep_the_canonical_payload(dom, monkeypatch):
+    # a lowest payload stays lowest under -m, m^T and m*, so they reduce
+    # nothing; each equals the matrix built afresh from its entries
+    rng = random.Random(7)
+    built = [rand_matrix(dom, rng, m, n) for m, n in SQUARE_SHAPES]
+    assert any(m.den != 1 for m in built) == (dom.modulus is None)
+    calls = []
+    monkeypatch.setattr(ginv.matrix, "_lowest", lambda *args: calls.append(args))
+    derived = [x for m in built for x in (-m, m.transpose(), m.adjoint())]
+    monkeypatch.undo()
+    assert calls == []
+    for got in derived:
+        fresh = StarMatrix(got.rows, got.cols, got.data, dom)
+        assert got.den == fresh.den and [x.dtype for x in got.ints] == [y.dtype for y in fresh.ints]
+        assert [x.tolist() for x in got.ints] == [y.tolist() for y in fresh.ints]
