@@ -1,11 +1,11 @@
 """Green's preorders, the inverse along an element, (b,c)-inverses, Jacobson pairs.
 
-The inverse of a along d exists iff d <=_H d a d; when it does, any solution
-x of d = d a d x gives the value d x (and any y with d = y d a d gives y d,
-the same element).  The (b,c)-inverse exists iff b is in S cab and c in
-cab S (Drazin); any u with b = u cab then gives the value u c, which is
-accepted only after its definitional certificate passes.  Complex floats
-decide both by SVD rank first.
+Both inverses are decided by Drazin's criterion: the (b,c)-inverse of a
+exists iff c is in cab S and b in S cab, and the inverse of a along d is its
+(d,d)-inverse, so it exists iff d <=_H d a d.  From c = cab v and b = u cab
+the (b,c)-inverse is u c and the inverse along d is d v (= u d, the same
+element); each is accepted only after its definitional certificate passes.
+Complex floats decide by SVD rank first.
 """
 
 from __future__ import annotations
@@ -50,44 +50,41 @@ def green_leq(
     raise PreconditionFailed(f"unknown Green relation {relation!r}")
 
 
+def _drazin_criterion(cab, b, c, tol) -> tuple[StarMatrix, StarMatrix] | None:
+    """Drazin's criterion for the (b,c)-inverse of a, given cab = c a b: the
+    witnesses (v, u) of c = cab v and b = u cab, or None when either fails.
+    Complex floats first need rank(cab) = rank(b) = rank(c), the criterion
+    over a field: the residual-accepted solves alone take a pinv(cab) that
+    drops a singular value the ranks of b and c keep."""
+    if not cab.domain.exact and not (rank(cab, tol) == rank(b, tol) == rank(c, tol)):
+        return None
+    # c = cab v first: in float, b = u cab then reuses cab's SVD through the transpose
+    if (v := solve_right(cab, c, tol)) is None or (u := solve_left(cab, b, tol)) is None:
+        return None
+    return v, u
+
+
 def inverse_along(
     a: StarMatrix, d: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL, *, dad=None
 ) -> InverseResult:
-    """Inverse of a along d; exists iff d <=_H d a d.  dad, when given, is d a d."""
+    """Inverse of a along d; exists iff d <=_H d a d.  dad, when given, is d a d.
+    A float value comes with its certificate, which may fail; exact ones raise."""
     require_square(a, d)
     dad = d @ a @ d if dad is None else dad
-    if not a.domain.exact:
-        # float existence by rank: d <=_H dad over a field iff the ranks
-        # match, and the SVD rank is robust where residual solves are not
-        if rank(dad, tol) != rank(d, tol):
-            return InverseResult(False, reason="rank(dad) != rank(d)")
-    x = solve_right(dad, d, tol)
-    if x is None:
-        return InverseResult(False, reason="d is not below dad in the R-preorder")
-    y = solve_left(dad, d, tol)
-    if y is None:
-        return InverseResult(False, reason="d is not below dad in the L-preorder")
+    if (found := _drazin_criterion(dad, d, d, tol)) is None:
+        return InverseResult(False, reason="d is not below dad in the H-preorder")
+    x, y = found
     b = d @ x
-    exact = a.domain.exact
     # b = d x, and b = y d as dx - yd = y(dad x - d) - (y dad - d)x: exact
     # witnesses, so an exact certificate fails, and raises below, iff b != y d
     members = {"x_leq_R_d": x, "x_leq_L_d": y}
     cert = certify("along", {"a": a, "d": d, "x": b}, tol, route="solve", members=members)
     cert.witnesses = {"x": x, "y": y}
-    if not exact and condition_number(dad, tol) > _KAPPA_DEGRADED:
+    if a.domain.exact and not cert.ok:
+        raise RouteDisagreement(f"inverse-along certificate failed: {cert.residuals}")
+    if not a.domain.exact and condition_number(dad, tol) > _KAPPA_DEGRADED:
         # small residuals do not imply small value error at this conditioning
         cert.warnings.append("dad is ill-conditioned; value accuracy degraded")
-    if not cert.ok:
-        if exact:
-            raise RouteDisagreement(f"inverse-along certificate failed: {cert.residuals}")
-        # squared conditioning of dad can push residuals past the base
-        # tolerance; within two extra orders the value is still accepted
-        # (downstream users re-verify their own defining equations)
-        if all_within(cert.residuals.values(), acceptance_bound(a.domain, tol, guard=True)):
-            cert.ok = True
-            cert.warnings.append("residuals accepted within conditioning slack")
-        else:
-            cert.warnings.append("residuals exceed conditioning slack")
     return InverseResult(True, value=b, certificate=cert)
 
 
@@ -161,11 +158,9 @@ def _bc_certified(a, b, c, tol) -> InverseResult:
     """bc_inverse's value and accepting certificate; where it gives None, neither."""
     require_square(a, b, c)
     cab = (ca := c @ a) @ b
-    if not a.domain.exact and not (rank(cab, tol) == rank(b, tol) == rank(c, tol)):
-        return InverseResult(False)  # as in inverse_along: solves alone accept a lossy pinv(cab)
-    # c = cab v first: in float, b = u cab then reuses cab's SVD through the transpose
-    if (v := solve_right(cab, c, tol)) is None or (u := solve_left(cab, b, tol)) is None:
+    if (found := _drazin_criterion(cab, b, c, tol)) is None:
         return InverseResult(False)
+    v, u = found
     y = u @ c
     members = None
     if a.domain.exact:  # y = u c = u cab v = b v, b = u cab = y ab, c = cab v = ca y

@@ -77,7 +77,7 @@ class _RouteOutcome(NamedTuple):
     value: StarMatrix | None = None
     witnesses: dict = {}
     reason: str | None = None
-    degraded: bool = False  # float: built through an ill-conditioned solve
+    degraded: bool = False  # float: built through an ill-conditioned or failing solve
 
 
 # the intermediates routes share, each a deterministic function of
@@ -142,7 +142,7 @@ def _route_mary_13(c):
     return _RouteOutcome(
         along.value @ c.one_three,
         {"w_along_a": along.value, "one_three": c.one_three},
-        degraded=bool(along.certificate.warnings),
+        degraded=bool(along.certificate.warnings) or not along.certificate.ok,
     )
 
 
@@ -332,7 +332,6 @@ def _solve(
         return InverseResult(cert.ok, value=x, certificate=cert, reason=cert.failure())
 
     values: dict[str, StarMatrix] = {}
-    degraded: dict[str, StarMatrix] = {}
     witnesses: dict = {}
     warnings: list[str] = []
     for name, base in form.routes.items():
@@ -350,14 +349,10 @@ def _solve(
             # value built through an ill-conditioned solve: keep it out of
             # the agreement set, the remaining routes carry the answer
             warnings.append(f"route {name} degraded by conditioning; excluded")
-            degraded[name] = out.value
             continue
         values[name] = out.value
     if not values:
-        if not degraded:
-            raise RouteDisagreement("existence asserted but every route failed")
-        values = dict(list(degraded.items())[:1])
-        warnings.append("all routes degraded; using the first value unchecked")
+        raise RouteDisagreement("existence asserted but every route failed")
     (first_name, first), *others = values.items()
     bound = acceptance_bound(a.domain, tol, guard=True)
     for other, value in others:

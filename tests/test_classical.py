@@ -226,3 +226,19 @@ def test_scaling_law_float():
 def test_square_required():
     with pytest.raises(ShapeMismatch):
         group_inverse(qm([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_float_group_and_core_inverses_refuse_a_nilpotent():
+    # a = e12 = F G with G F = 0, which is not invertible: no group inverse,
+    # hence no core inverse
+    a = cm([[0, 1], [0, 0]])
+    assert group_inverse(a) is None and core_inverse(a) is None
+
+
+def test_float_drazin_index_of_a_full_jordan_nilpotent_is_the_dimension():
+    # the ranks of a, a^2 and a^3 fall 2, 1, 0: no power below the third
+    # keeps the rank of the next, so the index is the dimension
+    a = cm([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert drazin_index(a) == 3
+    res = drazin_inverse(a)
+    assert res.index == 3 and res.value.is_zero()

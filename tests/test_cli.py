@@ -888,3 +888,37 @@ def test_along_at_extreme_scales_is_the_inverse(tmp_path, capsys, a, d):
     got = np.array(matrix_from_json(_strict_json(capsys.readouterr().out)["value"]).data)
     want = np.linalg.inv(a)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# complex a = 10^e M at both ends of the binary64 range, e = -300, -250, ...,
+# 200, run through every kind with the other operands all 1, all [[1, 2],
+# [3, 4]] or all a: 1,287 in-process calls.  Exit 2 still marks the magnitude
+# defects that ROADMAP.md lists; none of them may exit 1 or leak a traceback
+GRID_MATRICES = {
+    "1": np.eye(2),
+    "m": np.array([[1.0, 2.0], [3.0, 4.0]]),
+    "jordan": np.array([[0.5, 1.0], [0.0, 0.5]]),
+}
+
+
+def test_every_kind_keeps_the_cli_contract_at_extreme_scales(tmp_path, capsys):
+    def write(name, m):
+        rows = [[[float(z.real), float(z.imag)] for z in r] for r in m.astype(complex)]
+        return write_matrix(tmp_path / f"{name}.json", rows, domain={"kind": "complex_float"})
+
+    fixed = [write(name, GRID_MATRICES[name]) for name in ("1", "m")]
+    calls = 0
+    for (name, m), e in itertools.product(GRID_MATRICES.items(), range(-300, 201, 50)):
+        a = write(f"a-{name}-{e}", 10.0**e * m)
+        for other, kind in itertools.product([*fixed, a], ginv.cli.KINDS):
+            operands = [f"--{letter}={other}" for letter in ("w", "v", "d", "b", "c")]
+            code = run(["compute", "--kind", kind, "--a", a, *operands])
+            out, err = capsys.readouterr()
+            where = f"{kind}: a = 1e{e} * {name}, operands {other}"
+            assert code in (0, 2, 3), where
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err, where
+            if code != 2:
+                result = _strict_json(out)
+                assert code == 3 or result["certificate"]["ok"] is True, where
+            calls += 1
+    assert calls == 1287

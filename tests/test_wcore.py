@@ -813,3 +813,69 @@ def test_rank_formula_route_equals_route_all_exactly(dom, call):
             assert one.value == ref.value and one.certificate.ok
             seen += 1
     assert seen
+
+
+# a = diag(1, 0), w = 0 over Q: awa = 0, so a has no w-core inverse, and each
+# route run alone refuses with its own reason, among them the two that the
+# nilpotent pair above never reaches
+ZERO_W_ROUTE_REASONS = {
+    "mary_13": "w is not invertible along a",
+    "core_of_aw": "a is not in awS",
+    "projection_unit": "projection criterion fails: pa != 0",
+    "rank_formula": "rank(A) != rank(AWA)",
+    "section3_unit": "a a* a w + 1 - a a^- is not invertible",
+    "as_along": "aw is not invertible along aa*",
+    "as_bc": "aw is not (a, a*)-invertible",
+}
+
+
+@pytest.mark.parametrize("route", W_CORE_ROUTES)
+def test_each_single_route_refuses_a_zero_w_with_its_own_reason(route):
+    res = w_core(qm([[1, 0], [0, 0]]), qm([[0, 0], [0, 0]]), route=route)
+    assert not res.exists and res.value is None and res.certificate is None
+    assert res.reason == ZERO_W_ROUTE_REASONS[route]
+
+
+def ill_conditioned_pair(n, seed):
+    """a = U diag(geomspace(1, 10**-4.1, n)) V* and w = V U* for random
+    unitaries U, V, so that AWA = U diag(s)^2 V* has condition number 1.6e8,
+    past the 1e8 at which the inverse of w along a is marked degraded."""
+    g = np.random.default_rng(seed)
+
+    def unitary():
+        z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    u, v = unitary(), unitary()
+    a = (u * np.geomspace(1, 10**-4.1, n)) @ v.conj().T
+    return StarMatrix.from_numpy(a), StarMatrix.from_numpy(v @ u.conj().T)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize(
+    "call, route", [(w_core, "mary_13"), (dual_v_core, "mary_14")], ids=["w_core", "dual_v_core"]
+)
+def test_a_degraded_route_is_kept_out_of_the_agreement_set(call, route, n, seed):
+    # the route through the inverse of w along a carries the squared
+    # conditioning; taken as the value it leaves residuals up to about 1e-9
+    res = call(*ill_conditioned_pair(n, seed))
+    assert res.exists and res.certificate.ok
+    assert f"route {route} degraded by conditioning; excluded" in res.certificate.warnings
+    assert max(res.certificate.residuals.values()) <= 1e-11
+
+
+def test_an_inverse_along_whose_certificate_fails_is_kept_out_of_the_agreement_set(monkeypatch):
+    # a float inverse along is judged at its certificate's own tolerance, and
+    # mary_13 does not offer a value built on one that fails it
+    def failing(c):
+        res = inverse_along(c.w, c.a, c.tol, dad=c.awa)
+        res.certificate.ok = False
+        return res
+
+    monkeypatch.setitem(wcore._SHARED, "w_along_a", failing)
+    a, w = low_rank_float_pair()
+    res = w_core(a, w)
+    assert res.exists and res.certificate.ok
+    assert "route mary_13 degraded by conditioning; excluded" in res.certificate.warnings
