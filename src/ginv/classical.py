@@ -6,7 +6,8 @@ uniformly over fields and over Z/nZ.  Complex floats read a's kept SVD as
 a = FG (F = U_r S_r, G = V_r*) and never solve against a^2, whose condition
 number is the square of a's: a^# = F (GF)^-2 G (Cline), existing iff the
 r x r matrix GF is invertible, and the core inverse a^# a a^+ takes a^+ from
-the same SVD.  Float Drazin indices compare the ranks of formed powers.
+the same SVD.  The Drazin index, the Drazin inverse and the core-EP inverse
+share one chain of powers, each formed and factored once (ranks in float).
 Certificates re-verify the original defining equations rather than the
 construction route.  The dual-core inverse is the star of the core inverse
 of a*, whose guard checks the dual equations up to the star.
@@ -69,40 +70,43 @@ def group_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Star
     return g
 
 
-def drazin_index(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
-    """Smallest k >= 1 with a^k group invertible (rank stabilization in float)."""
+def _power_chain(a: StarMatrix, tol: ToleranceThresholds) -> tuple[int, StarMatrix, StarMatrix]:
+    """The Drazin index n of a, with a^{n-1} and a^n as the chain formed them."""
     require_square(a)
-    p = a  # a^k, each power formed once and factored once
-    if a.domain.kind == "complex_float":
-        for k in range(1, a.rows):
-            q = p @ a
-            if rank(p, tol) == rank(q, tol):
-                return k
-            p = q
-        return max(1, a.rows)
-    cap = index_cap(a)
+    flt, cap = a.domain.kind == "complex_float", index_cap(a)
+    below, p = StarMatrix.identity(a.rows, a.domain), a
     for k in range(1, cap + 1):
+        if flt and k == cap:  # float ranks stabilize by the dimension
+            return k, below, p
         q = p @ a
         # a^k = a^{k+1} x gives a^k S = a^{k+1} S, and one side suffices: over
         # a field the ranks agree, so S a^k = S a^{k+1}; over Z/n the matrix
         # ring is finite, hence stable, and a^k R a a^k forces a^k L a^{k+1}
-        if solve_right(q, p, tol) is not None:
-            return k
-        p = q
+        if (rank(p, tol) == rank(q, tol)) if flt else (solve_right(q, p, tol) is not None):
+            return k, below, p
+        below, p = p, q
     raise RouteDisagreement(f"no Drazin index found up to cap {cap}")
+
+
+def drazin_index(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> int:
+    """Smallest k >= 1 with a^k group invertible (rank stabilization in float)."""
+    return _power_chain(a, tol)[0]
 
 
 def drazin_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> IndexedInverse:
     """Drazin inverse a^D = a^{n-1} (a^n)^# with n the Drazin index."""
-    require_square(a)
-    n = drazin_index(a, tol)
-    below = a.pow(n - 1)
-    g = group_inverse(below @ a, tol)
+    return _drazin(a, tol)[0]
+
+
+def _drazin(a: StarMatrix, tol: ToleranceThresholds) -> tuple[IndexedInverse, StarMatrix]:
+    """a's Drazin inverse and the a^n of its chain."""
+    n, below, an = _power_chain(a, tol)
+    g = group_inverse(an, tol)
     if g is None:
         raise RouteDisagreement(f"a^{n} lost group invertibility at the found index")
     value = below @ g
     assert_system(drazin_system(n), {"a": a, "x": value}, tol, "Drazin inverse")
-    return IndexedInverse(value, n)
+    return IndexedInverse(value, n), an
 
 
 def core_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix | None:
@@ -138,10 +142,8 @@ def core_ep_inverse(
     Over GF(p) the needed {1,3}-inverse of a^m can be missing; that is a
     NotExists outcome, not an error.
     """
-    require_square(a)
-    dz = drazin_inverse(a, tol)
+    dz, am = _drazin(a, tol)
     m = dz.index
-    am = a.pow(m)
     t = one_three_inverse(am, tol)
     if t is None:
         return None

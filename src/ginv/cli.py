@@ -40,38 +40,29 @@ def _missing_factor(one_sided):
     return reason
 
 
-# kind -> (module, function, reason when it finds no inverse).  The function,
-# looked up when the kind runs, takes the operands in order and tol (and the
-# route for the two w-core kinds) and returns an InverseResult, which carries
-# its own reason (bc's only its certificate), an IndexedInverse, a matrix or
-# None.  A reason may be a function of (a, tol); kinds without one always
-# have an inverse.
+# kind -> (module, function, extra operands, reason when it finds no
+# inverse).  The function, looked up when the kind runs, takes a, the extra
+# operands in order and tol (and the route, for a function whose module lists
+# its routes as <FUNCTION>_ROUTES: the two w-core kinds) and returns an
+# InverseResult, which carries its own reason (bc's only its certificate), an
+# IndexedInverse, a matrix or None.  A reason may be a function of (a, tol);
+# kinds without one always have an inverse.
 _COMPUTE = {
-    "one": ("regular", "inner_inverse", None),
-    "one3": ("regular", "one_three_inverse", "a is not in S a* a"),
-    "one4": ("regular", "one_four_inverse", "a is not in a a* S"),
-    "mp": ("regular", "mp_inverse", "a is not in S a a* a"),
-    "group": ("classical", "group_inverse", "a is not in a^2 S and S a^2"),
-    "drazin": ("classical", "drazin_inverse", None),
-    "core": ("classical", "core_inverse", _missing_factor("{1,3}")),
-    "dual-core": ("classical", "dual_core_inverse", _missing_factor("{1,4}")),
-    "core-ep": ("classical", "core_ep_inverse", "a^m has no {1,3}-inverse at the Drazin index m"),
-    "along": ("along", "inverse_along", None),
-    "w-core": ("wcore", "w_core", None),
-    "dual-v-core": ("wcore", "dual_v_core", None),
-    "bc": ("along", "_bc_certified", "b is not in S cab or c is not in cab S"),
+    "one": ("regular", "inner_inverse", (), None),
+    "one3": ("regular", "one_three_inverse", (), "a is not in S a* a"),
+    "one4": ("regular", "one_four_inverse", (), "a is not in a a* S"),
+    "mp": ("regular", "mp_inverse", (), "a is not in S a a* a"),
+    "group": ("classical", "group_inverse", (), "a is not in a^2 S and S a^2"),
+    "drazin": ("classical", "drazin_inverse", (), None),
+    "core": ("classical", "core_inverse", (), _missing_factor("{1,3}")),
+    "dual-core": ("classical", "dual_core_inverse", (), _missing_factor("{1,4}")),
+    "core-ep": ("classical", "core_ep_inverse", (), "a^m has no {1,3}-inverse at the Drazin index m"),
+    "along": ("along", "inverse_along", ("d",), None),
+    "w-core": ("wcore", "w_core", ("w",), None),
+    "dual-v-core": ("wcore", "dual_v_core", ("v",), None),
+    "bc": ("along", "_bc_certified", ("b", "c"), "b is not in S cab or c is not in cab S"),
 }
 KINDS = tuple(_COMPUTE)
-
-_EXTRA_OPERANDS = {
-    "along": ("d",),
-    "w-core": ("w",),
-    "dual-v-core": ("v",),
-    "bc": ("b", "c"),
-}
-
-# kinds with single routes -> their route names in ginv.wcore
-_ROUTES = {"w-core": "W_CORE_ROUTES", "dual-v-core": "DUAL_V_CORE_ROUTES"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,14 +78,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="ginv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("compute", help="compute a generalized inverse with certificate")
-    pc.add_argument("--kind", required=True, choices=KINDS)
-    pc.add_argument("--a", required=True, help="matrix JSON file for a")
-    for name in ("w", "v", "d", "b", "c"):
-        pc.add_argument(f"--{name}", help=f"matrix JSON file for {name}")
-    pc.add_argument("--route", default=None, help="route selector (w-core / dual-v-core)")
-    pc.add_argument("--tol", type=float, default=None, help="residual tolerance override")
-    pc.add_argument("--rank-tol", type=float, default=None, help="rank tolerance override")
+    def operands(command, about, own, **own_kw):
+        # the flags compute and check share, with the command's own flag
+        # before the tolerances
+        q = sub.add_parser(command, help=about)
+        q.add_argument("--kind", required=True, choices=KINDS)
+        q.add_argument("--a", required=True, help="matrix JSON file for a")
+        for name in ("w", "v", "d", "b", "c"):
+            q.add_argument(f"--{name}", help=f"matrix JSON file for {name}")
+        q.add_argument(own, **own_kw)
+        q.add_argument("--tol", type=float, default=None, help="residual tolerance override")
+        q.add_argument("--rank-tol", type=float, default=None, help="rank tolerance override")
+        return q
+
+    pc = operands("compute", "compute a generalized inverse with certificate", "--route",
+                  default=None, help="route selector (w-core / dual-v-core)")
     pc.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
 
     pv = sub.add_parser("verify", help="run the theorem catalog on a finite *-ring")
@@ -104,14 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--cap", type=int, default=None, help="largest allowed ring size")
     pv.add_argument("--out", default=None, help="write the JSON report here")
 
-    pk = sub.add_parser("check", help="re-certify a candidate inverse")
-    pk.add_argument("--kind", required=True, choices=KINDS)
-    pk.add_argument("--a", required=True)
-    for name in ("w", "v", "d", "b", "c"):
-        pk.add_argument(f"--{name}")
-    pk.add_argument("--candidate", required=True)
-    pk.add_argument("--tol", type=float, default=None)
-    pk.add_argument("--rank-tol", type=float, default=None)
+    operands("check", "re-certify a candidate inverse", "--candidate", required=True)
     return p
 
 
@@ -128,7 +119,7 @@ def _read_inputs(args) -> tuple[dict, dict]:
     if not all(t > 0 and math.isfinite(t) for t in given.values()):  # NaN fails t > 0
         raise GinvError("tolerance overrides must be positive and finite")
     docs = {"a": _read(args.a)}
-    for name in _EXTRA_OPERANDS.get(args.kind, ()):
+    for name in _COMPUTE[args.kind][2]:
         path = getattr(args, name)
         if path is None:
             raise GinvError(f"--{name} is required for kind {args.kind}")
@@ -164,17 +155,17 @@ def _cmd_compute(args, given: dict, docs: dict) -> int:
 
     tol, mats = _matrices(given, docs)
     kind, route = args.kind, args.route
+    where, name, _, why_not = _COMPUTE[kind]
+    module = _module(where)
     extra = {}
-    if kind in _ROUTES:
-        valid = getattr(_module("wcore"), _ROUTES[kind])
+    if (valid := getattr(module, f"{name.upper()}_ROUTES", None)) is not None:
         if route not in (None, "all", *valid):
             raise GinvError(f"unknown route {route!r} for {kind}; choose from {valid}")
         extra["route"] = route or "all"
     elif route is not None:
         raise GinvError(f"--route is not valid for kind {kind}")
 
-    module, name, why_not = _COMPUTE[kind]
-    solve = getattr(_module(module), name)
+    solve = getattr(module, name)
     # a certificate failing near tolerance inside the solver is a
     # ToleranceWarning: kept off stderr, and the reason when no value comes back
     with warnings.catch_warnings(record=True) as caught:

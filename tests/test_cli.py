@@ -173,6 +173,28 @@ def test_compute_route_invalid_for_kind(nilp):
     assert run(["compute", "--kind", "mp", "--a", nilp, "--route", "mary_13"]) == 1
 
 
+# the operands each kind reads beyond a; only the two w-core kinds take --route
+KIND_OPERANDS = {"along": ["d"], "w-core": ["w"], "dual-v-core": ["v"], "bc": ["b", "c"]}
+
+
+@pytest.mark.parametrize("kind", ginv.cli.KINDS)
+def test_each_kind_asks_for_its_operands_and_takes_or_refuses_a_route(kind, tmp_path, capsys):
+    one = write_matrix(tmp_path / "one.json", [["1"]], domain={"kind": "rational"})
+    needed = KIND_OPERANDS.get(kind, [])
+    for command in (["compute"], ["check", "--candidate", one]):
+        assert run([*command, "--kind", kind, "--a", one]) == (1 if needed else 0)
+        out, err = capsys.readouterr()
+        if needed:
+            assert (out, err) == ("", f"ginv: error: --{needed[0]} is required for kind {kind}\n")
+    operands = [f"--{name}={one}" for name in needed]
+    code = run(["compute", "--kind", kind, "--a", one, *operands, "--route", "all"])
+    out, err = capsys.readouterr()
+    if kind in ("w-core", "dual-v-core"):
+        assert code == 0 and json.loads(out)["certificate"]["route"] == "all"
+    else:
+        assert (code, out, err) == (1, "", f"ginv: error: --route is not valid for kind {kind}\n")
+
+
 def test_compute_unknown_route_is_one_line(nilp, w1, capsys):
     args = ["compute", "--kind", "w-core", "--a", nilp, "--w", w1, "--route", "no_such_route"]
     assert run(args) == 1
@@ -353,6 +375,27 @@ def test_verify_ok_lines_carry_the_instance_rate(capsys, monkeypatch, elapsed):
     assert head == f"ok (256 instances, {rep.elapsed:.2f}s"
     assert rate.endswith(" instances/s)")
     assert int(rate.split()[0]) == round(256 / rep.elapsed)
+
+
+def test_verify_exits_four_on_a_counterexample(capsys, monkeypatch, tmp_path):
+    # a core inverse planted as 0 on Z/6: each of the five nonzero a fails
+    # both of core_another's value formulas, 10 counterexamples
+    import ginv.rings
+
+    real = ginv.rings.enumerate_ring
+
+    def planted(spec, cap):
+        ring = real(spec, cap)
+        ring.core_inv = lambda a: 0
+        return ring
+
+    monkeypatch.setattr(ginv.rings, "enumerate_ring", planted)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--ring", "zmod:6", "--theorem", "core_another", "--out", str(out)]) == 4
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.split(None, 1) == ["core_another", "FAIL (10 counterexamples)"]
+    assert json.loads(out.read_text())["counterexample_count"] == 10
+    assert run(["verify", "--ring", "zmod:6", "--all"]) == 4
 
 
 @pytest.mark.parametrize("k", [300, 3000])

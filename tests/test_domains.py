@@ -258,3 +258,39 @@ def test_malformed_rational_entry_is_a_domain_mismatch(entry, why):
         with pytest.raises(DomainMismatch) as exc:
             dom.scalar_from_json(entry)
         assert str(exc.value) == f"bad {what} scalar {entry!r}{why}"
+
+
+@pytest.mark.parametrize("kind", ["prime_field", "integer_mod"])
+def test_make_domain_needs_a_modulus(kind):
+    with pytest.raises(DomainMismatch):
+        make_domain(kind)
+
+
+def test_gaussian_rational_scalar_protocol():
+    z = GaussianRational(Fraction(1, 2), -3)
+    assert 1 - z == GaussianRational(Fraction(1, 2), 3)
+    assert 1 / GaussianRational(0, 1) == GaussianRational(0, -1)
+    assert Fraction(3) / GaussianRational(1, 1) == GaussianRational(Fraction(3, 2), Fraction(-3, 2))
+    with pytest.raises(ZeroDivisionError):
+        z / GaussianRational(0)
+    assert -z == GaussianRational(Fraction(-1, 2), 3)
+    assert complex(z) == complex(0.5, -3.0)
+    assert repr(z) == "1/2-3i" and repr(-z) == "-1/2+3i" and repr(GaussianRational(2)) == "2"
+    assert hash(GaussianRational(Fraction(2, 3))) == hash(Fraction(2, 3))
+    assert GaussianRational(Fraction(2, 3)) in {Fraction(2, 3)}
+
+
+@pytest.mark.parametrize(
+    "dom, zero", [(RATIONAL, Fraction(0)), (GAUSSIAN_RATIONAL, GaussianRational(0)), (prime_field(7), 0)]
+)
+def test_zero_has_no_inverse(dom, zero):
+    with pytest.raises(NotInvertible):
+        dom.inv(zero)
+    assert not dom.is_unit(zero)
+
+
+def test_complex_float_coerces_exact_scalars_and_pairs():
+    assert COMPLEX_FLOAT.coerce(GaussianRational(Fraction(1, 4), -2)) == complex(0.25, -2)
+    assert COMPLEX_FLOAT.coerce(Fraction(3, 8)) == complex(0.375, 0)
+    assert COMPLEX_FLOAT.coerce((1, 2)) == complex(1, 2)
+    assert COMPLEX_FLOAT.coerce([0.5, -1.5]) == complex(0.5, -1.5)

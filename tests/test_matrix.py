@@ -33,15 +33,17 @@ from ginv.domains import (
     integer_mod,
     prime_field,
 )
-from ginv.along import inverse_along_via_unit
+from ginv.along import green_leq, inverse_along_via_unit
 from ginv.matrix import (
     DEFAULT_TOL,
     ToleranceThresholds,
     acceptance_bound,
     all_within,
+    condition_number,
     disagree,
     inverse,
     left_nullspace,
+    pinv,
     rel_diff,
     right_nullspace,
 )
@@ -454,3 +456,39 @@ def test_residuals_evaluate_each_prefix_and_starred_letter_once(dom, monkeypatch
     assert calls == expected == {"product": 10, "star": 3, "matmul": 0}
     if dom.exact:  # float residuals are checked against fresh words in test_matrix_complex
         assert res == {name: rel_diff(left, right) for name, (left, right) in fresh.items()}
+
+
+# each public refusal raises its documented error
+REFUSALS = {
+    "from_rows ragged": (lambda: StarMatrix.from_rows([[1, 2], [3]], RATIONAL), ShapeMismatch),
+    "pow non-square": (lambda: qm([[1, 2]]).pow(2), ShapeMismatch),
+    "pow negative": (lambda: qm([[1]]).pow(-1), ValueError),
+    "from_numpy 1-d": (lambda: StarMatrix.from_numpy(np.ones(3)), ShapeMismatch),
+    "solve_right domains": (lambda: solve_right(qm([[1]]), fm([[1]])), DomainMismatch),
+    "solve_right rows": (lambda: solve_right(qm([[1]]), qm([[1], [2]])), ShapeMismatch),
+    "inverse non-square": (lambda: inverse(qm([[1, 2]])), ShapeMismatch),
+    "is_projection non-square": (lambda: is_projection(qm([[1, 2]])), ShapeMismatch),
+    "pinv exact": (lambda: pinv(qm([[1]])), UnsupportedDomain),
+    "condition_number exact": (lambda: condition_number(qm([[1]])), UnsupportedDomain),
+    "full_rank_factorize Z6": (lambda: full_rank_factorize(zm([[2]])), UnsupportedDomain),
+    "right_nullspace Z6": (lambda: right_nullspace(zm([[2]])), UnsupportedDomain),
+    "matrix_from_json no data": (
+        lambda: matrix_from_json({"rows": 1, "cols": 1, "domain": {"kind": "rational"}}),
+        PreconditionFailed,
+    ),
+    "green_leq shapes": (lambda: green_leq(qm([[1]]), qm([[1, 0], [0, 1]]), "L"), ShapeMismatch),
+    "green_leq relation": (lambda: green_leq(qm([[1]]), qm([[1]]), "X"), PreconditionFailed),
+    "mp_via_unit non-square": (lambda: mp_via_unit(qm([[1, 2]]), qm([[1], [0]])), PreconditionFailed),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS)
+def test_public_refusals_raise_their_documented_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_comparisons_across_shapes_and_domains():
+    assert rel_diff(cm([[1, 0]]), cm([[1], [0]])) == math.inf
+    assert rel_diff(qm([[1]]), qm([[1, 0]])) == math.inf
+    assert (qm([[1]]) == fm([[1]])) is False

@@ -879,3 +879,20 @@ def test_an_inverse_along_whose_certificate_fails_is_kept_out_of_the_agreement_s
     res = w_core(a, w)
     assert res.exists and res.certificate.ok
     assert "route mary_13 degraded by conditioning; excluded" in res.certificate.warnings
+
+
+# ROADMAP item 1 at ordinary magnitudes: complex a = s I with w = v = [[1, 2],
+# [3, 4]], so the answers are (aw)^-1 and (va)^-1 and κ(aw) is about 15.  The
+# unit t = a a* a w + 1 - a a^- of section3_unit adds an s^3 term to the O(eps)
+# rounding of 1 - a a^-: route "all" raises RouteDisagreement, and route
+# section3_unit alone passes its certificate with a wrong value (87 % off at
+# s = 1e-8), since the residual scales are floored at 1
+@pytest.mark.xfail(strict=True, raises=(AssertionError, RouteDisagreement))
+@pytest.mark.parametrize("s", [1e-4, 1e-8])
+@pytest.mark.parametrize("route", ["all", "section3_unit"])
+@pytest.mark.parametrize("call", [w_core, dual_v_core], ids=["w_core", "dual_v_core"])
+def test_roadmap_item_1_small_scalar_a_with_a_well_conditioned_w(call, route, s):
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    res = call(StarMatrix.from_numpy(s * np.eye(2)), StarMatrix.from_numpy(m), route=route)
+    assert res.exists and res.certificate.ok
+    assert rel_diff(res.value, StarMatrix.from_numpy(np.linalg.inv(s * m))) <= 1e-10
