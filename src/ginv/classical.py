@@ -98,15 +98,15 @@ def drazin_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> Ind
     return _drazin(a, tol)[0]
 
 
-def _drazin(a: StarMatrix, tol: ToleranceThresholds) -> tuple[IndexedInverse, StarMatrix]:
-    """a's Drazin inverse and the a^n of its chain."""
+def _drazin(a: StarMatrix, tol: ToleranceThresholds) -> tuple:
+    """a's Drazin inverse (an IndexedInverse) with the a^{n-1} and a^n of its chain."""
     n, below, an = _power_chain(a, tol)
     g = group_inverse(an, tol)
     if g is None:
         raise RouteDisagreement(f"a^{n} lost group invertibility at the found index")
     value = below @ g
     assert_system(drazin_system(n), {"a": a, "x": value}, tol, "Drazin inverse")
-    return IndexedInverse(value, n), an
+    return IndexedInverse(value, n), below, an
 
 
 def core_inverse(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix | None:
@@ -142,11 +142,17 @@ def core_ep_inverse(
     Over GF(p) the needed {1,3}-inverse of a^m can be missing; that is a
     NotExists outcome, not an error.
     """
-    dz, am = _drazin(a, tol)
+    return _core_ep(a, tol)[0]
+
+
+def _core_ep(a: StarMatrix, tol: ToleranceThresholds) -> tuple:
+    """a's core-EP inverse (an IndexedInverse, None without one) with the a^{m-1}
+    and a^m of its chain."""
+    dz, below, am = _drazin(a, tol)
     m = dz.index
     t = one_three_inverse(am, tol)
     if t is None:
-        return None
+        return None, below, am
     x = dz.value @ am @ t
     assert_system(core_ep_system(m), {"a": a, "x": x}, tol, "pseudo-core inverse")
     if m > 1:
@@ -154,4 +160,4 @@ def core_ep_inverse(
         res = system_residuals(core_ep_system(m - 1), {"a": a, "x": x}, tol)
         if all_within(res.values(), acceptance_bound(a.domain, tol)):
             raise RouteDisagreement("pseudo-core index is not minimal")
-    return IndexedInverse(x, m)
+    return IndexedInverse(x, m), below, am

@@ -231,7 +231,7 @@ class ScalarDomain:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, ScalarDomain)
             and self.kind == other.kind
             and self.modulus == other.modulus

@@ -4,11 +4,14 @@ Each inverse kind is characterized by word equations over the letters
 {a, w, v, d, b, c, x} and their stars ("a*" means the adjoint of a).  The
 same tables drive matrix certification here and the finite-ring oracle,
 whose one scanner (`FiniteStarRing.solve_system`) solves them by exhaustive
-search, so the two paths cannot drift apart.
+search, so the two paths cannot drift apart.  Matrices evaluate a system
+from its plan (`_plan`), compiled once per distinct system: the distinct
+word prefixes in the order they are formed, each from its parent prefix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -119,26 +122,51 @@ def core_ep_system(m: int) -> tuple[Equation, ...]:
     )
 
 
-def _word(word: Word, env: dict[str, StarMatrix], memo: dict, dom) -> tuple:
-    acc = None
-    for k, sym in enumerate(word, 1):
-        if (sym,) not in memo:
-            if (m := env[sym.rstrip("*")]).domain != dom:
+@functools.cache
+def _plan(system: tuple[Equation, ...]) -> tuple:
+    """How `system_residuals` walks system, kept once per distinct tuple: the
+    unstarred letters in first-use order and, per equation, its name, the
+    slots it adds, the slots ending its sides and each side's unstarred
+    letters.  A slot is a distinct word prefix, in the order a left-to-right
+    walk forms it: (None, (letter, starred)) or (parent slot, letter slot)."""
+    slots, equations = {}, []
+    for name, lhs, rhs in system:
+        steps = []
+        for word in (lhs, rhs):
+            for k, sym in enumerate(word, 1):
+                if (sym,) not in slots:
+                    slots[(sym,)] = len(slots)
+                    steps.append((None, (sym.rstrip("*"), sym.endswith("*"))))
+                if word[:k] not in slots:
+                    slots[word[:k]] = len(slots)
+                    steps.append((slots[word[: k - 1]], slots[(sym,)]))
+        scales = tuple(tuple(sym.rstrip("*") for sym in w) for w in (lhs, rhs))
+        equations.append((name, tuple(steps), slots[lhs], slots[rhs], scales))
+    letters = tuple(dict.fromkeys(k for *_, scales in equations for s in scales for k in s))
+    return letters, tuple(equations)
+
+
+def _run(steps: tuple, env: dict[str, StarMatrix], dom, vals: list) -> list:
+    """Append each planned slot's payload to vals, a letter's after its domain check."""
+    for parent, arg in steps:
+        if parent is None:
+            if (m := env[arg[0]]).domain != dom:
                 raise DomainMismatch(f"{dom!r} vs {m.domain!r}")
-            memo[(sym,)] = m._payload(sym.endswith("*"))
-        if word[:k] not in memo:
-            memo[word[:k]] = _payload_product(dom, acc, memo[(sym,)])
-        acc = memo[word[:k]]
-    return acc
+            vals.append(m._payload(arg[1]))
+        else:
+            vals.append(_payload_product(dom, vals[parent], vals[arg]))
+    return vals
 
 
 def eval_word(word: Word, env: dict[str, StarMatrix], memo: dict | None = None) -> StarMatrix:
-    """The product of the word's letters, left to right, run on the kernels'
-    payloads with no matrix built for a product.  memo maps words to payloads;
-    sharing it across calls evaluates each prefix and starred letter once, in
-    the same order, so results are bit-identical to a fresh call."""
-    dom = env[word[0].rstrip("*")].domain
-    return _payload_matrix(dom, _word(word, env, {} if memo is None else memo, dom))
+    """The product of the word's letters, left to right, on the kernels'
+    payloads through the plan of word = word, with no matrix built for a
+    product.  memo maps words to payloads, so a word is evaluated once per memo."""
+    dom, memo = env[word[0].rstrip("*")].domain, {} if memo is None else memo
+    if word not in memo:
+        (_, steps, end, *_), = _plan((("", word, word),))[1]
+        memo[word] = _run(steps, env, dom, [])[end]
+    return _payload_matrix(dom, memo[word])
 
 
 @dataclass
@@ -208,24 +236,26 @@ def system_residuals(
     solve acceptance bound ||AX-B|| <= tol(||A|| ||X|| + ||B||)).  A product
     bounds its side's norm, as ||m*|| = ||m|| and the Frobenius norm is
     submultiplicative, so neither 1 nor a side's own norm could raise it.
-    Words run on payloads (`_word`); exact sides over unreduced denominators
-    d and e are equal iff left e == right d."""
-    out, memo = {}, {}
-    dom = env["a"].domain
+    Words run on payloads along the system's `_plan`, compiled once, forming
+    each letter and prefix once; exact sides over unreduced denominators d and
+    e are equal iff left e == right d, compared directly when d == e."""
+    out, vals, dom = {}, [], env["a"].domain
+    letters, equations = _plan(system)
     if not dom.exact:
         # max(1, ||m||) per letter, each matrix's kept norm; the product of a
         # word's factor norms is the forward-error magnitude of evaluating it
-        letters = {sym.rstrip("*") for _, lhs, rhs in system for sym in lhs + rhs}
         norms = {k: max(1.0, norm_fro(env[k])) for k in letters}
-    for name, lhs, rhs in system:
-        (left, d), (right, e) = _word(lhs, env, memo, dom), _word(rhs, env, memo, dom)
+    for name, steps, lhs, rhs, scales in equations:
+        _run(steps, env, dom, vals)
+        (left, d), (right, e) = vals[lhs], vals[rhs]
         if dom.exact:
-            same = all((x * e).tolist() == (y * d).tolist() for x, y in zip(left, right))
-            out[name] = _bool_residual(same)
+            if d != e:
+                left, right = [x * e for x in left], [y * d for y in right]
+            out[name] = _bool_residual(all(x.tolist() == y.tolist() for x, y in zip(left, right)))
         elif left[0].shape != right[0].shape:
             raise ShapeMismatch(f"{left[0].shape} - {right[0].shape}")
         else:
-            scale = max(math.prod(norms[sym.rstrip("*")] for sym in side) for side in (lhs, rhs))
+            scale = max(math.prod(map(norms.__getitem__, side)) for side in scales)
             out[name] = _fro(left[0] - right[0]) / scale
     return out
 

@@ -721,11 +721,10 @@ def pinv(a: StarMatrix, tol: ToleranceThresholds = DEFAULT_TOL) -> StarMatrix:
     """SVD pseudoinverse with the shared rank cutoff (ComplexFloat only), kept per tol."""
     if a.domain.kind != "complex_float":
         raise UnsupportedDomain("pinv is the float path; exact domains use solve routes")
-    if a._pinv is None or a._pinv[0] != tol:
+    if a._pinv is None or (a._pinv[0] is not tol and a._pinv[0] != tol):
         u, s, vh = _factors(a)
         keep = s > _svd_cutoff(s, a, tol)
-        with np.errstate(divide="ignore"):
-            s_inv = np.where(keep, 1.0 / s, 0.0)
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
         p = (vh.conj().T * s_inv) @ u.conj().T if keep.any() else np.zeros(a.shape[::-1], complex)
         a._pinv = tol, _ComplexMatrix._adopt(p)
     return a._pinv[1]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
 from .along import bc_inverse, inverse_along
-from .classical import _core_from_group, core_ep_inverse, core_inverse, group_inverse
+from .classical import _core_ep, _core_from_group, core_inverse, group_inverse
 from .equations import InverseResult, certify, require_inner
 from .errors import (
     DomainMismatch,
@@ -522,16 +522,15 @@ def special_cases(
             raise RouteDisagreement("dual a*-core inverse does not equal a+ (a+)*")
         return res
     if which == "pseudo_power":
-        cep = core_ep_inverse(a, tol)
+        cep, below, an = _core_ep(a, tol)
         if cep is None:
             return InverseResult(False, reason="a is not pseudo-core invertible")
         n = cep.index
-        an = a.pow(n)
         core_an = core_inverse(an, tol)
         acore_an = w_core(an, a, tol=tol)
         if core_an is None or not acore_an.exists:
             raise RouteDisagreement("a^n lost (a-)core invertibility at the pseudo-core index")
-        if disagree(cep.value, a.pow(n - 1) @ core_an, bound):
+        if disagree(cep.value, below @ core_an, bound):
             raise RouteDisagreement("pseudo-core does not equal a^{n-1} (a^n)_core")
         if disagree(cep.value, an @ acore_an.value, bound):
             raise RouteDisagreement("pseudo-core does not equal a^n (a^n)_a")

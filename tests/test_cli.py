@@ -965,3 +965,42 @@ def test_every_kind_keeps_the_cli_contract_at_extreme_scales(tmp_path, capsys):
                 assert code == 3 or result["certificate"]["ok"] is True, where
             calls += 1
     assert calls == 1287
+
+
+# 0 x 0 operands: every product, norm and comparison of the certificate is
+# empty.  Each kind exists there with the 0 x 0 value on all five domains,
+# except `one` over Z/6, which refuses Z/n by design
+ZERO_DOMAINS = [
+    {"kind": "rational"},
+    {"kind": "gaussian_rational"},
+    {"kind": "prime_field", "modulus": 7},
+    {"kind": "integer_mod", "modulus": 6},
+    {"kind": "complex_float"},
+]
+
+
+@pytest.mark.parametrize("domain", ZERO_DOMAINS, ids=lambda d: d["kind"])
+def test_every_kind_on_zero_by_zero_operands(tmp_path, capsys, domain):
+    empty = {"rows": 0, "cols": 0, "domain": domain, "data": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(empty))
+    operands = [f"--{letter}={path}" for letter in ("w", "v", "d", "b", "c")]
+    for kind in ginv.cli.KINDS:
+        code = run(["compute", "--kind", kind, "--a", str(path), *operands])
+        out, err = capsys.readouterr()
+        if kind == "one" and domain["kind"] == "integer_mod":
+            assert code == 1 and out == "" and len(err.splitlines()) == 1, kind
+            continue
+        assert code == 0 and err == "", kind
+        result = _strict_json(out)
+        assert result["exists"] is True and result["certificate"]["ok"] is True, kind
+        assert result["value"] == empty, kind
+
+
+def test_check_on_a_zero_by_zero_rational(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"rows": 0, "cols": 0, "domain": {"kind": "rational"}, "data": []}))
+    assert run(["check", "--kind", "mp", "--a", str(path), "--candidate", str(path)]) == 0
+    result = _strict_json(capsys.readouterr().out)
+    assert result["certificate"]["ok"] is True
+    assert result["certificate"]["residuals"] == {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}

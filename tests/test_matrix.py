@@ -458,6 +458,91 @@ def test_residuals_evaluate_each_prefix_and_starred_letter_once(dom, monkeypatch
         assert res == {name: rel_diff(left, right) for name, (left, right) in fresh.items()}
 
 
+@pytest.mark.parametrize("dom", RESIDUAL_DOMAINS, ids=repr)
+def test_equal_systems_share_one_plan_and_systems_in_turn_keep_their_residuals(dom):
+    from ginv.equations import SYSTEMS, _plan, core_ep_system, drazin_system, system_residuals
+
+    # a plan is kept per distinct system tuple: rebuilt equal tuples share it
+    assert _plan(drazin_system(2)) is _plan(drazin_system(2))
+    assert _plan(core_ep_system(3)) is _plan(core_ep_system(3))
+    assert _plan(drazin_system(2)) is not _plan(drazin_system(3))
+    rng = random.Random(17)
+    env = {k: StarMatrix.from_rows([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)], dom)
+           for k in "awvdbcx"}
+    systems = [SYSTEMS["w-core-full"], SYSTEMS["mp"], drazin_system(2), core_ep_system(1)]
+    alone = [_reference_residuals(system, env) for system in systems]
+    for _ in range(2):  # each system after every other one, twice over
+        assert [system_residuals(system, env) for system in systems] == alone
+
+
+@pytest.mark.parametrize("dom", [RATIONAL, COMPLEX_FLOAT], ids=repr)
+def test_residual_words_raise_at_the_first_failing_step(dom):
+    # letters are taken and prefixes formed as a left-to-right walk meets
+    # them, equation by equation: the first bad step decides the error
+    from ginv.equations import system_residuals
+
+    other = COMPLEX_FLOAT if dom.exact else RATIONAL
+    a, big = StarMatrix.identity(2, dom), StarMatrix.identity(3, dom)
+    env = {"a": a, "x": big, "w": StarMatrix.identity(2, other), "d": a}
+    holds = ("H", ("a", "d"), ("d", "a"))  # passes: the error comes from the next equation
+    cases = [
+        ((holds, ("T", ("a", "x", "w"), ("a",))), ShapeMismatch),  # a x formed before w is taken
+        ((holds, ("T", ("a", "w", "x"), ("a",))), DomainMismatch),  # w taken before a w is formed
+        ((("T", ("a", "x"), ("a",)), ("U", ("w",), ("a",))), ShapeMismatch),
+        ((("T", ("w",), ("a",)), ("U", ("a", "x"), ("a",))), DomainMismatch),
+    ]
+    for system, error in cases:
+        with pytest.raises(error):
+            system_residuals(system, env)
+    missing = (("T", ("a", "x"), ("a",)), ("U", ("v",), ("a",)))
+    # float residuals take every letter's norm first, so a missing letter
+    # raises before any product; exact ones meet a x first
+    with pytest.raises(KeyError if not dom.exact else ShapeMismatch):
+        system_residuals(missing, env)
+    with pytest.raises(KeyError):
+        system_residuals((holds, ("U", ("a", "v"), ("a",))), env)
+
+
+def _cross_multiplied(system, env):
+    """Exact residuals with every pair of sides cross-multiplied by the other
+    side's denominator, from payload products taken here letter by letter."""
+    dom, out = env["a"].domain, {}
+    for name, lhs, rhs in system:
+        sides = []
+        for word in (lhs, rhs):
+            acc = None
+            for sym in word:
+                p = env[sym.rstrip("*")]._payload(sym.endswith("*"))
+                acc = p if acc is None else ginv.matrix._payload_product(dom, acc, p)
+            sides.append(acc)
+        (left, d), (right, e) = sides
+        same = all((x * e).tolist() == (y * d).tolist() for x, y in zip(left, right))
+        out[name] = 0.0 if same else math.inf
+    return out
+
+
+@pytest.mark.parametrize("dom", [RATIONAL, GAUSSIAN_RATIONAL], ids=repr)
+def test_equal_denominators_compare_as_cross_multiplication_does(dom):
+    from ginv.equations import eval_word, system_residuals
+
+    q = Fraction
+    a = StarMatrix.from_rows([[q(1, 2), q(1, 3)], [0, 1]], dom)  # den 6
+    x = StarMatrix.from_rows([[2, 0], [0, 3]], dom)  # den 1, and a x = [[1, 1], [0, 3]]
+    env = {"a": a, "x": x, "w": a @ x, "d": a.adjoint()}
+    assert (a @ x).den != a.den * x.den  # so "S3" compares unequal denominators
+    system = (
+        ("S1", ("a", "x"), ("a", "x")),  # equal sides, equal denominators
+        ("S2", ("a", "x"), ("x", "a")),  # unequal sides, equal denominators
+        ("S3", ("a", "x"), ("w",)),  # equal sides, denominators 6 and 1
+        ("S4", ("a", "x"), ("x",)),  # unequal sides, denominators 6 and 1
+        ("S5", ("a*", "x"), ("d", "x")),  # equal sides, a starred letter
+    )
+    res = system_residuals(system, env)
+    assert res == _cross_multiplied(system, env)
+    assert res == {n: rel_diff(eval_word(l, env), eval_word(r, env)) for n, l, r in system}
+    assert res == {"S1": 0.0, "S2": math.inf, "S3": 0.0, "S4": math.inf, "S5": 0.0}
+
+
 # each public refusal raises its documented error
 REFUSALS = {
     "from_rows ragged": (lambda: StarMatrix.from_rows([[1, 2], [3]], RATIONAL), ShapeMismatch),
